@@ -50,7 +50,6 @@ from .complexes import (
 )
 from .exactfield import (
     DenominatorDividesP,
-    ExactMatrix,
     FieldSpec,
     rank,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "DEFAULT_MAX_ELEMENTS",
     "DEFAULT_MAX_FACES",
     "DenominatorDividesP",
-    "ExactMatrix",
     "ExtendedInt",
     "FaceBudgetExceeded",
     "FacePrime",

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .complexes import DEFAULT_MAX_FACES, HomologyProfile, reduced_homology
+from .complexes import DEFAULT_MAX_FACES, HomologyProfile, homology_of_faces
 from .exactfield import FieldSpec
-from .posets import AnalysisPoset, order_complex
+from .posets import AnalysisPoset
 from .ultrametric import NEG_INF, ExtendedInt, UltrametricValue, filtration_fold
 
 ASSUMPTION_TEXT = {
@@ -60,9 +60,8 @@ def multiplicities(
         field = FieldSpec.rationals()
     profiles = {}
     for node in poset.nodes:
-        above = poset.open_interval_above(node.id)
-        cx = order_complex(above, max_faces=max_faces)
-        profile = reduced_homology(cx, field)
+        chains = poset.interval_chains(node.id, max_faces=max_faces)
+        profile = homology_of_faces(chains, field)
         assert (profile.dim(-1) != 0) == poset.is_maximal(node.id)
         profiles[node.id] = profile
     return MultiplicityTable(field=field, profiles=profiles)

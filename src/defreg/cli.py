@@ -208,8 +208,15 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
     index = {nd.id: k for k, nd in enumerate(nodes)}
     n = len(nodes)
     up = [1 << k for k in range(n)]
-    for rel in doc.get("relations", ()):
-        if not (isinstance(rel, list) and len(rel) == 2):
+    relations = doc.get("relations", [])
+    if not isinstance(relations, list):
+        raise ParseError("\"relations\" must be a list of [a, b] pairs")
+    for rel in relations:
+        if not (
+            isinstance(rel, list)
+            and len(rel) == 2
+            and all(isinstance(x, str) for x in rel)
+        ):
             raise ParseError(f"malformed relation {rel!r}")
         a, b = rel
         if a not in index or b not in index:

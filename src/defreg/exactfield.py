@@ -1,17 +1,28 @@
-"""Exact linear algebra over the rationals and over prime fields GF(p).
+"""Exact sparse column reduction over the rationals and over prime fields GF(p).
 
-Reduced homology dimensions are alternating differences of boundary-matrix
-ranks, so rank is the only operation needed here.  The matrices involved
-are boundaries of order complexes of small posets (a few hundred rows at
-most), which makes plain Gaussian elimination over exact scalars the right
-tool.  No floating point is used anywhere.
+Reduced homology dimensions are alternating differences of boundary ranks,
+and clearing needs to know which rows carry the pivots, so the one
+operation here is a column reduction that reports its pivot rows.  A
+column is a dict {row: coefficient}; boundaries of order complexes run to
+a hundred thousand faces but have only dim + 1 entries per column, so
+columns stay sparse and only the entries that exist are touched.
+
+Entries may be ints or Fractions.  Each column is first scaled by the
+common denominator of its entries, which changes no rank, so the reduction
+itself runs on ints: reduced mod p over GF(p), and fraction-free over Q,
+where every combined column is divided by the gcd of its entries to keep
+them small.  Q is never computed through a prime, since torsion makes the
+two ranks differ.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping
+
+Column = Mapping[int, int | Fraction]
 
 
 class DenominatorDividesP(ArithmeticError):
@@ -60,101 +71,76 @@ class FieldSpec:
         return "rational" if self.is_rationals else f"gf({self.characteristic})"
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix of arbitrary-precision rationals.
+def pivot_rows(columns: Iterable[Column], field: FieldSpec) -> list[int]:
+    """Pivot (largest nonzero) row of every column that survives reduction.
 
-    Fraction keeps every entry in lowest terms automatically, so no separate
-    normalization step is needed.  Zero-row and zero-column shapes are legal
-    and show up constantly as boundaries of extreme degrees.
+    Columns are reduced left to right: while a column's pivot row is the
+    pivot of an earlier reduced column, that column is subtracted to cancel
+    it.  A column that vanishes was a combination of earlier ones; the
+    pivots of the rest are distinct, and their number is the rank.
     """
+    p = field.characteristic
+    reduced: dict[int, dict[int, int]] = {}
+    for column in columns:
+        col = _integral(column, p)
+        while col:
+            low = max(col)
+            other = reduced.get(low)
+            if other is None:
+                if p and col[low] != 1:
+                    inv = pow(col[low], -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                reduced[low] = col
+                break
+            col = _eliminate(col, other, low, p)
+    return list(reduced)
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix rows")
+def rank(columns: Iterable[Column], field: FieldSpec) -> int:
+    """Rank over the requested field of the matrix with these columns."""
+    return len(pivot_rows(columns, field))
 
-    @classmethod
-    def from_rows(
-        cls,
-        data: Sequence[Sequence[int | Fraction]],
-        *,
-        cols: int | None = None,
-    ) -> "ExactMatrix":
-        body = tuple(tuple(Fraction(x) for x in row) for row in data)
-        if body:
-            width = len(body[0])
+
+def _integral(column: Column, p: int) -> dict[int, int]:
+    """The column scaled to nonzero ints, reduced mod p when p is nonzero."""
+    den = lcm(*(v.denominator for v in column.values()))
+    if p and den % p == 0:
+        raise DenominatorDividesP(f"a column entry has no image modulo {p}")
+    out = {}
+    for r, v in column.items():
+        x = v.numerator * (den // v.denominator)
+        if p:
+            x %= p
+        if x:
+            out[r] = x
+    return out
+
+
+def _eliminate(
+    col: dict[int, int], other: dict[int, int], low: int, p: int
+) -> dict[int, int]:
+    """a * col - b * other, with a = other[low] and b = col[low], so row low cancels.
+
+    When a divides b, as it always does over GF(p) where stored pivots are
+    1, col - (b / a) * other cancels it without scaling col.  Over Q the
+    result is divided by the gcd of its entries.
+    """
+    a, b = other[low], col[low]
+    if b % a == 0:
+        b //= a
+        out = dict(col)
+    else:
+        out = {r: a * v for r, v in col.items()}
+    for r, v in other.items():
+        x = out.get(r, 0) - b * v
+        if p:
+            x %= p
+        if x:
+            out[r] = x
         else:
-            width = 0 if cols is None else cols
-        return cls(len(body), width, body)
-
-
-def rank(matrix: ExactMatrix, field: FieldSpec) -> int:
-    """Rank over the requested field, by Gaussian elimination."""
-    if field.is_rationals:
-        return _rank_rational(matrix)
-    return _rank_mod_p(matrix, field.characteristic)
-
-
-def _rank_rational(matrix: ExactMatrix) -> int:
-    work = [list(row) for row in matrix.entries]
-    nrows = matrix.rows
-    r = 0
-    for c in range(matrix.cols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        head = work[r][c]
-        for i in range(r + 1, nrows):
-            f = work[i][c]
-            if f != 0:
-                scale = f / head
-                work[i] = [a - scale * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _residue(x: Fraction, p: int) -> int:
-    if x.denominator % p == 0:
-        raise DenominatorDividesP(f"{x} has no image modulo {p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def _rank_mod_p(matrix: ExactMatrix, p: int) -> int:
-    work = [[_residue(x, p) for x in row] for row in matrix.entries]
-    nrows = matrix.rows
-    r = 0
-    for c in range(matrix.cols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], -1, p)
-        for i in range(r + 1, nrows):
-            f = work[i][c]
-            if f:
-                scale = f * inv % p
-                work[i] = [(a - scale * b) % p for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+            del out[r]
+    if not p and out:
+        g = gcd(*out.values())
+        if g != 1:
+            out = {r: v // g for r, v in out.items()}
+    return out

@@ -1,5 +1,8 @@
+import pathlib
+
 import pytest
 
+from defreg.binomial_edge import Graph, build_Q_poset
 from defreg.bounds import (
     SJSet,
     analyze,
@@ -11,12 +14,17 @@ from defreg.bounds import (
     regularity_bound,
     s_set,
 )
+from defreg.cli import parse_graph_file, parse_poset_doc
+from defreg.complexes import FaceBudgetExceeded, reduced_homology
 from defreg.exactfield import FieldSpec
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
-from defreg.posets import AnalysisPoset, IdealNode, RingContext
+from defreg.posets import AnalysisPoset, IdealNode, RingContext, order_complex
 from defreg.ultrametric import NEG_INF
 
+DATA = pathlib.Path(__file__).parent / "data"
 RING4 = RingContext(("x", "y", "z", "w"))
+QQ = FieldSpec.rationals()
+GF2 = FieldSpec.prime_field(2)
 
 
 def skew_lines_poset():
@@ -165,3 +173,64 @@ def test_analyze_abstract_assumption_text():
     report = analyze(poset)
     assert len(report.assumptions) == 1
     assert "assumed" in report.assumptions[0]
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def test_multiplicities_match_order_complex_reference():
+    # the reference builds each interval poset and its order complex
+    posets = [
+        build_Q_poset(Graph.path(6)),
+        build_Q_poset(cycle(5)),
+        build_Q_poset(parse_graph_file((DATA / "k35.edges").read_text())),
+        parse_poset_doc((DATA / "abstract7.json").read_text()),
+    ]
+    for poset in posets:
+        for field in (QQ, GF2):
+            table = multiplicities(poset, field)
+            for nd in poset.nodes:
+                above = poset.open_interval_above(nd.id)
+                ref = reduced_homology(order_complex(above), field)
+                assert table.profiles[nd.id] == ref, (nd.id, field)
+
+
+def test_interval_face_budget_is_exact():
+    # a chain of 8: the interval above the bottom is a 7-chain, whose
+    # order complex has 2**7 faces, the empty chain included
+    ids = [f"c{k}" for k in range(8)]
+    poset = AnalysisPoset(
+        [node(pid, 8 - k) for k, pid in enumerate(ids)],
+        [(a, b) for k, a in enumerate(ids) for b in ids[k:]],
+    )
+    assert multiplicities(poset, max_faces=2**7).mult("c0", -1) == 0
+    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+        multiplicities(poset, max_faces=2**7 - 1)
+    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+        order_complex(poset, max_faces=2**8 - 1)
+    assert len(order_complex(poset, max_faces=2**8)) == 2**8
+
+
+def mobius_to_top(poset):
+    """mu(p, top) for the virtual top: -1 minus the sum over the strict up-set."""
+    ids = poset.ids()
+    up = {a: [b for b in ids if b != a and poset.leq(a, b)] for a in ids}
+    mu = {}
+    for a in sorted(ids, key=lambda a: len(up[a])):
+        mu[a] = -1 - sum(mu[b] for b in up[a])
+    return mu
+
+
+def test_path7_philip_hall_and_field_comparison():
+    poset = build_Q_poset(Graph.path(7))
+    assert len(poset) == 99
+    mu = mobius_to_top(poset)
+    tables = {f: multiplicities(poset, f) for f in (QQ, GF2)}
+    for nd in poset.nodes:
+        for table in tables.values():
+            profile = table.profiles[nd.id]
+            euler = sum((-1) ** d * v for d, v in profile.dims.items())
+            assert euler == mu[nd.id], nd.id
+        q, two = (tables[f].profiles[nd.id] for f in (QQ, GF2))
+        assert all(q.dim(d) <= two.dim(d) for d in set(q.dims) | set(two.dims))

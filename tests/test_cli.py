@@ -113,6 +113,22 @@ def test_parse_poset_doc_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "relations", ["5", "null", '[[["x"], "a"]]'], ids=["int", "null", "list-endpoint"]
+)
+def test_malformed_relations_exit_1(tmp_path, relations):
+    doc = tmp_path / "p.json"
+    doc.write_text(
+        '{"format": 1, "elements": [{"id": "a", "dim": 0}],'
+        f' "relations": {relations}}}'
+    )
+    with pytest.raises(ParseError):
+        parse_poset_doc(doc.read_text())
+    code, text = run(RunConfig(mode="poset", poset_path=str(doc)))
+    assert code == EXIT_PARSE
+    assert text.startswith("error:")
+
+
 def test_parse_field():
     assert _parse_field("rational").is_rationals
     assert _parse_field("gf:5").characteristic == 5

@@ -6,14 +6,23 @@ import pytest
 
 from defreg.exactfield import (
     DenominatorDividesP,
-    ExactMatrix,
     FieldSpec,
+    pivot_rows,
     rank,
 )
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
 GF3 = FieldSpec.prime_field(3)
+
+
+def columns(rows, ncols=None):
+    """Sparse columns {row: entry} of a dense matrix given by its rows."""
+    width = len(rows[0]) if rows else ncols
+    return [
+        {r: row[c] for r, row in enumerate(rows) if row[c] != 0}
+        for c in range(width)
+    ]
 
 
 def minor_rank(data):
@@ -52,47 +61,53 @@ def test_field_spec_validation():
     assert FieldSpec.prime_field(97).characteristic == 97
 
 
-def test_matrix_validation():
-    with pytest.raises(ValueError):
-        ExactMatrix(2, 2, ((Fraction(1), Fraction(0)),))
-    with pytest.raises(ValueError):
-        ExactMatrix(1, 2, ((Fraction(1),),))
-    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    assert (m.rows, m.cols) == (2, 2)
-    empty = ExactMatrix.from_rows([], cols=5)
-    assert (empty.rows, empty.cols) == (0, 5)
-    assert rank(empty, QQ) == 0
-
-
 def test_known_ranks():
-    ident = ExactMatrix.from_rows([[1, 0], [0, 1]])
+    ident = columns([[1, 0], [0, 1]])
     assert rank(ident, QQ) == 2
-    singular = ExactMatrix.from_rows([[1, 2], [2, 4]])
+    singular = columns([[1, 2], [2, 4]])
     assert rank(singular, QQ) == 1
-    zeros = ExactMatrix.from_rows([[0, 0], [0, 0]])
+    zeros = columns([[0, 0], [0, 0]])
     assert rank(zeros, QQ) == 0
-    wide = ExactMatrix.from_rows([[1, 1, 1], [1, 1, 2]])
+    wide = columns([[1, 1, 1], [1, 1, 2]])
     assert rank(wide, QQ) == 2
+    # a 0 x 5 matrix: five empty columns
+    assert rank(columns([], 5), QQ) == 0
+    assert rank([], GF2) == 0
+
+
+def test_pivot_rows_are_distinct_lowest_rows():
+    # columns e0, e0 + e1, e1: the third reduces to zero, and each pivot
+    # is the largest row left in its reduced column
+    assert pivot_rows(columns([[1, 1, 0], [0, 1, 1]]), QQ) == [0, 1]
+    assert pivot_rows(columns([[1, 1, 0], [0, 1, 1]]), GF2) == [0, 1]
+    assert pivot_rows([{3: 2, 5: 4}, {5: 1}], QQ) == [5, 3]
+    assert pivot_rows([{3: 2, 5: 4}, {5: 1}], GF2) == [5]
 
 
 def test_rank_depends_on_characteristic():
-    two = ExactMatrix.from_rows([[2]])
+    two = columns([[2]])
     assert rank(two, QQ) == 1
     assert rank(two, GF2) == 0
     assert rank(two, GF3) == 1
     # determinant 3, so the matrix drops rank exactly at p = 3
-    m = ExactMatrix.from_rows([[1, 2], [2, 1]])
+    m = columns([[1, 2], [2, 1]])
     assert rank(m, QQ) == 2
     assert rank(m, GF3) == 1
     assert rank(m, GF2) == 2
 
 
 def test_fraction_entries_mod_p():
-    half = ExactMatrix.from_rows([[Fraction(1, 2)]])
+    half = columns([[Fraction(1, 2)]])
     assert rank(half, QQ) == 1
     assert rank(half, GF3) == 1
     with pytest.raises(DenominatorDividesP):
         rank(half, GF2)
+    # (1/2, 1/3) is a multiple of (3, 2): one common denominator per column
+    mixed = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]
+    assert rank(mixed, QQ) == 1
+    assert rank(mixed, FieldSpec.prime_field(5)) == 1
+    with pytest.raises(DenominatorDividesP):
+        rank(mixed, GF3)
 
 
 def test_random_ranks_match_minor_oracle():
@@ -103,7 +118,7 @@ def test_random_ranks_match_minor_oracle():
         data = [
             [Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)
         ]
-        mat = ExactMatrix.from_rows(data, cols=n)
+        mat = columns(data, n)
         got = rank(mat, QQ)
         assert got == minor_rank(data)
         # rank never exceeds either dimension, and mod p never exceeds rank over Q
@@ -118,7 +133,7 @@ def test_transpose_has_equal_rank():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         data = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-        mat = ExactMatrix.from_rows(data)
-        tr = ExactMatrix.from_rows(list(map(list, zip(*data))), cols=m)
+        mat = columns(data)
+        tr = columns(list(map(list, zip(*data))), m)
         assert rank(mat, QQ) == rank(tr, QQ)
         assert rank(mat, GF3) == rank(tr, GF3)
