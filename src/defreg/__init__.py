@@ -67,7 +67,6 @@ from .posets import (
     AnalysisPoset,
     ClosureBudgetExceeded,
     IdealNode,
-    MissingDecomposer,
     RingContext,
     UnknownElement,
     join_closure,
@@ -106,7 +105,6 @@ __all__ = [
     "Graph",
     "HomologyProfile",
     "IdealNode",
-    "MissingDecomposer",
     "MixedRanks",
     "MultiplicityTable",
     "NEG_INF",

@@ -14,17 +14,26 @@ height c - 1, so
 and the two are complementary in the 2n ambient variables.
 
 The minimal primes of the graph itself come from cut sets: keep S exactly
-when every vertex of S raises the component count of what is left.  A sum
-of two primes kills the union of the killed sets and overlays the residual
-cliques; the overlay is prime precisely when each of its connected
-components is a complete graph, and otherwise decomposes by the same cut
-set rule applied to the overlay graph.
+when every vertex of S raises the component count of what is left.
+
+Internally a prime is a pair of masks, (kill mask, block masks in
+increasing order), with bit v - 1 standing for vertex v.  A sum of two
+primes kills k, the union of the kill masks, and overlays what is left of
+the two partitions once k is stripped from every block.  The overlay is
+prime precisely when each of its connected components is a complete graph;
+for two partitions that means each component is itself a residual block
+of one side, so primality is read off the join of the two partitions with
+no graph built.  A non-prime sum decomposes by the cut set rule applied to
+the overlay graph, computed once per kill mask and set of maximal residual
+cliques.  CliquePrime and CliqueUnionIdeal remain the public objects, and
+sum_ideals, is_prime, as_prime, decompose and contains are thin wrappers
+over the same mask kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
@@ -176,11 +185,39 @@ def _vertex_set(mask: int) -> frozenset[int]:
     return frozenset(b + 1 for b in _bits(mask))
 
 
-def _adjacency(graph: Graph) -> list[int]:
-    adj = [0] * graph.n
-    for u, v in graph.edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
+# A prime as masks: (kill mask, block masks in increasing order).
+MaskPrime = tuple[int, tuple[int, ...]]
+
+
+def _to_masks(p: CliquePrime) -> MaskPrime:
+    return _mask(p.killed), tuple(sorted(_mask(b) for b in p.blocks))
+
+
+def _from_masks(n: int, rep: MaskPrime) -> CliquePrime:
+    kill, blocks = rep
+    return CliquePrime(n, _vertex_set(kill), tuple(_vertex_set(b) for b in blocks))
+
+
+def _order_key(n: int, rep: MaskPrime) -> tuple:
+    """(height, CliquePrime.key()) read off the masks.
+
+    key() orders blocks by their sorted vertex tuples, not by mask value:
+    {1, 5} comes before {2}.
+    """
+    kill, blocks = rep
+    return (
+        n + kill.bit_count() - len(blocks),
+        tuple(_bits(kill)),
+        tuple(sorted(tuple(_bits(b)) for b in blocks)),
+    )
+
+
+def _clique_adjacency(n: int, cliques: Iterable[int]) -> list[int]:
+    """Adjacency masks of the union of complete graphs on the given masks."""
+    adj = [0] * n
+    for c in cliques:
+        for v in _bits(c):
+            adj[v] |= c ^ 1 << v
     return adj
 
 
@@ -202,19 +239,14 @@ def _mask_components(adj: Sequence[int], present: int) -> tuple[int, ...]:
     return tuple(comps)
 
 
-def _prime_from_masks(n: int, kill_mask: int, comps: Iterable[int]) -> CliquePrime:
-    return CliquePrime(
-        n, _vertex_set(kill_mask), tuple(_vertex_set(c) for c in comps)
-    )
-
-
 def _admissible_primes(
     n: int, base_kill: int, adj: Sequence[int], present: int
-) -> list[CliquePrime]:
+) -> list[MaskPrime]:
     """All primes from cut sets T of the graph (adj, present), over base_kill.
 
     T qualifies when removing any single vertex of T gives strictly fewer
     components than removing all of T; the empty set always qualifies.
+    The primes come sorted by (height, CliquePrime.key()).
     """
     cache: dict[int, tuple[int, ...]] = {}
 
@@ -231,89 +263,127 @@ def _admissible_primes(
         rest = present & ~t
         base = len(components(rest))
         if all(len(components(rest | (1 << i))) < base for i in _bits(t)):
-            found.append(_prime_from_masks(n, base_kill | t, components(rest)))
+            found.append((base_kill | t, tuple(sorted(components(rest)))))
         if t == 0:
             break
         t = (t - 1) & present
-    found.sort(key=lambda p: (p.height, p.key()))
+    found.sort(key=lambda rep: _order_key(n, rep))
     return found
 
 
 def minimal_primes_graph(graph: Graph) -> list[CliquePrime]:
     """Minimal primes of the binomial edge ideal of the graph."""
-    full = (1 << graph.n) - 1
-    return _admissible_primes(graph.n, 0, _adjacency(graph), full)
+    n = graph.n
+    adj = _clique_adjacency(n, (_mask(e) for e in graph.edges))
+    return [_from_masks(n, rep) for rep in _admissible_primes(n, 0, adj, (1 << n) - 1)]
+
+
+def _sum(
+    a: MaskPrime, b: MaskPrime
+) -> tuple[int, Optional[tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
+    """The sum of two primes: (kill, blocks, residual blocks of a and of b).
+
+    The sum kills k = the union of the kill sets and overlays what is left
+    of both partitions; blocks is None unless that sum is prime.  It is
+    prime exactly when every connected component of the overlay is itself
+    a residual block of a or of b.  Blocks of one partition are disjoint,
+    so in a complete component two vertices from different blocks of a
+    share a block of b, and a component meeting two blocks of a lies in a
+    single block of b.  Hence each block of b either fits in one block of
+    a, or contains every block of a it meets and is a component itself.
+    """
+    ka, ba = a
+    kb, bb = b
+    k = ka | kb
+    ra = ba if k == ka else tuple([r for x in ba if (r := x & ~k)])
+    rb = bb if k == kb else tuple([r for x in bb if (r := x & ~k)])
+    own = 0
+    for x in rb:
+        for c in ra:
+            if c & x:
+                if not x & ~c:
+                    break
+                if c & ~x:
+                    return k, None, ra, rb
+        else:
+            own |= x
+    blocks = [x for x in rb if x & own] + [c for c in ra if not c & own]
+    blocks.sort()
+    return k, tuple(blocks), ra, rb
+
+
+def _maximal_cliques(ra: Sequence[int], rb: Sequence[int]) -> tuple[int, ...]:
+    """The inclusion-maximal blocks among two partitions of one set."""
+    keep = []
+    for c in ra:
+        for x in rb:
+            if not c & ~x:
+                break
+        else:
+            keep.append(c)
+    for x in rb:
+        for c in ra:
+            if not x & ~c and x != c:
+                break
+        else:
+            keep.append(x)
+    keep.sort()
+    return tuple(keep)
 
 
 def contains(a: CliquePrime, b: CliquePrime) -> bool:
-    """Whether ideal(a) contains ideal(b).
-
-    Both variables of a killed vertex of b must be killed in a, and any two
-    surviving vertices sharing a block of b must share a block of a;
-    equivalently each block of b, less a's killed set, fits in one block.
-    """
+    """Whether ideal(a) contains ideal(b), that is, whether a + b = a."""
     if a.n != b.n:
         raise ValueError("primes live over different vertex counts")
-    if not b.killed <= a.killed:
-        return False
-    owner: dict[int, frozenset[int]] = {}
-    for blk in a.blocks:
-        for v in blk:
-            owner[v] = blk
-    for blk in b.blocks:
-        rest = blk - a.killed
-        if len(rest) <= 1:
-            continue
-        it = iter(rest)
-        home = owner[next(it)]
-        if not all(v in home for v in it):
-            return False
-    return True
+    ra = _to_masks(a)
+    kill, blocks, _, _ = _sum(ra, _to_masks(b))
+    return (kill, blocks) == ra
 
 
 def sum_ideals(a: CliquePrime, b: CliquePrime) -> CliqueUnionIdeal:
     """The sum of two primes: union of the kills, overlay of the blocks."""
     if a.n != b.n:
         raise ValueError("primes live over different vertex counts")
-    killed = a.killed | b.killed
-    residual = (blk - killed for blk in a.blocks + b.blocks)
-    return CliqueUnionIdeal(a.n, killed, tuple(c for c in residual if c))
+    kill, _, ra, rb = _sum(_to_masks(a), _to_masks(b))
+    return CliqueUnionIdeal(
+        a.n, _vertex_set(kill), tuple(_vertex_set(c) for c in ra + rb)
+    )
 
 
-def _overlay(c: CliqueUnionIdeal) -> tuple[list[int], int]:
-    adj = [0] * c.n
-    for clique in c.cliques:
-        cmask = _mask(clique)
-        for v in clique:
-            adj[v - 1] |= cmask & ~(1 << (v - 1))
+def _overlay(c: CliqueUnionIdeal) -> tuple[list[int], int, tuple[int, ...], bool]:
+    """Adjacency, vertices, components and primality of the overlay graph.
+
+    The overlay is prime exactly when every component is a complete graph.
+    """
+    adj = _clique_adjacency(c.n, (_mask(q) for q in c.cliques))
     present = ((1 << c.n) - 1) & ~_mask(c.killed)
-    return adj, present
+    comps = _mask_components(adj, present)
+    prime = all(adj[v] | 1 << v == comp for comp in comps for v in _bits(comp))
+    return adj, present, comps, prime
 
 
 def is_prime(c: CliqueUnionIdeal) -> bool:
     """Prime exactly when every overlay component is a complete graph."""
-    adj, present = _overlay(c)
-    for comp in _mask_components(adj, present):
-        for v in _bits(comp):
-            if adj[v] & comp != comp ^ (1 << v):
-                return False
-    return True
+    return _overlay(c)[3]
 
 
 def as_prime(c: CliqueUnionIdeal) -> CliquePrime:
     """Canonical prime form of a prime overlay: components become blocks."""
-    if not is_prime(c):
+    _, _, comps, prime = _overlay(c)
+    if not prime:
         raise ValueError("the overlay is not prime")
-    adj, present = _overlay(c)
-    return _prime_from_masks(c.n, _mask(c.killed), _mask_components(adj, present))
+    return _from_masks(c.n, (_mask(c.killed), tuple(sorted(comps))))
 
 
 def decompose(c: CliqueUnionIdeal) -> list[CliquePrime]:
     """Minimal primes of a non-prime overlay, by the cut set rule on it."""
-    if is_prime(c):
+    adj, present, _, prime = _overlay(c)
+    if prime:
         raise AlreadyPrime("decompose() expects a non-prime overlay")
-    adj, present = _overlay(c)
-    return _admissible_primes(c.n, _mask(c.killed), adj, present)
+    return [
+        _from_masks(c.n, rep)
+        for rep in _admissible_primes(c.n, _mask(c.killed), adj, present)
+    ]
 
 
 def build_Q_poset(
@@ -323,22 +393,34 @@ def build_Q_poset(
 
     Every accumulated prime is summed with every other; non-prime sums are
     decomposed and their minimal primes join the pool, so the result is
-    closed under the whole sum-then-decompose loop.
+    closed under the whole sum-then-decompose loop.  A decomposition
+    depends only on the kill set and the maximal residual cliques, so it is
+    computed once per such pair.
     """
+    n = graph.n
+    full = (1 << n) - 1
     ring = ring_for(graph)
+    decomposed: dict[tuple[int, tuple[int, ...]], tuple[MaskPrime, ...]] = {}
 
-    def build_node(cp: CliquePrime, node_id: str) -> IdealNode:
+    def primes_of_sum(a: MaskPrime, b: MaskPrime) -> tuple[MaskPrime, ...]:
+        kill, blocks, ra, rb = _sum(a, b)
+        if blocks is not None:
+            return ((kill, blocks),)
+        key = (kill, _maximal_cliques(ra, rb))
+        pieces = decomposed.get(key)
+        if pieces is None:
+            adj = _clique_adjacency(n, key[1])
+            pieces = tuple(_admissible_primes(n, kill, adj, full & ~kill))
+            decomposed[key] = pieces
+        return pieces
+
+    def build_node(rep: MaskPrime, node_id: str) -> IdealNode:
+        cp = _from_masks(n, rep)
         return IdealNode(id=node_id, ideal=cp, dim=cp.dim, height=cp.height)
 
     return join_closure(
-        minimal_primes_graph(graph),
-        sum_op=sum_ideals,
-        is_prime_op=is_prime,
-        to_prime_op=as_prime,
-        decompose_op=decompose,
-        contains_op=contains,
-        canonical_key=lambda cp: cp.key(),
-        generator_key=lambda cp: (cp.height, cp.key()),
+        [_to_masks(p) for p in minimal_primes_graph(graph)],
+        primes_of_sum,
         node_builder=build_node,
         ring=ring,
         provenance="binomial-edge",

@@ -248,14 +248,11 @@ def analyze(
     table = multiplicities(poset, field, max_faces=max_faces)
     ambient = max(node.dim for node in poset.nodes)
     conditions = check_conditions(poset)
-    all_js = range(ambient + 1)
-    bounds_by_j: dict[int, ExtendedInt] = {}
-    entries_by_j: dict[int, BoundEntry] = {}
-    for j in all_js:
+
+    def entry(j: int) -> BoundEntry:
         sj = s_set(poset, table, j)
         bound, cap = regularity_bound(poset, sj)
-        bounds_by_j[j] = bound
-        entries_by_j[j] = BoundEntry(
+        return BoundEntry(
             j=j,
             members=sj.members,
             bound=bound,
@@ -268,34 +265,13 @@ def analyze(
                 filtration_report(poset, table, j) if include_layers else None
             ),
         )
-    mt_level, mt_capped = murai_terai_level(bounds_by_j, ambient)
-    wanted = list(all_js) if js is None else list(js)
-    entries = []
-    for j in wanted:
-        if j in entries_by_j:
-            entries.append(entries_by_j[j])
-        else:
-            sj = s_set(poset, table, j)
-            bound, cap = regularity_bound(poset, sj)
-            entries.append(
-                BoundEntry(
-                    j=j,
-                    members=sj.members,
-                    bound=bound,
-                    cap=cap,
-                    certified=conditions.certified,
-                    witnesses=(
-                        nonvanishing_witnesses(poset, j)
-                        if include_witnesses
-                        else None
-                    ),
-                    layers=(
-                        filtration_report(poset, table, j)
-                        if include_layers
-                        else None
-                    ),
-                )
-            )
+
+    entries_by_j = {j: entry(j) for j in range(ambient + 1)}
+    mt_level, mt_capped = murai_terai_level(
+        {j: e.bound for j, e in entries_by_j.items()}, ambient
+    )
+    wanted = entries_by_j if js is None else js
+    entries = [entries_by_j[j] if j in entries_by_j else entry(j) for j in wanted]
     assumptions = ASSUMPTION_TEXT.get(poset.provenance)
     return BoundReport(
         poset=poset,

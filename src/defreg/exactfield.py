@@ -29,16 +29,34 @@ class DenominatorDividesP(ArithmeticError):
     """A rational entry has no reduction mod p (denominator divisible by p)."""
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below MAX_CHARACTERISTIC, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < MAX_CHARACTERISTIC."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -50,8 +68,13 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         c = self.characteristic
+        if c >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {c} is too large: primality is decided"
+                f" exactly only below {MAX_CHARACTERISTIC}"
+            )
         if c != 0 and not _is_prime(c):
-            raise ValueError(f"characteristic must be 0 or a prime, got {c}")
+            raise ValueError(f"{c} is not prime")
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -59,8 +82,8 @@ class FieldSpec:
 
     @classmethod
     def prime_field(cls, p: int) -> "FieldSpec":
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if p == 0:
+            raise ValueError("0 is not prime")
         return cls(p)
 
     @property

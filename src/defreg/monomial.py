@@ -6,6 +6,12 @@ the generator hypergraph, each read as the face prime on the covering
 variables.  Face primes are closed under sums (the sum is the prime on the
 union of the variables), so the closure needs no decomposition step and the
 poset of sums embeds in the boolean lattice on the variables.
+
+Inside the closure a face prime is an int mask over the positions of
+ring.var_names: the sum is a | b, and a contains b exactly when a | b == a.
+FacePrime objects are built once per poset element.  Generators keep the
+order (height, variable names sorted as strings), so "x10" comes before
+"x2".
 """
 
 from __future__ import annotations
@@ -111,18 +117,19 @@ def build_monomial_poset(
 ) -> AnalysisPoset:
     """Poset of all sums of the minimal primes, under reverse inclusion."""
     ring = ideal.ring
+    names = ring.var_names
+    position = {v: k for k, v in enumerate(names)}
+    generators = [
+        sum(1 << position[v] for v in fp.variables) for fp in minimal_primes(ideal)
+    ]
 
-    def build_node(fp: FacePrime, node_id: str) -> IdealNode:
-        return IdealNode(
-            id=node_id, ideal=fp, dim=fp.dim_in(ring), height=fp.height
-        )
+    def build_node(mask: int, node_id: str) -> IdealNode:
+        fp = FacePrime(frozenset(v for k, v in enumerate(names) if mask >> k & 1))
+        return IdealNode(id=node_id, ideal=fp, dim=fp.dim_in(ring), height=fp.height)
 
     return join_closure(
-        minimal_primes(ideal),
-        sum_op=face_sum,
-        contains_op=lambda a, b: a.variables >= b.variables,
-        canonical_key=lambda fp: fp.key(),
-        generator_key=lambda fp: (fp.height, fp.key()),
+        generators,
+        lambda a, b: (a | b,),
         node_builder=build_node,
         ring=ring,
         provenance="monomial",

@@ -5,19 +5,22 @@ the minimal primes are the maximal elements of the poset, sitting just below
 a virtual top element that is never stored; all homology happens on the open
 intervals (p, top), which are simply the strict up-sets.
 
-Sums of components are accumulated by a worklist closure: every pair of
-known primes is summed, a sum that fails the primality test is replaced by
-its minimal primes, and the process repeats on the enlarged set until a
+The poset of sums is built by a worklist closure over canonical prime
+representations, which are plain hashable values (int masks for face
+primes, mask tuples for clique primes).  Pairs are summed first in, first
+out; one callback returns the minimal primes of each sum, a single piece
+exactly when the sum is prime, and unseen pieces join the pool until a
 fixpoint.  Labels p_1, p_2, ... follow first-appearance order, with the
 generators fed in one at a time so that sums of early generators are
-labelled before later generators.
+labelled before later generators.  The order is read off the same sums:
+a + b = a says that ideal(a) contains ideal(b), and every pair is summed
+exactly once, so no separate containment test is needed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded, SimplicialComplex
 
@@ -26,10 +29,6 @@ DEFAULT_MAX_ELEMENTS = 10_000
 
 class ClosureBudgetExceeded(RuntimeError):
     """Raised when the sum closure would exceed the element budget."""
-
-
-class MissingDecomposer(RuntimeError):
-    """A non-prime sum arose but no decomposition routine was supplied."""
 
 
 class UnknownElement(KeyError):
@@ -277,82 +276,68 @@ def order_complex(
 
 
 def join_closure(
-    generators: Sequence,
+    generators: Sequence[Hashable],
+    primes_of_sum: Callable[[Hashable, Hashable], tuple],
     *,
-    sum_op: Callable,
-    contains_op: Callable,
-    canonical_key: Callable,
     node_builder: Callable,
-    generator_key: Callable | None = None,
-    is_prime_op: Callable | None = None,
-    to_prime_op: Callable | None = None,
-    decompose_op: Callable | None = None,
     ring: RingContext | None = None,
     provenance: str,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> AnalysisPoset:
-    """Close a family of prime components under pairwise sums.
+    """Close a family of primes under pairwise sums, ordered by the sums.
 
-    sum_op combines two prime representations; is_prime_op (when given)
-    tests the result, to_prime_op converts a prime sum to its canonical
-    prime representation, and decompose_op replaces a non-prime sum by its
-    minimal primes.  Omitting is_prime_op asserts that sums are always
-    prime, as for face primes; a non-prime sum without decompose_op raises
-    MissingDecomposer.  Every accumulated prime is summed with every other,
-    decomposition output included, until nothing new appears.
+    generators are canonical prime representations, already sorted; they
+    are fed in one at a time.  primes_of_sum(a, b) returns the minimal
+    primes of the sum of a and b in canonical form, a single piece exactly
+    when the sum is prime.  Pairs are summed first in, first out; unseen
+    pieces join the pool in the order given, and every accumulated prime
+    is summed with every other until nothing new appears.
+
+    The order falls out of the same sums: a + b = a says that ideal(a)
+    contains ideal(b), so a <= b.  Every pair is summed once, so this reads
+    off the whole relation with no separate containment test.
+    node_builder(rep, id) turns each representation into its IdealNode.
     """
     if not generators:
         raise ValueError("closure needs at least one generator")
-    gens = sorted(generators, key=generator_key or canonical_key)
-
     reps: list = []
     index: dict = {}
-    pending: deque[tuple[int, int]] = deque()
+    up: list[int] = []
 
     def insert(rep) -> None:
-        key = canonical_key(rep)
-        if key in index:
-            return
         if len(reps) >= max_elements:
             raise ClosureBudgetExceeded(
                 f"sum closure passed the element budget of {max_elements}"
             )
-        idx = len(reps)
+        index[rep] = len(reps)
         reps.append(rep)
-        index[key] = idx
-        for other in range(idx):
-            pending.append((other, idx))
+        up.append(0)
 
-    seen_sums: set = set()
+    # Pair (i, j), i < j, is summed on j's turn: the order of a FIFO queue
+    # that receives (0, j), ..., (j - 1, j) when j is inserted.
+    j = 0
+    for g in generators:
+        if g not in index:
+            insert(g)
+        while j < len(reps):
+            rj = reps[j]
+            for i in range(j):
+                ri = reps[i]
+                pieces = primes_of_sum(ri, rj)
+                if len(pieces) == 1:
+                    if pieces[0] == ri:
+                        up[i] |= 1 << j
+                        continue
+                    if pieces[0] == rj:
+                        up[j] |= 1 << i
+                        continue
+                for piece in pieces:
+                    if piece not in index:
+                        insert(piece)
+            j += 1
 
-    def settle() -> None:
-        while pending:
-            i, j = pending.popleft()
-            s = sum_op(reps[i], reps[j])
-            if s in seen_sums:
-                continue
-            seen_sums.add(s)
-            if is_prime_op is None or is_prime_op(s):
-                insert(to_prime_op(s) if to_prime_op is not None else s)
-            elif decompose_op is None:
-                raise MissingDecomposer(
-                    "a non-prime sum arose and no decomposer was provided"
-                )
-            else:
-                for piece in decompose_op(s):
-                    insert(piece)
-
-    for g in gens:
-        insert(g)
-        settle()
-
-    nodes = tuple(
-        node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps)
-    )
+    nodes = tuple(node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps))
     pairs = [
-        (nodes[i].id, nodes[j].id)
-        for i in range(len(reps))
-        for j in range(len(reps))
-        if contains_op(reps[i], reps[j])
+        (nodes[i].id, nodes[j].id) for i in range(len(reps)) for j in _bits(up[i])
     ]
     return AnalysisPoset(nodes, pairs, ring=ring, provenance=provenance)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -291,6 +292,31 @@ def test_main_json_flag(capsys):
 def test_main_rejects_bad_field(capsys):
     code = main(["--mode", "monomial", "--vars", "x", "--gens", "x",
                  "--field", "gf:6"])
+    out = capsys.readouterr().out
+    assert code == EXIT_PARSE
+    assert out.startswith("error:")
+
+
+def test_main_large_prime_field_is_prompt(capsys):
+    # 10^18 + 3 is prime; trial division used to take minutes on it
+    start = time.perf_counter()
+    code = main(["--mode", "monomial", "--vars", "x", "--gens", "x",
+                 "--field", "gf:1000000000000000003"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "field: gf(1000000000000000003)" in out
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("spec", [
+    "gf:1000000000000000001",  # 101 * 9901 * 999999000001
+    "gf:318665857834031151167461",  # strong pseudoprime to bases 2..37
+    "gf:3317044064679887385961981",  # past the exact Miller-Rabin range
+    "gf:0",
+])
+def test_main_rejects_composite_or_huge_field(capsys, spec):
+    code = main(["--mode", "monomial", "--vars", "x", "--gens", "x",
+                 "--field", spec])
     out = capsys.readouterr().out
     assert code == EXIT_PARSE
     assert out.startswith("error:")

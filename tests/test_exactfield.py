@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from defreg.exactfield import (
+    MAX_CHARACTERISTIC,
     DenominatorDividesP,
     FieldSpec,
+    _is_prime,
     pivot_rows,
     rank,
 )
@@ -48,6 +50,20 @@ def minor_rank(data):
     return 0
 
 
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for n in range(-3, 20000):
+        assert _is_prime(n) == trial(n), n
+    # Carmichael numbers and strong pseudoprimes to small bases
+    for n in (561, 41041, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(1000000000000000003)
+
+
 def test_field_spec_validation():
     assert QQ.is_rationals
     assert QQ.label() == "rational"
@@ -58,6 +74,10 @@ def test_field_spec_validation():
         FieldSpec(1)
     with pytest.raises(ValueError):
         FieldSpec.prime_field(6)
+    with pytest.raises(ValueError):
+        FieldSpec.prime_field(0)
+    with pytest.raises(ValueError):
+        FieldSpec(MAX_CHARACTERISTIC)
     assert FieldSpec.prime_field(97).characteristic == 97
 
 

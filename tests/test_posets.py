@@ -5,7 +5,6 @@ from defreg.posets import (
     AnalysisPoset,
     ClosureBudgetExceeded,
     IdealNode,
-    MissingDecomposer,
     RingContext,
     UnknownElement,
     join_closure,
@@ -138,41 +137,51 @@ def test_order_complex_budget():
         order_complex(big_chain, max_faces=100)
 
 
+def _bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _mask_node(rep, pid):
+    return IdealNode(id=pid, ideal=rep, dim=8 - rep.bit_count())
+
+
 def _set_closure(generators, **kwargs):
+    """Closure of variable sets as int masks: every sum is prime, a | b."""
     return join_closure(
         generators,
-        sum_op=lambda a, b: a | b,
-        contains_op=lambda a, b: a >= b,
-        canonical_key=lambda s: tuple(sorted(s)),
-        node_builder=lambda rep, pid: IdealNode(
-            id=pid, ideal=rep, dim=8 - len(rep)
-        ),
+        lambda a, b: (a | b,),
+        node_builder=_mask_node,
         provenance="abstract",
         **kwargs,
     )
 
 
 def test_join_closure_of_sets():
-    p = _set_closure([frozenset({1}), frozenset({2}), frozenset({3})])
+    p = _set_closure([0b001, 0b010, 0b100])
     # all nonempty unions of three singletons
     assert len(p) == 7
     assert p.ids() == tuple(f"p_{k}" for k in range(1, 8))
-    singletons = [nd.id for nd in p.nodes if len(nd.ideal) == 1]
+    singletons = [nd.id for nd in p.nodes if nd.ideal.bit_count() == 1]
     assert p.maximal_ids() == tuple(singletons)
-    bottom = [nd for nd in p.nodes if len(nd.ideal) == 3]
+    bottom = [nd for nd in p.nodes if nd.ideal == 0b111]
     assert len(bottom) == 1
     assert all(p.leq(bottom[0].id, other) for other in p.ids())
+    # the order read off the sums is reverse inclusion of the masks
+    for a in p.nodes:
+        for b in p.nodes:
+            assert p.leq(a.id, b.id) == (a.ideal | b.ideal == a.ideal)
 
 
 def test_join_closure_label_order_follows_generator_sort():
-    p = _set_closure([frozenset({2}), frozenset({1})])
-    assert p.node("p_1").ideal == frozenset({1})
-    assert p.node("p_2").ideal == frozenset({2})
-    assert p.node("p_3").ideal == frozenset({1, 2})
+    # the caller sorts the generators; labels follow the order handed in
+    p = _set_closure([0b01, 0b10])
+    assert [nd.ideal for nd in p.nodes] == [0b01, 0b10, 0b11]
+    p = _set_closure([0b10, 0b01])
+    assert [nd.ideal for nd in p.nodes] == [0b10, 0b01, 0b11]
 
 
 def test_join_closure_budget():
-    gens = [frozenset({i}) for i in range(1, 6)]
+    gens = [1 << i for i in range(5)]
     with pytest.raises(ClosureBudgetExceeded):
         _set_closure(gens, max_elements=10)
 
@@ -182,34 +191,28 @@ def test_join_closure_requires_generators():
         _set_closure([])
 
 
-def test_join_closure_missing_decomposer():
-    with pytest.raises(MissingDecomposer):
-        join_closure(
-            [frozenset({1}), frozenset({2})],
-            sum_op=lambda a, b: a | b,
-            contains_op=lambda a, b: a >= b,
-            canonical_key=lambda s: tuple(sorted(s)),
-            node_builder=lambda rep, pid: IdealNode(id=pid, ideal=rep, dim=0),
-            is_prime_op=lambda s: len(s) <= 1,
-            provenance="abstract",
-        )
-
-
 def test_join_closure_with_decomposition():
     # sums of size > 2 are "not prime" and break into singletons, so the
     # closure is all singletons and all pairs over {1, 2, 3, 4}
+    def primes_of_sum(a, b):
+        s = a | b
+        if s.bit_count() <= 2:
+            return (s,)
+        return tuple(1 << v for v in _bits(s))
+
     p = join_closure(
-        [frozenset({1, 2}), frozenset({3, 4})],
-        sum_op=lambda a, b: a | b,
-        contains_op=lambda a, b: a >= b,
-        canonical_key=lambda s: tuple(sorted(s)),
-        node_builder=lambda rep, pid: IdealNode(
-            id=pid, ideal=rep, dim=8 - len(rep)
-        ),
-        is_prime_op=lambda s: len(s) <= 2,
-        decompose_op=lambda s: [frozenset({v}) for v in sorted(s)],
+        [0b0011, 0b1100],
+        primes_of_sum,
+        node_builder=_mask_node,
         provenance="abstract",
     )
-    sizes = sorted(len(nd.ideal) for nd in p.nodes)
+    sizes = sorted(nd.ideal.bit_count() for nd in p.nodes)
     assert sizes == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
     assert len(p) == 10
+    # pieces in the order given: the sum of the two generators comes first
+    assert [nd.ideal for nd in p.nodes[:6]] == [
+        0b0011, 0b1100, 0b0001, 0b0010, 0b0100, 0b1000
+    ]
+    for a in p.nodes:
+        for b in p.nodes:
+            assert p.leq(a.id, b.id) == (a.ideal | b.ideal == a.ideal)
