@@ -63,29 +63,21 @@ from .monomial import (
 )
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
-    AbstractIdeal,
     AnalysisPoset,
     ClosureBudgetExceeded,
     IdealNode,
+    OrderCycle,
     RingContext,
     UnknownElement,
     join_closure,
     order_complex,
 )
-from .ultrametric import (
-    NEG_INF,
-    ExtendedInt,
-    MixedRanks,
-    UltrametricValue,
-    filtration_fold,
-    zero_value,
-)
+from .ultrametric import NEG_INF, ExtendedInt
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ASSUMPTION_TEXT",
-    "AbstractIdeal",
     "AlreadyPrime",
     "AnalysisPoset",
     "BoundEntry",
@@ -105,14 +97,13 @@ __all__ = [
     "Graph",
     "HomologyProfile",
     "IdealNode",
-    "MixedRanks",
     "MultiplicityTable",
     "NEG_INF",
+    "OrderCycle",
     "RingContext",
     "SJSet",
     "SimplicialComplex",
     "SquarefreeIdeal",
-    "UltrametricValue",
     "UnknownElement",
     "ZeroIdeal",
     "analyze",
@@ -124,7 +115,6 @@ __all__ = [
     "contains",
     "decompose",
     "face_sum",
-    "filtration_fold",
     "filtration_report",
     "is_prime",
     "join_closure",
@@ -140,6 +130,5 @@ __all__ = [
     "ring_for",
     "s_set",
     "sum_ideals",
-    "zero_value",
     "__version__",
 ]

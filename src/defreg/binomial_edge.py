@@ -40,6 +40,7 @@ from .posets import (
     AnalysisPoset,
     IdealNode,
     RingContext,
+    _bits,
     join_closure,
 )
 
@@ -165,13 +166,6 @@ class CliqueUnionIdeal:
         object.__setattr__(
             self, "cliques", _canonical_blocks(kept)
         )
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _mask(vertices: Iterable[int]) -> int:

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 from .complexes import DEFAULT_MAX_FACES, HomologyProfile, homology_of_faces
 from .exactfield import FieldSpec
 from .posets import AnalysisPoset
-from .ultrametric import NEG_INF, ExtendedInt, UltrametricValue, filtration_fold
+from .ultrametric import NEG_INF, ExtendedInt
 
 ASSUMPTION_TEXT = {
     "binomial-edge": (
@@ -87,13 +87,7 @@ def regularity_bound(
     poset: AnalysisPoset, sj: SJSet
 ) -> tuple[ExtendedInt, int]:
     """(bound, cap) for K^j: max dimension over S_j, at most j."""
-    values = [
-        UltrametricValue(1, poset.node(pid).dim) for pid in sj.members
-    ]
-    if values:
-        bound = filtration_fold(values).payload
-    else:
-        bound = NEG_INF
+    bound = max((poset.node(pid).dim for pid in sj.members), default=NEG_INF)
     assert bound is NEG_INF or bound <= sj.j
     return bound, sj.j
 
@@ -163,14 +157,13 @@ def check_conditions(poset: AnalysisPoset) -> ConditionReport:
     else:
         strict = True
         for a in poset.ids():
-            for b in poset.ids():
-                if a != b and poset.leq(a, b) and not heights[a] > heights[b]:
-                    strict = False
-                    notes.append(
-                        f"height does not drop strictly from {a} to {b}"
-                    )
-                    break
-            if strict is False:
+            b = next(
+                (b for b in poset.strictly_above(a) if heights[a] <= heights[b]),
+                None,
+            )
+            if b is not None:
+                strict = False
+                notes.append(f"height does not drop strictly from {a} to {b}")
                 break
     return ConditionReport(
         distributive_lattice=lattice,

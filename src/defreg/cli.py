@@ -29,6 +29,7 @@ from .posets import (
     AnalysisPoset,
     ClosureBudgetExceeded,
     IdealNode,
+    OrderCycle,
     RingContext,
 )
 from .ultrametric import NEG_INF
@@ -165,6 +166,8 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}")
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply")
     if not isinstance(doc, dict):
         raise ParseError("poset document must be a JSON object")
     if doc.get("format") != 1:
@@ -205,9 +208,6 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
         nodes.append(
             IdealNode(id=pid, ideal=None, dim=dim, height=height, is_cm=cm)
         )
-    index = {nd.id: k for k, nd in enumerate(nodes)}
-    n = len(nodes)
-    up = [1 << k for k in range(n)]
     relations = doc.get("relations", [])
     if not isinstance(relations, list):
         raise ParseError("\"relations\" must be a list of [a, b] pairs")
@@ -218,38 +218,15 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
             and all(isinstance(x, str) for x in rel)
         ):
             raise ParseError(f"malformed relation {rel!r}")
-        a, b = rel
-        if a not in index or b not in index:
+        if not seen_ids.issuperset(rel):
             raise ParseError(f"relation {rel!r} mentions an unknown id")
-        up[index[a]] |= 1 << index[b]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            m = up[i]
-            while m:
-                low = m & -m
-                acc |= up[low.bit_length() - 1]
-                m ^= low
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-    for i in range(n):
-        for j in range(n):
-            if i != j and up[i] >> j & 1 and up[j] >> i & 1:
-                raise CyclicRelations(
-                    f"relations order {nodes[i].id!r} and {nodes[j].id!r}"
-                    " both ways"
-                )
-    pairs = [
-        (nodes[i].id, nodes[j].id)
-        for i in range(n)
-        for j in range(n)
-        if up[i] >> j & 1
-    ]
     try:
-        return AnalysisPoset(nodes, pairs, ring=ring, provenance="abstract")
+        return AnalysisPoset.from_relations(
+            nodes, relations, ring=ring, provenance="abstract"
+        )
+    except OrderCycle as e:
+        a, b = e.ids
+        raise CyclicRelations(f"relations order {a!r} and {b!r} both ways")
     except ValueError as e:
         raise ParseError(str(e))
 

@@ -15,6 +15,12 @@ generators fed in one at a time so that sums of early generators are
 labelled before later generators.  The order is read off the same sums:
 a + b = a says that ideal(a) contains ideal(b), and every pair is summed
 exactly once, so no separate containment test is needed.
+
+The order is stored in one form only: up[k], an int mask of the positions
+at or above position k.  This module is the only place that builds, closes
+or cycle-checks such masks.  Builders hand the constructor masks, which it
+checks but never closes; relations given as id pairs, such as the covers of
+a poset file, go through AnalysisPoset.from_relations, which closes them.
 """
 
 from __future__ import annotations
@@ -35,6 +41,14 @@ class UnknownElement(KeyError):
     """Lookup of a poset element id that does not exist."""
 
 
+class OrderCycle(ValueError):
+    """Two distinct elements lie at or above each other."""
+
+    def __init__(self, a: str, b: str) -> None:
+        super().__init__(f"order relation has a cycle through {a} and {b}")
+        self.ids = (a, b)
+
+
 @dataclass(frozen=True)
 class RingContext:
     """The ambient standard-graded polynomial ring, described by its variables."""
@@ -53,13 +67,6 @@ class RingContext:
     def twist(self) -> int:
         """Twist of the graded canonical module of the ring itself."""
         return -self.nvars
-
-
-@dataclass(frozen=True)
-class AbstractIdeal:
-    """Stand-in for a component described only by an external label."""
-
-    label: str
 
 
 @dataclass(frozen=True)
@@ -91,12 +98,29 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _close(up: Sequence[int]) -> list[int]:
+    """Transitive closure of up-masks, by in-place passes to a fixpoint."""
+    up = list(up)
+    changed = True
+    while changed:
+        changed = False
+        for i, m in enumerate(up):
+            acc = m
+            for j in _bits(m):
+                acc |= up[j]
+            if acc != m:
+                up[i] = acc
+                changed = True
+    return up
+
+
 class AnalysisPoset:
     """A finite poset of IdealNodes with a verified partial order.
 
-    The order relation is handed in already reflexive and transitive; the
-    constructor verifies both together with antisymmetry, using bitmask
-    up-sets so that verification stays cheap on posets of realistic size.
+    up[k] is the mask of positions at or above position k; the constructor
+    adds the reflexive bit and verifies antisymmetry and transitivity, so a
+    builder that derives its order (join_closure) is checked, never
+    silently repaired.
     """
 
     __slots__ = ("_nodes", "_index", "_up", "_down", "ring", "provenance")
@@ -104,7 +128,7 @@ class AnalysisPoset:
     def __init__(
         self,
         nodes: Sequence[IdealNode],
-        leq_pairs: Iterable[tuple[str, str]],
+        up: Sequence[int],
         *,
         ring: RingContext | None = None,
         provenance: str = "abstract",
@@ -115,25 +139,17 @@ class AnalysisPoset:
             raise ValueError("duplicate node ids")
         self._index = {pid: k for k, pid in enumerate(ids)}
         n = len(self._nodes)
-        up = [1 << k for k in range(n)]
-        for a, b in leq_pairs:
-            ia = self._index.get(a)
-            ib = self._index.get(b)
-            if ia is None or ib is None:
-                raise ValueError(f"order relation mentions unknown id in ({a}, {b})")
-            up[ia] |= 1 << ib
+        if len(up) != n:
+            raise ValueError(f"{len(up)} up-masks for {n} nodes")
+        if any(m >> n for m in up):
+            raise ValueError(f"up-mask names a position outside 0..{n - 1}")
+        up = [m | 1 << k for k, m in enumerate(up)]
         for i in range(n):
             for j in _bits(up[i]):
                 if j != i and up[j] >> i & 1:
-                    raise ValueError(
-                        f"order relation has a cycle through {ids[i]} and {ids[j]}"
-                    )
-        for i in range(n):
-            acc = up[i]
-            for j in _bits(up[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                raise ValueError("order relation is not transitively closed")
+                    raise OrderCycle(ids[i], ids[j])
+        if _close(up) != up:
+            raise ValueError("order relation is not transitively closed")
         down = [1 << k for k in range(n)]
         for i in range(n):
             for j in _bits(up[i]):
@@ -149,6 +165,26 @@ class AnalysisPoset:
                         f"node {nd.id}: height {nd.height} + dim {nd.dim} "
                         f"differs from the ambient {ring.nvars}"
                     )
+
+    @classmethod
+    def from_relations(
+        cls,
+        nodes: Sequence[IdealNode],
+        pairs: Iterable[tuple[str, str]],
+        *,
+        ring: RingContext | None = None,
+        provenance: str = "abstract",
+    ) -> "AnalysisPoset":
+        """The poset generated by pairs (a, b) meaning a <= b, closed here."""
+        index = {nd.id: k for k, nd in enumerate(nodes)}
+        up = [0] * len(nodes)
+        for a, b in pairs:
+            ia = index.get(a)
+            ib = index.get(b)
+            if ia is None or ib is None:
+                raise ValueError(f"order relation mentions unknown id in ({a}, {b})")
+            up[ia] |= 1 << ib
+        return cls(nodes, _close(up), ring=ring, provenance=provenance)
 
     @property
     def nodes(self) -> tuple[IdealNode, ...]:
@@ -188,22 +224,29 @@ class AnalysisPoset:
         k = self._pos(pid)
         return self._up[k] == 1 << k
 
+    def strictly_above(self, pid: str) -> tuple[str, ...]:
+        """Ids strictly above pid, in position order."""
+        k = self._pos(pid)
+        return tuple(self._nodes[j].id for j in _bits(self._up[k] ^ 1 << k))
+
     def restrict(self, keep: Iterable[str]) -> "AnalysisPoset":
         keep_set = set(keep)
-        unknown = keep_set - set(self._index)
+        unknown = keep_set.difference(self._index)
         if unknown:
             raise UnknownElement(sorted(unknown)[0])
-        nodes = [nd for nd in self._nodes if nd.id in keep_set]
-        pairs = [
-            (a.id, b.id) for a in nodes for b in nodes if self.leq(a.id, b.id)
-        ]
-        return AnalysisPoset(nodes, pairs, ring=self.ring, provenance=self.provenance)
+        old = sorted(self._index[pid] for pid in keep_set)
+        new = {k: i for i, k in enumerate(old)}
+        up = [sum(1 << new[j] for j in _bits(self._up[k]) if j in new) for k in old]
+        return AnalysisPoset(
+            [self._nodes[k] for k in old],
+            up,
+            ring=self.ring,
+            provenance=self.provenance,
+        )
 
     def open_interval_above(self, pid: str) -> "AnalysisPoset":
         """The strict up-set of pid, i.e. the open interval toward the top."""
-        k = self._pos(pid)
-        above = [self._nodes[j].id for j in _bits(self._up[k]) if j != k]
-        return self.restrict(above)
+        return self.restrict(self.strictly_above(pid))
 
     def interval_chains(
         self, pid: str, *, max_faces: int = DEFAULT_MAX_FACES
@@ -336,8 +379,5 @@ def join_closure(
                         insert(piece)
             j += 1
 
-    nodes = tuple(node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps))
-    pairs = [
-        (nodes[i].id, nodes[j].id) for i in range(len(reps)) for j in _bits(up[i])
-    ]
-    return AnalysisPoset(nodes, pairs, ring=ring, provenance=provenance)
+    nodes = [node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps)]
+    return AnalysisPoset(nodes, up, ring=ring, provenance=provenance)

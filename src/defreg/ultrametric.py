@@ -1,23 +1,15 @@
-"""The value algebra used to fold invariants along a filtration.
+"""Extended integers: Z with -inf adjoined.
 
 A regularity-like invariant of a graded module takes values in Z together
-with -inf (the value of the zero module), and on a filtered module it is
-bounded by the fold of its values on the successive quotients, which for a
-single grading is a maximum.  Invariants graded by a group of rank two or
-more take finite subsets of a declared universe as values instead, and the
-same fold becomes an intersection.  Only the value algebra lives here; the
-bound engine folds the rank-one instance.
+with -inf, the value of the zero module.  On a filtered module it is
+bounded by the maximum of its values on the successive quotients, so the
+bound engine folds with max(dims, default=NEG_INF).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Sequence, Union
-
-
-class MixedRanks(ValueError):
-    """Raised when a fold mixes values of different ranks."""
+from typing import Union
 
 
 @functools.total_ordering
@@ -47,43 +39,3 @@ class NegativeInfinity:
 NEG_INF = NegativeInfinity()
 
 ExtendedInt = Union[int, NegativeInfinity]
-
-
-@dataclass(frozen=True)
-class UltrametricValue:
-    """A single invariant value: extended integer at rank 1, subset above."""
-
-    rank: int
-    payload: Union[ExtendedInt, FrozenSet]
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        if self.rank == 1:
-            if not (self.payload is NEG_INF or isinstance(self.payload, int)):
-                raise TypeError("rank-1 payload must be an integer or -inf")
-        elif not isinstance(self.payload, frozenset):
-            raise TypeError("higher-rank payload must be a frozenset")
-
-
-def zero_value(rank: int, universe: Iterable | None = None) -> UltrametricValue:
-    """Value attached to the zero module: -inf at rank 1, the full universe above."""
-    if rank == 1:
-        return UltrametricValue(1, NEG_INF)
-    if universe is None:
-        raise ValueError("a rank >= 2 zero value needs an explicit universe")
-    return UltrametricValue(rank, frozenset(universe))
-
-
-def filtration_fold(layers: Sequence[UltrametricValue]) -> UltrametricValue:
-    """Bound guaranteed across a filtration: max at rank 1, intersection above."""
-    if not layers:
-        raise ValueError("cannot fold an empty filtration")
-    ranks = {v.rank for v in layers}
-    if len(ranks) != 1:
-        raise MixedRanks(f"cannot fold values of ranks {sorted(ranks)}")
-    r = ranks.pop()
-    if r == 1:
-        return UltrametricValue(1, max(v.payload for v in layers))
-    payloads = [v.payload for v in layers]
-    return UltrametricValue(r, frozenset.intersection(*payloads))

@@ -372,7 +372,7 @@ def test_criterion_10_structural_sanity():
                         order_complex(above), FieldSpec.rationals()
                     )
                     assert profile.nonzero() == {}
-        chain = AnalysisPoset(
+        chain = AnalysisPoset.from_relations(
             [IdealNode(id=c, ideal=None, dim=k) for k, c in enumerate("abc")],
             [("a", "b"), ("a", "c"), ("b", "c")],
         )

@@ -90,7 +90,9 @@ def test_conditions_on_monomial_poset():
 
 
 def test_conditions_missing_heights():
-    poset = AnalysisPoset([node("a", 1), node("b", 0)], [("b", "a")])
+    poset = AnalysisPoset.from_relations(
+        [node("a", 1), node("b", 0)], [("b", "a")]
+    )
     report = check_conditions(poset)
     assert report.distributive_lattice == "assumed"
     assert report.strict_heights is None
@@ -98,7 +100,7 @@ def test_conditions_missing_heights():
 
 
 def test_conditions_flag_non_strict_heights():
-    poset = AnalysisPoset(
+    poset = AnalysisPoset.from_relations(
         [node("a", 1, height=3), node("b", 0, height=3)], [("b", "a")]
     )
     report = check_conditions(poset)
@@ -107,8 +109,21 @@ def test_conditions_flag_non_strict_heights():
     assert any("does not drop" in note for note in report.notes)
 
 
+def test_conditions_note_names_first_strict_pair():
+    # the cover b < c fails too, but a < c comes first in position order
+    poset = AnalysisPoset.from_relations(
+        [node("a", 0, height=5), node("b", 1, height=4), node("c", 2, height=5)],
+        [("a", "b"), ("a", "c"), ("b", "c")],
+    )
+    report = check_conditions(poset)
+    assert report.strict_heights is False
+    assert report.notes == ("height does not drop strictly from a to c",)
+
+
 def test_conditions_flag_non_cm():
-    poset = AnalysisPoset([node("a", 1, height=2, is_cm=False)], [])
+    poset = AnalysisPoset.from_relations(
+        [node("a", 1, height=2, is_cm=False)], []
+    )
     report = check_conditions(poset)
     assert not report.cohen_macaulay
     assert not report.certified
@@ -165,11 +180,11 @@ def test_analyze_over_prime_field():
 
 def test_analyze_rejects_empty_poset():
     with pytest.raises(ValueError):
-        analyze(AnalysisPoset([], []))
+        analyze(AnalysisPoset.from_relations([], []))
 
 
 def test_analyze_abstract_assumption_text():
-    poset = AnalysisPoset([node("a", 1, height=2)], [])
+    poset = AnalysisPoset.from_relations([node("a", 1, height=2)], [])
     report = analyze(poset)
     assert len(report.assumptions) == 1
     assert "assumed" in report.assumptions[0]
@@ -200,7 +215,7 @@ def test_interval_face_budget_is_exact():
     # a chain of 8: the interval above the bottom is a 7-chain, whose
     # order complex has 2**7 faces, the empty chain included
     ids = [f"c{k}" for k in range(8)]
-    poset = AnalysisPoset(
+    poset = AnalysisPoset.from_relations(
         [node(pid, 8 - k) for k, pid in enumerate(ids)],
         [(a, b) for k, a in enumerate(ids) for b in ids[k:]],
     )

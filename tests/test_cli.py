@@ -130,6 +130,78 @@ def test_malformed_relations_exit_1(tmp_path, relations):
     assert text.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "relations, error, message",
+    [
+        (
+            '[["a", "b"], ["c", "d"], ["d", "b"], ["b", "c"]]',
+            CyclicRelations,
+            "relations order 'b' and 'c' both ways",
+        ),
+        (
+            '[["a", "ghost"]]',
+            ParseError,
+            "relation ['a', 'ghost'] mentions an unknown id",
+        ),
+        ('{"a": "b"}', ParseError, '"relations" must be a list of [a, b] pairs'),
+    ],
+    ids=["cycle", "unknown-id", "not-a-list"],
+)
+def test_parse_poset_doc_messages(relations, error, message):
+    elements = ", ".join(f'{{"id": "{pid}", "dim": 0}}' for pid in "abcd")
+    with pytest.raises(error) as exc:
+        parse_poset_doc(
+            f'{{"format": 1, "elements": [{elements}], "relations": {relations}}}'
+        )
+    assert str(exc.value) == message
+
+
+def test_parse_poset_doc_closes_relations_listed_bottom_up():
+    # a diamond d0 < d1, d2 < d3 below a 6-chain c0 < ... < c5, elements
+    # and relations listed bottom first, so one in-place pass in position
+    # order does not reach the transitive closure
+    ids = ["d0", "d1", "d2", "d3"] + [f"c{k}" for k in range(6)]
+    covers = [("d0", "d1"), ("d0", "d2"), ("d1", "d3"), ("d2", "d3"), ("d3", "c0")]
+    covers += [(f"c{k}", f"c{k + 1}") for k in range(5)]
+    doc = {
+        "format": 1,
+        "elements": [{"id": pid, "dim": 0} for pid in ids],
+        "relations": [list(rel) for rel in covers],
+    }
+    poset = parse_poset_doc(json.dumps(doc))
+
+    def up_set(a):
+        seen, todo = {a}, [a]
+        while todo:
+            x = todo.pop()
+            for lo, hi in covers:
+                if lo == x and hi not in seen:
+                    seen.add(hi)
+                    todo.append(hi)
+        return seen
+
+    for a in ids:
+        assert {b for b in ids if poset.leq(a, b)} == up_set(a)
+    assert poset.hasse() == covers
+
+
+@pytest.mark.parametrize("where", ["document", "notes"])
+def test_deeply_nested_poset_json_exit_1(tmp_path, where):
+    text = "[" * 100_000 + "]" * 100_000
+    if where == "notes":
+        text = (
+            '{"format": 1, "elements": [{"id": "a", "dim": 0}],'
+            f' "notes": {text}}}'
+        )
+    doc = tmp_path / "p.json"
+    doc.write_text(text)
+    with pytest.raises(ParseError):
+        parse_poset_doc(text)
+    code, text = run(RunConfig(mode="poset", poset_path=str(doc)))
+    assert code == EXIT_PARSE
+    assert text.startswith("error:")
+
+
 def test_parse_field():
     assert _parse_field("rational").is_rationals
     assert _parse_field("gf:5").characteristic == 5

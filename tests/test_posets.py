@@ -1,10 +1,13 @@
 import pytest
 
+from defreg.binomial_edge import Graph, build_Q_poset
 from defreg.complexes import FaceBudgetExceeded
+from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import (
     AnalysisPoset,
     ClosureBudgetExceeded,
     IdealNode,
+    OrderCycle,
     RingContext,
     UnknownElement,
     join_closure,
@@ -18,7 +21,9 @@ def node(pid, dim=0, height=None, is_cm=True):
 
 def chain_poset():
     nodes = [node("a"), node("b"), node("c")]
-    return AnalysisPoset(nodes, [("a", "b"), ("a", "c"), ("b", "c")])
+    return AnalysisPoset.from_relations(
+        nodes, [("a", "b"), ("a", "c"), ("b", "c")]
+    )
 
 
 def diamond_poset():
@@ -30,7 +35,7 @@ def diamond_poset():
         ("m1", "top"),
         ("m2", "top"),
     ]
-    return AnalysisPoset(nodes, pairs)
+    return AnalysisPoset.from_relations(nodes, pairs)
 
 
 def test_ring_context():
@@ -50,23 +55,44 @@ def test_node_validation():
 
 def test_poset_rejects_bad_input():
     with pytest.raises(ValueError):
-        AnalysisPoset([node("a"), node("a")], [])
+        AnalysisPoset.from_relations([node("a"), node("a")], [])
     with pytest.raises(ValueError):
-        AnalysisPoset([node("a")], [("a", "zzz")])
-    with pytest.raises(ValueError):
-        AnalysisPoset([node("a"), node("b")], [("a", "b"), ("b", "a")])
-    # missing the composite (a, c)
-    with pytest.raises(ValueError):
-        AnalysisPoset(
-            [node("a"), node("b"), node("c")], [("a", "b"), ("b", "c")]
+        AnalysisPoset.from_relations([node("a")], [("a", "zzz")])
+    with pytest.raises(OrderCycle):
+        AnalysisPoset.from_relations(
+            [node("a"), node("b")], [("a", "b"), ("b", "a")]
         )
+    # relations are closed: the composite (a, c) is implied
+    closed = AnalysisPoset.from_relations(
+        [node("a"), node("b"), node("c")], [("a", "b"), ("b", "c")]
+    )
+    assert closed.leq("a", "c")
+
+
+def test_mask_constructor_checks_and_never_closes():
+    nodes = [node("a"), node("b"), node("c")]
+    p = AnalysisPoset(nodes, [0b110, 0b100, 0])
+    assert p.hasse() == [("a", "b"), ("b", "c")]
+    assert p.leq("c", "c")
+    with pytest.raises(ValueError, match="^2 up-masks for 3 nodes$"):
+        AnalysisPoset(nodes, [0b110, 0b100])
+    with pytest.raises(ValueError, match="outside 0..2"):
+        AnalysisPoset(nodes, [0b1110, 0b100, 0])
+    # missing the composite a <= c
+    with pytest.raises(ValueError, match="not transitively closed"):
+        AnalysisPoset(nodes, [0b010, 0b100, 0])
+    with pytest.raises(OrderCycle, match="cycle through a and b") as exc:
+        AnalysisPoset(nodes, [0b010, 0b001, 0])
+    assert exc.value.ids == ("a", "b")
 
 
 def test_poset_checks_height_against_ring():
     ring = RingContext(("x", "y"))
     with pytest.raises(ValueError):
-        AnalysisPoset([node("a", dim=1, height=2)], [], ring=ring)
-    ok = AnalysisPoset([node("a", dim=1, height=1)], [], ring=ring)
+        AnalysisPoset.from_relations([node("a", dim=1, height=2)], [], ring=ring)
+    ok = AnalysisPoset.from_relations(
+        [node("a", dim=1, height=1)], [], ring=ring
+    )
     assert ok.ring is ring
 
 
@@ -97,6 +123,31 @@ def test_restrict_and_open_interval():
         p.restrict(["ghost"])
 
 
+def test_relations_reproduce_built_posets():
+    ring = RingContext(tuple(f"x{i}" for i in range(1, 9)))
+    path_ideal = SquarefreeIdeal.create(
+        ring, [[f"x{i}", f"x{i + 1}"] for i in range(1, 8)]
+    )
+    built = [
+        build_Q_poset(Graph.path(6)),
+        build_Q_poset(Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])),
+        build_Q_poset(Graph.complete_bipartite(3, 5)),
+        build_monomial_poset(path_ideal),
+    ]
+    for poset in built:
+        ids = poset.ids()
+        pairs = [(a, b) for a in ids for b in ids if poset.leq(a, b)]
+        for relations in (pairs, poset.hasse()):
+            again = AnalysisPoset.from_relations(
+                poset.nodes, relations, ring=poset.ring, provenance=poset.provenance
+            )
+            for a in ids:
+                assert [again.leq(a, b) for b in ids] == [
+                    poset.leq(a, b) for b in ids
+                ]
+            assert again.hasse() == poset.hasse()
+
+
 def test_hasse_skips_transitive_edges():
     assert chain_poset().hasse() == [("a", "b"), ("b", "c")]
     covers = set(diamond_poset().hasse())
@@ -114,14 +165,14 @@ def test_order_complex_of_chain_and_antichain():
     assert len(cx) == 8
     assert cx.dimension == 2
 
-    anti = AnalysisPoset([node("a"), node("b"), node("c")], [])
+    anti = AnalysisPoset.from_relations([node("a"), node("b"), node("c")], [])
     cx2 = order_complex(anti)
     assert len(cx2) == 4
     assert cx2.dimension == 0
 
 
 def test_order_complex_of_empty_poset():
-    empty = AnalysisPoset([], [])
+    empty = AnalysisPoset.from_relations([], [])
     cx = order_complex(empty)
     assert not cx.is_void
     assert cx.dimension == -1
@@ -132,7 +183,7 @@ def test_order_complex_budget():
     pairs = [
         (f"e{i}", f"e{j}") for i in range(12) for j in range(12) if i < j
     ]
-    big_chain = AnalysisPoset(nodes, pairs)
+    big_chain = AnalysisPoset.from_relations(nodes, pairs)
     with pytest.raises(FaceBudgetExceeded):
         order_complex(big_chain, max_faces=100)
 

@@ -1,13 +1,4 @@
-import pytest
-
-from defreg.ultrametric import (
-    NEG_INF,
-    MixedRanks,
-    NegativeInfinity,
-    UltrametricValue,
-    filtration_fold,
-    zero_value,
-)
+from defreg.ultrametric import NEG_INF, NegativeInfinity
 
 
 def test_negative_infinity_is_a_singleton():
@@ -22,47 +13,3 @@ def test_negative_infinity_ordering():
     assert 0 > NEG_INF
     assert max(NEG_INF, 3) == 3
     assert max(NEG_INF, NEG_INF) is NEG_INF
-
-
-def test_value_validation():
-    UltrametricValue(1, 5)
-    UltrametricValue(1, NEG_INF)
-    UltrametricValue(2, frozenset({1, 2}))
-    with pytest.raises(ValueError):
-        UltrametricValue(0, 1)
-    with pytest.raises(TypeError):
-        UltrametricValue(1, frozenset())
-    with pytest.raises(TypeError):
-        UltrametricValue(2, 5)
-
-
-def test_zero_value():
-    assert zero_value(1).payload is NEG_INF
-    assert zero_value(3, universe=range(4)).payload == frozenset({0, 1, 2, 3})
-    with pytest.raises(ValueError):
-        zero_value(2)
-
-
-def test_fold_rank_one_is_max():
-    vals = [UltrametricValue(1, x) for x in (NEG_INF, 2, -1)]
-    assert filtration_fold(vals).payload == 2
-    only_zero = [UltrametricValue(1, NEG_INF)]
-    assert filtration_fold(only_zero).payload is NEG_INF
-
-
-def test_fold_higher_rank_is_intersection():
-    vals = [
-        UltrametricValue(2, frozenset({1, 2, 3})),
-        UltrametricValue(2, frozenset({2, 3, 4})),
-        UltrametricValue(2, frozenset({3})),
-    ]
-    assert filtration_fold(vals).payload == frozenset({3})
-
-
-def test_fold_rejects_mixed_ranks_and_empty_input():
-    with pytest.raises(MixedRanks):
-        filtration_fold(
-            [UltrametricValue(1, 0), UltrametricValue(2, frozenset())]
-        )
-    with pytest.raises(ValueError):
-        filtration_fold([])
