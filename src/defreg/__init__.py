@@ -10,18 +10,11 @@ nonvanishing witnesses.
 """
 
 from .binomial_edge import (
-    AlreadyPrime,
     CliquePrime,
-    CliqueUnionIdeal,
     Graph,
-    as_prime,
     build_Q_poset,
-    contains,
-    decompose,
-    is_prime,
     minimal_primes_graph,
     ring_for,
-    sum_ideals,
 )
 from .bounds import (
     ASSUMPTION_TEXT,
@@ -48,17 +41,12 @@ from .complexes import (
     boundary_matrix,
     reduced_homology,
 )
-from .exactfield import (
-    DenominatorDividesP,
-    FieldSpec,
-    rank,
-)
+from .exactfield import FieldSpec, rank
 from .monomial import (
     FacePrime,
     SquarefreeIdeal,
     ZeroIdeal,
     build_monomial_poset,
-    face_sum,
     minimal_primes,
 )
 from .posets import (
@@ -78,17 +66,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ASSUMPTION_TEXT",
-    "AlreadyPrime",
     "AnalysisPoset",
     "BoundEntry",
     "BoundReport",
     "CliquePrime",
-    "CliqueUnionIdeal",
     "ClosureBudgetExceeded",
     "ConditionReport",
     "DEFAULT_MAX_ELEMENTS",
     "DEFAULT_MAX_FACES",
-    "DenominatorDividesP",
     "ExtendedInt",
     "FaceBudgetExceeded",
     "FacePrime",
@@ -107,16 +92,11 @@ __all__ = [
     "UnknownElement",
     "ZeroIdeal",
     "analyze",
-    "as_prime",
     "boundary_matrix",
     "build_Q_poset",
     "build_monomial_poset",
     "check_conditions",
-    "contains",
-    "decompose",
-    "face_sum",
     "filtration_report",
-    "is_prime",
     "join_closure",
     "minimal_primes",
     "minimal_primes_graph",
@@ -129,6 +109,5 @@ __all__ = [
     "regularity_bound",
     "ring_for",
     "s_set",
-    "sum_ideals",
     "__version__",
 ]

@@ -25,9 +25,8 @@ for two partitions that means each component is itself a residual block
 of one side, so primality is read off the join of the two partitions with
 no graph built.  A non-prime sum decomposes by the cut set rule applied to
 the overlay graph, computed once per kill mask and set of maximal residual
-cliques.  CliquePrime and CliqueUnionIdeal remain the public objects, and
-sum_ideals, is_prime, as_prime, decompose and contains are thin wrappers
-over the same mask kernels.
+cliques.  CliquePrime is built only at the edges: for the minimal primes
+of the graph and for the node ideals of the finished poset.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ from .posets import (
     _bits,
     join_closure,
 )
-
-
-class AlreadyPrime(ValueError):
-    """decompose() was handed an overlay that is already prime."""
 
 
 @dataclass(frozen=True)
@@ -136,38 +131,6 @@ class CliquePrime:
         )
 
 
-@dataclass(frozen=True)
-class CliqueUnionIdeal:
-    """A sum of primes: killed vertices plus a covering family of cliques.
-
-    Unlike the blocks of a prime, the cliques may overlap; canonicalization
-    only drops cliques contained in others, so equality means equality of
-    the generated ideals.
-    """
-
-    n: int
-    killed: frozenset[int]
-    cliques: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        killed = frozenset(self.killed)
-        object.__setattr__(self, "killed", killed)
-        cleaned = sorted(
-            {frozenset(c) for c in self.cliques}, key=len, reverse=True
-        )
-        kept: list[frozenset[int]] = []
-        for c in cleaned:
-            if not c:
-                raise ValueError("empty clique")
-            if c & killed:
-                raise ValueError("cliques must avoid killed vertices")
-            if not any(c <= k for k in kept):
-                kept.append(c)
-        object.__setattr__(
-            self, "cliques", _canonical_blocks(kept)
-        )
-
-
 def _mask(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -240,7 +203,10 @@ def _admissible_primes(
 
     T qualifies when removing any single vertex of T gives strictly fewer
     components than removing all of T; the empty set always qualifies.
-    The primes come sorted by (height, CliquePrime.key()).
+    Only vertices whose neighbourhood is not a clique are walked: putting
+    back a vertex with a clique or empty neighbourhood joins at most one
+    component, so the count never drops.  The primes come sorted by
+    (height, CliquePrime.key()).
     """
     cache: dict[int, tuple[int, ...]] = {}
 
@@ -251,8 +217,13 @@ def _admissible_primes(
             cache[mask] = got
         return got
 
+    walk = 0
+    for v in _bits(present):
+        nbrs = adj[v] & present
+        if any(nbrs & ~(adj[u] | 1 << u) for u in _bits(nbrs)):
+            walk |= 1 << v
     found = []
-    t = present
+    t = walk
     while True:
         rest = present & ~t
         base = len(components(rest))
@@ -260,7 +231,7 @@ def _admissible_primes(
             found.append((base_kill | t, tuple(sorted(components(rest)))))
         if t == 0:
             break
-        t = (t - 1) & present
+        t = (t - 1) & walk
     found.sort(key=lambda rep: _order_key(n, rep))
     return found
 
@@ -323,61 +294,6 @@ def _maximal_cliques(ra: Sequence[int], rb: Sequence[int]) -> tuple[int, ...]:
             keep.append(x)
     keep.sort()
     return tuple(keep)
-
-
-def contains(a: CliquePrime, b: CliquePrime) -> bool:
-    """Whether ideal(a) contains ideal(b), that is, whether a + b = a."""
-    if a.n != b.n:
-        raise ValueError("primes live over different vertex counts")
-    ra = _to_masks(a)
-    kill, blocks, _, _ = _sum(ra, _to_masks(b))
-    return (kill, blocks) == ra
-
-
-def sum_ideals(a: CliquePrime, b: CliquePrime) -> CliqueUnionIdeal:
-    """The sum of two primes: union of the kills, overlay of the blocks."""
-    if a.n != b.n:
-        raise ValueError("primes live over different vertex counts")
-    kill, _, ra, rb = _sum(_to_masks(a), _to_masks(b))
-    return CliqueUnionIdeal(
-        a.n, _vertex_set(kill), tuple(_vertex_set(c) for c in ra + rb)
-    )
-
-
-def _overlay(c: CliqueUnionIdeal) -> tuple[list[int], int, tuple[int, ...], bool]:
-    """Adjacency, vertices, components and primality of the overlay graph.
-
-    The overlay is prime exactly when every component is a complete graph.
-    """
-    adj = _clique_adjacency(c.n, (_mask(q) for q in c.cliques))
-    present = ((1 << c.n) - 1) & ~_mask(c.killed)
-    comps = _mask_components(adj, present)
-    prime = all(adj[v] | 1 << v == comp for comp in comps for v in _bits(comp))
-    return adj, present, comps, prime
-
-
-def is_prime(c: CliqueUnionIdeal) -> bool:
-    """Prime exactly when every overlay component is a complete graph."""
-    return _overlay(c)[3]
-
-
-def as_prime(c: CliqueUnionIdeal) -> CliquePrime:
-    """Canonical prime form of a prime overlay: components become blocks."""
-    _, _, comps, prime = _overlay(c)
-    if not prime:
-        raise ValueError("the overlay is not prime")
-    return _from_masks(c.n, (_mask(c.killed), tuple(sorted(comps))))
-
-
-def decompose(c: CliqueUnionIdeal) -> list[CliquePrime]:
-    """Minimal primes of a non-prime overlay, by the cut set rule on it."""
-    adj, present, _, prime = _overlay(c)
-    if prime:
-        raise AlreadyPrime("decompose() expects a non-prime overlay")
-    return [
-        _from_masks(c.n, rep)
-        for rep in _admissible_primes(c.n, _mask(c.killed), adj, present)
-    ]
 
 
 def build_Q_poset(

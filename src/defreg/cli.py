@@ -189,6 +189,10 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
         pid = item.get("id")
         if not isinstance(pid, str) or not pid:
             raise ParseError("each element needs a nonempty string \"id\"")
+        try:
+            pid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"element id {pid!r} is not valid UTF-8")
         if pid in seen_ids:
             raise DuplicateId(f"duplicate element id {pid!r}")
         seen_ids.add(pid)
@@ -391,6 +395,12 @@ def render_json(report: BoundReport, config: RunConfig) -> str:
 
 
 def run(config: RunConfig) -> tuple[int, str]:
+    for flag, budget in (
+        ("--max-poset", config.max_poset),
+        ("--max-faces", config.max_faces),
+    ):
+        if budget < 1:
+            return EXIT_PARSE, f"error: {flag} must be at least 1, got {budget}\n"
     try:
         poset = _build_poset(config)
     except (ClosureBudgetExceeded, FaceBudgetExceeded) as e:

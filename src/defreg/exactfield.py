@@ -7,9 +7,7 @@ column is a dict {row: coefficient}; boundaries of order complexes run to
 a hundred thousand faces but have only dim + 1 entries per column, so
 columns stay sparse and only the entries that exist are touched.
 
-Entries may be ints or Fractions.  Each column is first scaled by the
-common denominator of its entries, which changes no rank, so the reduction
-itself runs on ints: reduced mod p over GF(p), and fraction-free over Q,
+Entries are ints, reduced mod p over GF(p) and kept fraction-free over Q,
 where every combined column is divided by the gcd of its entries to keep
 them small.  Q is never computed through a prime, since torsion makes the
 two ranks differ.  No floating point is used anywhere.
@@ -18,15 +16,10 @@ two ranks differ.  No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
-Column = Mapping[int, int | Fraction]
-
-
-class DenominatorDividesP(ArithmeticError):
-    """A rational entry has no reduction mod p (denominator divisible by p)."""
+Column = Mapping[int, int]
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -125,18 +118,10 @@ def rank(columns: Iterable[Column], field: FieldSpec) -> int:
 
 
 def _integral(column: Column, p: int) -> dict[int, int]:
-    """The column scaled to nonzero ints, reduced mod p when p is nonzero."""
-    den = lcm(*(v.denominator for v in column.values()))
-    if p and den % p == 0:
-        raise DenominatorDividesP(f"a column entry has no image modulo {p}")
-    out = {}
-    for r, v in column.items():
-        x = v.numerator * (den // v.denominator)
-        if p:
-            x %= p
-        if x:
-            out[r] = x
-    return out
+    """The nonzero entries of the column, reduced mod p when p is nonzero."""
+    if p:
+        return {r: x for r, v in column.items() if (x := v % p)}
+    return {r: v for r, v in column.items() if v}
 
 
 def _eliminate(

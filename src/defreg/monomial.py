@@ -107,11 +107,6 @@ def minimal_primes(ideal: SquarefreeIdeal) -> list[FacePrime]:
     return [FacePrime(c) for c in ordered]
 
 
-def face_sum(a: FacePrime, b: FacePrime) -> FacePrime:
-    """The sum of two face primes: the face prime on the union."""
-    return FacePrime(a.variables | b.variables)
-
-
 def build_monomial_poset(
     ideal: SquarefreeIdeal, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> AnalysisPoset:

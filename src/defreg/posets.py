@@ -63,11 +63,6 @@ class RingContext:
     def nvars(self) -> int:
         return len(self.var_names)
 
-    @property
-    def twist(self) -> int:
-        """Twist of the graded canonical module of the ring itself."""
-        return -self.nvars
-
 
 @dataclass(frozen=True)
 class IdealNode:
@@ -81,7 +76,6 @@ class IdealNode:
     ideal: object
     dim: int
     height: Optional[int] = None
-    is_prime: bool = True
     is_cm: bool = True
 
     def __post_init__(self) -> None:
@@ -210,9 +204,6 @@ class AnalysisPoset:
 
     def leq(self, a: str, b: str) -> bool:
         return self._up[self._pos(a)] >> self._pos(b) & 1 == 1
-
-    def lt(self, a: str, b: str) -> bool:
-        return a != b and self.leq(a, b)
 
     def maximal_ids(self) -> tuple[str, ...]:
         """Elements with nothing strictly above: the minimal primes."""

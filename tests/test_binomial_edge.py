@@ -4,18 +4,11 @@ import random
 import pytest
 
 from defreg.binomial_edge import (
-    AlreadyPrime,
     CliquePrime,
-    CliqueUnionIdeal,
     Graph,
-    as_prime,
     build_Q_poset,
-    contains,
-    decompose,
-    is_prime,
     minimal_primes_graph,
     ring_for,
-    sum_ideals,
 )
 
 
@@ -44,20 +37,53 @@ def oracle_components(n, edges, removed):
     return comps
 
 
-def oracle_minimal_primes(graph):
-    """Oracle: the inclusion-minimal ideals among all vertex-set primes."""
-    verts = range(1, graph.n + 1)
+def oracle_contains(p, q):
+    """Whether ideal(p) contains ideal(q).
+
+    A variable lies in p exactly when its vertex is killed, and the minor
+    on vertices i, j lies in p exactly when i or j is killed or both share
+    a block of p.
+    """
+    if not q.killed <= p.killed:
+        return False
+    return all(
+        any(b - p.killed <= c for c in p.blocks)
+        for b in q.blocks
+        if len(b - p.killed) > 1
+    )
+
+
+def oracle_minimal_primes(n, edges, killed=frozenset()):
+    """Oracle: minimal primes of the killed variables plus the graph's ideal.
+
+    These are the inclusion-minimal ideals among the vertex-set primes
+    over every superset of killed.
+    """
+    rest = [v for v in range(1, n + 1) if v not in killed]
     every = []
-    for r in range(graph.n + 1):
-        for killed in itertools.combinations(verts, r):
-            comps = oracle_components(graph.n, graph.edges, set(killed))
-            every.append(CliquePrime(graph.n, frozenset(killed), tuple(comps)))
+    for r in range(len(rest) + 1):
+        for t in itertools.combinations(rest, r):
+            gone = killed | frozenset(t)
+            every.append(CliquePrime(n, gone, oracle_components(n, edges, gone)))
     kept = [
         p
         for p in every
-        if not any(q is not p and contains(p, q) for q in every)
+        if not any(q is not p and oracle_contains(p, q) for q in every)
     ]
     return sorted(kept, key=lambda p: (p.height, p.key()))
+
+
+def oracle_sum_primes(a, b):
+    """Minimal primes of a + b: the overlay of all blocks over the joint kills."""
+    killed = a.killed | b.killed
+    edges = {
+        (u, v)
+        for blk in a.blocks + b.blocks
+        for u in blk - killed
+        for v in blk - killed
+        if u < v
+    }
+    return oracle_minimal_primes(a.n, edges, killed)
 
 
 def random_graph(rng, n):
@@ -103,15 +129,6 @@ def test_clique_prime_data():
         CliquePrime(3, frozenset(), (frozenset({1, 2}), frozenset({2, 3})))
 
 
-def test_clique_union_normalization():
-    a = CliqueUnionIdeal(4, frozenset(), (frozenset({1, 2}), frozenset({1})))
-    b = CliqueUnionIdeal(4, frozenset(), (frozenset({1, 2}),))
-    assert a == b
-    assert hash(a) == hash(b)
-    with pytest.raises(ValueError):
-        CliqueUnionIdeal(4, frozenset({1}), (frozenset({1, 2}),))
-
-
 def test_minimal_primes_of_complete_graph():
     g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
     got = minimal_primes_graph(g)
@@ -133,46 +150,50 @@ def test_minimal_primes_match_oracle():
     rng = random.Random(550)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6))
-        assert minimal_primes_graph(g) == oracle_minimal_primes(g)
+        assert minimal_primes_graph(g) == oracle_minimal_primes(g.n, g.edges)
 
 
 def test_contains_rules():
-    p_empty, p_cut = minimal_primes_graph(Graph.path(3))
-    assert not contains(p_cut, p_empty)
-    assert not contains(p_empty, p_cut)
-    assert contains(p_cut, p_cut)
-    merged = CliquePrime(3, frozenset({2}), (frozenset({1, 3}),))
-    assert contains(merged, p_empty)
-    assert contains(merged, p_cut)
-    with pytest.raises(ValueError):
-        contains(p_cut, CliquePrime(4, frozenset(), (frozenset({1, 2, 3, 4}),)))
+    # the order of the closure is containment of the node ideals
+    for g in (Graph.path(3), Graph.path(5), Graph.complete_bipartite(2, 3)):
+        poset = build_Q_poset(g)
+        for a in poset.nodes:
+            for b in poset.nodes:
+                assert poset.leq(a.id, b.id) == oracle_contains(a.ideal, b.ideal)
+    poset = build_Q_poset(Graph.path(3))
+    assert not poset.leq("p_1", "p_2")
+    assert not poset.leq("p_2", "p_1")
+    assert poset.leq("p_3", "p_1")
+    assert poset.leq("p_3", "p_2")
 
 
 def test_sum_and_primality_on_short_path():
+    # P_empty + P_{2} kills 2 and overlays {1, 3}: a prime, added as is
     p_empty, p_cut = minimal_primes_graph(Graph.path(3))
-    s = sum_ideals(p_empty, p_cut)
-    assert s.killed == frozenset({2})
-    assert s.cliques == (frozenset({1, 3}),)
-    assert is_prime(s)
-    assert as_prime(s) == CliquePrime(3, frozenset({2}), (frozenset({1, 3}),))
-    with pytest.raises(AlreadyPrime):
-        decompose(s)
+    merged = CliquePrime(3, frozenset({2}), (frozenset({1, 3}),))
+    assert oracle_sum_primes(p_empty, p_cut) == [merged]
+    poset = build_Q_poset(Graph.path(3))
+    assert [nd.ideal for nd in poset.nodes] == [p_empty, p_cut, merged]
 
 
 def test_decomposition_of_a_nonprime_sum():
-    primes = {p.key(): p for p in minimal_primes_graph(Graph.path(5))}
-    p2 = primes[((2,), ((1,), (3, 4, 5)))]
-    p4 = primes[((4,), ((1, 2, 3), (5,)))]
-    s = sum_ideals(p2, p4)
-    assert s.cliques == (frozenset({1, 3}), frozenset({3, 5}))
-    assert not is_prime(s)
-    with pytest.raises(ValueError):
-        as_prime(s)
-    pieces = decompose(s)
+    # P_{2} + P_{4} on the 5-path overlays {1, 3} and {3, 5}, which is not
+    # a union of disjoint cliques; its two minimal primes are exactly the
+    # maximal elements below both summands
+    poset = build_Q_poset(Graph.path(5))
+    by_key = {nd.ideal.key(): nd.id for nd in poset.nodes}
+    p2 = by_key[((2,), ((1,), (3, 4, 5)))]
+    p4 = by_key[((4,), ((1, 2, 3), (5,)))]
+    below = [x for x in poset.ids() if poset.leq(x, p2) and poset.leq(x, p4)]
+    top = [x for x in below if not any(y != x and poset.leq(x, y) for y in below)]
+    pieces = sorted(
+        (poset.node(x).ideal for x in top), key=lambda p: (p.height, p.key())
+    )
     assert [p.key() for p in pieces] == [
         ((2, 3, 4), ((1,), (5,))),
         ((2, 4), ((1, 3, 5),)),
     ]
+    assert pieces == oracle_sum_primes(poset.node(p2).ideal, poset.node(p4).ideal)
 
 
 def test_poset_of_short_path():
@@ -201,13 +222,8 @@ def test_poset_is_closed_under_sums():
     rng = random.Random(1234)
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 5))
-        poset = build_Q_poset(g)
-        reps = {nd.ideal.key(): nd.ideal for nd in poset.nodes}
-        for a in reps.values():
-            for b in reps.values():
-                s = sum_ideals(a, b)
-                if is_prime(s):
-                    assert as_prime(s).key() in reps
-                else:
-                    for piece in decompose(s):
-                        assert piece.key() in reps
+        ideals = [nd.ideal for nd in build_Q_poset(g).nodes]
+        for i, a in enumerate(ideals):
+            for b in ideals[i + 1:]:
+                for piece in oracle_sum_primes(a, b):
+                    assert piece in ideals

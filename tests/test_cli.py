@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -202,6 +205,19 @@ def test_deeply_nested_poset_json_exit_1(tmp_path, where):
     assert text.startswith("error:")
 
 
+def test_surrogate_id_exit_1(tmp_path, capsys):
+    # a lone surrogate passes json.loads but cannot be written as UTF-8
+    text = '{"format": 1, "elements": [{"id": "\\ud800", "dim": 1}]}'
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        parse_poset_doc(text)
+    doc = tmp_path / "p.json"
+    doc.write_text(text)
+    code = main(["--mode", "poset", "--poset", str(doc)])
+    out = capsys.readouterr().out
+    assert code == EXIT_PARSE
+    assert out.startswith("error:")
+
+
 def test_parse_field():
     assert _parse_field("rational").is_rationals
     assert _parse_field("gf:5").characteristic == 5
@@ -241,6 +257,27 @@ def test_run_budget_failures():
     code, text = run(RunConfig(max_faces=2, **SKEW))
     assert code == EXIT_BUDGET
     assert "budget" in text
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--max-poset", 0), ("--max-poset", -3),
+                    ("--max-faces", 0), ("--max-faces", -1)]
+)
+def test_non_positive_budgets_exit_1(capsys, flag, value):
+    code = main(["--mode", "monomial", "--vars", "x", "--gens", "x",
+                 flag, str(value)])
+    out = capsys.readouterr().out
+    assert code == EXIT_PARSE
+    assert out == f"error: {flag} must be at least 1, got {value}\n"
+    field = "max_poset" if flag == "--max-poset" else "max_faces"
+    assert run(RunConfig(**SKEW, **{field: value})) == (EXIT_PARSE, out)
+
+
+def test_budget_of_one_is_valid(capsys):
+    for flag in ("--max-poset", "--max-faces"):
+        code = main(["--mode", "monomial", "--vars", "x", "--gens", "x", flag, "1"])
+        assert code == EXIT_OK
+        assert "poset size: 1" in capsys.readouterr().out
 
 
 def test_run_strict_mode(tmp_path):
@@ -378,6 +415,26 @@ def test_main_large_prime_field_is_prompt(capsys):
     assert code == EXIT_OK
     assert "field: gf(1000000000000000003)" in out
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("edges", [
+    "n 30\n",
+    "n 20\n" + "".join(f"{u} {v}\n" for u in range(1, 21) for v in range(u + 1, 21)),
+], ids=["edgeless30", "K20"])
+def test_main_cut_set_walk_is_prompt(tmp_path, edges):
+    # both graphs have one minimal prime; walking every vertex subset
+    # took over 20 s on the edgeless graph and seconds on K20
+    path = tmp_path / "g.edges"
+    path.write_text(edges)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "defreg.cli", "--mode", "graph", "--edges", str(path)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == EXIT_OK
+    assert "poset size: 1\n" in done.stdout
 
 
 @pytest.mark.parametrize("spec", [

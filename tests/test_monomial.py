@@ -8,7 +8,6 @@ from defreg.monomial import (
     SquarefreeIdeal,
     ZeroIdeal,
     build_monomial_poset,
-    face_sum,
     minimal_primes,
 )
 from defreg.posets import RingContext
@@ -59,7 +58,6 @@ def test_face_prime_data():
     assert fp.key() == ("x", "z")
     assert fp.height == 2
     assert fp.dim_in(RING4) == 2
-    assert face_sum(fp, FacePrime(frozenset({"y"}))).key() == ("x", "y", "z")
 
 
 def test_minimal_primes_of_known_ideal():
