@@ -16,23 +16,32 @@ and the two are complementary in the 2n ambient variables.
 The minimal primes of the graph itself come from cut sets: keep S exactly
 when every vertex of S raises the component count of what is left.
 
-Internally a prime is a pair of masks, (kill mask, block masks in
-increasing order), with bit v - 1 standing for vertex v.  A sum of two
-primes kills k, the union of the kill masks, and overlays what is left of
-the two partitions once k is stripped from every block.  The overlay is
-prime precisely when each of its connected components is a complete graph;
-for two partitions that means each component is itself a residual block
-of one side, so primality is read off the join of the two partitions with
-no graph built.  A non-prime sum decomposes by the cut set rule applied to
-the overlay graph, computed once per kill mask and set of maximal residual
-cliques.  CliquePrime is built only at the edges: for the minimal primes
-of the graph and for the node ideals of the finished poset.
+Inside the sum closure a prime is a pair of ints, (kill mask, R), with
+bit v - 1 of a mask standing for vertex v.  R packs the same-block
+relation: row v takes n + 1 bits, n for the vertices and a guard bit on
+top, and bit v*(n+1) + u is set when u and v are unkilled and share a
+block; each unkilled vertex is related to itself.  A sum of two primes
+kills k, the union of the kill masks, and masking both relations to the
+rows and columns of the unkilled vertices leaves A and B, whose rows are
+the residual blocks.  The overlay is prime exactly when, at every vertex,
+one residual block contains the other, and its relation is then A | B:
+nesting everywhere makes A | B transitive, so its components are cliques,
+while at a vertex v with u only in v's block of a and w only in v's block
+of b, the path u - v - w has no edge u - w.  Adding 2^n - 1 to a row
+carries into its guard bit exactly when the row is nonempty, so with M
+that value in every row, all n rows are tested at once: (A & ~B) + M and
+(B & ~A) + M must share no guard bit.  A non-prime sum
+decomposes by the cut set rule applied to the overlay graph, whose
+adjacency is A | B itself, computed once per (k, A | B).  The cut set walk
+and the label order still work on block masks, packed once per generator
+and per piece.  CliquePrime is built only at the edges: for the minimal
+primes of the graph and for the node ideals of the finished poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
@@ -243,57 +252,36 @@ def minimal_primes_graph(graph: Graph) -> list[CliquePrime]:
     return [_from_masks(n, rep) for rep in _admissible_primes(n, 0, adj, (1 << n) - 1)]
 
 
-def _sum(
-    a: MaskPrime, b: MaskPrime
-) -> tuple[int, Optional[tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
-    """The sum of two primes: (kill, blocks, residual blocks of a and of b).
+def _rows(n: int, mask: int) -> int:
+    """One bit at the start of row v for each vertex bit v of mask."""
+    spread = 0
+    for v in _bits(mask):
+        spread |= 1 << v * (n + 1)
+    return spread
 
-    The sum kills k = the union of the kill sets and overlays what is left
-    of both partitions; blocks is None unless that sum is prime.  It is
-    prime exactly when every connected component of the overlay is itself
-    a residual block of a or of b.  Blocks of one partition are disjoint,
-    so in a complete component two vertices from different blocks of a
-    share a block of b, and a component meeting two blocks of a lies in a
-    single block of b.  Hence each block of b either fits in one block of
-    a, or contains every block of a it meets and is a component itself.
-    """
-    ka, ba = a
-    kb, bb = b
-    k = ka | kb
-    ra = ba if k == ka else tuple([r for x in ba if (r := x & ~k)])
-    rb = bb if k == kb else tuple([r for x in bb if (r := x & ~k)])
-    own = 0
-    for x in rb:
-        for c in ra:
-            if c & x:
-                if not x & ~c:
-                    break
-                if c & ~x:
-                    return k, None, ra, rb
-        else:
-            own |= x
-    blocks = [x for x in rb if x & own] + [c for c in ra if not c & own]
+
+# A prime inside the closure: (kill mask, packed same-block relation).
+PackedPrime = tuple[int, int]
+
+
+def _pack(n: int, rep: MaskPrime) -> PackedPrime:
+    kill, blocks = rep
+    rel = 0
+    for b in blocks:
+        rel |= b * _rows(n, b)  # b copied into row v for each v in b
+    return kill, rel
+
+
+def _unpack(n: int, rep: PackedPrime) -> MaskPrime:
+    kill, rel = rep
+    full = (1 << n) - 1
+    blocks = []
+    for v in _bits(full & ~kill):
+        row = rel >> v * (n + 1) & full
+        if row & -row == 1 << v:  # v is the least vertex of its block
+            blocks.append(row)
     blocks.sort()
-    return k, tuple(blocks), ra, rb
-
-
-def _maximal_cliques(ra: Sequence[int], rb: Sequence[int]) -> tuple[int, ...]:
-    """The inclusion-maximal blocks among two partitions of one set."""
-    keep = []
-    for c in ra:
-        for x in rb:
-            if not c & ~x:
-                break
-        else:
-            keep.append(c)
-    for x in rb:
-        for c in ra:
-            if not x & ~c and x != c:
-                break
-        else:
-            keep.append(x)
-    keep.sort()
-    return tuple(keep)
+    return kill, tuple(blocks)
 
 
 def build_Q_poset(
@@ -304,32 +292,48 @@ def build_Q_poset(
     Every accumulated prime is summed with every other; non-prime sums are
     decomposed and their minimal primes join the pool, so the result is
     closed under the whole sum-then-decompose loop.  A decomposition
-    depends only on the kill set and the maximal residual cliques, so it is
-    computed once per such pair.
+    depends only on the kill set and the overlay graph, so it is computed
+    once per such pair.
     """
     n = graph.n
     full = (1 << n) - 1
+    ones = full * _rows(n, full)
+    guards = _rows(n, full) << n
     ring = ring_for(graph)
-    decomposed: dict[tuple[int, tuple[int, ...]], tuple[MaskPrime, ...]] = {}
+    keeps: dict[int, int] = {}
+    decomposed: dict[PackedPrime, tuple[PackedPrime, ...]] = {}
 
-    def primes_of_sum(a: MaskPrime, b: MaskPrime) -> tuple[MaskPrime, ...]:
-        kill, blocks, ra, rb = _sum(a, b)
-        if blocks is not None:
-            return ((kill, blocks),)
-        key = (kill, _maximal_cliques(ra, rb))
-        pieces = decomposed.get(key)
+    def primes_of_sum(a: PackedPrime, b: PackedPrime) -> tuple[PackedPrime, ...]:
+        ka, ra = a
+        kb, rb = b
+        k = ka | kb
+        if ka != kb:
+            keep = keeps.get(k)
+            if keep is None:
+                rest = full & ~k
+                keep = keeps[k] = rest * _rows(n, rest)
+            ra &= keep
+            rb &= keep
+        rel = ra | rb
+        # a guard bit set on both sides marks a row where neither residual
+        # block contains the other
+        if not ((ra & ~rb) + ones) & ((rb & ~ra) + ones) & guards:
+            return ((k, rel),)
+        pieces = decomposed.get((k, rel))
         if pieces is None:
-            adj = _clique_adjacency(n, key[1])
-            pieces = tuple(_admissible_primes(n, kill, adj, full & ~kill))
-            decomposed[key] = pieces
+            adj = [rel >> v * (n + 1) & full for v in range(n)]
+            pieces = tuple(
+                _pack(n, rep) for rep in _admissible_primes(n, k, adj, full & ~k)
+            )
+            decomposed[k, rel] = pieces
         return pieces
 
-    def build_node(rep: MaskPrime, node_id: str) -> IdealNode:
-        cp = _from_masks(n, rep)
+    def build_node(rep: PackedPrime, node_id: str) -> IdealNode:
+        cp = _from_masks(n, _unpack(n, rep))
         return IdealNode(id=node_id, ideal=cp, dim=cp.dim, height=cp.height)
 
     return join_closure(
-        [_to_masks(p) for p in minimal_primes_graph(graph)],
+        [_pack(n, _to_masks(p)) for p in minimal_primes_graph(graph)],
         primes_of_sum,
         node_builder=build_node,
         ring=ring,

@@ -6,9 +6,9 @@ reads a JSON description of an abstract component poset.  Output is either
 a fixed-layout text report or a JSON document; both are deterministic byte
 for byte for a given input and option set.
 
-Exit codes: 0 success, 1 malformed input, 2 a size budget was exceeded,
-3 the report was produced but --strict was set and the hypotheses behind
-the bound could not be certified.
+Exit codes: 0 success, 1 malformed input or command line, 2 a size budget
+was exceeded, 3 the report was produced but --strict was set and the
+hypotheses behind the bound could not be certified.
 """
 
 from __future__ import annotations
@@ -80,8 +80,11 @@ class RunConfig:
 
 def parse_var_list(text: str) -> tuple[str, ...]:
     names = [t.strip() for t in text.split(",")]
-    if any(not n for n in names):
-        raise ParseError("empty variable name in --vars")
+    for name in names:
+        if not name:
+            raise ParseError("empty variable name in --vars")
+        if not name.isprintable():
+            raise ParseError(f"variable name {name!r} has an unprintable character")
     return tuple(names)
 
 
@@ -441,8 +444,19 @@ def _parse_field(spec: str) -> FieldSpec:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError where argparse would exit with status 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        # unrecognized arguments are quoted raw; keep the error on one line
+        raise ParseError(
+            "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+        )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="defreg",
         description=(
             "Bound the regularity of the deficiency modules of a quotient"
@@ -494,8 +508,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=DEFAULT_MAX_FACES,
         help="face budget per order complex",
     )
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         field = _parse_field(args.field)
     except ValueError as e:
         sys.stdout.write(f"error: {e}\n")

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -227,3 +229,50 @@ def test_poset_is_closed_under_sums():
             for b in ideals[i + 1:]:
                 for piece in oracle_sum_primes(a, b):
                     assert piece in ideals
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def poset_digest(poset):
+    """sha256 of every (id, CliquePrime.key(), up-mask), in label order."""
+    pos = {x: k for k, x in enumerate(poset.ids())}
+    rows = []
+    for k, nd in enumerate(poset.nodes):
+        up = 1 << k
+        for x in poset.strictly_above(nd.id):
+            up |= 1 << pos[x]
+        rows.append([nd.id, nd.ideal.key(), up])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("graph, size, digest", [
+    (Graph.path(8), 239,
+     "5dcd0d36415c90449600ff8237d05cfda6fefba7ae85f492b5c244c328001533"),
+    (cycle_graph(7), 233,
+     "ed02a399b0cf519f250fbedc38f23151ccea64ba9c2af85c60be74332469152b"),
+    (Graph.complete_bipartite(4, 4), 6,
+     "849c2fe0ba018af9b5107b60893ab1d642679f274cd64cdc36ac9a3f05b700ef"),
+], ids=["path8", "cycle7", "K44"])
+def test_pinned_labels_and_order(graph, size, digest):
+    # pinned from the block-tuple closure; past the reach of the reference
+    # closure in test_closure_reference.py
+    poset = build_Q_poset(graph)
+    assert len(poset) == size
+    assert poset_digest(poset) == digest
+
+
+def test_isolated_vertices_past_64_bits():
+    # 65 isolated vertices stay singleton blocks of every prime: the
+    # packed relations span 70 * 71 bits, and nothing else changes
+    small = build_Q_poset(Graph.path(5))
+    wide = build_Q_poset(Graph.from_edges(70, Graph.path(5).edges))
+    assert wide.ids() == small.ids()
+    pad = tuple((v,) for v in range(6, 71))
+    for a, b in zip(small.nodes, wide.nodes):
+        assert b.height == a.height
+        assert b.ideal.key() == (a.ideal.key()[0], a.ideal.key()[1] + pad)
+    for x in small.ids():
+        for y in small.ids():
+            assert wide.leq(x, y) == small.leq(x, y)

@@ -23,6 +23,7 @@ from defreg.cli import (
     parse_graph_file,
     parse_monomial,
     parse_poset_doc,
+    parse_var_list,
     run,
 )
 
@@ -387,6 +388,44 @@ def test_main_entry_point(capsys):
     assert code == EXIT_OK
     assert "reg K^1 <= 1 (cap 1)" in out
     assert "reg K^2 <= 2 (cap 2)" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "monomial", "--vars", "-x", "--gens", "x"],
+     "error: argument --vars: expected one argument\n"),
+    (["--vars", "x", "--gens", "x"],
+     "error: the following arguments are required: --mode\n"),
+    (["--mode", "monomial", "--vars", "x", "--gens", "x", "--max-poset", "abc"],
+     "error: argument --max-poset: invalid int value: 'abc'\n"),
+    (["--mode", "graph", "--edges", "g", "a\nb"],
+     "error: unrecognized arguments: a\\nb\n"),
+], ids=["dash-value", "missing-mode", "non-integer-budget", "stray-argument"])
+def test_main_usage_errors_exit_1(capsys, argv, message):
+    code = main(argv)
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().out == message
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: defreg")
+
+
+@pytest.mark.parametrize("text", ["a\tb", "x, a\x7f", "a\u2028b", "a\x00"])
+def test_parse_var_list_rejects_control_characters(text):
+    with pytest.raises(ParseError, match="unprintable character"):
+        parse_var_list(text)
+    assert parse_var_list(" x , y z ") == ("x", "y z")
+
+
+def test_main_rejects_control_character_in_variable(capsys):
+    code = main(["--mode", "monomial", "--vars", "a\nb", "--gens", "a\nb"])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().out == (
+        "error: variable name 'a\\nb' has an unprintable character\n"
+    )
 
 
 def test_main_json_flag(capsys):
