@@ -16,36 +16,58 @@ and the two are complementary in the 2n ambient variables.
 The minimal primes of the graph itself come from cut sets: keep S exactly
 when every vertex of S raises the component count of what is left.
 
-Inside the sum closure a prime is a pair of ints, (kill mask, R), with
-bit v - 1 of a mask standing for vertex v.  R packs the same-block
-relation: row v takes n + 1 bits, n for the vertices and a guard bit on
-top, and bit v*(n+1) + u is set when u and v are unkilled and share a
-block; each unkilled vertex is related to itself.  A sum of two primes
-kills k, the union of the kill masks, and masking both relations to the
-rows and columns of the unkilled vertices leaves A and B, whose rows are
-the residual blocks.  The overlay is prime exactly when, at every vertex,
-one residual block contains the other, and its relation is then A | B:
-nesting everywhere makes A | B transitive, so its components are cliques,
-while at a vertex v with u only in v's block of a and w only in v's block
-of b, the path u - v - w has no edge u - w.  Adding 2^n - 1 to a row
-carries into its guard bit exactly when the row is nonempty, so with M
-that value in every row, all n rows are tested at once: (A & ~B) + M and
-(B & ~A) + M must share no guard bit.  A non-prime sum
-decomposes by the cut set rule applied to the overlay graph, whose
-adjacency is A | B itself, computed once per (k, A | B).  The cut set walk
-and the label order still work on block masks, packed once per generator
-and per piece.  CliquePrime is built only at the edges: for the minimal
-primes of the graph and for the node ideals of the finished poset.
+Inside the sum closure a prime is its same-block relation R, packed into
+bytes, with bit v - 1 of a mask standing for vertex v.  Row v takes n + 1
+bits, n for the vertices and a guard bit on top, and bit v*(n+1) + u is
+set when u and v are unkilled and share a block; each unkilled vertex is
+related to itself, so the killed vertices are those missing from the
+diagonal.  A sum of two primes kills the union k of the kill sets, and
+clearing the rows and columns of k in both relations leaves A and B, whose
+rows are the residual blocks.  The overlay is prime exactly when, at every
+vertex, one residual block contains the other, and its relation is then
+A | B: nesting everywhere makes A | B transitive, so its components are
+cliques, while at a vertex v with u only in v's block of a and w only in
+v's block of b, the path u - v - w has no edge u - w.  Adding 2^n - 1 to
+a row carries into its guard bit exactly when the row is nonempty, so
+with M that value in every row, all n rows are tested at once: (A & ~B) + M
+and (B & ~A) + M must share no guard bit.  A non-prime sum decomposes by
+the cut set rule applied to the overlay graph, whose adjacency is A | B
+itself, computed once per A | B.
+
+A closure turn sums the new prime with every earlier one at once.  The
+earlier primes sit in slots of one big int, slot i at bit 8 * i * s for
+s = ceil(n(n+1) / 8) + 1 bytes:
+
+    | R: n rows of n + 1 bits | padding to a byte | flag byte |
+
+with a second big int holding, in the same slots, the rows and columns
+of each prime's killed vertices.  A slot is appended when the earlier
+list grows and is never rebuilt.  The new prime is copied into every slot
+by one multiplication with the slot unit (a 1 at the bottom of each
+slot), and the masking, the nesting test and A | B then run on all slots
+together.  Three flags per slot come from carries: adding 2^w - 1, w the
+bit of the flag byte, to a slot carries into w exactly when the slot is
+nonzero.  Bit 0 of the flag byte marks a failed nesting test, bit 1 a sum
+that differs from the earlier prime, bit 2 one that differs from the new
+prime.  One to_bytes then yields every sum, and a strided slice of it the
+flag bytes; only the non-prime slots go through Python, to be decomposed.
+The cut set walk and the label order still work on block masks, packed
+once per generator and per piece.  CliquePrime is built only at the
+edges: for the minimal primes of the graph and for the node ideals of the
+finished poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
+from struct import iter_unpack
 from typing import Iterable, Sequence
 
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
     AnalysisPoset,
+    ClosureBudgetExceeded,
     IdealNode,
     RingContext,
     _bits,
@@ -206,7 +228,11 @@ def _mask_components(adj: Sequence[int], present: int) -> tuple[int, ...]:
 
 
 def _admissible_primes(
-    n: int, base_kill: int, adj: Sequence[int], present: int
+    n: int,
+    base_kill: int,
+    adj: Sequence[int],
+    present: int,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> list[MaskPrime]:
     """All primes from cut sets T of the graph (adj, present), over base_kill.
 
@@ -216,6 +242,11 @@ def _admissible_primes(
     back a vertex with a clique or empty neighbourhood joins at most one
     component, so the count never drops.  The primes come sorted by
     (height, CliquePrime.key()).
+
+    Every prime found here becomes a poset element, so the walk stops with
+    the closure's ClosureBudgetExceeded once more than max_elements are
+    found.  Subsets are walked smallest mask first, which meets the small
+    cut sets, and so the budget, early.
     """
     cache: dict[int, tuple[int, ...]] = {}
 
@@ -232,24 +263,36 @@ def _admissible_primes(
         if any(nbrs & ~(adj[u] | 1 << u) for u in _bits(nbrs)):
             walk |= 1 << v
     found = []
-    t = walk
+    t = 0
     while True:
         rest = present & ~t
         base = len(components(rest))
         if all(len(components(rest | (1 << i))) < base for i in _bits(t)):
+            if len(found) >= max_elements:
+                raise ClosureBudgetExceeded(
+                    f"sum closure passed the element budget of {max_elements}"
+                )
             found.append((base_kill | t, tuple(sorted(components(rest)))))
-        if t == 0:
+        if t == walk:
             break
-        t = (t - 1) & walk
+        t = (t - walk) & walk
     found.sort(key=lambda rep: _order_key(n, rep))
     return found
 
 
-def minimal_primes_graph(graph: Graph) -> list[CliquePrime]:
-    """Minimal primes of the binomial edge ideal of the graph."""
+def minimal_primes_graph(
+    graph: Graph, *, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> list[CliquePrime]:
+    """Minimal primes of the binomial edge ideal of the graph.
+
+    Raises ClosureBudgetExceeded once more than max_elements are found.
+    """
     n = graph.n
     adj = _clique_adjacency(n, (_mask(e) for e in graph.edges))
-    return [_from_masks(n, rep) for rep in _admissible_primes(n, 0, adj, (1 << n) - 1)]
+    return [
+        _from_masks(n, rep)
+        for rep in _admissible_primes(n, 0, adj, (1 << n) - 1, max_elements)
+    ]
 
 
 def _rows(n: int, mask: int) -> int:
@@ -260,20 +303,31 @@ def _rows(n: int, mask: int) -> int:
     return spread
 
 
-# A prime inside the closure: (kill mask, packed same-block relation).
-PackedPrime = tuple[int, int]
+def _rep_bytes(n: int) -> int:
+    """Bytes of a packed relation: n rows of n + 1 bits."""
+    return (n * (n + 1) + 7) // 8
 
 
-def _pack(n: int, rep: MaskPrime) -> PackedPrime:
-    kill, blocks = rep
+def _pack(n: int, rep: MaskPrime) -> bytes:
+    """The closure's form of a prime: its packed relation, little-endian."""
     rel = 0
-    for b in blocks:
+    for b in rep[1]:
         rel |= b * _rows(n, b)  # b copied into row v for each v in b
-    return kill, rel
+    return rel.to_bytes(_rep_bytes(n), "little")
 
 
-def _unpack(n: int, rep: PackedPrime) -> MaskPrime:
-    kill, rel = rep
+def _killed(n: int, rel: int) -> int:
+    """The kill mask: the vertices missing from the relation's diagonal."""
+    kill = 0
+    for v in range(n):
+        if not rel >> v * (n + 2) & 1:
+            kill |= 1 << v
+    return kill
+
+
+def _unpack(n: int, rep: bytes) -> MaskPrime:
+    rel = int.from_bytes(rep, "little")
+    kill = _killed(n, rel)
     full = (1 << n) - 1
     blocks = []
     for v in _bits(full & ~kill):
@@ -284,6 +338,98 @@ def _unpack(n: int, rep: PackedPrime) -> MaskPrime:
     return kill, tuple(blocks)
 
 
+# bytes.translate tables for the flag bytes, whose bit k reads (b >> k) & 1:
+# a 0 or 1 byte per non-prime slot (bit 0 set), and the digit "1" per sum
+# equal to the earlier prime (bit 1 clear) or to the new prime (bit 2 clear)
+_NONPRIME = b"\0\1" * 128
+_BELOW = b"1100" * 64
+_ABOVE = b"11110000" * 32
+
+
+def _clique_sums(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS):
+    """The join_closure callback for clique primes on n vertices.
+
+    The slot layout is in the module docstring.  The callback keeps the
+    slots of the earlier primes between calls, so earlier must only grow,
+    as it does in join_closure.  Decompositions raise
+    ClosureBudgetExceeded past max_elements pieces.
+    """
+    full = (1 << n) - 1
+    width = _rep_bytes(n)
+    step = width + 1  # slot bytes: the relation and the flag byte
+    shift = 8 * step
+    record = f"{width}sx"  # a slot: the relation, then the flag byte
+    starts = _rows(n, full)
+    unit = 0  # one bit at the start of every slot
+    rels = kills = 0  # the relations and the killed rows and columns
+    slots = 0
+    decomposed: dict[bytes, tuple[bytes, ...]] = {}
+    crosses: dict[bytes, int] = {}
+
+    def kill_cross(rep: bytes, rel: int) -> int:
+        """The rows and the columns of the killed vertices, once per prime."""
+        cross = crosses.get(rep)
+        if cross is None:
+            kill = _killed(n, rel)
+            cross = crosses[rep] = kill * starts | full * _rows(n, kill)
+        return cross
+
+    def decompose(key: bytes) -> tuple[bytes, ...]:
+        pieces = decomposed.get(key)
+        if pieces is None:
+            rel = int.from_bytes(key, "little")
+            kill = _killed(n, rel)
+            adj = [rel >> v * (n + 1) & full for v in range(n)]
+            pieces = decomposed[key] = tuple(
+                _pack(n, rep)
+                for rep in _admissible_primes(n, kill, adj, full & ~kill, max_elements)
+            )
+        return pieces
+
+    def sums_with(rep: bytes, earlier: list) -> tuple[Iterable[bytes], int, int]:
+        nonlocal unit, rels, kills, slots
+        for e in earlier[slots:]:
+            at = slots * shift
+            rel = int.from_bytes(e, "little")
+            rels |= rel << at
+            kills |= kill_cross(e, rel) << at
+            unit |= 1 << at
+            slots += 1
+        if not slots:
+            return [], 0, 0
+        rows = starts * unit  # the first bit of every row
+        ones = (rows << n) - rows  # 2^n - 1 in every row
+        # 2^w - 1 in every slot carries into its flag bit w when the slot
+        # is nonzero
+        top = unit << 8 * width
+        low = top - unit
+        x = int.from_bytes(rep, "little")
+        xr = x * unit
+        xk = kill_cross(rep, x) * unit
+        a = rels ^ rels & xk  # each relation without the rep's kills
+        b = xr ^ xr & kills  # the rep's relation without each slot's kills
+        ab = a & b
+        # a guard bit set on both sides marks a row where neither residual
+        # block contains the other: the sum is not prime
+        bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & rows << n
+        rel = a | b
+        flags = (
+            (bad + low) & top
+            | ((rel ^ rels) + low & top) << 1
+            | ((rel ^ xr) + low & top) << 2
+        )
+        buf = (rel | flags).to_bytes(slots * step, "little")
+        marks = buf[width::step]
+        below = int(marks.translate(_BELOW)[::-1], 2)
+        above = int(marks.translate(_ABOVE)[::-1], 2)
+        sums = list(iter_unpack(record, buf))  # (relation,) per slot
+        for i in compress(range(slots), marks.translate(_NONPRIME)):
+            sums[i] = decompose(sums[i][0])
+        return chain.from_iterable(sums), below, above
+
+    return sums_with
+
+
 def build_Q_poset(
     graph: Graph, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> AnalysisPoset:
@@ -292,51 +438,23 @@ def build_Q_poset(
     Every accumulated prime is summed with every other; non-prime sums are
     decomposed and their minimal primes join the pool, so the result is
     closed under the whole sum-then-decompose loop.  A decomposition
-    depends only on the kill set and the overlay graph, so it is computed
-    once per such pair.
+    depends only on the relation of the sum, so it is computed once per
+    such relation.
     """
     n = graph.n
-    full = (1 << n) - 1
-    ones = full * _rows(n, full)
-    guards = _rows(n, full) << n
-    ring = ring_for(graph)
-    keeps: dict[int, int] = {}
-    decomposed: dict[PackedPrime, tuple[PackedPrime, ...]] = {}
 
-    def primes_of_sum(a: PackedPrime, b: PackedPrime) -> tuple[PackedPrime, ...]:
-        ka, ra = a
-        kb, rb = b
-        k = ka | kb
-        if ka != kb:
-            keep = keeps.get(k)
-            if keep is None:
-                rest = full & ~k
-                keep = keeps[k] = rest * _rows(n, rest)
-            ra &= keep
-            rb &= keep
-        rel = ra | rb
-        # a guard bit set on both sides marks a row where neither residual
-        # block contains the other
-        if not ((ra & ~rb) + ones) & ((rb & ~ra) + ones) & guards:
-            return ((k, rel),)
-        pieces = decomposed.get((k, rel))
-        if pieces is None:
-            adj = [rel >> v * (n + 1) & full for v in range(n)]
-            pieces = tuple(
-                _pack(n, rep) for rep in _admissible_primes(n, k, adj, full & ~k)
-            )
-            decomposed[k, rel] = pieces
-        return pieces
-
-    def build_node(rep: PackedPrime, node_id: str) -> IdealNode:
+    def build_node(rep: bytes, node_id: str) -> IdealNode:
         cp = _from_masks(n, _unpack(n, rep))
         return IdealNode(id=node_id, ideal=cp, dim=cp.dim, height=cp.height)
 
     return join_closure(
-        [_pack(n, _to_masks(p)) for p in minimal_primes_graph(graph)],
-        primes_of_sum,
+        [
+            _pack(n, _to_masks(p))
+            for p in minimal_primes_graph(graph, max_elements=max_elements)
+        ],
+        _clique_sums(n, max_elements),
         node_builder=build_node,
-        ring=ring,
+        ring=ring_for(graph),
         provenance="binomial-edge",
         max_elements=max_elements,
     )

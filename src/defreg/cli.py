@@ -196,6 +196,8 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
             pid.encode("utf-8")
         except UnicodeEncodeError:
             raise ParseError(f"element id {pid!r} is not valid UTF-8")
+        if not pid.isprintable():
+            raise ParseError(f"element id {pid!r} has an unprintable character")
         if pid in seen_ids:
             raise DuplicateId(f"duplicate element id {pid!r}")
         seen_ids.add(pid)

@@ -7,14 +7,17 @@ intervals (p, top), which are simply the strict up-sets.
 
 The poset of sums is built by a worklist closure over canonical prime
 representations, which are plain hashable values (int masks for face
-primes, mask tuples for clique primes).  Pairs are summed first in, first
-out; one callback returns the minimal primes of each sum, a single piece
-exactly when the sum is prime, and unseen pieces join the pool until a
-fixpoint.  Labels p_1, p_2, ... follow first-appearance order, with the
-generators fed in one at a time so that sums of early generators are
-labelled before later generators.  The order is read off the same sums:
-a + b = a says that ideal(a) contains ideal(b), and every pair is summed
-exactly once, so no separate containment test is needed.
+primes, packed relation bytes for clique primes).  The closure runs one
+turn per element, in label order: on its turn an element is summed with
+every element before it, through one callback that returns the minimal
+primes of all those sums, flattened in pair order, plus two masks saying
+which earlier elements lie below and which lie above it.  Unseen pieces
+join the pool in the order given until a fixpoint.  Labels p_1, p_2, ...
+follow first-appearance order, with the generators fed in one at a time
+so that sums of early generators are labelled before later generators.
+The order is read off the same sums: a + b = a says that ideal(a)
+contains ideal(b), and every pair is summed exactly once, so no separate
+containment test is needed.
 
 The order is stored in one form only: up[k], an int mask of the positions
 at or above position k.  This module is the only place that builds, closes
@@ -138,16 +141,21 @@ class AnalysisPoset:
         if any(m >> n for m in up):
             raise ValueError(f"up-mask names a position outside 0..{n - 1}")
         up = [m | 1 << k for k, m in enumerate(up)]
-        for i in range(n):
-            for j in _bits(up[i]):
-                if j != i and up[j] >> i & 1:
-                    raise OrderCycle(ids[i], ids[j])
-        if _close(up) != up:
-            raise ValueError("order relation is not transitively closed")
-        down = [1 << k for k in range(n)]
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
+        down = [0] * n
+        for i, m in enumerate(up):
+            bit = 1 << i
+            for j in _bits(m):
+                down[j] |= bit
+        for i, m in enumerate(up):
+            both = m & down[i] ^ 1 << i
+            if both:
+                raise OrderCycle(ids[i], ids[(both & -both).bit_length() - 1])
+        for m in up:
+            closed = m
+            for j in _bits(m):
+                closed |= up[j]
+            if closed != m:
+                raise ValueError("order relation is not transitively closed")
         self._up = up
         self._down = down
         self.ring = ring
@@ -311,7 +319,7 @@ def order_complex(
 
 def join_closure(
     generators: Sequence[Hashable],
-    primes_of_sum: Callable[[Hashable, Hashable], tuple],
+    sums_with: Callable[[Hashable, list], tuple[Iterable[Hashable], int, int]],
     *,
     node_builder: Callable,
     ring: RingContext | None = None,
@@ -321,15 +329,21 @@ def join_closure(
     """Close a family of primes under pairwise sums, ordered by the sums.
 
     generators are canonical prime representations, already sorted; they
-    are fed in one at a time.  primes_of_sum(a, b) returns the minimal
-    primes of the sum of a and b in canonical form, a single piece exactly
-    when the sum is prime.  Pairs are summed first in, first out; unseen
-    pieces join the pool in the order given, and every accumulated prime
-    is summed with every other until nothing new appears.
+    are fed in one at a time.  Each element takes one turn, in label
+    order, and sums_with(rep, earlier) gets the element and the list of
+    every element labelled before it; that list only grows from one call
+    to the next.  It returns (pieces, below, above):
 
-    The order falls out of the same sums: a + b = a says that ideal(a)
-    contains ideal(b), so a <= b.  Every pair is summed once, so this reads
-    off the whole relation with no separate containment test.
+    - pieces: the minimal primes of every sum earlier[i] + rep in
+      canonical form, flattened in the order of i;
+    - below: the mask of the positions i with earlier[i] <= rep, that is
+      earlier[i] + rep = earlier[i];
+    - above: the mask of the positions i with rep <= earlier[i].
+
+    Unseen pieces join the pool in the order given, and every accumulated
+    prime is summed with every other until nothing new appears.  Every
+    pair is summed once, on the turn of the later element, so the masks
+    give the whole order with no separate containment test.
     node_builder(rep, id) turns each representation into its IdealNode.
     """
     if not generators:
@@ -347,27 +361,18 @@ def join_closure(
         reps.append(rep)
         up.append(0)
 
-    # Pair (i, j), i < j, is summed on j's turn: the order of a FIFO queue
-    # that receives (0, j), ..., (j - 1, j) when j is inserted.
     j = 0
     for g in generators:
         if g not in index:
             insert(g)
         while j < len(reps):
-            rj = reps[j]
-            for i in range(j):
-                ri = reps[i]
-                pieces = primes_of_sum(ri, rj)
-                if len(pieces) == 1:
-                    if pieces[0] == ri:
-                        up[i] |= 1 << j
-                        continue
-                    if pieces[0] == rj:
-                        up[j] |= 1 << i
-                        continue
-                for piece in pieces:
-                    if piece not in index:
-                        insert(piece)
+            pieces, below, above = sums_with(reps[j], reps[:j])
+            up[j] |= above
+            bit = 1 << j
+            for i in _bits(below):
+                up[i] |= bit
+            for piece in [p for p in dict.fromkeys(pieces) if p not in index]:
+                insert(piece)
             j += 1
 
     nodes = [node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps)]

@@ -8,10 +8,16 @@ import pytest
 from defreg.binomial_edge import (
     CliquePrime,
     Graph,
+    _admissible_primes,
+    _clique_sums,
+    _pack,
+    _to_masks,
+    _unpack,
     build_Q_poset,
     minimal_primes_graph,
     ring_for,
 )
+from defreg.posets import ClosureBudgetExceeded
 
 
 def oracle_components(n, edges, removed):
@@ -252,12 +258,17 @@ def poset_digest(poset):
      "5dcd0d36415c90449600ff8237d05cfda6fefba7ae85f492b5c244c328001533"),
     (cycle_graph(7), 233,
      "ed02a399b0cf519f250fbedc38f23151ccea64ba9c2af85c60be74332469152b"),
+    (Graph.path(9), 577,
+     "3125d1149f49bb2e3d8fd7c0cd9a8458cbc5aeb09974f04ed48b19aabd1dc91e"),
+    (cycle_graph(8), 618,
+     "32806cc176d547bd8432b7aa7f256d88b6a1efe1df3451beff4c1486095b7bdf"),
     (Graph.complete_bipartite(4, 4), 6,
      "849c2fe0ba018af9b5107b60893ab1d642679f274cd64cdc36ac9a3f05b700ef"),
-], ids=["path8", "cycle7", "K44"])
+], ids=["path8", "cycle7", "K44", "path9", "cycle8"])
 def test_pinned_labels_and_order(graph, size, digest):
-    # pinned from the block-tuple closure; past the reach of the reference
-    # closure in test_closure_reference.py
+    # pinned from the block-tuple closure (path9 and cycle8 from the
+    # pair-at-a-time closure); past the reach of the reference closure in
+    # test_closure_reference.py
     poset = build_Q_poset(graph)
     assert len(poset) == size
     assert poset_digest(poset) == digest
@@ -276,3 +287,95 @@ def test_isolated_vertices_past_64_bits():
     for x in small.ids():
         for y in small.ids():
             assert wide.leq(x, y) == small.leq(x, y)
+
+
+def row_starts(n, mask):
+    return sum(1 << v * (n + 1) for v in range(n) if mask >> v & 1)
+
+
+def scalar_pack(n, rep):
+    """(kill mask, packed relation) of a prime given as block masks."""
+    kill, blocks = rep
+    rel = 0
+    for b in blocks:
+        rel |= b * row_starts(n, b)
+    return kill, rel
+
+
+def scalar_primes_of_sum(n):
+    """The closure's pair callback before turns were summed at once."""
+    full = (1 << n) - 1
+    ones = full * row_starts(n, full)
+    guards = row_starts(n, full) << n
+
+    def primes_of_sum(a, b):
+        ka, ra = a
+        kb, rb = b
+        k = ka | kb
+        if ka != kb:
+            rest = full & ~k
+            keep = rest * row_starts(n, rest)
+            ra &= keep
+            rb &= keep
+        rel = ra | rb
+        if not ((ra & ~rb) + ones) & ((rb & ~ra) + ones) & guards:
+            return ((k, rel),)
+        adj = [rel >> v * (n + 1) & full for v in range(n)]
+        return tuple(
+            scalar_pack(n, rep)
+            for rep in _admissible_primes(n, k, adj, full & ~k)
+        )
+
+    return primes_of_sum
+
+
+def assert_turns_match_pair_sums(graph):
+    """Every turn of the packed kernel against the pair-at-a-time sums."""
+    n = graph.n
+    reps = [_pack(n, _to_masks(nd.ideal)) for nd in build_Q_poset(graph).nodes]
+    scalar = [scalar_pack(n, _unpack(n, rep)) for rep in reps]
+    pair_sum = scalar_primes_of_sum(n)
+    sums_with = _clique_sums(n)
+    for j, rep in enumerate(reps):
+        pieces, below, above = sums_with(rep, reps[:j])
+        want, want_below, want_above = [], 0, 0
+        for i in range(j):
+            got = pair_sum(scalar[i], scalar[j])
+            if got == (scalar[i],):
+                want_below |= 1 << i
+            elif got == (scalar[j],):
+                want_above |= 1 << i
+            want += got
+        assert [scalar_pack(n, _unpack(n, p)) for p in pieces] == want
+        assert (below, above) == (want_below, want_above)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_turns_match_pair_sums_on_every_small_graph(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        edges = [e for e, keep in zip(pairs, chosen) if keep]
+        assert_turns_match_pair_sums(Graph.from_edges(n, edges))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_turns_match_pair_sums_on_random_graphs(n):
+    # n(n + 1) is a whole number of bytes at n = 7 and 8, so the guard
+    # bit of the last row sits right under the flag byte
+    rng = random.Random(600 + n)
+    complete = itertools.combinations(range(1, n + 1), 2)
+    graphs = [Graph.from_edges(n, []), Graph.from_edges(n, complete)]
+    graphs += [random_graph(rng, n) for _ in range(3)]
+    for g in graphs:
+        assert_turns_match_pair_sums(g)
+
+
+def test_cut_set_walk_stops_at_the_element_budget():
+    # the 24-vertex path has 46,368 minimal primes; the walk stops at the
+    # sixth with the closure's message
+    with pytest.raises(ClosureBudgetExceeded, match="element budget of 5$"):
+        minimal_primes_graph(Graph.path(24), max_elements=5)
+    with pytest.raises(ClosureBudgetExceeded, match="element budget of 5$"):
+        build_Q_poset(Graph.path(24), max_elements=5)
+    # exactly at the budget is fine: the 5-path has 5 minimal primes
+    assert len(minimal_primes_graph(Graph.path(5), max_elements=5)) == 5

@@ -219,6 +219,21 @@ def test_surrogate_id_exit_1(tmp_path, capsys):
     assert out.startswith("error:")
 
 
+def test_unprintable_id_exit_1(tmp_path, capsys):
+    # a newline in an id would split its line of the text report
+    text = json.dumps({"format": 1, "elements": [
+        {"id": "a\nb", "dim": 1}, {"id": "c", "dim": 1}]})
+    with pytest.raises(ParseError, match="unprintable character"):
+        parse_poset_doc(text)
+    doc = tmp_path / "p.json"
+    doc.write_text(text)
+    code = main(["--mode", "poset", "--poset", str(doc)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().out == (
+        "error: element id 'a\\nb' has an unprintable character\n"
+    )
+
+
 def test_parse_field():
     assert _parse_field("rational").is_rationals
     assert _parse_field("gf:5").characteristic == 5
@@ -474,6 +489,23 @@ def test_main_cut_set_walk_is_prompt(tmp_path, edges):
     assert time.perf_counter() - start < 5
     assert done.returncode == EXIT_OK
     assert "poset size: 1\n" in done.stdout
+
+
+def test_main_cut_set_walk_stops_at_the_poset_budget(tmp_path):
+    # the 24-vertex path has 46,368 minimal primes; walking all 2^22 cut
+    # sets before the closure looked at the budget took over 8 s
+    path = tmp_path / "g.edges"
+    path.write_text("n 24\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 24)))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "defreg.cli", "--mode", "graph", "--edges", str(path),
+         "--max-poset", "5"],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == EXIT_BUDGET
+    assert done.stdout == "error: sum closure passed the element budget of 5\n"
 
 
 @pytest.mark.parametrize("spec", [

@@ -83,6 +83,10 @@ def test_mask_constructor_checks_and_never_closes():
     with pytest.raises(OrderCycle, match="cycle through a and b") as exc:
         AnalysisPoset(nodes, [0b010, 0b001, 0])
     assert exc.value.ids == ("a", "b")
+    # two cycles through a: the lower position of the partner is named
+    with pytest.raises(OrderCycle) as exc:
+        AnalysisPoset(nodes + [node("d")], [0b1100, 0, 0b0001, 0b0001])
+    assert exc.value.ids == ("a", "c")
 
 
 def test_poset_checks_height_against_ring():
@@ -194,11 +198,30 @@ def _mask_node(rep, pid):
     return IdealNode(id=pid, ideal=rep, dim=8 - rep.bit_count())
 
 
+def per_turn(primes_of_sum):
+    """The per-turn callback made of a pair function, one pair at a time.
+
+    The order is read off each sum: a + rep = a puts a below rep.
+    """
+    def sums_with(rep, earlier):
+        pieces, below, above = [], 0, 0
+        for i, a in enumerate(earlier):
+            got = primes_of_sum(a, rep)
+            if got == (a,):
+                below |= 1 << i
+            elif got == (rep,):
+                above |= 1 << i
+            pieces += got
+        return pieces, below, above
+
+    return sums_with
+
+
 def _set_closure(generators, **kwargs):
     """Closure of variable sets as int masks: every sum is prime, a | b."""
     return join_closure(
         generators,
-        lambda a, b: (a | b,),
+        per_turn(lambda a, b: (a | b,)),
         node_builder=_mask_node,
         provenance="abstract",
         **kwargs,
@@ -251,7 +274,7 @@ def test_join_closure_with_decomposition():
 
     p = join_closure(
         [0b0011, 0b1100],
-        primes_of_sum,
+        per_turn(primes_of_sum),
         node_builder=_mask_node,
         provenance="abstract",
     )
@@ -265,3 +288,22 @@ def test_join_closure_with_decomposition():
     for a in p.nodes:
         for b in p.nodes:
             assert p.leq(a.id, b.id) == (a.ideal | b.ideal == a.ideal)
+
+
+def test_join_closure_turns_see_every_earlier_element():
+    # one turn per element in label order, each against the whole prefix
+    turns = []
+    sums_with = per_turn(lambda a, b: (a | b,))
+
+    def recording(rep, earlier):
+        turns.append((rep, tuple(earlier)))
+        return sums_with(rep, earlier)
+
+    p = join_closure(
+        [0b001, 0b010, 0b100],
+        recording,
+        node_builder=_mask_node,
+        provenance="abstract",
+    )
+    reps = [nd.ideal for nd in p.nodes]
+    assert turns == [(rep, tuple(reps[:k])) for k, rep in enumerate(reps)]
