@@ -41,20 +41,20 @@ s = ceil(n(n+1) / 8) + 1 bytes:
     | R: n rows of n + 1 bits | padding to a byte | flag byte |
 
 with a second big int holding, in the same slots, the rows and columns
-of each prime's killed vertices.  A slot is appended when the earlier
-list grows and is never rebuilt.  The new prime is copied into every slot
-by one multiplication with the slot unit (a 1 at the bottom of each
-slot), and the masking, the nesting test and A | B then run on all slots
-together.  Three flags per slot come from carries: adding 2^w - 1, w the
-bit of the flag byte, to a slot carries into w exactly when the slot is
-nonzero.  Bit 0 of the flag byte marks a failed nesting test, bit 1 a sum
-that differs from the earlier prime, bit 2 one that differs from the new
-prime.  One to_bytes then yields every sum, and a strided slice of it the
-flag bytes; only the non-prime slots go through Python, to be decomposed.
-The cut set walk and the label order still work on block masks, packed
-once per generator and per piece.  CliquePrime is built only at the
-edges: for the minimal primes of the graph and for the node ideals of the
-finished poset.
+of each prime's killed vertices.  Each prime is appended as a slot at
+the end of its own turn, and slots are never rebuilt.  The new prime is
+copied into every slot by one multiplication with the slot unit (a 1 at
+the bottom of each slot), and the masking, the nesting test and A | B
+then run on all slots together.  Three flags per slot come from carries:
+adding 2^w - 1, w the bit of the flag byte, to a slot carries into w
+exactly when the slot is nonzero.  Bit 0 of the flag byte marks a failed
+nesting test, bit 1 a sum that differs from the earlier prime, bit 2 one
+that differs from the new prime.  One to_bytes then yields every sum,
+and a strided slice of it the flag bytes; only the non-prime slots go
+through Python, to be decomposed.  The cut set walk and the label order
+still work on block masks, packed once per generator and per piece.
+CliquePrime is built only at the edges: for the minimal primes of the
+graph and for the node ideals of the finished poset.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def _admissible_primes(
     base_kill: int,
     adj: Sequence[int],
     present: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    max_elements: int | None = None,
 ) -> list[MaskPrime]:
     """All primes from cut sets T of the graph (adj, present), over base_kill.
 
@@ -243,10 +243,11 @@ def _admissible_primes(
     component, so the count never drops.  The primes come sorted by
     (height, CliquePrime.key()).
 
-    Every prime found here becomes a poset element, so the walk stops with
-    the closure's ClosureBudgetExceeded once more than max_elements are
-    found.  Subsets are walked smallest mask first, which meets the small
-    cut sets, and so the budget, early.
+    Inside the closure every prime found here becomes a poset element, so
+    given a max_elements the walk stops with the closure's
+    ClosureBudgetExceeded once more than that are found.  Subsets are
+    walked smallest mask first, which meets the small cut sets, and so the
+    budget, early.
     """
     cache: dict[int, tuple[int, ...]] = {}
 
@@ -268,10 +269,8 @@ def _admissible_primes(
         rest = present & ~t
         base = len(components(rest))
         if all(len(components(rest | (1 << i))) < base for i in _bits(t)):
-            if len(found) >= max_elements:
-                raise ClosureBudgetExceeded(
-                    f"sum closure passed the element budget of {max_elements}"
-                )
+            if max_elements is not None and len(found) >= max_elements:
+                raise ClosureBudgetExceeded(max_elements)
             found.append((base_kill | t, tuple(sorted(components(rest)))))
         if t == walk:
             break
@@ -281,11 +280,12 @@ def _admissible_primes(
 
 
 def minimal_primes_graph(
-    graph: Graph, *, max_elements: int = DEFAULT_MAX_ELEMENTS
+    graph: Graph, *, max_elements: int | None = None
 ) -> list[CliquePrime]:
     """Minimal primes of the binomial edge ideal of the graph.
 
-    Raises ClosureBudgetExceeded once more than max_elements are found.
+    There is no budget unless max_elements is given; then
+    ClosureBudgetExceeded is raised once more than that are found.
     """
     n = graph.n
     adj = _clique_adjacency(n, (_mask(e) for e in graph.edges))
@@ -346,13 +346,12 @@ _BELOW = b"1100" * 64
 _ABOVE = b"11110000" * 32
 
 
-def _clique_sums(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS):
+def _clique_sums(n: int, max_elements: int | None = None):
     """The join_closure callback for clique primes on n vertices.
 
-    The slot layout is in the module docstring.  The callback keeps the
-    slots of the earlier primes between calls, so earlier must only grow,
-    as it does in join_closure.  Decompositions raise
-    ClosureBudgetExceeded past max_elements pieces.
+    The slot layout is in the module docstring: each call sums its prime
+    with the primes in the slots, then appends the prime as the next slot.
+    Decompositions raise ClosureBudgetExceeded past max_elements pieces.
     """
     full = (1 << n) - 1
     width = _rep_bytes(n)
@@ -364,15 +363,6 @@ def _clique_sums(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS):
     rels = kills = 0  # the relations and the killed rows and columns
     slots = 0
     decomposed: dict[bytes, tuple[bytes, ...]] = {}
-    crosses: dict[bytes, int] = {}
-
-    def kill_cross(rep: bytes, rel: int) -> int:
-        """The rows and the columns of the killed vertices, once per prime."""
-        cross = crosses.get(rep)
-        if cross is None:
-            kill = _killed(n, rel)
-            cross = crosses[rep] = kill * starts | full * _rows(n, kill)
-        return cross
 
     def decompose(key: bytes) -> tuple[bytes, ...]:
         pieces = decomposed.get(key)
@@ -386,28 +376,18 @@ def _clique_sums(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS):
             )
         return pieces
 
-    def sums_with(rep: bytes, earlier: list) -> tuple[Iterable[bytes], int, int]:
-        nonlocal unit, rels, kills, slots
-        for e in earlier[slots:]:
-            at = slots * shift
-            rel = int.from_bytes(e, "little")
-            rels |= rel << at
-            kills |= kill_cross(e, rel) << at
-            unit |= 1 << at
-            slots += 1
-        if not slots:
-            return [], 0, 0
+    def sum_slots(x: int, cross: int) -> tuple[Iterable[bytes], int, int]:
+        """The sums of relation x, killing cross, with every slot."""
         rows = starts * unit  # the first bit of every row
         ones = (rows << n) - rows  # 2^n - 1 in every row
         # 2^w - 1 in every slot carries into its flag bit w when the slot
         # is nonzero
         top = unit << 8 * width
         low = top - unit
-        x = int.from_bytes(rep, "little")
         xr = x * unit
-        xk = kill_cross(rep, x) * unit
-        a = rels ^ rels & xk  # each relation without the rep's kills
-        b = xr ^ xr & kills  # the rep's relation without each slot's kills
+        xk = cross * unit
+        a = rels ^ rels & xk  # each relation without the new prime's kills
+        b = xr ^ xr & kills  # the new relation without each slot's kills
         ab = a & b
         # a guard bit set on both sides marks a row where neither residual
         # block contains the other: the sum is not prime
@@ -426,6 +406,19 @@ def _clique_sums(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS):
         for i in compress(range(slots), marks.translate(_NONPRIME)):
             sums[i] = decompose(sums[i][0])
         return chain.from_iterable(sums), below, above
+
+    def sums_with(rep: bytes) -> tuple[Iterable[bytes], int, int]:
+        nonlocal unit, rels, kills, slots
+        x = int.from_bytes(rep, "little")
+        kill = _killed(n, x)
+        cross = kill * starts | full * _rows(n, kill)  # killed rows, columns
+        turn = sum_slots(x, cross) if slots else ((), 0, 0)
+        at = slots * shift  # the prime takes the next slot
+        rels |= x << at
+        kills |= cross << at
+        unit |= 1 << at
+        slots += 1
+        return turn
 
     return sums_with
 

@@ -128,16 +128,12 @@ def build_monomial_poset(
         fp = FacePrime(frozenset(v for k, v in enumerate(names) if mask >> k & 1))
         return IdealNode(id=node_id, ideal=fp, dim=fp.dim_in(ring), height=fp.height)
 
+    earlier: list[int] = []
     columns = [0] * len(names)
-    seen = 0
 
-    def sums_with(b: int, earlier: list) -> tuple[map, int, int]:
-        nonlocal seen
-        for a in earlier[seen:]:
-            for k in _bits(a):
-                columns[k] |= 1 << seen
-            seen += 1
-        everyone = (1 << seen) - 1
+    def sums_with(b: int) -> tuple[list[int], int, int]:
+        j = len(earlier)
+        everyone = (1 << j) - 1
         below = everyone  # positions holding every variable of b
         outside = 0  # positions holding a variable outside b
         for k, column in enumerate(columns):
@@ -145,7 +141,11 @@ def build_monomial_poset(
                 below &= column
             else:
                 outside |= column
-        return map(b.__or__, earlier), below, everyone & ~outside
+        pieces = list(map(b.__or__, earlier))
+        earlier.append(b)
+        for k in _bits(b):
+            columns[k] |= 1 << j
+        return pieces, below, everyone & ~outside
 
     return join_closure(
         generators,

@@ -8,13 +8,14 @@ intervals (p, top), which are simply the strict up-sets.
 The poset of sums is built by a worklist closure over canonical prime
 representations, which are plain hashable values (int masks for face
 primes, packed relation bytes for clique primes).  The closure runs one
-turn per element, in label order: on its turn an element is summed with
-every element before it, through one callback that returns the minimal
-primes of all those sums, flattened in pair order, plus two masks saying
-which earlier elements lie below and which lie above it.  Unseen pieces
-join the pool in the order given until a fixpoint.  Labels p_1, p_2, ...
-follow first-appearance order, with the generators fed in one at a time
-so that sums of early generators are labelled before later generators.
+turn per element, in label order: on its turn an element goes to one
+callback, which sums it with every element it was handed before and
+returns the minimal primes of all those sums, flattened in pair order,
+plus two masks saying which earlier elements lie below and which lie
+above it.  Unseen pieces join the pool in the order given until a
+fixpoint.  Labels p_1, p_2, ... follow first-appearance order, with the
+generators fed in one at a time so that sums of early generators are
+labelled before later generators.
 The order is read off the same sums: a + b = a says that ideal(a)
 contains ideal(b), and every pair is summed exactly once, so no separate
 containment test is needed.
@@ -38,6 +39,10 @@ DEFAULT_MAX_ELEMENTS = 10_000
 
 class ClosureBudgetExceeded(RuntimeError):
     """Raised when the sum closure would exceed the element budget."""
+
+    def __init__(self, max_elements: int) -> None:
+        super().__init__(f"sum closure passed the element budget of {max_elements}")
+        self.max_elements = max_elements
 
 
 class UnknownElement(KeyError):
@@ -319,7 +324,7 @@ def order_complex(
 
 def join_closure(
     generators: Sequence[Hashable],
-    sums_with: Callable[[Hashable, list], tuple[Iterable[Hashable], int, int]],
+    sums_with: Callable[[Hashable], tuple[Iterable[Hashable], int, int]],
     *,
     node_builder: Callable,
     ring: RingContext | None = None,
@@ -330,15 +335,16 @@ def join_closure(
 
     generators are canonical prime representations, already sorted; they
     are fed in one at a time.  Each element takes one turn, in label
-    order, and sums_with(rep, earlier) gets the element and the list of
-    every element labelled before it; that list only grows from one call
-    to the next.  It returns (pieces, below, above):
+    order: sums_with(rep) is called once per element, so the elements it
+    was handed before are exactly the earlier ones, e_0, e_1, ... in label
+    order.  It sums rep with each of them, keeping whatever it needs of
+    rep for the later turns, and returns (pieces, below, above):
 
-    - pieces: the minimal primes of every sum earlier[i] + rep in
-      canonical form, flattened in the order of i;
-    - below: the mask of the positions i with earlier[i] <= rep, that is
-      earlier[i] + rep = earlier[i];
-    - above: the mask of the positions i with rep <= earlier[i].
+    - pieces: the minimal primes of every sum e_i + rep in canonical
+      form, flattened in the order of i;
+    - below: the mask of the positions i with e_i <= rep, that is
+      e_i + rep = e_i;
+    - above: the mask of the positions i with rep <= e_i.
 
     Unseen pieces join the pool in the order given, and every accumulated
     prime is summed with every other until nothing new appears.  Every
@@ -354,9 +360,7 @@ def join_closure(
 
     def insert(rep) -> None:
         if len(reps) >= max_elements:
-            raise ClosureBudgetExceeded(
-                f"sum closure passed the element budget of {max_elements}"
-            )
+            raise ClosureBudgetExceeded(max_elements)
         index[rep] = len(reps)
         reps.append(rep)
         up.append(0)
@@ -366,7 +370,7 @@ def join_closure(
         if g not in index:
             insert(g)
         while j < len(reps):
-            pieces, below, above = sums_with(reps[j], reps[:j])
+            pieces, below, above = sums_with(reps[j])
             up[j] |= above
             bit = 1 << j
             for i in _bits(below):

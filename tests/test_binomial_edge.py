@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -337,7 +338,7 @@ def assert_turns_match_pair_sums(graph):
     pair_sum = scalar_primes_of_sum(n)
     sums_with = _clique_sums(n)
     for j, rep in enumerate(reps):
-        pieces, below, above = sums_with(rep, reps[:j])
+        pieces, below, above = sums_with(rep)
         want, want_below, want_above = [], 0, 0
         for i in range(j):
             got = pair_sum(scalar[i], scalar[j])
@@ -379,3 +380,15 @@ def test_cut_set_walk_stops_at_the_element_budget():
         build_Q_poset(Graph.path(24), max_elements=5)
     # exactly at the budget is fine: the 5-path has 5 minimal primes
     assert len(minimal_primes_graph(Graph.path(5), max_elements=5)) == 5
+
+
+def test_cut_set_walk_has_no_budget_unless_given():
+    # only the closure hands the walk a budget; a library caller gets every
+    # minimal prime, such as the 10,946 of the 21-vertex path, which pass
+    # the closure's default of 10,000 (too slow to walk here)
+    for walk in (minimal_primes_graph, _admissible_primes):
+        assert inspect.signature(walk).parameters["max_elements"].default is None
+    assert len(minimal_primes_graph(Graph.path(8))) == 21
+    with pytest.raises(ClosureBudgetExceeded) as caught:
+        minimal_primes_graph(Graph.path(8), max_elements=20)
+    assert caught.value.max_elements == 20

@@ -203,7 +203,9 @@ def per_turn(primes_of_sum):
 
     The order is read off each sum: a + rep = a puts a below rep.
     """
-    def sums_with(rep, earlier):
+    earlier = []
+
+    def sums_with(rep):
         pieces, below, above = [], 0, 0
         for i, a in enumerate(earlier):
             got = primes_of_sum(a, rep)
@@ -212,6 +214,7 @@ def per_turn(primes_of_sum):
             elif got == (rep,):
                 above |= 1 << i
             pieces += got
+        earlier.append(rep)
         return pieces, below, above
 
     return sums_with
@@ -290,14 +293,14 @@ def test_join_closure_with_decomposition():
             assert p.leq(a.id, b.id) == (a.ideal | b.ideal == a.ideal)
 
 
-def test_join_closure_turns_see_every_earlier_element():
-    # one turn per element in label order, each against the whole prefix
+def test_join_closure_takes_one_turn_per_element_in_label_order():
+    # so the elements a callback was handed before are the earlier ones
     turns = []
     sums_with = per_turn(lambda a, b: (a | b,))
 
-    def recording(rep, earlier):
-        turns.append((rep, tuple(earlier)))
-        return sums_with(rep, earlier)
+    def recording(rep):
+        turns.append(rep)
+        return sums_with(rep)
 
     p = join_closure(
         [0b001, 0b010, 0b100],
@@ -306,4 +309,4 @@ def test_join_closure_turns_see_every_earlier_element():
         provenance="abstract",
     )
     reps = [nd.ideal for nd in p.nodes]
-    assert turns == [(rep, tuple(reps[:k])) for k, rep in enumerate(reps)]
+    assert turns == reps
