@@ -21,17 +21,11 @@ from .bounds import (
     BoundEntry,
     BoundReport,
     ConditionReport,
-    FiltrationLayer,
     MultiplicityTable,
-    SJSet,
     analyze,
     check_conditions,
-    filtration_report,
     multiplicities,
     murai_terai_level,
-    nonvanishing_witnesses,
-    regularity_bound,
-    s_set,
 )
 from .complexes import (
     DEFAULT_MAX_FACES,
@@ -78,7 +72,6 @@ __all__ = [
     "FaceBudgetExceeded",
     "FacePrime",
     "FieldSpec",
-    "FiltrationLayer",
     "Graph",
     "HomologyProfile",
     "IdealNode",
@@ -86,7 +79,6 @@ __all__ = [
     "NEG_INF",
     "OrderCycle",
     "RingContext",
-    "SJSet",
     "SimplicialComplex",
     "SquarefreeIdeal",
     "UnknownElement",
@@ -96,18 +88,14 @@ __all__ = [
     "build_Q_poset",
     "build_monomial_poset",
     "check_conditions",
-    "filtration_report",
     "join_closure",
     "minimal_primes",
     "minimal_primes_graph",
     "multiplicities",
     "murai_terai_level",
-    "nonvanishing_witnesses",
     "order_complex",
     "rank",
     "reduced_homology",
-    "regularity_bound",
     "ring_for",
-    "s_set",
     "__version__",
 ]

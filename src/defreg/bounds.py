@@ -9,12 +9,18 @@ For a cohomological degree j, the contributing set S_j collects the
 elements p with dim p <= j and nonzero multiplicity in degree
 j - dim p - 1.  The bound for K^j is the largest dimension over S_j,
 never more than j itself, and minus infinity when S_j is empty.
+
+analyze reads every degree off the table in one pass, in node order: an
+element p with multiplicity m in degree d lies in S_j for
+j = dim p + d + 1, where it enters layer d + 1 of the filtration of K^j
+with exponent m.  Layer 0 holds the maximal elements of dimension j,
+which witness that K^j itself is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .complexes import DEFAULT_MAX_FACES, HomologyProfile, homology_of_faces
 from .exactfield import FieldSpec
@@ -65,57 +71,6 @@ def multiplicities(
         assert (profile.dim(-1) != 0) == poset.is_maximal(node.id)
         profiles[node.id] = profile
     return MultiplicityTable(field=field, profiles=profiles)
-
-
-@dataclass(frozen=True)
-class SJSet:
-    """The elements contributing to the bound for K^j."""
-
-    j: int
-    members: tuple[str, ...]
-
-
-def s_set(poset: AnalysisPoset, table: MultiplicityTable, j: int) -> SJSet:
-    members = []
-    for node in poset.nodes:
-        if node.dim <= j and table.mult(node.id, j - node.dim - 1) != 0:
-            members.append(node.id)
-    return SJSet(j=j, members=tuple(members))
-
-
-def regularity_bound(
-    poset: AnalysisPoset, sj: SJSet
-) -> tuple[ExtendedInt, int]:
-    """(bound, cap) for K^j: max dimension over S_j, at most j."""
-    bound = max((poset.node(pid).dim for pid in sj.members), default=NEG_INF)
-    assert bound is NEG_INF or bound <= sj.j
-    return bound, sj.j
-
-
-@dataclass(frozen=True)
-class FiltrationLayer:
-    """Layer k of the filtration of K^j: components of dimension j - k."""
-
-    j: int
-    k: int
-    summands: tuple[tuple[str, int], ...]
-
-
-def filtration_report(
-    poset: AnalysisPoset, table: MultiplicityTable, j: int
-) -> tuple[FiltrationLayer, ...]:
-    """Layers 0..j; layer k lists (element, exponent) with exponent > 0."""
-    layers = []
-    for k in range(j + 1):
-        summands = []
-        for node in poset.nodes:
-            if node.dim != j - k:
-                continue
-            exp = table.mult(node.id, j - node.dim - 1)
-            if exp > 0:
-                summands.append((node.id, exp))
-        layers.append(FiltrationLayer(j=j, k=k, summands=tuple(summands)))
-    return tuple(layers)
 
 
 @dataclass(frozen=True)
@@ -173,15 +128,6 @@ def check_conditions(poset: AnalysisPoset) -> ConditionReport:
     )
 
 
-def nonvanishing_witnesses(poset: AnalysisPoset, j: int) -> tuple[str, ...]:
-    """Maximal elements of dimension j: they force K^j itself nonzero."""
-    return tuple(
-        node.id
-        for node in poset.nodes
-        if node.dim == j and poset.is_maximal(node.id)
-    )
-
-
 def murai_terai_level(
     bounds_by_j: Mapping[int, ExtendedInt], ambient_dim: int
 ) -> tuple[int, bool]:
@@ -200,13 +146,19 @@ def murai_terai_level(
 
 @dataclass(frozen=True)
 class BoundEntry:
+    """The bound for K^j and the filtration behind it.
+
+    layers[k] lists (element, exponent) for the members of S_j of
+    dimension j - k, and witnesses are the ids in layers[0].
+    """
+
     j: int
     members: tuple[str, ...]
     bound: ExtendedInt
     cap: int
     certified: bool
-    witnesses: Optional[tuple[str, ...]] = None
-    layers: Optional[tuple[FiltrationLayer, ...]] = None
+    witnesses: tuple[str, ...]
+    layers: tuple[tuple[tuple[str, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -228,12 +180,9 @@ def analyze(
     poset: AnalysisPoset,
     field: Optional[FieldSpec] = None,
     *,
-    js: Optional[Sequence[int]] = None,
-    include_layers: bool = False,
-    include_witnesses: bool = False,
     max_faces: int = DEFAULT_MAX_FACES,
 ) -> BoundReport:
-    """Bounds for K^j over the requested degrees (default: 0..max dim)."""
+    """Bounds for K^j, j = 0..max dim, from one pass over the multiplicities."""
     if field is None:
         field = FieldSpec.rationals()
     if not len(poset):
@@ -241,30 +190,34 @@ def analyze(
     table = multiplicities(poset, field, max_faces=max_faces)
     ambient = max(node.dim for node in poset.nodes)
     conditions = check_conditions(poset)
-
-    def entry(j: int) -> BoundEntry:
-        sj = s_set(poset, table, j)
-        bound, cap = regularity_bound(poset, sj)
-        return BoundEntry(
-            j=j,
-            members=sj.members,
-            bound=bound,
-            cap=cap,
-            certified=conditions.certified,
-            witnesses=(
-                nonvanishing_witnesses(poset, j) if include_witnesses else None
-            ),
-            layers=(
-                filtration_report(poset, table, j) if include_layers else None
-            ),
+    members: list[list[str]] = [[] for _ in range(ambient + 1)]
+    layers: list[list[list[tuple[str, int]]]] = [
+        [[] for _ in range(j + 1)] for j in range(ambient + 1)
+    ]
+    for node in poset.nodes:
+        for d, exp in table.profiles[node.id].dims.items():
+            j = node.dim + d + 1
+            if exp and j <= ambient:
+                members[j].append(node.id)
+                layers[j][d + 1].append((node.id, exp))
+    entries = []
+    for j, by_k in enumerate(layers):
+        bound = next((j - k for k, layer in enumerate(by_k) if layer), NEG_INF)
+        assert bound is NEG_INF or bound <= j
+        entries.append(
+            BoundEntry(
+                j=j,
+                members=tuple(members[j]),
+                bound=bound,
+                cap=j,
+                certified=conditions.certified,
+                witnesses=tuple(pid for pid, _ in by_k[0]),
+                layers=tuple(map(tuple, by_k)),
+            )
         )
-
-    entries_by_j = {j: entry(j) for j in range(ambient + 1)}
     mt_level, mt_capped = murai_terai_level(
-        {j: e.bound for j, e in entries_by_j.items()}, ambient
+        {e.j: e.bound for e in entries}, ambient
     )
-    wanted = entries_by_j if js is None else js
-    entries = [entries_by_j[j] if j in entries_by_j else entry(j) for j in wanted]
     assumptions = ASSUMPTION_TEXT.get(poset.provenance)
     return BoundReport(
         poset=poset,

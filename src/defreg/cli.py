@@ -311,17 +311,12 @@ def render_text(report: BoundReport, config: RunConfig) -> str:
     for e in report.entries:
         lines.append(f"  reg K^{e.j} <= {_fmt_bound(e.bound)} (cap {e.cap})")
         lines.append(f"    S_{e.j} = {{{', '.join(e.members)}}}")
-        if config.witnesses and e.witnesses is not None:
+        if config.witnesses:
             lines.append(f"    witnesses = {{{', '.join(e.witnesses)}}}")
-        if config.filtration and e.layers is not None:
-            for layer in e.layers:
-                if layer.summands:
-                    body = " + ".join(
-                        f"{pid}^{exp}" for pid, exp in layer.summands
-                    )
-                else:
-                    body = "(empty)"
-                lines.append(f"    layer {layer.k}: {body}")
+        if config.filtration:
+            for k, layer in enumerate(e.layers):
+                body = " + ".join(f"{pid}^{exp}" for pid, exp in layer)
+                lines.append(f"    layer {k}: {body or '(empty)'}")
     suffix = " (vacuous, capped at ambient dimension)" if report.mt_capped else ""
     lines.append(f"mt level: {report.mt_level}{suffix}")
     return "\n".join(lines) + "\n"
@@ -364,7 +359,7 @@ def render_json(report: BoundReport, config: RunConfig) -> str:
     }
     if config.witnesses:
         doc["witnesses"] = [
-            {"j": e.j, "members": list(e.witnesses or ())}
+            {"j": e.j, "members": list(e.witnesses)}
             for e in report.entries
         ]
     if config.filtration:
@@ -373,13 +368,12 @@ def render_json(report: BoundReport, config: RunConfig) -> str:
                 "j": e.j,
                 "layers": [
                     {
-                        "k": layer.k,
+                        "k": k,
                         "summands": [
-                            {"id": pid, "exponent": exp}
-                            for pid, exp in layer.summands
+                            {"id": pid, "exponent": exp} for pid, exp in layer
                         ],
                     }
-                    for layer in e.layers or ()
+                    for k, layer in enumerate(e.layers)
                 ],
             }
             for e in report.entries
@@ -413,13 +407,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     except (ParseError, ZeroIdeal, OSError, ValueError) as e:
         return EXIT_PARSE, f"error: {e}\n"
     try:
-        report = analyze(
-            poset,
-            config.field,
-            include_layers=config.filtration,
-            include_witnesses=config.witnesses,
-            max_faces=config.max_faces,
-        )
+        report = analyze(poset, config.field, max_faces=config.max_faces)
     except FaceBudgetExceeded as e:
         return EXIT_BUDGET, f"error: {e}\n"
     text = (

@@ -167,6 +167,10 @@ class AnalysisPoset:
         self.provenance = provenance
         if ring is not None:
             for nd in self._nodes:
+                if nd.dim > ring.nvars:
+                    raise ValueError(
+                        f"node {nd.id}: dim {nd.dim} exceeds the ambient {ring.nvars}"
+                    )
                 if nd.height is not None and nd.height + nd.dim != ring.nvars:
                     raise ValueError(
                         f"node {nd.id}: height {nd.height} + dim {nd.dim} "
@@ -204,10 +208,7 @@ class AnalysisPoset:
         return len(self._nodes)
 
     def node(self, pid: str) -> IdealNode:
-        k = self._index.get(pid)
-        if k is None:
-            raise UnknownElement(pid)
-        return self._nodes[k]
+        return self._nodes[self._pos(pid)]
 
     def _pos(self, pid: str) -> int:
         k = self._index.get(pid)

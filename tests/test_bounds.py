@@ -1,18 +1,16 @@
+import itertools
+import json
 import pathlib
+import random
 
 import pytest
 
 from defreg.binomial_edge import Graph, build_Q_poset
 from defreg.bounds import (
-    SJSet,
     analyze,
     check_conditions,
-    filtration_report,
     multiplicities,
     murai_terai_level,
-    nonvanishing_witnesses,
-    regularity_bound,
-    s_set,
 )
 from defreg.cli import parse_graph_file, parse_poset_doc
 from defreg.complexes import FaceBudgetExceeded, reduced_homology
@@ -50,35 +48,31 @@ def test_multiplicities_of_skew_lines():
 
 
 def test_s_sets_of_skew_lines():
-    poset = skew_lines_poset()
-    table = multiplicities(poset)
-    assert s_set(poset, table, 0).members == ()
-    assert s_set(poset, table, 1).members == ("p_3",)
-    assert s_set(poset, table, 2).members == ("p_1", "p_2")
+    entries = analyze(skew_lines_poset()).entries
+    assert entries[0].members == ()
+    assert entries[1].members == ("p_3",)
+    assert entries[2].members == ("p_1", "p_2")
 
 
 def test_regularity_bound_folds_dims():
-    poset = skew_lines_poset()
-    table = multiplicities(poset)
-    assert regularity_bound(poset, s_set(poset, table, 2)) == (2, 2)
-    assert regularity_bound(poset, s_set(poset, table, 1)) == (0, 1)
-    empty = SJSet(j=0, members=())
-    bound, cap = regularity_bound(poset, empty)
-    assert bound is NEG_INF
-    assert cap == 0
+    entries = analyze(skew_lines_poset()).entries
+    assert (entries[2].bound, entries[2].cap) == (2, 2)
+    assert (entries[1].bound, entries[1].cap) == (0, 1)
+    # S_0 is empty
+    assert entries[0].bound is NEG_INF
+    assert entries[0].cap == 0
 
 
 def test_filtration_layers():
-    poset = skew_lines_poset()
-    table = multiplicities(poset)
-    layers2 = filtration_report(poset, table, 2)
-    assert [layer.k for layer in layers2] == [0, 1, 2]
-    assert layers2[0].summands == (("p_1", 1), ("p_2", 1))
-    assert layers2[1].summands == ()
-    assert layers2[2].summands == ()
-    layers1 = filtration_report(poset, table, 1)
-    assert layers1[0].summands == ()
-    assert layers1[1].summands == (("p_3", 1),)
+    entries = analyze(skew_lines_poset()).entries
+    layers2 = entries[2].layers
+    assert len(layers2) == 3
+    assert layers2[0] == (("p_1", 1), ("p_2", 1))
+    assert layers2[1] == ()
+    assert layers2[2] == ()
+    layers1 = entries[1].layers
+    assert layers1[0] == ()
+    assert layers1[1] == (("p_3", 1),)
 
 
 def test_conditions_on_monomial_poset():
@@ -130,9 +124,9 @@ def test_conditions_flag_non_cm():
 
 
 def test_witnesses():
-    poset = skew_lines_poset()
-    assert nonvanishing_witnesses(poset, 2) == ("p_1", "p_2")
-    assert nonvanishing_witnesses(poset, 0) == ()
+    entries = analyze(skew_lines_poset()).entries
+    assert entries[2].witnesses == ("p_1", "p_2")
+    assert entries[0].witnesses == ()
 
 
 def test_murai_terai_level():
@@ -151,24 +145,14 @@ def test_analyze_full_report():
     assert all(e.certified for e in report.entries)
     assert (report.mt_level, report.mt_capped) == (1, False)
     assert report.assumptions == ()
-    assert report.entries[0].witnesses is None
-    assert report.entries[0].layers is None
 
 
-def test_analyze_optional_sections_and_degrees():
-    report = analyze(
-        skew_lines_poset(),
-        js=[2, 5],
-        include_layers=True,
-        include_witnesses=True,
-    )
-    assert [e.j for e in report.entries] == [2, 5]
-    assert report.entries[0].witnesses == ("p_1", "p_2")
-    assert len(report.entries[0].layers) == 3
-    # a degree past the ambient dimension has nothing contributing
-    assert report.entries[1].bound is NEG_INF
-    assert report.entries[1].layers is not None
-    # the level only looks below the ambient dimension, not at js
+def test_analyze_always_carries_layers_and_witnesses():
+    report = analyze(skew_lines_poset())
+    assert report.entries[2].witnesses == ("p_1", "p_2")
+    assert len(report.entries[2].layers) == 3
+    assert [len(e.layers) for e in report.entries] == [1, 2, 3]
+    # the level only looks below the ambient dimension
     assert (report.mt_level, report.mt_capped) == (1, False)
 
 
@@ -188,6 +172,83 @@ def test_analyze_abstract_assumption_text():
     report = analyze(poset)
     assert len(report.assumptions) == 1
     assert "assumed" in report.assumptions[0]
+
+
+def oracle_entries(report):
+    """(j, S_j, bound, cap, layers, witnesses) from the definitions alone.
+
+    S_j = {p : dim p <= j, mult(p, j - dim p - 1) != 0} in node order, the
+    bound is the largest dim over S_j, layer k holds the members of
+    dimension j - k with their multiplicities as exponents, and the
+    witnesses are the maximal elements of dimension j.
+    """
+    poset, table = report.poset, report.table
+    dim = {nd.id: nd.dim for nd in poset.nodes}
+    out = []
+    for j in range(report.ambient_dim + 1):
+        members = tuple(
+            p for p in poset.ids() if dim[p] <= j and table.mult(p, j - dim[p] - 1)
+        )
+        layers = tuple(
+            tuple((p, table.mult(p, k - 1)) for p in members if dim[p] == j - k)
+            for k in range(j + 1)
+        )
+        witnesses = tuple(
+            p for p in poset.ids() if dim[p] == j and poset.is_maximal(p)
+        )
+        bound = max((dim[p] for p in members), default=NEG_INF)
+        out.append((j, members, bound, j, layers, witnesses))
+    return out
+
+
+def ranked_poset(seed, sizes=(12, 18, 18), nvars=6):
+    """A shuffled ranked poset, each element below 2 or 3 of the level above."""
+    rng = random.Random(seed)
+    labels = [f"c_{k}" for k in range(1, sum(sizes) + 1)]
+    rng.shuffle(labels)
+    levels = [labels[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
+    elements, relations = [], []
+    for depth, level in enumerate(levels):
+        dim = len(sizes) - 1 - depth
+        elements += [{"id": p, "dim": dim, "height": nvars - dim} for p in level]
+        if depth:
+            for p in level:
+                for q in rng.sample(levels[depth - 1], rng.choice((2, 3))):
+                    relations.append([p, q])
+    rng.shuffle(elements)
+    doc = {"format": 1, "nvars": nvars, "elements": elements, "relations": relations}
+    return parse_poset_doc(json.dumps(doc))
+
+
+def oracle_posets():
+    rng = random.Random(2016)
+    for _ in range(40):
+        nvars = rng.randint(2, 6)
+        ring = RingContext(tuple(f"v{i}" for i in range(nvars)))
+        gens = [
+            rng.sample(ring.var_names, rng.randint(1, min(3, nvars)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        yield build_monomial_poset(SquarefreeIdeal.create(ring, gens))
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                yield build_Q_poset(Graph.from_edges(n, list(edges)))
+    yield parse_poset_doc((DATA / "abstract7.json").read_text())
+    yield ranked_poset(0)
+    yield ranked_poset(3)
+
+
+def test_analyze_matches_definitions_oracle():
+    for poset in oracle_posets():
+        for field in (QQ, GF2):
+            report = analyze(poset, field)
+            got = [
+                (e.j, e.members, e.bound, e.cap, e.layers, e.witnesses)
+                for e in report.entries
+            ]
+            assert got == oracle_entries(report), (poset.ids(), field)
 
 
 def cycle(n):

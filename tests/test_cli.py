@@ -234,6 +234,15 @@ def test_unprintable_id_exit_1(tmp_path, capsys):
     )
 
 
+def test_dim_above_nvars_exit_1(tmp_path, capsys):
+    # without a height, only the dim can be held against the ring
+    doc = tmp_path / "p.json"
+    doc.write_text('{"format": 1, "nvars": 2, "elements": [{"id": "a", "dim": 5}]}')
+    code = main(["--mode", "poset", "--poset", str(doc)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().out == "error: node a: dim 5 exceeds the ambient 2\n"
+
+
 def test_parse_field():
     assert _parse_field("rational").is_rationals
     assert _parse_field("gf:5").characteristic == 5

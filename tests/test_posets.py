@@ -99,6 +99,16 @@ def test_poset_checks_height_against_ring():
     assert ok.ring is ring
 
 
+def test_poset_rejects_dim_above_ring():
+    ring = RingContext(("x", "y"))
+    with pytest.raises(ValueError, match="^node a: dim 5 exceeds the ambient 2$"):
+        AnalysisPoset.from_relations([node("a", dim=5)], [], ring=ring)
+    ok = AnalysisPoset.from_relations([node("a", dim=2)], [], ring=ring)
+    assert ok.node("a").dim == 2
+    # without a ring there is nothing to compare against
+    assert AnalysisPoset.from_relations([node("a", dim=5)], []).node("a").dim == 5
+
+
 def test_order_navigation():
     p = chain_poset()
     assert p.leq("a", "c")
