@@ -105,20 +105,28 @@ def check_conditions(poset: AnalysisPoset) -> ConditionReport:
     cm = all(node.is_cm for node in poset.nodes)
     if not cm:
         notes.append("some component is not Cohen-Macaulay")
-    heights = {node.id: node.height for node in poset.nodes}
-    if any(h is None for h in heights.values()):
+    heights = [node.height for node in poset.nodes]
+    if None in heights:
         strict: Optional[bool] = None
         notes.append("heights missing on some elements; not checkable")
     else:
+        # at_least[h]: the positions of height h or more
+        at_least: dict[int, int] = {}
+        for k, h in enumerate(heights):
+            at_least[h] = at_least.get(h, 0) | 1 << k
+        acc = 0
+        for h in sorted(at_least, reverse=True):
+            acc = at_least[h] = acc | at_least[h]
         strict = True
-        for a in poset.ids():
-            b = next(
-                (b for b in poset.strictly_above(a) if heights[a] <= heights[b]),
-                None,
-            )
-            if b is not None:
+        for a, (up, h) in enumerate(zip(poset.up, heights)):
+            bad = up & at_least[h] ^ 1 << a
+            if bad:
                 strict = False
-                notes.append(f"height does not drop strictly from {a} to {b}")
+                b = (bad & -bad).bit_length() - 1
+                notes.append(
+                    f"height does not drop strictly from {poset.nodes[a].id}"
+                    f" to {poset.nodes[b].id}"
+                )
                 break
     return ConditionReport(
         distributive_lattice=lattice,

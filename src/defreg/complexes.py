@@ -1,15 +1,25 @@
 """Finite abstract simplicial complexes and their reduced homology.
 
 The augmented chain complex is used throughout, so the empty face is a
-genuine face of dimension -1.  Boundary maps are sparse columns {row: +-1},
-and homology comes from one exact column reduction with clearing (Chen and
-Kerber, "Persistent homology computation with a twist", 2011; Bauer,
-Kerber and Reininghaus, "Clear and compress", 2014): the maps are reduced
-from the top degree down, and a face that was a pivot row of the map one
-degree up is skipped as a column, because its column is a combination of
-earlier ones.  Order complexes of the poset intervals reach over a hundred
-thousand faces, and below the top degree only the columns that the degree
-above left unexplained are reduced.
+genuine face of dimension -1.  Homology works on faces as int masks of
+vertex positions: a boundary entry drops one bit, with the sign given by
+the parity of the bits below it.  It comes from one exact column
+reduction with clearing (Chen and Kerber, "Persistent homology
+computation with a twist", 2011; Bauer, Kerber and Reininghaus, "Clear and
+compress", 2014): the maps are reduced from the top degree down, and a
+face that was a pivot row of the map one degree up is skipped as a
+column, because its column is a combination of earlier ones.  Order
+complexes of the poset intervals reach over a hundred thousand faces, and
+below the top degree only the columns that the degree above left
+unexplained are reduced.
+
+Over Q the faces are reduced over GF(2) first, where a column is a set of
+rows.  If that homology is nonzero in at most one degree it is the
+rational homology too, by the universal coefficient theorem: dim_Q <=
+dim_GF(2) in every degree, and both have the Euler characteristic of the
+face counts (see exactfield).  Otherwise the same faces are reduced
+fraction-free over Q, and those two invariants are asserted.  GF(p) for
+odd p is reduced directly.
 
 Two degenerate objects stay distinct on purpose.  The void complex has no
 faces at all and all of its reduced homology vanishes.  The empty complex
@@ -25,6 +35,7 @@ from typing import Dict, Hashable, Iterable, Mapping, Sequence
 from .exactfield import FieldSpec, pivot_rows
 
 DEFAULT_MAX_FACES = 200_000
+_GF2 = FieldSpec.prime_field(2)
 
 
 class FaceBudgetExceeded(RuntimeError):
@@ -123,13 +134,6 @@ class SimplicialComplex:
         return len(self._faces)
 
 
-def _boundary_column(face: tuple, rows: Mapping[tuple, int]) -> dict[int, int]:
-    return {
-        rows[face[:k] + face[k + 1:]]: -1 if k & 1 else 1
-        for k in range(len(face))
-    }
-
-
 def boundary_matrix(complex: SimplicialComplex, i: int) -> list[dict[int, int]]:
     """Sparse columns of the i-th boundary map of the augmented chain complex.
 
@@ -141,7 +145,10 @@ def boundary_matrix(complex: SimplicialComplex, i: int) -> list[dict[int, int]]:
     if i < 0:
         raise ValueError("boundary maps are indexed by i >= 0")
     rows = {f: r for r, f in enumerate(complex.faces_of_dim(i - 1))}
-    return [_boundary_column(f, rows) for f in complex.faces_of_dim(i)]
+    return [
+        {rows[f[:k] + f[k + 1:]]: -1 if k & 1 else 1 for k in range(len(f))}
+        for f in complex.faces_of_dim(i)
+    ]
 
 
 @dataclass(frozen=True)
@@ -167,34 +174,94 @@ def reduced_homology(complex: SimplicialComplex, field: FieldSpec) -> HomologyPr
         return HomologyProfile(field, {})
     top = complex.dimension
     assert top is not None
+    bit = {v: 1 << k for k, v in enumerate(complex.vertices)}
     return homology_of_faces(
-        [complex.faces_of_dim(i) for i in range(-1, top + 1)], field
+        [
+            [sum(map(bit.__getitem__, f)) for f in complex.faces_of_dim(i)]
+            for i in range(-1, top + 1)
+        ],
+        field,
     )
 
 
 def homology_of_faces(
-    faces: Sequence[Sequence[tuple]], field: FieldSpec
+    faces: Sequence[Sequence[int]], field: FieldSpec
 ) -> HomologyProfile:
     """Reduced homology of a nonvoid complex given by its faces, grouped by size.
 
-    faces[k] lists the faces with k vertices, so faces[0] is [()], and
-    deleting the k-th entry of a face must give the very tuple listed one
-    size down.  Rows and columns follow the listed order.  Any order is
-    correct, clearing included, but the order decides how much fill-in
-    the reduction meets.
+    A face is the int mask of its vertex positions, and faces[k] lists the
+    faces with k bits, so faces[0] is [0]; clearing any bit of a face
+    must give a face listed one size down.  Rows and columns follow the
+    listed order.  Any order is correct, clearing included, but the order
+    decides how much fill-in the reduction meets.  Over Q the GF(2) dims
+    are returned when they certify the rational ones (see the module
+    docstring).
     """
+    if not field.is_rationals:
+        return HomologyProfile(field, _dims(faces, field))
+    two = _dims(faces, _GF2)
+    if sum(1 for v in two.values() if v) <= 1:
+        return HomologyProfile(field, two)
+    dims = _dims(faces, field)
+    assert all(dims[d] <= two[d] for d in dims)
+    assert _euler(dims) == _euler(two)
+    return HomologyProfile(field, dims)
+
+
+def _euler(dims: Mapping[int, int]) -> int:
+    return sum(-v if d & 1 else v for d, v in dims.items())
+
+
+def _dims(faces: Sequence[Sequence[int]], field: FieldSpec) -> Dict[int, int]:
+    """Reduced homology dims by degree, with clearing."""
     dims: Dict[int, int] = {}
     cleared: set[int] = set()
     for k in range(len(faces) - 1, 0, -1):
         rows = {f: r for r, f in enumerate(faces[k - 1])}
-        columns = (
-            _boundary_column(f, rows)
-            for c, f in enumerate(faces[k])
-            if c not in cleared
-        )
-        pivots = pivot_rows(columns, field)
+        kept = (f for c, f in enumerate(faces[k]) if c not in cleared)
+        if field == _GF2:
+            pivots = _gf2_pivot_rows(kept, rows)
+        else:
+            pivots = pivot_rows((_signed_column(f, rows) for f in kept), field)
         dims[k - 1] = len(faces[k]) - len(cleared) - len(pivots)
         assert dims[k - 1] >= 0
         cleared = set(pivots)
     dims[-1] = len(faces[0]) - len(cleared)
-    return HomologyProfile(field, dict(sorted(dims.items())))
+    return dict(sorted(dims.items()))
+
+
+def _gf2_pivot_rows(faces: Iterable[int], rows: Mapping[int, int]) -> list[int]:
+    """pivot_rows over GF(2) of the boundary columns of these faces.
+
+    A column is the set of rows of the faces that drop one bit of its
+    face, and reducing it is a symmetric difference with the stored
+    column of its pivot.  Stored columns are tuples, which take less
+    memory than sets, or than int bitsets that grow with the pivot row.
+    """
+    reduced: dict[int, tuple[int, ...]] = {}
+    for face in faces:
+        col = set()
+        rest = face
+        while rest:
+            low = rest & -rest
+            col.add(rows[face ^ low])
+            rest ^= low
+        while col:
+            top = max(col)
+            other = reduced.get(top)
+            if other is None:
+                reduced[top] = tuple(col)
+                break
+            col.symmetric_difference_update(other)
+    return list(reduced)
+
+
+def _signed_column(face: int, rows: Mapping[int, int]) -> dict[int, int]:
+    """Boundary column of face: dropping a bit with an odd number below it gives -1."""
+    out = {}
+    rest = face
+    while rest:
+        low = rest & -rest
+        out[rows[face ^ low]] = -1 if (face & (low - 1)).bit_count() & 1 else 1
+        rest ^= low
+    return out

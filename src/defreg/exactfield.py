@@ -6,11 +6,22 @@ operation here is a column reduction that reports its pivot rows.  A
 column is a dict {row: coefficient}; boundaries of order complexes run to
 a hundred thousand faces but have only dim + 1 entries per column, so
 columns stay sparse and only the entries that exist are touched.
+Homology uses this for Q and odd p; over GF(2) a column is just its set
+of rows, so complexes reduces it by symmetric difference instead.
 
 Entries are ints, reduced mod p over GF(p) and kept fraction-free over Q,
 where every combined column is divided by the gcd of its entries to keep
-them small.  Q is never computed through a prime, since torsion makes the
-two ranks differ.  No floating point is used anywhere.
+them small.  No floating point is used anywhere.
+
+Q is computed through GF(2) only where that is provably exact.  For a
+chain complex of free abelian groups, such as the augmented simplicial
+chain complex, the universal coefficient theorem (Hatcher, Algebraic
+Topology, 2002, Thm 3A.3) gives H_i(GF(2)) = H_i(Z) (x) GF(2) plus
+Tor(H_{i-1}(Z), GF(2)), so dim_Q H_i <= dim_GF(2) H_i in every degree,
+and both alternating sums equal the Euler characteristic of the chain
+groups.  When the GF(2) homology is nonzero in at most one degree, these
+two facts force the rational dims to equal it; otherwise torsion may make
+them differ, and Q is reduced on its own (complexes.homology_of_faces).
 """
 
 from __future__ import annotations

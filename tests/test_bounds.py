@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -13,8 +14,13 @@ from defreg.bounds import (
     murai_terai_level,
 )
 from defreg.cli import parse_graph_file, parse_poset_doc
-from defreg.complexes import FaceBudgetExceeded, reduced_homology
-from defreg.exactfield import FieldSpec
+from defreg.complexes import (
+    FaceBudgetExceeded,
+    SimplicialComplex,
+    boundary_matrix,
+    reduced_homology,
+)
+from defreg.exactfield import FieldSpec, rank
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import AnalysisPoset, IdealNode, RingContext, order_complex
 from defreg.ultrametric import NEG_INF
@@ -23,6 +29,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 RING4 = RingContext(("x", "y", "z", "w"))
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
+GF3 = FieldSpec.prime_field(3)
 
 
 def skew_lines_poset():
@@ -112,6 +119,36 @@ def test_conditions_note_names_first_strict_pair():
     report = check_conditions(poset)
     assert report.strict_heights is False
     assert report.notes == ("height does not drop strictly from a to c",)
+
+
+def test_conditions_note_matches_the_definition():
+    # the first a in position order with some b above it of no smaller
+    # height, and the first such b
+    rng = random.Random(7)
+    for seed in range(6):
+        # ranked heights, each raised by one with a chance of seed / 20
+        ranked = ranked_poset(seed)
+        poset = AnalysisPoset(
+            [
+                dataclasses.replace(
+                    nd, height=nd.height + (rng.random() < seed / 20)
+                )
+                for nd in ranked.nodes
+            ],
+            ranked.up,
+        )
+        height = {nd.id: nd.height for nd in poset.nodes}
+        pairs = [
+            (a, b)
+            for a in poset.ids()
+            for b in poset.ids()
+            if a != b and poset.leq(a, b) and height[a] <= height[b]
+        ]
+        report = check_conditions(poset)
+        assert report.strict_heights is (not pairs)
+        assert report.notes == tuple(
+            f"height does not drop strictly from {a} to {b}" for a, b in pairs[:1]
+        )
 
 
 def test_conditions_flag_non_cm():
@@ -310,3 +347,108 @@ def test_path7_philip_hall_and_field_comparison():
             assert euler == mu[nd.id], nd.id
         q, two = (tables[f].profiles[nd.id] for f in (QQ, GF2))
         assert all(q.dim(d) <= two.dim(d) for d in set(q.dims) | set(two.dims))
+
+
+def chains_by_leq(poset, members):
+    """Every chain of the ids in members, the empty one included, from leq alone."""
+    out = []
+    stack = [()]
+    while stack:
+        chain = stack.pop()
+        out.append(chain)
+        stack += [
+            chain + (b,)
+            for b in members
+            if not chain or (b != chain[-1] and poset.leq(b, chain[-1]))
+        ]
+    return out
+
+
+def rank_oracle(poset, pid, field):
+    """Reduced homology of (pid, top) as f_i - rank d_i - rank d_{i+1}.
+
+    The chains come from leq and the ranks from boundary_matrix and rank,
+    one full boundary map per degree: no clearing, no masks and no GF(2)
+    certificate for Q.
+    """
+    members = [b for b in poset.ids() if b != pid and poset.leq(pid, b)]
+    cx = SimplicialComplex(chains_by_leq(poset, members))
+    top = cx.dimension
+    ranks = {i: rank(boundary_matrix(cx, i), field) for i in range(top + 1)}
+    return {
+        i: cx.n_faces(i) - ranks.get(i, 0) - ranks.get(i + 1, 0)
+        for i in range(-1, top + 1)
+    }
+
+
+def assert_matches_rank_oracle(poset):
+    for field in (QQ, GF2, GF3):
+        table = multiplicities(poset, field)
+        for nd in poset.nodes:
+            want = rank_oracle(poset, nd.id, field)
+            assert table.profiles[nd.id].dims == want, (poset.ids(), nd.id, field)
+
+
+def test_multiplicities_match_rank_oracle():
+    for poset in oracle_posets():
+        assert_matches_rank_oracle(poset)
+
+
+def with_bottom(elements, pairs):
+    """The poset of the given elements and pairs (a, b), a <= b, plus a bottom."""
+    nodes = [node("bottom", 0)] + [node(pid, 0) for pid in elements]
+    pairs = list(pairs) + [("bottom", pid) for pid in elements]
+    return AnalysisPoset.from_relations(nodes, pairs)
+
+
+RP2_FACETS = [
+    (1, 2, 6), (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
+
+
+def test_projective_plane_interval_depends_on_the_field():
+    # the faces of RP^2, a face below each of its own faces: the interval
+    # above the bottom is its barycentric subdivision, whose GF(2)
+    # homology sits in two degrees, so Q needs its own reduction
+    faces = {
+        frozenset(f)
+        for facet in RP2_FACETS
+        for k in range(1, 4)
+        for f in itertools.combinations(facet, k)
+    }
+    name = {f: "f" + "".join(map(str, sorted(f))) for f in faces}
+    poset = with_bottom(
+        sorted(name.values()),
+        [(name[f], name[g]) for f in faces for g in faces if g < f],
+    )
+    assert len(poset) == 32
+    for field, want in ((QQ, {}), (GF2, {1: 1, 2: 1}), (GF3, {})):
+        table = multiplicities(poset, field)
+        assert table.profiles["bottom"].nonzero() == want, field
+    assert_matches_rank_oracle(poset)
+
+
+def test_torsion_free_interval_in_two_degrees():
+    # above the bottom: a point and a crown b1, b2 < c1, c2, whose order
+    # complex is a 4-cycle, so a point and a circle
+    poset = with_bottom(
+        ["a", "b1", "b2", "c1", "c2"],
+        [(b, c) for b in ("b1", "b2") for c in ("c1", "c2")],
+    )
+    for field in (QQ, GF2, GF3):
+        table = multiplicities(poset, field)
+        assert table.profiles["bottom"].nonzero() == {0: 1, 1: 1}, field
+    assert_matches_rank_oracle(poset)
+
+
+def test_chain_masks_keep_the_face_budget_exact():
+    # the budget counts every chain of the interval, the empty one too
+    for poset in (build_Q_poset(Graph.path(5)), ranked_poset(0)):
+        for nd in poset.nodes:
+            members = [b for b in poset.ids() if b != nd.id and poset.leq(nd.id, b)]
+            faces = len(chains_by_leq(poset, members))
+            levels = poset.interval_chains(nd.id, max_faces=faces)
+            assert sum(map(len, levels)) == faces
+            with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+                poset.interval_chains(nd.id, max_faces=faces - 1)

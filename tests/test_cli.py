@@ -298,6 +298,24 @@ def test_non_positive_budgets_exit_1(capsys, flag, value):
     assert run(RunConfig(**SKEW, **{field: value})) == (EXIT_PARSE, out)
 
 
+def test_large_intervals_exit_2_under_the_face_budget(tmp_path, capsys):
+    # path9 (577 elements) and 6 disjoint edges (729 elements): an
+    # interval passes 200 chains, counting the empty one, right after the
+    # closure
+    path = tmp_path / "path9.edges"
+    path.write_text("n 9\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 9)))
+    variables = [f"x{i}" for i in range(1, 13)]
+    gens = ", ".join(f"x{2 * k - 1}*x{2 * k}" for k in range(1, 7))
+    for argv in (
+        ["--mode", "graph", "--edges", str(path)],
+        ["--mode", "monomial", "--vars", ",".join(variables), "--gens", gens],
+    ):
+        assert main(argv + ["--max-faces", "200"]) == EXIT_BUDGET
+        assert capsys.readouterr().out == (
+            "error: chain enumeration passed the face budget of 200\n"
+        )
+
+
 def test_budget_of_one_is_valid(capsys):
     for flag in ("--max-poset", "--max-faces"):
         code = main(["--mode", "monomial", "--vars", "x", "--gens", "x", flag, "1"])

@@ -107,6 +107,14 @@ def test_projective_plane_depends_on_field():
     cx = SimplicialComplex.from_faces(RP2_FACETS)
     assert reduced_homology(cx, QQ).nonzero() == {}
     assert reduced_homology(cx, GF2).nonzero() == {1: 1, 2: 1}
+    assert reduced_homology(cx, FieldSpec.prime_field(3)).nonzero() == {}
+
+
+def test_point_and_circle_over_every_field():
+    # torsion-free homology in two degrees: Q is not read off GF(2) here
+    cx = SimplicialComplex.from_faces([(0,), (1, 2), (2, 3), (1, 3)])
+    for field in (QQ, GF2, FieldSpec.prime_field(3)):
+        assert reduced_homology(cx, field).nonzero() == {0: 1, 1: 1}
 
 
 def _component_count(cx):
