@@ -31,11 +31,8 @@ from .complexes import (
     DEFAULT_MAX_FACES,
     FaceBudgetExceeded,
     HomologyProfile,
-    SimplicialComplex,
-    boundary_matrix,
-    reduced_homology,
 )
-from .exactfield import FieldSpec, rank
+from .exactfield import FieldSpec
 from .monomial import (
     FacePrime,
     SquarefreeIdeal,
@@ -52,7 +49,6 @@ from .posets import (
     RingContext,
     UnknownElement,
     join_closure,
-    order_complex,
 )
 from .ultrametric import NEG_INF, ExtendedInt
 
@@ -79,12 +75,10 @@ __all__ = [
     "NEG_INF",
     "OrderCycle",
     "RingContext",
-    "SimplicialComplex",
     "SquarefreeIdeal",
     "UnknownElement",
     "ZeroIdeal",
     "analyze",
-    "boundary_matrix",
     "build_Q_poset",
     "build_monomial_poset",
     "check_conditions",
@@ -93,9 +87,6 @@ __all__ = [
     "minimal_primes_graph",
     "multiplicities",
     "murai_terai_level",
-    "order_complex",
-    "rank",
-    "reduced_homology",
     "ring_for",
     "__version__",
 ]

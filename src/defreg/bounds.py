@@ -46,9 +46,6 @@ class MultiplicityTable:
     field: FieldSpec
     profiles: Mapping[str, HomologyProfile]
 
-    def mult(self, pid: str, degree: int) -> int:
-        return self.profiles[pid].dim(degree)
-
 
 def multiplicities(
     poset: AnalysisPoset,

@@ -1,4 +1,4 @@
-"""Finite abstract simplicial complexes and their reduced homology.
+"""Reduced homology of finite simplicial complexes, given by their faces.
 
 The augmented chain complex is used throughout, so the empty face is a
 genuine face of dimension -1.  Homology works on faces as int masks of
@@ -21,16 +21,15 @@ face counts (see exactfield).  Otherwise the same faces are reduced
 fraction-free over Q, and those two invariants are asserted.  GF(p) for
 odd p is reduced directly.
 
-Two degenerate objects stay distinct on purpose.  The void complex has no
-faces at all and all of its reduced homology vanishes.  The empty complex
-has exactly the empty face, and its only reduced homology is a single
-class in degree -1.
+The complex must be nonvoid: faces[0] == [0], the empty face.  The
+complex of the empty face alone, [[0]], is the order complex of an empty
+interval, and its only reduced homology is a single class in degree -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 from .exactfield import FieldSpec, pivot_rows
 
@@ -40,115 +39,6 @@ _GF2 = FieldSpec.prime_field(2)
 
 class FaceBudgetExceeded(RuntimeError):
     """Raised when a complex would exceed the configured face budget."""
-
-
-class SimplicialComplex:
-    """An abstract simplicial complex with mutually orderable vertex labels."""
-
-    __slots__ = ("_faces", "_by_dim", "_vertices")
-
-    def __init__(
-        self,
-        faces: Iterable[Iterable[Hashable]] = (),
-        *,
-        max_faces: int = DEFAULT_MAX_FACES,
-    ) -> None:
-        face_set = {frozenset(f) for f in faces}
-        if len(face_set) > max_faces:
-            raise FaceBudgetExceeded(
-                f"{len(face_set)} faces exceed the budget of {max_faces}"
-            )
-        for f in face_set:
-            for v in f:
-                if f - {v} not in face_set:
-                    raise ValueError("faces are not closed under taking subsets")
-        self._faces = frozenset(face_set)
-        vertices: set = set()
-        for f in face_set:
-            vertices |= f
-        self._vertices = tuple(sorted(vertices))
-        order = {v: k for k, v in enumerate(self._vertices)}
-        by_dim: Dict[int, list] = {}
-        for f in face_set:
-            key = tuple(sorted(f, key=order.__getitem__))
-            by_dim.setdefault(len(f) - 1, []).append(key)
-        for bucket in by_dim.values():
-            bucket.sort(key=lambda face: tuple(order[v] for v in face))
-        self._by_dim = by_dim
-
-    @classmethod
-    def from_faces(
-        cls,
-        generating: Iterable[Iterable[Hashable]],
-        *,
-        max_faces: int = DEFAULT_MAX_FACES,
-    ) -> "SimplicialComplex":
-        """Downward closure of the given generating faces."""
-        closed: set = set()
-        for g in generating:
-            top = frozenset(g)
-            if top in closed:
-                continue
-            stack = [top]
-            while stack:
-                f = stack.pop()
-                if f in closed:
-                    continue
-                closed.add(f)
-                if len(closed) > max_faces:
-                    raise FaceBudgetExceeded(
-                        f"closure passed the face budget of {max_faces}"
-                    )
-                for v in f:
-                    sub = f - {v}
-                    if sub not in closed:
-                        stack.append(sub)
-        return cls(closed, max_faces=max_faces)
-
-    @property
-    def faces(self) -> frozenset:
-        return self._faces
-
-    @property
-    def is_void(self) -> bool:
-        return not self._faces
-
-    @property
-    def vertices(self) -> tuple:
-        return self._vertices
-
-    @property
-    def dimension(self) -> int | None:
-        """Largest face dimension; -1 for the empty complex, None for the void one."""
-        if not self._faces:
-            return None
-        return max(self._by_dim)
-
-    def faces_of_dim(self, i: int) -> list:
-        return list(self._by_dim.get(i, ()))
-
-    def n_faces(self, i: int) -> int:
-        return len(self._by_dim.get(i, ()))
-
-    def __len__(self) -> int:
-        return len(self._faces)
-
-
-def boundary_matrix(complex: SimplicialComplex, i: int) -> list[dict[int, int]]:
-    """Sparse columns of the i-th boundary map of the augmented chain complex.
-
-    Column j is the j-th i-face and row r the r-th (i-1)-face, both in
-    lexicographic order on the fixed vertex order; entries are +-1 with
-    the usual alternating signs.  The target of the 0-th map is spanned by
-    the empty face, which is what makes the homology reduced.
-    """
-    if i < 0:
-        raise ValueError("boundary maps are indexed by i >= 0")
-    rows = {f: r for r, f in enumerate(complex.faces_of_dim(i - 1))}
-    return [
-        {rows[f[:k] + f[k + 1:]]: -1 if k & 1 else 1 for k in range(len(f))}
-        for f in complex.faces_of_dim(i)
-    ]
 
 
 @dataclass(frozen=True)
@@ -166,22 +56,6 @@ class HomologyProfile:
 
     def nonzero(self) -> Dict[int, int]:
         return {d: v for d, v in sorted(self.dims.items()) if v}
-
-
-def reduced_homology(complex: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
-    """dim H~_i = (#i-faces) - rank d_i - rank d_{i+1}, in the augmented complex."""
-    if complex.is_void:
-        return HomologyProfile(field, {})
-    top = complex.dimension
-    assert top is not None
-    bit = {v: 1 << k for k, v in enumerate(complex.vertices)}
-    return homology_of_faces(
-        [
-            [sum(map(bit.__getitem__, f)) for f in complex.faces_of_dim(i)]
-            for i in range(-1, top + 1)
-        ],
-        field,
-    )
 
 
 def homology_of_faces(

@@ -123,11 +123,6 @@ def pivot_rows(columns: Iterable[Column], field: FieldSpec) -> list[int]:
     return list(reduced)
 
 
-def rank(columns: Iterable[Column], field: FieldSpec) -> int:
-    """Rank over the requested field of the matrix with these columns."""
-    return len(pivot_rows(columns, field))
-
-
 def _integral(column: Column, p: int) -> dict[int, int]:
     """The nonzero entries of the column, reduced mod p when p is nonzero."""
     if p:

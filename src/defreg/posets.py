@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded, SimplicialComplex
+from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
 
 DEFAULT_MAX_ELEMENTS = 10_000
 
@@ -212,51 +212,15 @@ class AnalysisPoset:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def node(self, pid: str) -> IdealNode:
-        return self._nodes[self._pos(pid)]
-
     def _pos(self, pid: str) -> int:
         k = self._index.get(pid)
         if k is None:
             raise UnknownElement(pid)
         return k
 
-    def leq(self, a: str, b: str) -> bool:
-        return self._up[self._pos(a)] >> self._pos(b) & 1 == 1
-
-    def maximal_ids(self) -> tuple[str, ...]:
-        """Elements with nothing strictly above: the minimal primes."""
-        return tuple(
-            nd.id for k, nd in enumerate(self._nodes) if self._up[k] == 1 << k
-        )
-
     def is_maximal(self, pid: str) -> bool:
         k = self._pos(pid)
         return self._up[k] == 1 << k
-
-    def strictly_above(self, pid: str) -> tuple[str, ...]:
-        """Ids strictly above pid, in position order."""
-        k = self._pos(pid)
-        return tuple(self._nodes[j].id for j in _bits(self._up[k] ^ 1 << k))
-
-    def restrict(self, keep: Iterable[str]) -> "AnalysisPoset":
-        keep_set = set(keep)
-        unknown = keep_set.difference(self._index)
-        if unknown:
-            raise UnknownElement(sorted(unknown)[0])
-        old = sorted(self._index[pid] for pid in keep_set)
-        new = {k: i for i, k in enumerate(old)}
-        up = [sum(1 << new[j] for j in _bits(self._up[k]) if j in new) for k in old]
-        return AnalysisPoset(
-            [self._nodes[k] for k in old],
-            up,
-            ring=self.ring,
-            provenance=self.provenance,
-        )
-
-    def open_interval_above(self, pid: str) -> "AnalysisPoset":
-        """The strict up-set of pid, i.e. the open interval toward the top."""
-        return self.restrict(self.strictly_above(pid))
 
     def interval_chains(
         self, pid: str, *, max_faces: int = DEFAULT_MAX_FACES
@@ -316,22 +280,6 @@ def _chains(down: Sequence[int], members: int, max_faces: int) -> list[list[int]
         count += len(longer)
         level, belows = longer, longer_belows
     return levels
-
-
-def order_complex(
-    poset: AnalysisPoset, *, max_faces: int = DEFAULT_MAX_FACES
-) -> SimplicialComplex:
-    """Complex of all chains of the poset, empty chain included.
-
-    The empty poset maps to the empty complex (just the empty face), so an
-    empty interval is detected downstream by its homology in degree -1.
-    """
-    ids = poset.ids()
-    levels = _chains(poset._down, (1 << len(ids)) - 1, max_faces)
-    return SimplicialComplex(
-        (frozenset(map(ids.__getitem__, _bits(c))) for level in levels for c in level),
-        max_faces=max_faces,
-    )
 
 
 def join_closure(

@@ -2,8 +2,10 @@
 
 A regularity-like invariant of a graded module takes values in Z together
 with -inf, the value of the zero module.  On a filtered module it is
-bounded by the maximum of its values on the successive quotients, so the
-bound engine folds with max(dims, default=NEG_INF).
+bounded by the maximum of its values on the successive quotients.  The
+bound engine orders the layers of K^j by falling dimension, so the bound
+is read off the first nonempty layer, and is NEG_INF when every layer is
+empty.
 """
 
 from __future__ import annotations

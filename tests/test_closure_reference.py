@@ -176,7 +176,7 @@ def assert_same_poset(poset, reps, leq, key_of):
     assert poset.ids() == ids
     assert [key_of(nd.ideal) for nd in poset.nodes] == list(reps)
     got = {
-        (i, j) for i, a in enumerate(ids) for j, b in enumerate(ids) if poset.leq(a, b)
+        (i, j) for i, up in enumerate(poset.up) for j in range(len(ids)) if up >> j & 1
     }
     assert got == leq
 

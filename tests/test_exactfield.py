@@ -8,12 +8,16 @@ from defreg.exactfield import (
     FieldSpec,
     _is_prime,
     pivot_rows,
-    rank,
 )
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
 GF3 = FieldSpec.prime_field(3)
+
+
+def rank(columns, field):
+    """The rank is the number of columns that keep a pivot."""
+    return len(pivot_rows(columns, field))
 
 
 def columns(rows, ncols=None):

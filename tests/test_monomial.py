@@ -11,6 +11,7 @@ from defreg.monomial import (
     minimal_primes,
 )
 from defreg.posets import RingContext
+from oracle import leq
 
 RING4 = RingContext(("x", "y", "z", "w"))
 
@@ -97,9 +98,9 @@ def test_poset_of_two_skew_lines():
     assert by_id["p_3"].ideal.key() == ("w", "x", "y", "z")
     assert [nd.dim for nd in poset.nodes] == [2, 2, 0]
     assert [nd.height for nd in poset.nodes] == [2, 2, 4]
-    assert poset.maximal_ids() == ("p_1", "p_2")
-    assert poset.leq("p_3", "p_1")
-    assert poset.leq("p_3", "p_2")
+    assert [poset.is_maximal(pid) for pid in poset.ids()] == [True, True, False]
+    assert leq(poset, "p_3", "p_1")
+    assert leq(poset, "p_3", "p_2")
 
 
 def test_poset_nodes_are_exactly_the_sums():
@@ -119,6 +120,6 @@ def test_poset_nodes_are_exactly_the_sums():
         # order agrees with reverse inclusion of the variable sets
         for a in poset.nodes:
             for b in poset.nodes:
-                assert poset.leq(a.id, b.id) == (
+                assert leq(poset, a.id, b.id) == (
                     a.ideal.variables >= b.ideal.variables
                 )
