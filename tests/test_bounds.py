@@ -337,10 +337,16 @@ def assert_matches_rank_oracle(poset):
 def test_multiplicities_match_rank_oracle():
     for poset in oracle_posets():
         assert_matches_rank_oracle(poset)
+
+
+def test_multiplicities_match_order_complex_reference():
+    # the reference lists each open interval's order complex one
+    # comparison at a time and reduces its full boundary maps
     for poset in (
         build_Q_poset(Graph.path(6)),
         build_Q_poset(cycle(5)),
         build_Q_poset(parse_graph_file((DATA / "k35.edges").read_text())),
+        parse_poset_doc((DATA / "abstract7.json").read_text()),
     ):
         assert_matches_rank_oracle(poset)
 
