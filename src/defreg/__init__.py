@@ -18,20 +18,16 @@ from .binomial_edge import (
 )
 from .bounds import (
     ASSUMPTION_TEXT,
+    NEG_INF,
     BoundEntry,
     BoundReport,
     ConditionReport,
-    MultiplicityTable,
     analyze,
     check_conditions,
     multiplicities,
     murai_terai_level,
 )
-from .complexes import (
-    DEFAULT_MAX_FACES,
-    FaceBudgetExceeded,
-    HomologyProfile,
-)
+from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
 from .exactfield import FieldSpec
 from .monomial import (
     FacePrime,
@@ -50,7 +46,6 @@ from .posets import (
     UnknownElement,
     join_closure,
 )
-from .ultrametric import NEG_INF, ExtendedInt
 
 __version__ = "0.1.0"
 
@@ -64,14 +59,11 @@ __all__ = [
     "ConditionReport",
     "DEFAULT_MAX_ELEMENTS",
     "DEFAULT_MAX_FACES",
-    "ExtendedInt",
     "FaceBudgetExceeded",
     "FacePrime",
     "FieldSpec",
     "Graph",
-    "HomologyProfile",
     "IdealNode",
-    "MultiplicityTable",
     "NEG_INF",
     "OrderCycle",
     "RingContext",

@@ -10,22 +10,31 @@ elements p with dim p <= j and nonzero multiplicity in degree
 j - dim p - 1.  The bound for K^j is the largest dimension over S_j,
 never more than j itself, and minus infinity when S_j is empty.
 
-analyze reads every degree off the table in one pass, in node order: an
-element p with multiplicity m in degree d lies in S_j for
+A regularity-like invariant of a graded module takes values in Z with
+-inf adjoined, the value of the zero module.  On a filtered module it is
+bounded by the maximum of its values on the successive quotients.  The
+filtration of K^j has layers indexed by k, where layer k holds the
+members of S_j of dimension j - k, so the bound is j minus the first
+nonempty layer, and -inf when every layer is empty.
+
+analyze reads every degree off the multiplicities in one pass, in node
+order: an element p with multiplicity m in degree d lies in S_j for
 j = dim p + d + 1, where it enters layer d + 1 of the filtration of K^j
-with exponent m.  Layer 0 holds the maximal elements of dimension j,
-which witness that K^j itself is nonzero.
+with exponent m.  Only the nonempty layers are stored.  Layer 0 holds
+the maximal elements of dimension j, which witness that K^j itself is
+nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
-from .complexes import DEFAULT_MAX_FACES, HomologyProfile, homology_of_faces
+from .complexes import DEFAULT_MAX_FACES, homology_of_faces
 from .exactfield import FieldSpec
 from .posets import AnalysisPoset
-from .ultrametric import NEG_INF, ExtendedInt
+
+NEG_INF = float("-inf")  # reg of the zero module: below every integer
 
 ASSUMPTION_TEXT = {
     "binomial-edge": (
@@ -39,35 +48,29 @@ ASSUMPTION_TEXT = {
 }
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
-    """Reduced homology of every open interval, one profile per element."""
-
-    field: FieldSpec
-    profiles: Mapping[str, HomologyProfile]
-
-
 def multiplicities(
     poset: AnalysisPoset,
     field: Optional[FieldSpec] = None,
     *,
     max_faces: int = DEFAULT_MAX_FACES,
-) -> MultiplicityTable:
-    """Homology of the open interval above each element.
+) -> dict[str, dict[int, int]]:
+    """Nonzero reduced Betti numbers of the open interval above each element.
 
-    The interval excludes the element itself; the virtual maximum above
-    everything is never materialized, so a maximal element gets the empty
-    complex and multiplicity 1 in degree -1.
+    The result maps each id, in node order, to its nonzero dims by
+    ascending degree.  The interval excludes the element itself; the
+    virtual maximum above everything is never materialized, so a maximal
+    element gets the empty complex and multiplicity 1 in degree -1.
     """
     if field is None:
         field = FieldSpec.rationals()
-    profiles = {}
+    out = {}
     for node in poset.nodes:
-        chains = poset.interval_chains(node.id, max_faces=max_faces)
-        profile = homology_of_faces(chains, field)
-        assert (profile.dim(-1) != 0) == poset.is_maximal(node.id)
-        profiles[node.id] = profile
-    return MultiplicityTable(field=field, profiles=profiles)
+        dims = homology_of_faces(
+            poset.interval_chains(node.id, max_faces=max_faces), field
+        )
+        assert (-1 in dims) == poset.is_maximal(node.id)
+        out[node.id] = dims
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,13 +137,13 @@ def check_conditions(poset: AnalysisPoset) -> ConditionReport:
 
 
 def murai_terai_level(
-    bounds_by_j: Mapping[int, ExtendedInt], ambient_dim: int
+    bounds_by_j: Mapping[int, Union[int, float]], ambient_dim: int
 ) -> tuple[int, bool]:
     """Smallest gap j - bound over j < ambient_dim; capped when vacuous."""
     gaps = [
         j - b
         for j, b in bounds_by_j.items()
-        if j < ambient_dim and b is not NEG_INF
+        if j < ambient_dim and b != NEG_INF
     ]
     if not gaps:
         return ambient_dim, True
@@ -153,17 +156,15 @@ def murai_terai_level(
 class BoundEntry:
     """The bound for K^j and the filtration behind it.
 
-    layers[k] lists (element, exponent) for the members of S_j of
-    dimension j - k, and witnesses are the ids in layers[0].
+    layers maps k to the (element, exponent) pairs of the members of S_j
+    of dimension j - k, for the nonempty layers only, k ascending.  The
+    bound is j - min(layers), or NEG_INF when there are no layers.
     """
 
     j: int
     members: tuple[str, ...]
-    bound: ExtendedInt
-    cap: int
-    certified: bool
-    witnesses: tuple[str, ...]
-    layers: tuple[tuple[tuple[str, int], ...], ...]
+    bound: Union[int, float]
+    layers: Mapping[int, tuple[tuple[str, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -172,10 +173,9 @@ class BoundReport:
 
     poset: AnalysisPoset
     field: FieldSpec
-    table: MultiplicityTable
+    multiplicities: Mapping[str, Mapping[int, int]]
     entries: tuple[BoundEntry, ...]
     conditions: ConditionReport
-    ambient_dim: int
     mt_level: int
     mt_capped: bool
     assumptions: tuple[str, ...] = ()
@@ -192,32 +192,28 @@ def analyze(
         field = FieldSpec.rationals()
     if not len(poset):
         raise ValueError("cannot analyze an empty poset")
-    table = multiplicities(poset, field, max_faces=max_faces)
+    mults = multiplicities(poset, field, max_faces=max_faces)
     ambient = max(node.dim for node in poset.nodes)
-    conditions = check_conditions(poset)
     members: list[list[str]] = [[] for _ in range(ambient + 1)]
-    layers: list[list[list[tuple[str, int]]]] = [
-        [[] for _ in range(j + 1)] for j in range(ambient + 1)
+    layers: list[dict[int, list[tuple[str, int]]]] = [
+        {} for _ in range(ambient + 1)
     ]
     for node in poset.nodes:
-        for d, exp in table.profiles[node.id].dims.items():
+        for d, exp in mults[node.id].items():
             j = node.dim + d + 1
-            if exp and j <= ambient:
+            if j <= ambient:
                 members[j].append(node.id)
-                layers[j][d + 1].append((node.id, exp))
+                layers[j].setdefault(d + 1, []).append((node.id, exp))
     entries = []
     for j, by_k in enumerate(layers):
-        bound = next((j - k for k, layer in enumerate(by_k) if layer), NEG_INF)
-        assert bound is NEG_INF or bound <= j
+        bound = j - min(by_k) if by_k else NEG_INF
+        assert bound <= j
         entries.append(
             BoundEntry(
                 j=j,
                 members=tuple(members[j]),
                 bound=bound,
-                cap=j,
-                certified=conditions.certified,
-                witnesses=tuple(pid for pid, _ in by_k[0]),
-                layers=tuple(map(tuple, by_k)),
+                layers={k: tuple(by_k[k]) for k in sorted(by_k)},
             )
         )
     mt_level, mt_capped = murai_terai_level(
@@ -227,10 +223,9 @@ def analyze(
     return BoundReport(
         poset=poset,
         field=field,
-        table=table,
+        multiplicities=mults,
         entries=tuple(entries),
-        conditions=conditions,
-        ambient_dim=ambient,
+        conditions=check_conditions(poset),
         mt_level=mt_level,
         mt_capped=mt_capped,
         assumptions=(assumptions,) if assumptions else (),

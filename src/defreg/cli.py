@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .binomial_edge import Graph, build_Q_poset
-from .bounds import BoundReport, analyze
+from .bounds import NEG_INF, BoundReport, analyze
 from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
 from .exactfield import FieldSpec
 from .monomial import SquarefreeIdeal, ZeroIdeal, build_monomial_poset
@@ -32,7 +32,6 @@ from .posets import (
     OrderCycle,
     RingContext,
 )
-from .ultrametric import NEG_INF
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -265,10 +264,6 @@ def _build_poset(config: RunConfig) -> AnalysisPoset:
     raise ParseError(f"unknown mode {config.mode!r}")
 
 
-def _fmt_bound(bound) -> str:
-    return "-inf" if bound is NEG_INF else str(bound)
-
-
 def render_text(report: BoundReport, config: RunConfig) -> str:
     poset = report.poset
     lines = ["format: 1", f"mode: {config.mode}", f"field: {report.field.label()}"]
@@ -309,12 +304,14 @@ def render_text(report: BoundReport, config: RunConfig) -> str:
         lines.extend(f"  - {a}" for a in report.assumptions)
     lines.append("bounds:")
     for e in report.entries:
-        lines.append(f"  reg K^{e.j} <= {_fmt_bound(e.bound)} (cap {e.cap})")
+        lines.append(f"  reg K^{e.j} <= {e.bound} (cap {e.j})")
         lines.append(f"    S_{e.j} = {{{', '.join(e.members)}}}")
         if config.witnesses:
-            lines.append(f"    witnesses = {{{', '.join(e.witnesses)}}}")
+            witnesses = ", ".join(pid for pid, _ in e.layers.get(0, ()))
+            lines.append(f"    witnesses = {{{witnesses}}}")
         if config.filtration:
-            for k, layer in enumerate(e.layers):
+            for k in range(e.j + 1):
+                layer = e.layers.get(k, ())
                 body = " + ".join(f"{pid}^{exp}" for pid, exp in layer)
                 lines.append(f"    layer {k}: {body or '(empty)'}")
     suffix = " (vacuous, capped at ambient dimension)" if report.mt_capped else ""
@@ -324,6 +321,7 @@ def render_text(report: BoundReport, config: RunConfig) -> str:
 
 def render_json(report: BoundReport, config: RunConfig) -> str:
     poset = report.poset
+    certified = report.conditions.certified
     doc: dict = {
         "format": 1,
         "mode": config.mode,
@@ -342,24 +340,24 @@ def render_json(report: BoundReport, config: RunConfig) -> str:
             "covers": [[a, b] for a, b in poset.hasse()],
         },
         "multiplicities": [
-            {"id": nd.id, "degree": d, "value": v}
-            for nd in poset.nodes
-            for d, v in report.table.profiles[nd.id].nonzero().items()
+            {"id": pid, "degree": d, "value": v}
+            for pid, dims in report.multiplicities.items()
+            for d, v in dims.items()
         ],
         "bounds": [
             {
                 "j": e.j,
                 "S": list(e.members),
-                "bound": "-inf" if e.bound is NEG_INF else e.bound,
-                "cap": e.cap,
-                "certified": e.certified,
+                "bound": "-inf" if e.bound == NEG_INF else e.bound,
+                "cap": e.j,
+                "certified": certified,
             }
             for e in report.entries
         ],
     }
     if config.witnesses:
         doc["witnesses"] = [
-            {"j": e.j, "members": list(e.witnesses)}
+            {"j": e.j, "members": [pid for pid, _ in e.layers.get(0, ())]}
             for e in report.entries
         ]
     if config.filtration:
@@ -370,10 +368,11 @@ def render_json(report: BoundReport, config: RunConfig) -> str:
                     {
                         "k": k,
                         "summands": [
-                            {"id": pid, "exponent": exp} for pid, exp in layer
+                            {"id": pid, "exponent": exp}
+                            for pid, exp in e.layers.get(k, ())
                         ],
                     }
-                    for k, layer in enumerate(e.layers)
+                    for k in range(e.j + 1)
                 ],
             }
             for e in report.entries
@@ -460,15 +459,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="input kind: inline monomial ideal, edge list file, or poset file",
     )
     parser.add_argument("--gens", help="monomial generators, e.g. 'x*z, x*w'")
-    parser.add_argument("--vars", help="ring variables, e.g. 'x, y, z, w'")
-    parser.add_argument("--edges", metavar="FILE", help="edge list file")
-    parser.add_argument("--poset", metavar="FILE", help="poset JSON file")
+    parser.add_argument(
+        "--vars",
+        dest="variables",
+        metavar="VARS",
+        help="ring variables, e.g. 'x, y, z, w'",
+    )
+    parser.add_argument(
+        "--edges", dest="edges_path", metavar="FILE", help="edge list file"
+    )
+    parser.add_argument(
+        "--poset", dest="poset_path", metavar="FILE", help="poset JSON file"
+    )
     parser.add_argument(
         "--field",
         default="rational",
         help="coefficient field: 'rational' (default) or 'gf:<prime>'",
     )
-    parser.add_argument("--json", action="store_true", help="emit JSON")
+    parser.add_argument(
+        "--json", dest="json_output", action="store_true", help="emit JSON"
+    )
     parser.add_argument(
         "--filtration", action="store_true", help="list filtration layers"
     )
@@ -504,22 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as e:
         sys.stdout.write(f"error: {e}\n")
         return EXIT_PARSE
-    config = RunConfig(
-        mode=args.mode,
-        gens=args.gens,
-        variables=args.vars,
-        edges_path=args.edges,
-        poset_path=args.poset,
-        field=field,
-        json_output=args.json,
-        filtration=args.filtration,
-        witnesses=args.witnesses,
-        check=args.check,
-        hasse=args.hasse,
-        strict=args.strict,
-        max_poset=args.max_poset,
-        max_faces=args.max_faces,
-    )
+    config = RunConfig(**{**vars(args), "field": field})
     code, text = run(config)
     sys.stdout.write(text)
     return code

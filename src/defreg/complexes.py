@@ -28,7 +28,6 @@ interval, and its only reduced homology is a single class in degree -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence
 
 from .exactfield import FieldSpec, pivot_rows
@@ -41,27 +40,10 @@ class FaceBudgetExceeded(RuntimeError):
     """Raised when a complex would exceed the configured face budget."""
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Reduced homology dimensions by degree, over a fixed field.
-
-    Degrees outside the recorded range are zero; dim() hides that detail.
-    """
-
-    field: FieldSpec
-    dims: Mapping[int, int]
-
-    def dim(self, degree: int) -> int:
-        return self.dims.get(degree, 0)
-
-    def nonzero(self) -> Dict[int, int]:
-        return {d: v for d, v in sorted(self.dims.items()) if v}
-
-
 def homology_of_faces(
     faces: Sequence[Sequence[int]], field: FieldSpec
-) -> HomologyProfile:
-    """Reduced homology of a nonvoid complex given by its faces, grouped by size.
+) -> Dict[int, int]:
+    """Nonzero reduced Betti numbers of a nonvoid complex, by ascending degree.
 
     A face is the int mask of its vertex positions, and faces[k] lists the
     faces with k bits, so faces[0] is [0]; clearing any bit of a face
@@ -72,14 +54,14 @@ def homology_of_faces(
     docstring).
     """
     if not field.is_rationals:
-        return HomologyProfile(field, _dims(faces, field))
+        return _dims(faces, field)
     two = _dims(faces, _GF2)
-    if sum(1 for v in two.values() if v) <= 1:
-        return HomologyProfile(field, two)
+    if len(two) <= 1:
+        return two
     dims = _dims(faces, field)
-    assert all(dims[d] <= two[d] for d in dims)
+    assert all(v <= two.get(d, 0) for d, v in dims.items())
     assert _euler(dims) == _euler(two)
-    return HomologyProfile(field, dims)
+    return dims
 
 
 def _euler(dims: Mapping[int, int]) -> int:
@@ -87,7 +69,7 @@ def _euler(dims: Mapping[int, int]) -> int:
 
 
 def _dims(faces: Sequence[Sequence[int]], field: FieldSpec) -> Dict[int, int]:
-    """Reduced homology dims by degree, with clearing."""
+    """Nonzero reduced homology dims by ascending degree, with clearing."""
     dims: Dict[int, int] = {}
     cleared: set[int] = set()
     for k in range(len(faces) - 1, 0, -1):
@@ -101,7 +83,7 @@ def _dims(faces: Sequence[Sequence[int]], field: FieldSpec) -> Dict[int, int]:
         assert dims[k - 1] >= 0
         cleared = set(pivots)
     dims[-1] = len(faces[0]) - len(cleared)
-    return dict(sorted(dims.items()))
+    return {d: v for d, v in sorted(dims.items()) if v}
 
 
 def _gf2_pivot_rows(faces: Iterable[int], rows: Mapping[int, int]) -> list[int]:

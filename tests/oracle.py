@@ -33,7 +33,7 @@ def chains_by_leq(poset, pid):
 
 
 def rank_oracle(faces, field):
-    """Reduced homology dims by degree of the complex of these faces.
+    """Nonzero reduced homology dims, by ascending degree, of these faces.
 
     faces are sorted tuples, closed under taking subsets, the empty face
     included; dropping the k-th vertex of a face has sign (-1)^k.
@@ -51,10 +51,11 @@ def rank_oracle(faces, field):
         ))
         for k in range(1, top + 1)
     }
-    return {
+    dims = {
         k - 1: len(by_size[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(top + 1)
     }
+    return {d: v for d, v in dims.items() if v}
 
 
 def closure(facets):

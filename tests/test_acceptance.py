@@ -14,13 +14,12 @@ import subprocess
 import sys
 
 from defreg.binomial_edge import Graph, build_Q_poset, minimal_primes_graph
-from defreg.bounds import analyze, check_conditions, multiplicities
+from defreg.bounds import NEG_INF, analyze, check_conditions, multiplicities
 from defreg.cli import RunConfig, parse_poset_doc, run
 from defreg.complexes import homology_of_faces
 from defreg.exactfield import FieldSpec
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset, minimal_primes
 from defreg.posets import AnalysisPoset, IdealNode, RingContext
-from defreg.ultrametric import NEG_INF
 from oracle import faces_by_size
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -299,9 +298,10 @@ def test_criterion_08_bounds_never_exceed_degree():
             ideal = SquarefreeIdeal.create(ring, gens)
             reports.append(analyze(build_monomial_poset(ideal)))
         for report in reports:
+            # the entry of K^j sits at index j, and j is its cap
+            assert [e.j for e in report.entries] == list(range(len(report.entries)))
             for e in report.entries:
-                assert e.cap == e.j
-                assert e.bound is NEG_INF or e.bound <= e.j
+                assert e.bound <= e.j
 
     _check(8, "every bound is capped by its degree", body)
 
@@ -334,13 +334,12 @@ def test_criterion_09_random_complex_identities():
                 if ra != rb:
                     parent[ra] = rb
             ncomp = len({find(v) for v in parent})
-            assert hq.dim(0) == ncomp - 1
+            assert hq.get(0, 0) == ncomp - 1
             # a face with k vertices has dimension k - 1
             euler = sum((-1) ** (k - 1) * len(level) for k, level in enumerate(faces))
-            assert euler == sum((-1) ** i * v for i, v in hq.dims.items())
-            assert euler == sum((-1) ** i * v for i, v in h2.dims.items())
-            for i in range(-1, len(faces) - 1):
-                assert hq.dim(i) <= h2.dim(i)
+            assert euler == sum((-1) ** i * v for i, v in hq.items())
+            assert euler == sum((-1) ** i * v for i, v in h2.items())
+            assert all(v <= h2.get(i, 0) for i, v in hq.items())
 
     _check(9, "random complexes satisfy the homology identities", body)
 
@@ -356,12 +355,24 @@ def test_criterion_10_structural_sanity():
             ),
             build_Q_poset(Graph.path(5)),
             build_Q_poset(Graph.complete_bipartite(3, 5)),
+            # a chain a < b < c with full heights: above a and above b the
+            # interval has a least element
+            parse_poset_doc(json.dumps({
+                "format": 1,
+                "nvars": 3,
+                "elements": [
+                    {"id": c, "dim": k, "height": 3 - k}
+                    for k, c in enumerate("abc")
+                ],
+                "relations": [["a", "b"], ["b", "c"]],
+            })),
         ]
+        cones = 0
         for poset in posets:
             assert check_conditions(poset).strict_heights is True
-            table = multiplicities(poset)
+            mults = multiplicities(poset)
             for k, nd in enumerate(poset.nodes):
-                alive = table.profiles[nd.id].dim(-1) != 0
+                alive = -1 in mults[nd.id]
                 assert alive == poset.is_maximal(nd.id)
                 # an interval with a least element is a cone, hence acyclic
                 above = poset.up[k] ^ 1 << k
@@ -370,15 +381,14 @@ def test_criterion_10_structural_sanity():
                     for m in range(len(poset))
                 )
                 if has_min:
-                    assert table.profiles[nd.id].nonzero() == {}
+                    assert mults[nd.id] == {}
+                    cones += 1
+        assert cones >= 2
         chain = AnalysisPoset.from_relations(
             [IdealNode(id=c, ideal=None, dim=k) for k, c in enumerate("abc")],
             [("a", "b"), ("a", "c"), ("b", "c")],
         )
-        table = multiplicities(chain)
-        assert table.profiles["a"].nonzero() == {}
-        assert table.profiles["b"].nonzero() == {}
-        assert table.profiles["c"].nonzero() == {-1: 1}
+        assert multiplicities(chain) == {"a": {}, "b": {}, "c": {-1: 1}}
 
     _check(10, "multiplicities and conditions behave structurally", body)
 

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from defreg.binomial_edge import Graph, build_Q_poset
+import defreg
 from defreg.bounds import (
+    NEG_INF,
     analyze,
     check_conditions,
     multiplicities,
@@ -18,7 +20,6 @@ from defreg.complexes import FaceBudgetExceeded
 from defreg.exactfield import FieldSpec
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import AnalysisPoset, IdealNode, RingContext
-from defreg.ultrametric import NEG_INF
 from oracle import chains_by_leq, leq, rank_oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -41,13 +42,13 @@ def node(pid, dim, height=None, is_cm=True):
 
 def test_multiplicities_of_skew_lines():
     poset = skew_lines_poset()
-    table = multiplicities(poset)
-    assert table.field.is_rationals
-    assert table.profiles["p_1"].nonzero() == {-1: 1}
-    assert table.profiles["p_2"].nonzero() == {-1: 1}
+    mults = multiplicities(poset)
+    assert analyze(poset).field.is_rationals
+    assert tuple(mults) == poset.ids()
+    assert mults["p_1"] == {-1: 1}
+    assert mults["p_2"] == {-1: 1}
     # the open interval above the bottom is a two point antichain
-    assert table.profiles["p_3"].nonzero() == {0: 1}
-    assert table.profiles["p_3"].dim(5) == 0
+    assert mults["p_3"] == {0: 1}
 
 
 def test_s_sets_of_skew_lines():
@@ -59,23 +60,19 @@ def test_s_sets_of_skew_lines():
 
 def test_regularity_bound_folds_dims():
     entries = analyze(skew_lines_poset()).entries
-    assert (entries[2].bound, entries[2].cap) == (2, 2)
-    assert (entries[1].bound, entries[1].cap) == (0, 1)
+    assert [e.j for e in entries] == [0, 1, 2]
+    assert entries[2].bound == 2
+    assert entries[1].bound == 0
     # S_0 is empty
-    assert entries[0].bound is NEG_INF
-    assert entries[0].cap == 0
+    assert entries[0].bound == NEG_INF
 
 
 def test_filtration_layers():
+    # only the nonempty layers are stored
     entries = analyze(skew_lines_poset()).entries
-    layers2 = entries[2].layers
-    assert len(layers2) == 3
-    assert layers2[0] == (("p_1", 1), ("p_2", 1))
-    assert layers2[1] == ()
-    assert layers2[2] == ()
-    layers1 = entries[1].layers
-    assert layers1[0] == ()
-    assert layers1[1] == (("p_3", 1),)
+    assert entries[2].layers == {0: (("p_1", 1), ("p_2", 1))}
+    assert entries[1].layers == {1: (("p_3", 1),)}
+    assert entries[0].layers == {}
 
 
 def test_conditions_on_monomial_poset():
@@ -157,9 +154,10 @@ def test_conditions_flag_non_cm():
 
 
 def test_witnesses():
+    # the witnesses of K^j are the ids of layer 0: maximal, of dimension j
     entries = analyze(skew_lines_poset()).entries
-    assert entries[2].witnesses == ("p_1", "p_2")
-    assert entries[0].witnesses == ()
+    assert [pid for pid, _ in entries[2].layers[0]] == ["p_1", "p_2"]
+    assert 0 not in entries[0].layers
 
 
 def test_murai_terai_level():
@@ -171,20 +169,17 @@ def test_murai_terai_level():
 
 def test_analyze_full_report():
     report = analyze(skew_lines_poset())
-    assert report.ambient_dim == 2
     assert [e.j for e in report.entries] == [0, 1, 2]
     assert [e.bound for e in report.entries] == [NEG_INF, 0, 2]
-    assert [e.cap for e in report.entries] == [0, 1, 2]
-    assert all(e.certified for e in report.entries)
+    assert report.conditions.certified
     assert (report.mt_level, report.mt_capped) == (1, False)
     assert report.assumptions == ()
 
 
 def test_analyze_always_carries_layers_and_witnesses():
     report = analyze(skew_lines_poset())
-    assert report.entries[2].witnesses == ("p_1", "p_2")
-    assert len(report.entries[2].layers) == 3
-    assert [len(e.layers) for e in report.entries] == [1, 2, 3]
+    assert report.entries[2].layers[0] == (("p_1", 1), ("p_2", 1))
+    assert [list(e.layers) for e in report.entries] == [[], [1], [0]]
     # the level only looks below the ambient dimension
     assert (report.mt_level, report.mt_capped) == (1, False)
 
@@ -208,30 +203,33 @@ def test_analyze_abstract_assumption_text():
 
 
 def oracle_entries(report):
-    """(j, S_j, bound, cap, layers, witnesses) from the definitions alone.
+    """(j, S_j, bound, layers, witnesses) from the definitions alone.
 
     S_j = {p : dim p <= j, mult(p, j - dim p - 1) != 0} in node order, the
     bound is the largest dim over S_j, layer k holds the members of
-    dimension j - k with their multiplicities as exponents, and the
-    witnesses are the maximal elements of dimension j.
+    dimension j - k with their multiplicities as exponents, listed for
+    k = 0..j with the empty layers then dropped, and the witnesses are the
+    maximal elements of dimension j.
     """
-    poset, table = report.poset, report.table
+    poset = report.poset
     dim = {nd.id: nd.dim for nd in poset.nodes}
     out = []
-    for j in range(report.ambient_dim + 1):
-        mult = {p: table.profiles[p].dim for p in poset.ids()}
+    for j in range(max(dim.values()) + 1):
+        mult = {p: report.multiplicities[p].get for p in poset.ids()}
         members = tuple(
-            p for p in poset.ids() if dim[p] <= j and mult[p](j - dim[p] - 1)
+            p for p in poset.ids() if dim[p] <= j and mult[p](j - dim[p] - 1, 0)
         )
-        layers = tuple(
+        dense = [
             tuple((p, mult[p](k - 1)) for p in members if dim[p] == j - k)
             for k in range(j + 1)
-        )
-        witnesses = tuple(
+        ]
+        layers = [(k, layer) for k, layer in enumerate(dense) if layer]
+        witnesses = [
             p for p in poset.ids() if dim[p] == j and poset.is_maximal(p)
-        )
+        ]
         bound = max((dim[p] for p in members), default=NEG_INF)
-        out.append((j, members, bound, j, layers, witnesses))
+        assert bound <= j
+        out.append((j, members, bound, layers, witnesses))
     return out
 
 
@@ -279,7 +277,13 @@ def test_analyze_matches_definitions_oracle():
         for field in (QQ, GF2):
             report = analyze(poset, field)
             got = [
-                (e.j, e.members, e.bound, e.cap, e.layers, e.witnesses)
+                (
+                    e.j,
+                    e.members,
+                    e.bound,
+                    list(e.layers.items()),
+                    [pid for pid, _ in e.layers.get(0, ())],
+                )
                 for e in report.entries
             ]
             assert got == oracle_entries(report), (poset.ids(), field)
@@ -297,7 +301,7 @@ def test_interval_face_budget_is_exact():
         [node(pid, 8 - k) for k, pid in enumerate(ids)],
         [(a, b) for k, a in enumerate(ids) for b in ids[k:]],
     )
-    assert multiplicities(poset, max_faces=2**7).profiles["c0"].dim(-1) == 0
+    assert multiplicities(poset, max_faces=2**7)["c0"] == {}
     with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
         multiplicities(poset, max_faces=2**7 - 1)
 
@@ -318,20 +322,19 @@ def test_path7_philip_hall_and_field_comparison():
     mu = mobius_to_top(poset)
     tables = {f: multiplicities(poset, f) for f in (QQ, GF2)}
     for nd in poset.nodes:
-        for table in tables.values():
-            profile = table.profiles[nd.id]
-            euler = sum((-1) ** d * v for d, v in profile.dims.items())
+        for mults in tables.values():
+            euler = sum((-1) ** d * v for d, v in mults[nd.id].items())
             assert euler == mu[nd.id], nd.id
-        q, two = (tables[f].profiles[nd.id] for f in (QQ, GF2))
-        assert all(q.dim(d) <= two.dim(d) for d in set(q.dims) | set(two.dims))
+        q, two = (tables[f][nd.id] for f in (QQ, GF2))
+        assert all(v <= two.get(d, 0) for d, v in q.items())
 
 
 def assert_matches_rank_oracle(poset):
     for field in (QQ, GF2, GF3):
-        table = multiplicities(poset, field)
+        mults = multiplicities(poset, field)
         for nd in poset.nodes:
             want = rank_oracle(chains_by_leq(poset, nd.id), field)
-            assert table.profiles[nd.id].dims == want, (poset.ids(), nd.id, field)
+            assert mults[nd.id] == want, (poset.ids(), nd.id, field)
 
 
 def test_multiplicities_match_rank_oracle():
@@ -381,8 +384,7 @@ def test_projective_plane_interval_depends_on_the_field():
     )
     assert len(poset) == 32
     for field, want in ((QQ, {}), (GF2, {1: 1, 2: 1}), (GF3, {})):
-        table = multiplicities(poset, field)
-        assert table.profiles["bottom"].nonzero() == want, field
+        assert multiplicities(poset, field)["bottom"] == want, field
     assert_matches_rank_oracle(poset)
 
 
@@ -394,8 +396,7 @@ def test_torsion_free_interval_in_two_degrees():
         [(b, c) for b in ("b1", "b2") for c in ("c1", "c2")],
     )
     for field in (QQ, GF2, GF3):
-        table = multiplicities(poset, field)
-        assert table.profiles["bottom"].nonzero() == {0: 1, 1: 1}, field
+        assert multiplicities(poset, field)["bottom"] == {0: 1, 1: 1}, field
     assert_matches_rank_oracle(poset)
 
 
@@ -408,3 +409,29 @@ def test_chain_masks_keep_the_face_budget_exact():
             assert sum(map(len, levels)) == faces
             with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
                 poset.interval_chains(nd.id, max_faces=faces - 1)
+
+
+def test_neg_inf_prints_as_minus_inf():
+    assert defreg.NEG_INF is NEG_INF
+    assert str(NEG_INF) == repr(NEG_INF) == "-inf"
+
+
+def test_negative_infinity_ordering():
+    assert NEG_INF < -10**9
+    assert NEG_INF <= NEG_INF
+    assert not NEG_INF < NEG_INF
+    assert 0 > NEG_INF
+    assert max(NEG_INF, 3) == 3
+    assert max(NEG_INF, NEG_INF) is NEG_INF
+
+
+def test_layers_are_sparse_in_the_dimension():
+    # one element of dimension 4000: a dense layer table would hold
+    # 4001 * 4002 / 2 lists, one per (j, k) with k <= j
+    poset = parse_poset_doc('{"format": 1, "elements": [{"id": "a", "dim": 4000}]}')
+    report = analyze(poset)
+    assert len(report.entries) == 4001
+    nonzero = sum(len(dims) for dims in report.multiplicities.values())
+    assert sum(len(e.layers) for e in report.entries) <= nonzero == 1
+    assert report.entries[4000].layers == {0: (("a", 1),)}
+    assert report.entries[3999].bound == NEG_INF

@@ -536,6 +536,24 @@ def test_main_cut_set_walk_stops_at_the_poset_budget(tmp_path):
     assert done.stdout == "error: sum closure passed the element budget of 5\n"
 
 
+def test_main_high_dimension_is_prompt(tmp_path):
+    # one element of dimension 4000: a layer table with a list for every
+    # k <= j took over 5 s and 600 MB to print this 189 KB report
+    path = tmp_path / "point.json"
+    path.write_text('{"format": 1, "elements": [{"id": "a", "dim": 4000}]}')
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "defreg.cli", "--mode", "poset", "--poset", str(path)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == EXIT_OK
+    assert done.stdout.count("reg K^") == 4001
+    assert "  reg K^3999 <= -inf (cap 3999)\n" in done.stdout
+    assert "  reg K^4000 <= 4000 (cap 4000)\n" in done.stdout
+
+
 @pytest.mark.parametrize("spec", [
     "gf:1000000000000000001",  # 101 * 9901 * 999999000001
     "gf:318665857834031151167461",  # strong pseudoprime to bases 2..37

@@ -18,39 +18,40 @@ RP2_FACETS = [
 
 def homology(facets, field):
     """homology_of_faces of the complex with these facets, checked by the oracle."""
-    profile = homology_of_faces(faces_by_size(facets), field)
-    assert profile.dims == rank_oracle(closure(facets), field), (facets, field)
-    return profile
+    dims = homology_of_faces(faces_by_size(facets), field)
+    assert dims == rank_oracle(closure(facets), field), (facets, field)
+    assert list(dims) == sorted(dims) and all(dims.values())
+    return dims
 
 
 def test_point_is_acyclic():
-    assert homology([(1,)], QQ).nonzero() == {}
+    assert homology([(1,)], QQ) == {}
 
 
 def test_two_points():
-    assert homology([(1,), (2,)], QQ).nonzero() == {0: 1}
+    assert homology([(1,), (2,)], QQ) == {0: 1}
 
 
 def test_circle():
-    assert homology([(1, 2), (2, 3), (1, 3)], QQ).nonzero() == {1: 1}
+    assert homology([(1, 2), (2, 3), (1, 3)], QQ) == {1: 1}
 
 
 def test_two_sphere():
     facets = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    assert homology(facets, QQ).nonzero() == {2: 1}
+    assert homology(facets, QQ) == {2: 1}
 
 
 def test_projective_plane_depends_on_field():
-    assert homology(RP2_FACETS, QQ).nonzero() == {}
-    assert homology(RP2_FACETS, GF2).nonzero() == {1: 1, 2: 1}
-    assert homology(RP2_FACETS, GF3).nonzero() == {}
+    assert homology(RP2_FACETS, QQ) == {}
+    assert homology(RP2_FACETS, GF2) == {1: 1, 2: 1}
+    assert homology(RP2_FACETS, GF3) == {}
 
 
 def test_point_and_circle_over_every_field():
     # torsion-free homology in two degrees: Q is not read off GF(2) here
     for field in (QQ, GF2, GF3):
         facets = [(0,), (1, 2), (2, 3), (1, 3)]
-        assert homology(facets, field).nonzero() == {0: 1, 1: 1}
+        assert homology(facets, field) == {0: 1, 1: 1}
 
 
 def _component_count(faces):
@@ -84,11 +85,10 @@ def test_random_complexes_homology_identities():
         hq = homology(facets, QQ)
         h2 = homology(facets, GF2)
         homology(facets, GF3)
-        assert hq.dim(0) == _component_count(faces) - 1
+        assert hq.get(0, 0) == _component_count(faces) - 1
         # a face with k vertices has dimension k - 1
         euler_faces = sum((-1) ** (k - 1) * len(level) for k, level in enumerate(faces))
         for h in (hq, h2):
-            euler_hom = sum((-1) ** i * v for i, v in h.dims.items())
+            euler_hom = sum((-1) ** i * v for i, v in h.items())
             assert euler_hom == euler_faces
-        for i in range(-1, len(faces) - 1):
-            assert hq.dim(i) <= h2.dim(i)
+        assert all(v <= h2.get(i, 0) for i, v in hq.items())

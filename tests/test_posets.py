@@ -175,7 +175,7 @@ def test_order_complex_of_empty_poset():
     assert chains == [[0]]
     for p in (0, 2, 3):
         field = FieldSpec(p)
-        assert homology_of_faces(chains, field).nonzero() == {-1: 1}
+        assert homology_of_faces(chains, field) == {-1: 1}
 
 
 def _bits(mask):
