@@ -38,8 +38,7 @@ import tempfile
 
 from defreg.cli import main
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-DATA = ROOT / "tests" / "data"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden.json"
 
 FIELDS = ((), ("--field", "gf:2"), ("--field", "gf:3"))
