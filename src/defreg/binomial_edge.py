@@ -51,10 +51,15 @@ exactly when the slot is nonzero.  Bit 0 of the flag byte marks a failed
 nesting test, bit 1 a sum that differs from the earlier prime, bit 2 one
 that differs from the new prime.  One to_bytes then yields every sum,
 and a strided slice of it the flag bytes; only the non-prime slots go
-through Python, to be decomposed.  The cut set walk and the label order
-still work on block masks, packed once per generator and per piece.
-CliquePrime is built only at the edges: for the minimal primes of the
-graph and for the node ideals of the finished poset.
+through Python, to be decomposed.
+
+Outside the slots a prime is masks: the cut set walk yields plain
+(kill mask, block masks) tuples, which are packed once per generator and
+per piece, and CliquePrime, the node ideal of the finished poset, holds
+the same masks in its kill and blocks fields.  Eight rows of n + 1 bits
+fill n + 1 whole bytes, so a relation is packed and unpacked eight rows at
+a time, O(n^2) bits in all.  The label order, which fixes the element ids,
+reads the masks as sorted vertex tuples.
 """
 
 from __future__ import annotations
@@ -118,86 +123,56 @@ def ring_for(graph: Graph) -> RingContext:
     return RingContext(names)
 
 
-def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
-    return tuple(
-        sorted((frozenset(b) for b in blocks), key=lambda b: tuple(sorted(b)))
+def _label_key(kill: int, blocks: Iterable[int]) -> tuple:
+    """The label order of clique primes, as sorted 1-based vertex tuples.
+
+    The killed vertices come first, then the blocks, which compare by
+    their vertex tuples, not by mask value: {1, 5} comes before {2}.
+    """
+    return (
+        tuple(_bits(kill << 1)),
+        tuple(sorted(tuple(_bits(b << 1)) for b in blocks)),
     )
 
 
 @dataclass(frozen=True)
 class CliquePrime:
-    """A prime: killed vertices plus a partition of the rest into cliques."""
+    """A prime: killed vertices plus a partition of the rest into cliques.
+
+    kill and every block are vertex masks, bit v - 1 standing for vertex v,
+    and the blocks are kept in increasing mask order.
+    """
 
     n: int
-    killed: frozenset[int]
-    blocks: tuple[frozenset[int], ...]
+    kill: int
+    blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "killed", frozenset(self.killed))
-        object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
-        rest = set(range(1, self.n + 1)) - self.killed
-        seen: set[int] = set()
+        object.__setattr__(self, "blocks", tuple(sorted(self.blocks)))
+        seen = self.kill
         for b in self.blocks:
             if not b:
                 raise ValueError("empty block")
             if b & seen:
-                raise ValueError("blocks are not disjoint")
+                raise ValueError("a vertex is in two blocks, or killed and in a block")
             seen |= b
-        if seen != rest:
+        full = (1 << self.n) - 1
+        if seen & ~full:
+            raise ValueError(f"a killed or block vertex lies outside 1..{self.n}")
+        if seen != full:
             raise ValueError("blocks must partition the unkilled vertices")
         assert self.dim + self.height == 2 * self.n
 
     @property
     def height(self) -> int:
-        return 2 * len(self.killed) + sum(len(b) - 1 for b in self.blocks)
+        return 2 * self.kill.bit_count() + sum(b.bit_count() - 1 for b in self.blocks)
 
     @property
     def dim(self) -> int:
-        return (self.n - len(self.killed)) + len(self.blocks)
+        return self.n - self.kill.bit_count() + len(self.blocks)
 
     def key(self) -> tuple:
-        return (
-            tuple(sorted(self.killed)),
-            tuple(tuple(sorted(b)) for b in self.blocks),
-        )
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
-
-
-def _vertex_set(mask: int) -> frozenset[int]:
-    return frozenset(b + 1 for b in _bits(mask))
-
-
-# A prime as masks: (kill mask, block masks in increasing order).
-MaskPrime = tuple[int, tuple[int, ...]]
-
-
-def _to_masks(p: CliquePrime) -> MaskPrime:
-    return _mask(p.killed), tuple(sorted(_mask(b) for b in p.blocks))
-
-
-def _from_masks(n: int, rep: MaskPrime) -> CliquePrime:
-    kill, blocks = rep
-    return CliquePrime(n, _vertex_set(kill), tuple(_vertex_set(b) for b in blocks))
-
-
-def _order_key(n: int, rep: MaskPrime) -> tuple:
-    """(height, CliquePrime.key()) read off the masks.
-
-    key() orders blocks by their sorted vertex tuples, not by mask value:
-    {1, 5} comes before {2}.
-    """
-    kill, blocks = rep
-    return (
-        n + kill.bit_count() - len(blocks),
-        tuple(_bits(kill)),
-        tuple(sorted(tuple(_bits(b)) for b in blocks)),
-    )
+        return _label_key(self.kill, self.blocks)
 
 
 def _clique_adjacency(n: int, cliques: Iterable[int]) -> list[int]:
@@ -233,15 +208,16 @@ def _admissible_primes(
     adj: Sequence[int],
     present: int,
     max_elements: int | None = None,
-) -> list[MaskPrime]:
+) -> list[tuple[int, tuple[int, ...]]]:
     """All primes from cut sets T of the graph (adj, present), over base_kill.
 
+    A prime comes as (kill mask, block masks in increasing order).
     T qualifies when removing any single vertex of T gives strictly fewer
     components than removing all of T; the empty set always qualifies.
     Only vertices whose neighbourhood is not a clique are walked: putting
     back a vertex with a clique or empty neighbourhood joins at most one
     component, so the count never drops.  The primes come sorted by
-    (height, CliquePrime.key()).
+    height, then by the label order.
 
     Inside the closure every prime found here becomes a poset element, so
     given a max_elements the walk stops with the closure's
@@ -275,7 +251,9 @@ def _admissible_primes(
         if t == walk:
             break
         t = (t - walk) & walk
-    found.sort(key=lambda rep: _order_key(n, rep))
+    found.sort(
+        key=lambda rep: (n + rep[0].bit_count() - len(rep[1]), _label_key(*rep))
+    )
     return found
 
 
@@ -288,19 +266,11 @@ def minimal_primes_graph(
     ClosureBudgetExceeded is raised once more than that are found.
     """
     n = graph.n
-    adj = _clique_adjacency(n, (_mask(e) for e in graph.edges))
+    adj = _clique_adjacency(n, (1 << u - 1 | 1 << v - 1 for u, v in graph.edges))
     return [
-        _from_masks(n, rep)
+        CliquePrime(n, *rep)
         for rep in _admissible_primes(n, 0, adj, (1 << n) - 1, max_elements)
     ]
-
-
-def _rows(n: int, mask: int) -> int:
-    """One bit at the start of row v for each vertex bit v of mask."""
-    spread = 0
-    for v in _bits(mask):
-        spread |= 1 << v * (n + 1)
-    return spread
 
 
 def _rep_bytes(n: int) -> int:
@@ -308,34 +278,58 @@ def _rep_bytes(n: int) -> int:
     return (n * (n + 1) + 7) // 8
 
 
-def _pack(n: int, rep: MaskPrime) -> bytes:
+def _join(n: int, rows: Sequence[int]) -> bytes:
+    """The packed relation with these n rows, row v at bit v * (n + 1).
+
+    Rows go in eight at a time, into n + 1 whole bytes: one shift or OR of
+    the whole relation per row would cost O(n^3) bits.
+    """
+    w = n + 1
+    groups = []
+    for at in range(0, n, 8):
+        group = 0
+        for row in reversed(rows[at:at + 8]):
+            group = group << w | row
+        groups.append(group.to_bytes(w, "little"))
+    return b"".join(groups)[:_rep_bytes(n)]
+
+
+def _split(n: int, rep: bytes) -> list[int]:
+    """The n rows of a packed relation."""
+    w = n + 1
+    full = (1 << n) - 1
+    rows = []
+    for at in range(0, len(rep), w):
+        group = int.from_bytes(rep[at:at + w], "little")
+        for _ in range(8):
+            rows.append(group & full)
+            group >>= w
+    return rows[:n]
+
+
+def _pack(n: int, rep: tuple[int, tuple[int, ...]]) -> bytes:
     """The closure's form of a prime: its packed relation, little-endian."""
-    rel = 0
+    rows = [0] * n
     for b in rep[1]:
-        rel |= b * _rows(n, b)  # b copied into row v for each v in b
-    return rel.to_bytes(_rep_bytes(n), "little")
+        for v in _bits(b):
+            rows[v] = b
+    return _join(n, rows)
 
 
-def _killed(n: int, rel: int) -> int:
+def _killed(n: int, rep: bytes) -> int:
     """The kill mask: the vertices missing from the relation's diagonal."""
     kill = 0
-    for v in range(n):
-        if not rel >> v * (n + 2) & 1:
+    for v, at in enumerate(range(0, n * (n + 2), n + 2)):
+        if not rep[at >> 3] >> (at & 7) & 1:
             kill |= 1 << v
     return kill
 
 
-def _unpack(n: int, rep: bytes) -> MaskPrime:
-    rel = int.from_bytes(rep, "little")
-    kill = _killed(n, rel)
-    full = (1 << n) - 1
-    blocks = []
-    for v in _bits(full & ~kill):
-        row = rel >> v * (n + 1) & full
-        if row & -row == 1 << v:  # v is the least vertex of its block
-            blocks.append(row)
-    blocks.sort()
-    return kill, tuple(blocks)
+def _unpack(n: int, rep: bytes) -> tuple[int, tuple[int, ...]]:
+    """(kill mask, block masks in increasing order) of a packed relation."""
+    # a row is a block where its vertex is the block's least
+    blocks = [row for v, row in enumerate(_split(n, rep)) if row & -row == 1 << v]
+    return _killed(n, rep), tuple(sorted(blocks))
 
 
 # bytes.translate tables for the flag bytes, whose bit k reads (b >> k) & 1:
@@ -358,7 +352,7 @@ def _clique_sums(n: int, max_elements: int | None = None):
     step = width + 1  # slot bytes: the relation and the flag byte
     shift = 8 * step
     record = f"{width}sx"  # a slot: the relation, then the flag byte
-    starts = _rows(n, full)
+    starts = int.from_bytes(_join(n, [1] * n), "little")  # the first bit of every row
     unit = 0  # one bit at the start of every slot
     rels = kills = 0  # the relations and the killed rows and columns
     slots = 0
@@ -367,9 +361,8 @@ def _clique_sums(n: int, max_elements: int | None = None):
     def decompose(key: bytes) -> tuple[bytes, ...]:
         pieces = decomposed.get(key)
         if pieces is None:
-            rel = int.from_bytes(key, "little")
-            kill = _killed(n, rel)
-            adj = [rel >> v * (n + 1) & full for v in range(n)]
+            kill = _killed(n, key)
+            adj = _split(n, key)
             pieces = decomposed[key] = tuple(
                 _pack(n, rep)
                 for rep in _admissible_primes(n, kill, adj, full & ~kill, max_elements)
@@ -410,8 +403,9 @@ def _clique_sums(n: int, max_elements: int | None = None):
     def sums_with(rep: bytes) -> tuple[Iterable[bytes], int, int]:
         nonlocal unit, rels, kills, slots
         x = int.from_bytes(rep, "little")
-        kill = _killed(n, x)
-        cross = kill * starts | full * _rows(n, kill)  # killed rows, columns
+        kill = _killed(n, rep)
+        killed_rows = [full if kill >> v & 1 else kill for v in range(n)]
+        cross = int.from_bytes(_join(n, killed_rows), "little")  # rows and columns
         turn = sum_slots(x, cross) if slots else ((), 0, 0)
         at = slots * shift  # the prime takes the next slot
         rels |= x << at
@@ -437,12 +431,12 @@ def build_Q_poset(
     n = graph.n
 
     def build_node(rep: bytes, node_id: str) -> IdealNode:
-        cp = _from_masks(n, _unpack(n, rep))
+        cp = CliquePrime(n, *_unpack(n, rep))
         return IdealNode(id=node_id, ideal=cp, dim=cp.dim, height=cp.height)
 
     return join_closure(
         [
-            _pack(n, _to_masks(p))
+            _pack(n, (p.kill, p.blocks))
             for p in minimal_primes_graph(graph, max_elements=max_elements)
         ],
         _clique_sums(n, max_elements),

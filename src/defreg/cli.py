@@ -43,22 +43,6 @@ class ParseError(ValueError):
     """Malformed input of any mode."""
 
 
-class NonSquarefree(ParseError):
-    """A monomial generator repeats a variable."""
-
-
-class UnknownVariable(ParseError):
-    """A generator mentions a variable outside the declared ring."""
-
-
-class DuplicateId(ParseError):
-    """Two poset elements share an id."""
-
-
-class CyclicRelations(ParseError):
-    """The declared relations order two distinct elements both ways."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
@@ -100,9 +84,9 @@ def parse_monomial(
         seen: set[str] = set()
         for f in factors:
             if f not in known:
-                raise UnknownVariable(f"unknown variable {f!r}")
+                raise ParseError(f"unknown variable {f!r}")
             if f in seen:
-                raise NonSquarefree(
+                raise ParseError(
                     f"variable {f!r} repeats in generator {chunk.strip()!r}"
                 )
             seen.add(f)
@@ -198,7 +182,7 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
         if not pid.isprintable():
             raise ParseError(f"element id {pid!r} has an unprintable character")
         if pid in seen_ids:
-            raise DuplicateId(f"duplicate element id {pid!r}")
+            raise ParseError(f"duplicate element id {pid!r}")
         seen_ids.add(pid)
         dim = item.get("dim")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
@@ -234,7 +218,7 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
         )
     except OrderCycle as e:
         a, b = e.ids
-        raise CyclicRelations(f"relations order {a!r} and {b!r} both ways")
+        raise ParseError(f"relations order {a!r} and {b!r} both ways")
     except ValueError as e:
         raise ParseError(str(e))
 

@@ -237,6 +237,18 @@ def _graph_prime_oracle(n, edges):
     return sorted(minimal)
 
 
+def _plain_primes(n, primes):
+    """The oracle's sorted (killed, blocks) vertex tuples, read off the masks."""
+
+    def vertices(mask):
+        return tuple(v for v in range(1, n + 1) if mask >> v - 1 & 1)
+
+    return sorted(
+        (vertices(p.kill), tuple(sorted(vertices(b) for b in p.blocks)))
+        for p in primes
+    )
+
+
 def _is_connected(n, edges):
     adj = _adjacency_masks(n, edges)
     return len(_components_by_dfs(n, adj, 0)) <= 1
@@ -251,10 +263,7 @@ def test_criterion_07_graph_primes_vs_oracle():
                 edges = [e for e, take in zip(pairs, picks) if take]
                 if not _is_connected(n, edges):
                     continue
-                got = sorted(
-                    (tuple(sorted(p.killed)), p.key()[1])
-                    for p in minimal_primes_graph(Graph.from_edges(n, edges))
-                )
+                got = _plain_primes(n, minimal_primes_graph(Graph.from_edges(n, edges)))
                 assert got == _graph_prime_oracle(n, edges)
                 cases += 1
         assert cases > 27000
@@ -263,10 +272,7 @@ def test_criterion_07_graph_primes_vs_oracle():
             n = rng.randint(2, 8)
             pairs = list(itertools.combinations(range(1, n + 1), 2))
             edges = [e for e in pairs if rng.random() < 0.4]
-            got = sorted(
-                (tuple(sorted(p.killed)), p.key()[1])
-                for p in minimal_primes_graph(Graph.from_edges(n, edges))
-            )
+            got = _plain_primes(n, minimal_primes_graph(Graph.from_edges(n, edges)))
             assert got == _graph_prime_oracle(n, edges)
 
     _check(7, "graph primes match the enumerate and minimize oracle", body)

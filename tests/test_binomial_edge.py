@@ -12,7 +12,6 @@ from defreg.binomial_edge import (
     _admissible_primes,
     _clique_sums,
     _pack,
-    _to_masks,
     _unpack,
     build_Q_poset,
     minimal_primes_graph,
@@ -47,6 +46,29 @@ def oracle_components(n, edges, removed):
     return comps
 
 
+# The oracles take and give a prime as plain sets: (killed, blocks), a
+# frozenset of vertices and a list of frozensets.
+
+
+def vertex_mask(vertices):
+    return sum(1 << v - 1 for v in vertices)
+
+
+def vertex_set(n, mask):
+    return frozenset(v for v in range(1, n + 1) if mask >> v - 1 & 1)
+
+
+def as_masks(n, prime):
+    """The engine's CliquePrime for an oracle prime."""
+    killed, blocks = prime
+    return CliquePrime(n, vertex_mask(killed), tuple(vertex_mask(b) for b in blocks))
+
+
+def as_sets(p):
+    """The oracle's (killed, blocks) for an engine CliquePrime."""
+    return vertex_set(p.n, p.kill), [vertex_set(p.n, b) for b in p.blocks]
+
+
 def oracle_contains(p, q):
     """Whether ideal(p) contains ideal(q).
 
@@ -54,13 +76,22 @@ def oracle_contains(p, q):
     on vertices i, j lies in p exactly when i or j is killed or both share
     a block of p.
     """
-    if not q.killed <= p.killed:
+    p_killed, p_blocks = p
+    q_killed, q_blocks = q
+    if not q_killed <= p_killed:
         return False
     return all(
-        any(b - p.killed <= c for c in p.blocks)
-        for b in q.blocks
-        if len(b - p.killed) > 1
+        any(b - p_killed <= c for c in p_blocks)
+        for b in q_blocks
+        if len(b - p_killed) > 1
     )
+
+
+def oracle_key(prime):
+    """(height, killed vertices, blocks), sorted: the label order."""
+    killed, blocks = prime
+    height = 2 * len(killed) + sum(len(b) - 1 for b in blocks)
+    return height, sorted(killed), sorted(sorted(b) for b in blocks)
 
 
 def oracle_minimal_primes(n, edges, killed=frozenset()):
@@ -74,26 +105,26 @@ def oracle_minimal_primes(n, edges, killed=frozenset()):
     for r in range(len(rest) + 1):
         for t in itertools.combinations(rest, r):
             gone = killed | frozenset(t)
-            every.append(CliquePrime(n, gone, oracle_components(n, edges, gone)))
+            every.append((gone, oracle_components(n, edges, gone)))
     kept = [
         p
         for p in every
         if not any(q is not p and oracle_contains(p, q) for q in every)
     ]
-    return sorted(kept, key=lambda p: (p.height, p.key()))
+    return sorted(kept, key=oracle_key)
 
 
-def oracle_sum_primes(a, b):
+def oracle_sum_primes(n, a, b):
     """Minimal primes of a + b: the overlay of all blocks over the joint kills."""
-    killed = a.killed | b.killed
+    killed = a[0] | b[0]
     edges = {
         (u, v)
-        for blk in a.blocks + b.blocks
+        for blk in a[1] + b[1]
         for u in blk - killed
         for v in blk - killed
         if u < v
     }
-    return oracle_minimal_primes(a.n, edges, killed)
+    return oracle_minimal_primes(n, edges, killed)
 
 
 def random_graph(rng, n):
@@ -128,22 +159,37 @@ def test_ring_for_doubles_the_vertices():
 
 
 def test_clique_prime_data():
-    p = CliquePrime(5, frozenset({2}), (frozenset({1}), frozenset({3, 4, 5})))
+    # kill {2}, blocks {3, 4, 5} and {1}: bit v - 1 stands for vertex v
+    p = CliquePrime(5, 0b00010, (0b11100, 0b00001))
+    assert p.blocks == (0b00001, 0b11100)
     assert p.height == 2 * 1 + 0 + 2
     assert p.dim == 4 + 2
     assert p.height + p.dim == 10
     assert p.key() == ((2,), ((1,), (3, 4, 5)))
-    with pytest.raises(ValueError):
-        CliquePrime(3, frozenset(), (frozenset({1, 2}),))
-    with pytest.raises(ValueError):
-        CliquePrime(3, frozenset(), (frozenset({1, 2}), frozenset({2, 3})))
+    # blocks order by vertex tuples in the key, by mask value in the field
+    q = CliquePrime(5, 0, (0b10001, 0b00010, 0b01100))
+    assert q.blocks == (0b00010, 0b01100, 0b10001)
+    assert q.key() == ((), ((1, 5), (2,), (3, 4)))
+    bad = [
+        (0, (0b011,)),  # vertex 3 in no block
+        (0, (0b011, 0b110)),  # vertex 2 in two blocks
+        (0, (0b011, 0, 0b100)),  # an empty block
+        (0b10000, (0b111,)),  # killed vertex 5 of 3
+        (0, (0b1011, 0b100)),  # block vertex 4 of 3
+        (0, (-1,)),  # a negative mask
+        (0b010, (0b011, 0b100)),  # vertex 2 killed and in a block
+    ]
+    for kill, blocks in bad:
+        # a plain ValueError, so it holds under python -O as well
+        with pytest.raises(ValueError):
+            CliquePrime(3, kill, blocks)
 
 
 def test_minimal_primes_of_complete_graph():
     g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
     got = minimal_primes_graph(g)
     assert len(got) == 1
-    assert got[0] == CliquePrime(3, frozenset(), (frozenset({1, 2, 3}),))
+    assert got[0] == CliquePrime(3, 0, (0b111,))
 
 
 def test_minimal_primes_of_short_path():
@@ -160,7 +206,8 @@ def test_minimal_primes_match_oracle():
     rng = random.Random(550)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6))
-        assert minimal_primes_graph(g) == oracle_minimal_primes(g.n, g.edges)
+        want = [as_masks(g.n, p) for p in oracle_minimal_primes(g.n, g.edges)]
+        assert minimal_primes_graph(g) == want
 
 
 def test_contains_rules():
@@ -169,7 +216,8 @@ def test_contains_rules():
         poset = build_Q_poset(g)
         for a in poset.nodes:
             for b in poset.nodes:
-                assert leq(poset, a.id, b.id) == oracle_contains(a.ideal, b.ideal)
+                want = oracle_contains(as_sets(a.ideal), as_sets(b.ideal))
+                assert leq(poset, a.id, b.id) == want
     poset = build_Q_poset(Graph.path(3))
     assert not leq(poset, "p_1", "p_2")
     assert not leq(poset, "p_2", "p_1")
@@ -180,8 +228,9 @@ def test_contains_rules():
 def test_sum_and_primality_on_short_path():
     # P_empty + P_{2} kills 2 and overlays {1, 3}: a prime, added as is
     p_empty, p_cut = minimal_primes_graph(Graph.path(3))
-    merged = CliquePrime(3, frozenset({2}), (frozenset({1, 3}),))
-    assert oracle_sum_primes(p_empty, p_cut) == [merged]
+    merged = CliquePrime(3, 0b010, (0b101,))
+    got = oracle_sum_primes(3, as_sets(p_empty), as_sets(p_cut))
+    assert [as_masks(3, p) for p in got] == [merged]
     poset = build_Q_poset(Graph.path(3))
     assert [nd.ideal for nd in poset.nodes] == [p_empty, p_cut, merged]
 
@@ -202,7 +251,8 @@ def test_decomposition_of_a_nonprime_sum():
         ((2, 3, 4), ((1,), (5,))),
         ((2, 4), ((1, 3, 5),)),
     ]
-    assert pieces == oracle_sum_primes(ideal[p2], ideal[p4])
+    want = oracle_sum_primes(5, as_sets(ideal[p2]), as_sets(ideal[p4]))
+    assert pieces == [as_masks(5, p) for p in want]
 
 
 def test_poset_of_short_path():
@@ -235,8 +285,8 @@ def test_poset_is_closed_under_sums():
         ideals = [nd.ideal for nd in build_Q_poset(g).nodes]
         for i, a in enumerate(ideals):
             for b in ideals[i + 1:]:
-                for piece in oracle_sum_primes(a, b):
-                    assert piece in ideals
+                for piece in oracle_sum_primes(g.n, as_sets(a), as_sets(b)):
+                    assert as_masks(g.n, piece) in ideals
 
 
 def cycle_graph(n):
@@ -298,6 +348,25 @@ def scalar_pack(n, rep):
     return kill, rel
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 64, 65, 200])
+def test_pack_round_trip(n):
+    # the rows are joined and split eight at a time, n + 1 bytes per eight
+    # rows; these n put the last row at and across byte boundaries
+    rng = random.Random(n)
+    for _ in range(20):
+        kill = rng.getrandbits(n) if rng.random() < 0.7 else 0
+        nblocks = rng.randint(1, n)
+        blocks = [0] * nblocks
+        for v in range(n):
+            if not kill >> v & 1:
+                blocks[rng.randrange(nblocks)] |= 1 << v
+        rep = kill, tuple(sorted(b for b in blocks if b))
+        packed = _pack(n, rep)
+        assert len(packed) == (n * (n + 1) + 7) // 8
+        assert (kill, int.from_bytes(packed, "little")) == scalar_pack(n, rep)
+        assert _unpack(n, packed) == rep
+
+
 def scalar_primes_of_sum(n):
     """The closure's pair callback before turns were summed at once."""
     full = (1 << n) - 1
@@ -328,7 +397,8 @@ def scalar_primes_of_sum(n):
 def assert_turns_match_pair_sums(graph):
     """Every turn of the packed kernel against the pair-at-a-time sums."""
     n = graph.n
-    reps = [_pack(n, _to_masks(nd.ideal)) for nd in build_Q_poset(graph).nodes]
+    ideals = [nd.ideal for nd in build_Q_poset(graph).nodes]
+    reps = [_pack(n, (p.kill, p.blocks)) for p in ideals]
     scalar = [scalar_pack(n, _unpack(n, rep)) for rep in reps]
     pair_sum = scalar_primes_of_sum(n)
     sums_with = _clique_sums(n)

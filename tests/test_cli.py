@@ -12,12 +12,8 @@ from defreg.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_STRICT,
-    CyclicRelations,
-    DuplicateId,
-    NonSquarefree,
     ParseError,
     RunConfig,
-    UnknownVariable,
     _parse_field,
     main,
     parse_graph_file,
@@ -36,9 +32,9 @@ SKEW = dict(mode="monomial", variables="x,y,z,w", gens="x*z, x*w, y*z, y*w")
 def test_parse_monomial():
     gens = parse_monomial(("x", "y", "z"), " x*y ,y * z ")
     assert gens == [("x", "y"), ("y", "z")]
-    with pytest.raises(NonSquarefree):
+    with pytest.raises(ParseError, match="variable 'x' repeats in generator 'x\\*x'"):
         parse_monomial(("x", "y"), "x*x")
-    with pytest.raises(UnknownVariable):
+    with pytest.raises(ParseError, match="unknown variable 'q'"):
         parse_monomial(("x", "y"), "x*q")
     with pytest.raises(ParseError):
         parse_monomial(("x", "y"), "x*, y")
@@ -88,7 +84,7 @@ def test_parse_poset_doc_errors():
         parse_poset_doc('{"format": 1, "elements": []}')
     with pytest.raises(ParseError):
         parse_poset_doc('{"format": 1, "elements": [{"id": "", "dim": 0}]}')
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ParseError, match="duplicate element id 'a'"):
         parse_poset_doc(
             '{"format": 1, "elements":'
             ' [{"id": "a", "dim": 0}, {"id": "a", "dim": 1}]}'
@@ -105,7 +101,7 @@ def test_parse_poset_doc_errors():
             ' "elements": [{"id": "a", "dim": 0}],'
             ' "relations": [["a", "ghost"]]}'
         )
-    with pytest.raises(CyclicRelations):
+    with pytest.raises(ParseError, match="relations order 'a' and 'b' both ways"):
         parse_poset_doc(
             '{"format": 1,'
             ' "elements": [{"id": "a", "dim": 0}, {"id": "b", "dim": 1}],'
@@ -136,25 +132,20 @@ def test_malformed_relations_exit_1(tmp_path, relations):
 
 
 @pytest.mark.parametrize(
-    "relations, error, message",
+    "relations, message",
     [
         (
             '[["a", "b"], ["c", "d"], ["d", "b"], ["b", "c"]]',
-            CyclicRelations,
             "relations order 'b' and 'c' both ways",
         ),
-        (
-            '[["a", "ghost"]]',
-            ParseError,
-            "relation ['a', 'ghost'] mentions an unknown id",
-        ),
-        ('{"a": "b"}', ParseError, '"relations" must be a list of [a, b] pairs'),
+        ('[["a", "ghost"]]', "relation ['a', 'ghost'] mentions an unknown id"),
+        ('{"a": "b"}', '"relations" must be a list of [a, b] pairs'),
     ],
     ids=["cycle", "unknown-id", "not-a-list"],
 )
-def test_parse_poset_doc_messages(relations, error, message):
+def test_parse_poset_doc_messages(relations, message):
     elements = ", ".join(f'{{"id": "{pid}", "dim": 0}}' for pid in "abcd")
-    with pytest.raises(error) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_poset_doc(
             f'{{"format": 1, "elements": [{elements}], "relations": {relations}}}'
         )
@@ -502,10 +493,14 @@ def test_main_large_prime_field_is_prompt(capsys):
 @pytest.mark.parametrize("edges", [
     "n 30\n",
     "n 20\n" + "".join(f"{u} {v}\n" for u in range(1, 21) for v in range(u + 1, 21)),
-], ids=["edgeless30", "K20"])
+    "n 4000\n",
+    "n 2000\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 2000, 2)),
+], ids=["edgeless30", "K20", "edgeless4000", "matching1000"])
 def test_main_cut_set_walk_is_prompt(tmp_path, edges):
-    # both graphs have one minimal prime; walking every vertex subset
-    # took over 20 s on the edgeless graph and seconds on K20
+    # every graph has one minimal prime; walking every vertex subset took
+    # over 20 s on the edgeless30 and seconds on K20, and packing its
+    # n(n + 1)-bit relation by one whole-relation shift or OR per vertex
+    # took 37 s on edgeless4000 and 5 s on matching1000
     path = tmp_path / "g.edges"
     path.write_text(edges)
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
