@@ -64,11 +64,11 @@ reads the masks as sorted vertex tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 from struct import iter_unpack
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
     AnalysisPoset,
@@ -80,19 +80,19 @@ from .posets import (
 )
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """A finite simple graph on vertices 1..n."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 1:
             raise ValueError("a graph needs at least one vertex")
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
+        for u, v in edges:
+            if not (1 <= u < v <= n):
                 raise ValueError(f"edge ({u}, {v}) out of range or misordered")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -135,32 +135,32 @@ def _label_key(kill: int, blocks: Iterable[int]) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class CliquePrime:
+class CliquePrime(Record):
     """A prime: killed vertices plus a partition of the rest into cliques.
 
     kill and every block are vertex masks, bit v - 1 standing for vertex v,
     and the blocks are kept in increasing mask order.
     """
 
-    n: int
-    kill: int
-    blocks: tuple[int, ...]
+    __slots__ = ("n", "kill", "blocks")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks)))
-        seen = self.kill
-        for b in self.blocks:
+    def __init__(self, n: int, kill: int, blocks: Iterable[int]) -> None:
+        blocks = tuple(sorted(blocks))
+        seen = kill
+        for b in blocks:
             if not b:
                 raise ValueError("empty block")
             if b & seen:
                 raise ValueError("a vertex is in two blocks, or killed and in a block")
             seen |= b
-        full = (1 << self.n) - 1
+        full = (1 << n) - 1
         if seen & ~full:
-            raise ValueError(f"a killed or block vertex lies outside 1..{self.n}")
+            raise ValueError(f"a killed or block vertex lies outside 1..{n}")
         if seen != full:
             raise ValueError("blocks must partition the unkilled vertices")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "kill", kill)
+        object.__setattr__(self, "blocks", blocks)
         assert self.dim + self.height == 2 * self.n
 
     @property

@@ -27,9 +27,9 @@ nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from ._record import Record
 from .complexes import DEFAULT_MAX_FACES, homology_of_faces
 from .exactfield import FieldSpec
 from .posets import AnalysisPoset
@@ -73,8 +73,7 @@ def multiplicities(
     return out
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Status of the three hypotheses behind the bound.
 
     distributive_lattice is "verified-structural" for monomial input,
@@ -83,10 +82,16 @@ class ConditionReport:
     heights are missing, which blocks certification.
     """
 
-    distributive_lattice: str
-    cohen_macaulay: bool
-    strict_heights: Optional[bool]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("distributive_lattice", "cohen_macaulay", "strict_heights", "notes")
+
+    def __init__(
+        self, distributive_lattice: str, cohen_macaulay: bool,
+        strict_heights: Optional[bool], notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "distributive_lattice", distributive_lattice)
+        object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
+        object.__setattr__(self, "strict_heights", strict_heights)
+        object.__setattr__(self, "notes", notes)
 
     @property
     def certified(self) -> bool:
@@ -152,8 +157,7 @@ def murai_terai_level(
     return level, False
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(Record):
     """The bound for K^j and the filtration behind it.
 
     layers maps k to the (element, exponent) pairs of the members of S_j
@@ -161,24 +165,40 @@ class BoundEntry:
     bound is j - min(layers), or NEG_INF when there are no layers.
     """
 
-    j: int
-    members: tuple[str, ...]
-    bound: Union[int, float]
-    layers: Mapping[int, tuple[tuple[str, int], ...]]
+    __slots__ = ("j", "members", "bound", "layers")
+
+    def __init__(
+        self, j: int, members: tuple[str, ...], bound: Union[int, float],
+        layers: Mapping[int, tuple[tuple[str, int], ...]],
+    ) -> None:
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "layers", layers)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Everything the analysis produces for one poset over one field."""
 
-    poset: AnalysisPoset
-    field: FieldSpec
-    multiplicities: Mapping[str, Mapping[int, int]]
-    entries: tuple[BoundEntry, ...]
-    conditions: ConditionReport
-    mt_level: int
-    mt_capped: bool
-    assumptions: tuple[str, ...] = ()
+    __slots__ = (
+        "poset", "field", "multiplicities", "entries", "conditions",
+        "mt_level", "mt_capped", "assumptions",
+    )
+
+    def __init__(
+        self, poset: AnalysisPoset, field: FieldSpec,
+        multiplicities: Mapping[str, Mapping[int, int]],
+        entries: tuple[BoundEntry, ...], conditions: ConditionReport,
+        mt_level: int, mt_capped: bool, assumptions: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "mt_level", mt_level)
+        object.__setattr__(self, "mt_capped", mt_capped)
+        object.__setattr__(self, "assumptions", assumptions)
 
 
 def analyze(

@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record
 from .binomial_edge import Graph, build_Q_poset
 from .bounds import NEG_INF, BoundReport, analyze
 from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
@@ -43,22 +43,36 @@ class ParseError(ValueError):
     """Malformed input of any mode."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    gens: Optional[str] = None
-    variables: Optional[str] = None
-    edges_path: Optional[str] = None
-    poset_path: Optional[str] = None
-    field: FieldSpec = FieldSpec.rationals()
-    json_output: bool = False
-    filtration: bool = False
-    witnesses: bool = False
-    check: bool = False
-    hasse: bool = False
-    strict: bool = False
-    max_poset: int = DEFAULT_MAX_ELEMENTS
-    max_faces: int = DEFAULT_MAX_FACES
+class RunConfig(Record):
+    __slots__ = (
+        "mode", "gens", "variables", "edges_path", "poset_path", "field",
+        "json_output", "filtration", "witnesses", "check", "hasse", "strict",
+        "max_poset", "max_faces",
+    )
+
+    def __init__(
+        self, mode: str, gens: Optional[str] = None,
+        variables: Optional[str] = None, edges_path: Optional[str] = None,
+        poset_path: Optional[str] = None,
+        field: FieldSpec = FieldSpec.rationals(), json_output: bool = False,
+        filtration: bool = False, witnesses: bool = False, check: bool = False,
+        hasse: bool = False, strict: bool = False,
+        max_poset: int = DEFAULT_MAX_ELEMENTS, max_faces: int = DEFAULT_MAX_FACES,
+    ) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "edges_path", edges_path)
+        object.__setattr__(self, "poset_path", poset_path)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "json_output", json_output)
+        object.__setattr__(self, "filtration", filtration)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "hasse", hasse)
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "max_poset", max_poset)
+        object.__setattr__(self, "max_faces", max_faces)
 
 
 def parse_var_list(text: str) -> tuple[str, ...]:

@@ -75,7 +75,7 @@ def _dims(faces: Sequence[Sequence[int]], field: FieldSpec) -> Dict[int, int]:
     for k in range(len(faces) - 1, 0, -1):
         rows = {f: r for r, f in enumerate(faces[k - 1])}
         kept = (f for c, f in enumerate(faces[k]) if c not in cleared)
-        if field == _GF2:
+        if field.characteristic == 2:
             pivots = _gf2_pivot_rows(kept, rows)
         else:
             pivots = pivot_rows((_signed_column(f, rows) for f in kept), field)

@@ -26,9 +26,10 @@ them differ, and Q is reduced on its own (complexes.homology_of_faces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping
+
+from ._record import Record
 
 Column = Mapping[int, int]
 
@@ -64,14 +65,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Coefficient field for homology: characteristic 0 is Q, p is GF(p)."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self) -> None:
-        c = self.characteristic
+    def __init__(self, characteristic: int = 0) -> None:
+        c = characteristic
+        if type(c) is not int:
+            raise ValueError(f"characteristic {c!r} is not an int")
         if c >= MAX_CHARACTERISTIC:
             raise ValueError(
                 f"characteristic {c} is too large: primality is decided"
@@ -79,6 +81,7 @@ class FieldSpec:
             )
         if c != 0 and not _is_prime(c):
             raise ValueError(f"{c} is not prime")
+        object.__setattr__(self, "characteristic", c)
 
     @classmethod
     def rationals(cls) -> "FieldSpec":

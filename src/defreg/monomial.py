@@ -21,9 +21,9 @@ variable names sorted as strings), so "x10" comes before "x2".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
     AnalysisPoset,
@@ -38,11 +38,13 @@ class ZeroIdeal(ValueError):
     """The zero ideal has no primary decomposition to analyze."""
 
 
-@dataclass(frozen=True)
-class FacePrime:
+class FacePrime(Record):
     """The prime generated by a subset of the variables."""
 
-    variables: frozenset[str]
+    __slots__ = ("variables",)
+
+    def __init__(self, variables: frozenset[str]) -> None:
+        object.__setattr__(self, "variables", variables)
 
     def key(self) -> tuple[str, ...]:
         return tuple(sorted(self.variables))
@@ -55,12 +57,16 @@ class FacePrime:
         return ring.nvars - len(self.variables)
 
 
-@dataclass(frozen=True)
-class SquarefreeIdeal:
+class SquarefreeIdeal(Record):
     """A nonzero squarefree monomial ideal with a minimal generating set."""
 
-    ring: RingContext
-    generators: tuple[frozenset[str], ...]
+    __slots__ = ("ring", "generators")
+
+    def __init__(
+        self, ring: RingContext, generators: tuple[frozenset[str], ...]
+    ) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def create(

@@ -29,9 +29,9 @@ a poset file, go through AnalysisPoset.from_relations, which closes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
+from ._record import Record
 from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
 
 DEFAULT_MAX_ELEMENTS = 10_000
@@ -57,40 +57,43 @@ class OrderCycle(ValueError):
         self.ids = (a, b)
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(Record):
     """The ambient standard-graded polynomial ring, described by its variables."""
 
-    var_names: tuple[str, ...]
+    __slots__ = ("var_names",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.var_names)) != len(self.var_names):
+    def __init__(self, var_names: tuple[str, ...]) -> None:
+        if len(set(var_names)) != len(var_names):
             raise ValueError("variable names must be unique")
+        object.__setattr__(self, "var_names", var_names)
 
     @property
     def nvars(self) -> int:
         return len(self.var_names)
 
 
-@dataclass(frozen=True)
-class IdealNode:
+class IdealNode(Record):
     """One poset element: a prime component together with its numeric data.
 
     height is optional because abstract inputs may omit it; dim never is,
     since every bound in the engine is a maximum of dims.
     """
 
-    id: str
-    ideal: object
-    dim: int
-    height: Optional[int] = None
-    is_cm: bool = True
+    __slots__ = ("id", "ideal", "dim", "height", "is_cm")
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ValueError(f"node {self.id}: dim must be nonnegative")
-        if self.height is not None and self.height < 0:
-            raise ValueError(f"node {self.id}: height must be nonnegative")
+    def __init__(
+        self, id: str, ideal: object, dim: int,
+        height: Optional[int] = None, is_cm: bool = True,
+    ) -> None:
+        if dim < 0:
+            raise ValueError(f"node {id}: dim must be nonnegative")
+        if height is not None and height < 0:
+            raise ValueError(f"node {id}: height must be nonnegative")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "is_cm", is_cm)
 
 
 def _bits(mask: int):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import pathlib
@@ -123,8 +122,12 @@ def test_conditions_note_matches_the_definition():
         ranked = ranked_poset(seed)
         poset = AnalysisPoset(
             [
-                dataclasses.replace(
-                    nd, height=nd.height + (rng.random() < seed / 20)
+                IdealNode(
+                    id=nd.id,
+                    ideal=nd.ideal,
+                    dim=nd.dim,
+                    height=nd.height + (rng.random() < seed / 20),
+                    is_cm=nd.is_cm,
                 )
                 for nd in ranked.nodes
             ],

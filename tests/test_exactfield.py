@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -80,6 +81,10 @@ def test_field_spec_validation():
         FieldSpec.prime_field(0)
     with pytest.raises(ValueError):
         FieldSpec(MAX_CHARACTERISTIC)
+    for c in (2.0, 2.5, "3", True, False, None):
+        message = re.escape(f"characteristic {c!r} is not an int")
+        with pytest.raises(ValueError, match=message):
+            FieldSpec(c)
     assert FieldSpec.prime_field(97).characteristic == 97
 
 
