@@ -64,9 +64,9 @@ reads the masks as sorted vertex tuples.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import chain, compress
 from struct import iter_unpack
-from typing import Iterable, Sequence
 
 from ._record import Record
 from .posets import (

@@ -27,7 +27,7 @@ nonzero.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from collections.abc import Mapping
 
 from ._record import Record
 from .complexes import DEFAULT_MAX_FACES, homology_of_faces
@@ -50,7 +50,7 @@ ASSUMPTION_TEXT = {
 
 def multiplicities(
     poset: AnalysisPoset,
-    field: Optional[FieldSpec] = None,
+    field: FieldSpec | None = None,
     *,
     max_faces: int = DEFAULT_MAX_FACES,
 ) -> dict[str, dict[int, int]]:
@@ -86,7 +86,7 @@ class ConditionReport(Record):
 
     def __init__(
         self, distributive_lattice: str, cohen_macaulay: bool,
-        strict_heights: Optional[bool], notes: tuple[str, ...] = (),
+        strict_heights: bool | None, notes: tuple[str, ...] = (),
     ) -> None:
         object.__setattr__(self, "distributive_lattice", distributive_lattice)
         object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
@@ -112,7 +112,7 @@ def check_conditions(poset: AnalysisPoset) -> ConditionReport:
         notes.append("some component is not Cohen-Macaulay")
     heights = [node.height for node in poset.nodes]
     if None in heights:
-        strict: Optional[bool] = None
+        strict: bool | None = None
         notes.append("heights missing on some elements; not checkable")
     else:
         # at_least[h]: the positions of height h or more
@@ -142,7 +142,7 @@ def check_conditions(poset: AnalysisPoset) -> ConditionReport:
 
 
 def murai_terai_level(
-    bounds_by_j: Mapping[int, Union[int, float]], ambient_dim: int
+    bounds_by_j: Mapping[int, int | float], ambient_dim: int
 ) -> tuple[int, bool]:
     """Smallest gap j - bound over j < ambient_dim; capped when vacuous."""
     gaps = [
@@ -168,7 +168,7 @@ class BoundEntry(Record):
     __slots__ = ("j", "members", "bound", "layers")
 
     def __init__(
-        self, j: int, members: tuple[str, ...], bound: Union[int, float],
+        self, j: int, members: tuple[str, ...], bound: int | float,
         layers: Mapping[int, tuple[tuple[str, int], ...]],
     ) -> None:
         object.__setattr__(self, "j", j)
@@ -203,7 +203,7 @@ class BoundReport(Record):
 
 def analyze(
     poset: AnalysisPoset,
-    field: Optional[FieldSpec] = None,
+    field: FieldSpec | None = None,
     *,
     max_faces: int = DEFAULT_MAX_FACES,
 ) -> BoundReport:

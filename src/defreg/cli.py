@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from ._record import Record
 from .binomial_edge import Graph, build_Q_poset
 from .bounds import NEG_INF, BoundReport, analyze
 from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
@@ -41,38 +40,6 @@ EXIT_STRICT = 3
 
 class ParseError(ValueError):
     """Malformed input of any mode."""
-
-
-class RunConfig(Record):
-    __slots__ = (
-        "mode", "gens", "variables", "edges_path", "poset_path", "field",
-        "json_output", "filtration", "witnesses", "check", "hasse", "strict",
-        "max_poset", "max_faces",
-    )
-
-    def __init__(
-        self, mode: str, gens: Optional[str] = None,
-        variables: Optional[str] = None, edges_path: Optional[str] = None,
-        poset_path: Optional[str] = None,
-        field: FieldSpec = FieldSpec.rationals(), json_output: bool = False,
-        filtration: bool = False, witnesses: bool = False, check: bool = False,
-        hasse: bool = False, strict: bool = False,
-        max_poset: int = DEFAULT_MAX_ELEMENTS, max_faces: int = DEFAULT_MAX_FACES,
-    ) -> None:
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "edges_path", edges_path)
-        object.__setattr__(self, "poset_path", poset_path)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "json_output", json_output)
-        object.__setattr__(self, "filtration", filtration)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "hasse", hasse)
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "max_poset", max_poset)
-        object.__setattr__(self, "max_faces", max_faces)
 
 
 def parse_var_list(text: str) -> tuple[str, ...]:
@@ -237,34 +204,32 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
         raise ParseError(str(e))
 
 
-def _build_poset(config: RunConfig) -> AnalysisPoset:
-    if config.mode == "monomial":
-        if not config.variables or not config.gens:
+def _build_poset(args: argparse.Namespace) -> AnalysisPoset:
+    if args.mode == "monomial":
+        if not args.variables or not args.gens:
             raise ParseError("monomial mode needs --vars and --gens")
-        names = parse_var_list(config.variables)
+        names = parse_var_list(args.variables)
         ring = RingContext(names)
-        gens = parse_monomial(names, config.gens)
+        gens = parse_monomial(names, args.gens)
         ideal = SquarefreeIdeal.create(ring, gens)
-        return build_monomial_poset(ideal, max_elements=config.max_poset)
-    if config.mode == "graph":
-        if not config.edges_path:
+        return build_monomial_poset(ideal, max_elements=args.max_poset)
+    if args.mode == "graph":
+        if not args.edges_path:
             raise ParseError("graph mode needs --edges FILE")
-        with open(config.edges_path, "r", encoding="utf-8") as fh:
+        with open(args.edges_path, "r", encoding="utf-8") as fh:
             text = fh.read()
         graph = parse_graph_file(text)
-        return build_Q_poset(graph, max_elements=config.max_poset)
-    if config.mode == "poset":
-        if not config.poset_path:
-            raise ParseError("poset mode needs --poset FILE")
-        with open(config.poset_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return parse_poset_doc(text)
-    raise ParseError(f"unknown mode {config.mode!r}")
+        return build_Q_poset(graph, max_elements=args.max_poset)
+    if not args.poset_path:
+        raise ParseError("poset mode needs --poset FILE")
+    with open(args.poset_path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_poset_doc(text)
 
 
-def render_text(report: BoundReport, config: RunConfig) -> str:
+def render_text(report: BoundReport, args: argparse.Namespace) -> str:
     poset = report.poset
-    lines = ["format: 1", f"mode: {config.mode}", f"field: {report.field.label()}"]
+    lines = ["format: 1", f"mode: {args.mode}", f"field: {report.field.label()}"]
     if poset.ring is None:
         lines.append("ring: unspecified")
     else:
@@ -277,7 +242,7 @@ def render_text(report: BoundReport, config: RunConfig) -> str:
         h = "?" if node.height is None else str(node.height)
         tag = "  maximal" if poset.is_maximal(node.id) else ""
         lines.append(f"  {node.id}  dim {node.dim}  height {h}{tag}")
-    if config.hasse:
+    if args.hasse:
         lines.append("covers:")
         for low, high in poset.hasse():
             lines.append(f"  {low} < {high}")
@@ -291,7 +256,7 @@ def render_text(report: BoundReport, config: RunConfig) -> str:
         f"conditions: (i) {cond.distributive_lattice}; (ii) {ii}; (iii) {iii}"
     )
     lines.append(f"certified: {'yes' if cond.certified else 'no'}")
-    if config.check:
+    if args.check:
         lines.append("notes:")
         if cond.notes:
             lines.extend(f"  - {note}" for note in cond.notes)
@@ -304,10 +269,10 @@ def render_text(report: BoundReport, config: RunConfig) -> str:
     for e in report.entries:
         lines.append(f"  reg K^{e.j} <= {e.bound} (cap {e.j})")
         lines.append(f"    S_{e.j} = {{{', '.join(e.members)}}}")
-        if config.witnesses:
+        if args.witnesses:
             witnesses = ", ".join(pid for pid, _ in e.layers.get(0, ()))
             lines.append(f"    witnesses = {{{witnesses}}}")
-        if config.filtration:
+        if args.filtration:
             for k in range(e.j + 1):
                 layer = e.layers.get(k, ())
                 body = " + ".join(f"{pid}^{exp}" for pid, exp in layer)
@@ -317,12 +282,12 @@ def render_text(report: BoundReport, config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: BoundReport, config: RunConfig) -> str:
+def render_json(report: BoundReport, args: argparse.Namespace) -> str:
     poset = report.poset
     certified = report.conditions.certified
     doc: dict = {
         "format": 1,
-        "mode": config.mode,
+        "mode": args.mode,
         "field": report.field.label(),
         "ring": {"nvars": poset.ring.nvars if poset.ring else None},
         "poset": {
@@ -353,12 +318,12 @@ def render_json(report: BoundReport, config: RunConfig) -> str:
             for e in report.entries
         ],
     }
-    if config.witnesses:
+    if args.witnesses:
         doc["witnesses"] = [
             {"j": e.j, "members": [pid for pid, _ in e.layers.get(0, ())]}
             for e in report.entries
         ]
-    if config.filtration:
+    if args.filtration:
         doc["filtration"] = [
             {
                 "j": e.j,
@@ -381,40 +346,13 @@ def render_json(report: BoundReport, config: RunConfig) -> str:
         "ii": cond.cohen_macaulay,
         "iii": "not checkable" if cond.strict_heights is None else cond.strict_heights,
     }
-    if config.check:
+    if args.check:
         conditions["notes"] = list(cond.notes)
     doc["conditions"] = conditions
     doc["mt_level"] = report.mt_level
     doc["mt_capped"] = report.mt_capped
     doc["assumptions"] = list(report.assumptions)
     return json.dumps(doc, indent=2) + "\n"
-
-
-def run(config: RunConfig) -> tuple[int, str]:
-    for flag, budget in (
-        ("--max-poset", config.max_poset),
-        ("--max-faces", config.max_faces),
-    ):
-        if budget < 1:
-            return EXIT_PARSE, f"error: {flag} must be at least 1, got {budget}\n"
-    try:
-        poset = _build_poset(config)
-    except (ClosureBudgetExceeded, FaceBudgetExceeded) as e:
-        return EXIT_BUDGET, f"error: {e}\n"
-    except (ParseError, ZeroIdeal, OSError, ValueError) as e:
-        return EXIT_PARSE, f"error: {e}\n"
-    try:
-        report = analyze(poset, config.field, max_faces=config.max_faces)
-    except FaceBudgetExceeded as e:
-        return EXIT_BUDGET, f"error: {e}\n"
-    text = (
-        render_json(report, config)
-        if config.json_output
-        else render_text(report, config)
-    )
-    if config.strict and not report.conditions.certified:
-        return EXIT_STRICT, text
-    return EXIT_OK, text
 
 
 def _parse_field(spec: str) -> FieldSpec:
@@ -442,7 +380,8 @@ class _Parser(argparse.ArgumentParser):
         )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
+    """The exit code of a defreg run on argv, and the text it prints."""
     parser = _Parser(
         prog="defreg",
         description=(
@@ -508,12 +447,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         args = parser.parse_args(argv)
-        field = _parse_field(args.field)
+        args.field = _parse_field(args.field)
     except ValueError as e:
-        sys.stdout.write(f"error: {e}\n")
-        return EXIT_PARSE
-    config = RunConfig(**{**vars(args), "field": field})
-    code, text = run(config)
+        return EXIT_PARSE, f"error: {e}\n"
+    for flag, budget in (
+        ("--max-poset", args.max_poset),
+        ("--max-faces", args.max_faces),
+    ):
+        if budget < 1:
+            return EXIT_PARSE, f"error: {flag} must be at least 1, got {budget}\n"
+    try:
+        poset = _build_poset(args)
+    except (ClosureBudgetExceeded, FaceBudgetExceeded) as e:
+        return EXIT_BUDGET, f"error: {e}\n"
+    except (ParseError, ZeroIdeal, OSError, ValueError) as e:
+        return EXIT_PARSE, f"error: {e}\n"
+    try:
+        report = analyze(poset, args.field, max_faces=args.max_faces)
+    except FaceBudgetExceeded as e:
+        return EXIT_BUDGET, f"error: {e}\n"
+    text = render_json(report, args) if args.json_output else render_text(report, args)
+    if args.strict and not report.conditions.certified:
+        return EXIT_STRICT, text
+    return EXIT_OK, text
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    code, text = run(argv)
     sys.stdout.write(text)
     return code
 

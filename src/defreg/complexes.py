@@ -28,7 +28,7 @@ interval, and its only reduced homology is a single class in degree -1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .exactfield import FieldSpec, pivot_rows
 
@@ -42,7 +42,7 @@ class FaceBudgetExceeded(RuntimeError):
 
 def homology_of_faces(
     faces: Sequence[Sequence[int]], field: FieldSpec
-) -> Dict[int, int]:
+) -> dict[int, int]:
     """Nonzero reduced Betti numbers of a nonvoid complex, by ascending degree.
 
     A face is the int mask of its vertex positions, and faces[k] lists the
@@ -68,9 +68,9 @@ def _euler(dims: Mapping[int, int]) -> int:
     return sum(-v if d & 1 else v for d, v in dims.items())
 
 
-def _dims(faces: Sequence[Sequence[int]], field: FieldSpec) -> Dict[int, int]:
+def _dims(faces: Sequence[Sequence[int]], field: FieldSpec) -> dict[int, int]:
     """Nonzero reduced homology dims by ascending degree, with clearing."""
-    dims: Dict[int, int] = {}
+    dims: dict[int, int] = {}
     cleared: set[int] = set()
     for k in range(len(faces) - 1, 0, -1):
         rows = {f: r for r, f in enumerate(faces[k - 1])}

@@ -26,8 +26,8 @@ them differ, and Q is reduced on its own (complexes.homology_of_faces).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from math import gcd
-from typing import Iterable, Mapping
 
 from ._record import Record
 

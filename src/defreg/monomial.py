@@ -21,7 +21,7 @@ variable names sorted as strings), so "x10" comes before "x2".
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .posets import (

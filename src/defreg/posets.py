@@ -20,16 +20,17 @@ The order is read off the same sums: a + b = a says that ideal(a)
 contains ideal(b), and every pair is summed exactly once, so no separate
 containment test is needed.
 
-The order is stored in one form only: up[k], an int mask of the positions
-at or above position k.  This module is the only place that builds, closes
-or cycle-checks such masks.  Builders hand the constructor masks, which it
-checks but never closes; relations given as id pairs, such as the covers of
-a poset file, go through AnalysisPoset.from_relations, which closes them.
+Builders hand in the order as up[k] only, an int mask of the positions at
+or above position k; the constructor derives down[k] from it once, for
+chain enumeration and covers.  This module is the only place that builds,
+closes or cycle-checks such masks.  The constructor checks the masks but
+never closes them; relations given as id pairs, such as the covers of a
+poset file, go through AnalysisPoset.from_relations, which closes them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from ._record import Record
 from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
@@ -83,7 +84,7 @@ class IdealNode(Record):
 
     def __init__(
         self, id: str, ideal: object, dim: int,
-        height: Optional[int] = None, is_cm: bool = True,
+        height: int | None = None, is_cm: bool = True,
     ) -> None:
         if dim < 0:
             raise ValueError(f"node {id}: dim must be nonnegative")
@@ -150,20 +151,20 @@ class AnalysisPoset:
             raise ValueError(f"up-mask names a position outside 0..{n - 1}")
         up = [m | 1 << k for k, m in enumerate(up)]
         down = [0] * n
+        transitive = True
         for i, m in enumerate(up):
             bit = 1 << i
+            closed = m
             for j in _bits(m):
                 down[j] |= bit
+                closed |= up[j]
+            transitive = transitive and closed == m
         for i, m in enumerate(up):
             both = m & down[i] ^ 1 << i
             if both:
                 raise OrderCycle(ids[i], ids[(both & -both).bit_length() - 1])
-        for m in up:
-            closed = m
-            for j in _bits(m):
-                closed |= up[j]
-            if closed != m:
-                raise ValueError("order relation is not transitively closed")
+        if not transitive:
+            raise ValueError("order relation is not transitively closed")
         self._up = tuple(up)
         self._down = down
         self.ring = ring

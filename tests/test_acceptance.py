@@ -15,7 +15,7 @@ import sys
 
 from defreg.binomial_edge import Graph, build_Q_poset, minimal_primes_graph
 from defreg.bounds import NEG_INF, analyze, check_conditions, multiplicities
-from defreg.cli import RunConfig, parse_poset_doc, run
+from defreg.cli import parse_poset_doc, run
 from defreg.complexes import homology_of_faces
 from defreg.exactfield import FieldSpec
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset, minimal_primes
@@ -401,24 +401,17 @@ def test_criterion_10_structural_sanity():
 
 def test_criterion_11_byte_stable_output():
     def body():
-        configs = [
-            RunConfig(
-                mode="monomial",
-                variables="x,y,z,w",
-                gens="x*z, x*w, y*z, y*w",
-                filtration=True,
-                witnesses=True,
-                hasse=True,
-            ),
-            RunConfig(
-                mode="graph",
-                edges_path=str(DATA / "path5.edges"),
-                json_output=True,
-            ),
-            RunConfig(mode="poset", poset_path=str(DATA / "abstract7.json")),
+        argvs = [
+            [
+                "--mode", "monomial", "--vars", "x,y,z,w",
+                "--gens", "x*z, x*w, y*z, y*w",
+                "--filtration", "--witnesses", "--hasse",
+            ],
+            ["--mode", "graph", "--edges", str(DATA / "path5.edges"), "--json"],
+            ["--mode", "poset", "--poset", str(DATA / "abstract7.json")],
         ]
-        for cfg in configs:
-            assert run(cfg) == run(cfg)
+        for argv in argvs:
+            assert run(argv) == run(argv)
         argv = [
             "--mode", "graph", "--edges", str(DATA / "k35.edges"), "--json",
             "--filtration", "--witnesses",

@@ -13,7 +13,6 @@ from defreg.cli import (
     EXIT_PARSE,
     EXIT_STRICT,
     ParseError,
-    RunConfig,
     _parse_field,
     main,
     parse_graph_file,
@@ -26,7 +25,7 @@ from oracle import leq
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-SKEW = dict(mode="monomial", variables="x,y,z,w", gens="x*z, x*w, y*z, y*w")
+SKEW = ["--mode", "monomial", "--vars", "x,y,z,w", "--gens", "x*z, x*w, y*z, y*w"]
 
 
 def test_parse_monomial():
@@ -126,7 +125,7 @@ def test_malformed_relations_exit_1(tmp_path, relations):
     )
     with pytest.raises(ParseError):
         parse_poset_doc(doc.read_text())
-    code, text = run(RunConfig(mode="poset", poset_path=str(doc)))
+    code, text = run(["--mode", "poset", "--poset", str(doc)])
     assert code == EXIT_PARSE
     assert text.startswith("error:")
 
@@ -193,7 +192,7 @@ def test_deeply_nested_poset_json_exit_1(tmp_path, where):
     doc.write_text(text)
     with pytest.raises(ParseError):
         parse_poset_doc(text)
-    code, text = run(RunConfig(mode="poset", poset_path=str(doc)))
+    code, text = run(["--mode", "poset", "--poset", str(doc)])
     assert code == EXIT_PARSE
     assert text.startswith("error:")
 
@@ -247,7 +246,7 @@ def test_parse_field():
 
 
 def test_run_ok():
-    code, text = run(RunConfig(**SKEW))
+    code, text = run(SKEW)
     assert code == EXIT_OK
     assert text.startswith("format: 1\n")
     assert "reg K^2 <= 2 (cap 2)" in text
@@ -256,22 +255,32 @@ def test_run_ok():
 
 
 def test_run_parse_failures():
-    code, text = run(RunConfig(mode="monomial", variables="x,y", gens=None))
+    code, text = run(["--mode", "monomial", "--vars", "x,y"])
     assert code == EXIT_PARSE
     assert text.startswith("error:")
-    code, _ = run(RunConfig(mode="monomial", variables="x,y", gens="x*q"))
+    code, _ = run(["--mode", "monomial", "--vars", "x,y", "--gens", "x*q"])
     assert code == EXIT_PARSE
-    code, _ = run(RunConfig(mode="graph", edges_path="/no/such/file"))
+    code, _ = run(["--mode", "graph", "--edges", "/no/such/file"])
     assert code == EXIT_PARSE
-    code, _ = run(RunConfig(mode="nonsense"))
+
+
+def test_run_returns_command_line_errors_as_text(capsys):
+    assert run(["--mode", "graph", "--field", "gf:4"]) == (
+        EXIT_PARSE, "error: 4 is not prime\n"
+    )
+    code, text = run(["--mode", "nonsense"])
     assert code == EXIT_PARSE
+    assert text.startswith("error: argument --mode: invalid choice: 'nonsense'")
+    assert text.count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: defreg ") and "Traceback" not in err
 
 
 def test_run_budget_failures():
-    code, text = run(RunConfig(max_poset=2, **SKEW))
+    code, text = run(SKEW + ["--max-poset", "2"])
     assert code == EXIT_BUDGET
     assert "budget" in text
-    code, text = run(RunConfig(max_faces=2, **SKEW))
+    code, text = run(SKEW + ["--max-faces", "2"])
     assert code == EXIT_BUDGET
     assert "budget" in text
 
@@ -281,13 +290,12 @@ def test_run_budget_failures():
                     ("--max-faces", 0), ("--max-faces", -1)]
 )
 def test_non_positive_budgets_exit_1(capsys, flag, value):
-    code = main(["--mode", "monomial", "--vars", "x", "--gens", "x",
-                 flag, str(value)])
+    argv = ["--mode", "monomial", "--vars", "x", "--gens", "x", flag, str(value)]
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == EXIT_PARSE
     assert out == f"error: {flag} must be at least 1, got {value}\n"
-    field = "max_poset" if flag == "--max-poset" else "max_faces"
-    assert run(RunConfig(**SKEW, **{field: value})) == (EXIT_PARSE, out)
+    assert run(argv) == (EXIT_PARSE, out)
 
 
 def test_large_intervals_exit_2_under_the_face_budget(tmp_path, capsys):
@@ -320,21 +328,17 @@ def test_run_strict_mode(tmp_path):
     heightless.write_text(
         '{"format": 1, "elements": [{"id": "a", "dim": 1}]}'
     )
-    cfg = RunConfig(mode="poset", poset_path=str(heightless), strict=True)
-    code, text = run(cfg)
+    relaxed = ["--mode", "poset", "--poset", str(heightless)]
+    code, text = run(relaxed + ["--strict"])
     assert code == EXIT_STRICT
     assert "certified: no" in text
     assert "(iii) not checkable" in text
     # same input without --strict reports the same text but exits cleanly
-    relaxed = RunConfig(mode="poset", poset_path=str(heightless))
     assert run(relaxed) == (EXIT_OK, text)
 
 
 def test_text_report_sections():
-    cfg = RunConfig(
-        hasse=True, witnesses=True, filtration=True, check=True, **SKEW
-    )
-    code, text = run(cfg)
+    code, text = run(SKEW + ["--hasse", "--witnesses", "--filtration", "--check"])
     assert code == EXIT_OK
     assert "ring: 4 variables (x, y, z, w)" in text
     assert "covers:" in text
@@ -349,7 +353,7 @@ def test_text_report_sections():
 
 
 def test_json_report():
-    code, text = run(RunConfig(json_output=True, **SKEW))
+    code, text = run(SKEW + ["--json"])
     assert code == EXIT_OK
     doc = json.loads(text)
     assert doc["format"] == 1
@@ -374,10 +378,7 @@ def test_json_report():
 
 
 def test_json_optional_sections():
-    cfg = RunConfig(
-        json_output=True, witnesses=True, filtration=True, check=True, **SKEW
-    )
-    _, text = run(cfg)
+    _, text = run(SKEW + ["--json", "--witnesses", "--filtration", "--check"])
     doc = json.loads(text)
     assert doc["witnesses"][2] == {"j": 2, "members": ["p_1", "p_2"]}
     assert doc["filtration"][1]["layers"][1]["summands"] == [
@@ -387,8 +388,7 @@ def test_json_optional_sections():
 
 
 def test_graph_mode_from_fixture():
-    cfg = RunConfig(mode="graph", edges_path=str(DATA / "path5.edges"))
-    code, text = run(cfg)
+    code, text = run(["--mode", "graph", "--edges", str(DATA / "path5.edges")])
     assert code == EXIT_OK
     assert "poset size: 17" in text
     assert "mode: graph" in text
@@ -397,21 +397,20 @@ def test_graph_mode_from_fixture():
 
 
 def test_poset_mode_from_fixture():
-    cfg = RunConfig(mode="poset", poset_path=str(DATA / "abstract7.json"))
-    code, text = run(cfg)
+    code, text = run(["--mode", "poset", "--poset", str(DATA / "abstract7.json")])
     assert code == EXIT_OK
     assert "reg K^2 <= 2 (cap 2)" in text
     assert "S_3 = {p_1, p_3, p_5}" in text
 
 
 def test_runs_are_byte_identical():
-    for cfg in (
-        RunConfig(**SKEW),
-        RunConfig(json_output=True, filtration=True, witnesses=True, **SKEW),
-        RunConfig(mode="graph", edges_path=str(DATA / "path5.edges")),
-        RunConfig(mode="poset", poset_path=str(DATA / "abstract7.json")),
+    for argv in (
+        SKEW,
+        SKEW + ["--json", "--filtration", "--witnesses"],
+        ["--mode", "graph", "--edges", str(DATA / "path5.edges")],
+        ["--mode", "poset", "--poset", str(DATA / "abstract7.json")],
     ):
-        assert run(cfg) == run(cfg)
+        assert run(argv) == run(argv)
 
 
 def test_main_entry_point(capsys):

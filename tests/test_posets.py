@@ -88,6 +88,10 @@ def test_mask_constructor_checks_and_never_closes():
     with pytest.raises(OrderCycle) as exc:
         AnalysisPoset(nodes + [node("d")], [0b1100, 0, 0b0001, 0b0001])
     assert exc.value.ids == ("a", "c")
+    # a <= b <= c without a <= c, and b <= a: the cycle is reported first
+    with pytest.raises(OrderCycle) as exc:
+        AnalysisPoset(nodes, [0b010, 0b101, 0])
+    assert exc.value.ids == ("a", "b")
 
 
 def test_poset_checks_height_against_ring():

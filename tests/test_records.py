@@ -8,8 +8,6 @@ import sys
 import pytest
 
 from defreg import (
-    DEFAULT_MAX_ELEMENTS,
-    DEFAULT_MAX_FACES,
     AnalysisPoset,
     BoundEntry,
     BoundReport,
@@ -22,7 +20,6 @@ from defreg import (
     RingContext,
     SquarefreeIdeal,
 )
-from defreg.cli import RunConfig
 
 RING = RingContext(("x", "y"))
 CONDITIONS = ConditionReport("assumed", True, None)
@@ -64,24 +61,6 @@ CASES = {
             "mt_capped": True,
         },
         {"assumptions": ()},
-    ),
-    RunConfig: (
-        {"mode": "graph"},
-        {
-            "gens": None,
-            "variables": None,
-            "edges_path": None,
-            "poset_path": None,
-            "field": FieldSpec(),
-            "json_output": False,
-            "filtration": False,
-            "witnesses": False,
-            "check": False,
-            "hasse": False,
-            "strict": False,
-            "max_poset": DEFAULT_MAX_ELEMENTS,
-            "max_faces": DEFAULT_MAX_FACES,
-        },
     ),
 }
 UNHASHABLE = {BoundEntry, BoundReport}  # they hold dicts
@@ -159,17 +138,17 @@ def test_copy_and_pickle_keep_the_value(cls):
 def test_unequal_fields_give_unequal_records():
     assert FieldSpec(2) != FieldSpec(3)
     assert IdealNode("p_1", None, 1) != IdealNode("p_1", None, 1, height=2)
-    assert RunConfig(mode="graph") != RunConfig(mode="graph", strict=True)
 
 
 # Start-up must not load these: dataclasses pulls in inspect, ast, dis and
-# tokenize.  The check runs as a plain script, so any interpreter can run
-# it with the package on its path.
+# tokenize, and typing pulls in contextlib.  The check runs as a plain
+# script, so any interpreter can run it with the package on its path; it
+# runs under -S, since a site .pth file may load typing before the package.
 STARTUP_GUARD = """
 import sys
 before = set(sys.modules)
 import defreg, defreg.cli
-loaded = {"dataclasses", "inspect"} & set(sys.modules) - before
+loaded = {"dataclasses", "inspect", "typing"} & set(sys.modules) - before
 sys.exit(f"import defreg, defreg.cli loads {sorted(loaded)}" if loaded else 0)
 """
 
@@ -177,7 +156,7 @@ sys.exit(f"import defreg, defreg.cli loads {sorted(loaded)}" if loaded else 0)
 def test_startup_loads_neither_dataclasses_nor_inspect():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", STARTUP_GUARD],
+        [sys.executable, "-S", "-c", STARTUP_GUARD],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
