@@ -166,6 +166,18 @@ def corpus_inputs():
         "elements": [{"id": "a", "dim": 1}, {"id": "b", "dim": 0}],
         "relations": [["a", "b"], ["b", "a"]],
     }))
+    # ids that the JSON report must escape: a quote, a backslash, non-ASCII
+    # (one character outside the BMP) and characters left as they are
+    poset("escaped_ids", json.dumps({
+        "format": 1, "nvars": 3,
+        "elements": [
+            {"id": "a\"b", "dim": 2, "height": 1},
+            {"id": "c\\d", "dim": 2, "height": 1},
+            {"id": "é/😀", "dim": 1, "height": 2},
+            {"id": "<&>", "dim": 0, "height": 3},
+        ],
+        "relations": [["é/😀", "a\"b"], ["é/😀", "c\\d"], ["<&>", "é/😀"]],
+    }))
     files["corpus/bad_edge.edges"] = "n 3\n1 4\n"
     argvs.append(["--mode", "graph", "--edges", "corpus/bad_edge.edges"])
     # inputs that pass a default budget, under budgets small enough to stop early
