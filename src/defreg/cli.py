@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 
 from .binomial_edge import Graph, build_Q_poset
 from .bounds import NEG_INF, BoundReport, analyze
@@ -282,77 +283,78 @@ def render_text(report: BoundReport, args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _array(items: list[str], pad: str) -> str:
+    """Encoded items as an indent=2 JSON array that closes at indent pad."""
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
+
+
 def render_json(report: BoundReport, args: argparse.Namespace) -> str:
-    poset = report.poset
-    certified = report.conditions.certified
-    doc: dict = {
-        "format": 1,
-        "mode": args.mode,
-        "field": report.field.label(),
-        "ring": {"nvars": poset.ring.nvars if poset.ring else None},
-        "poset": {
-            "elements": [
-                {
-                    "id": nd.id,
-                    "dim": nd.dim,
-                    "height": nd.height,
-                    "maximal": poset.is_maximal(nd.id),
-                }
-                for nd in poset.nodes
-            ],
-            "covers": [[a, b] for a, b in poset.hasse()],
-        },
-        "multiplicities": [
-            {"id": pid, "degree": d, "value": v}
-            for pid, dims in report.multiplicities.items()
-            for d, v in dims.items()
-        ],
-        "bounds": [
-            {
-                "j": e.j,
-                "S": list(e.members),
-                "bound": "-inf" if e.bound == NEG_INF else e.bound,
-                "cap": e.j,
-                "certified": certified,
-            }
-            for e in report.entries
-        ],
-    }
+    """The report as json.dumps(..., indent=2) lays it out, written directly."""
+    poset, cond, q = report.poset, report.conditions, encode_basestring_ascii
+    up, boolean, neg_inf = poset.up, ("false", "true"), '"-inf"'
+    elements = [
+        f'{{\n        "id": {q(nd.id)},\n        "dim": {nd.dim},\n'
+        f'        "height": {"null" if nd.height is None else nd.height},\n'
+        f'        "maximal": {boolean[up[k] == 1 << k]}\n      }}'
+        for k, nd in enumerate(poset.nodes)
+    ]
+    covers = [f"[\n        {q(a)},\n        {q(b)}\n      ]" for a, b in poset.hasse()]
+    mults = [
+        f'{{\n      "id": {q(pid)},\n      "degree": {d},\n      "value": {v}\n    }}'
+        for pid, dims in report.multiplicities.items()
+        for d, v in dims.items()
+    ]
+    bounds = [
+        f'{{\n      "j": {e.j},\n'
+        f'      "S": {_array(list(map(q, e.members)), "      ")},\n'
+        f'      "bound": {neg_inf if e.bound == NEG_INF else e.bound},\n'
+        f'      "cap": {e.j},\n      "certified": {boolean[cond.certified]}\n    }}'
+        for e in report.entries
+    ]
+    optional = ""
     if args.witnesses:
-        doc["witnesses"] = [
-            {"j": e.j, "members": [pid for pid, _ in e.layers.get(0, ())]}
+        witnesses = [
+            f'{{\n      "j": {e.j},\n      "members": '
+            f'{_array([q(pid) for pid, _ in e.layers.get(0, ())], "      ")}\n    }}'
             for e in report.entries
         ]
+        optional += f'  "witnesses": {_array(witnesses, "  ")},\n'
     if args.filtration:
-        doc["filtration"] = [
-            {
-                "j": e.j,
-                "layers": [
-                    {
-                        "k": k,
-                        "summands": [
-                            {"id": pid, "exponent": exp}
-                            for pid, exp in e.layers.get(k, ())
-                        ],
-                    }
-                    for k in range(e.j + 1)
-                ],
+        filtration = []
+        for e in report.entries:
+            # a layer for every k <= j; only the nonempty ones list summands
+            summands = {
+                k: _array([
+                    f'{{\n              "id": {q(pid)},\n'
+                    f'              "exponent": {exp}\n            }}'
+                    for pid, exp in layer
+                ], "          ")
+                for k, layer in e.layers.items()
             }
-            for e in report.entries
-        ]
-    cond = report.conditions
-    conditions: dict = {
-        "i": cond.distributive_lattice,
-        "ii": cond.cohen_macaulay,
-        "iii": "not checkable" if cond.strict_heights is None else cond.strict_heights,
-    }
-    if args.check:
-        conditions["notes"] = list(cond.notes)
-    doc["conditions"] = conditions
-    doc["mt_level"] = report.mt_level
-    doc["mt_capped"] = report.mt_capped
-    doc["assumptions"] = list(report.assumptions)
-    return json.dumps(doc, indent=2) + "\n"
+            filtration.append(f'{{\n      "j": {e.j},\n      "layers": ' + _array([
+                f'{{\n          "k": {k},\n'
+                f'          "summands": {summands.get(k, "[]")}\n        }}'
+                for k in range(e.j + 1)
+            ], "      ") + "\n    }")
+        optional += f'  "filtration": {_array(filtration, "  ")},\n'
+    iii = cond.strict_heights
+    iii = '"not checkable"' if iii is None else boolean[iii]
+    notes = _array(list(map(q, cond.notes)), "    ")
+    notes = f',\n    "notes": {notes}' if args.check else ""
+    return (
+        f'{{\n  "format": 1,\n  "mode": {q(args.mode)},\n'
+        f'  "field": {q(report.field.label())},\n  "ring": {{\n'
+        f'    "nvars": {"null" if poset.ring is None else poset.ring.nvars}\n  }},\n'
+        f'  "poset": {{\n    "elements": {_array(elements, "    ")},\n'
+        f'    "covers": {_array(covers, "    ")}\n  }},\n'
+        f'  "multiplicities": {_array(mults, "  ")},\n'
+        f'  "bounds": {_array(bounds, "  ")},\n{optional}'
+        f'  "conditions": {{\n    "i": {q(cond.distributive_lattice)},\n'
+        f'    "ii": {boolean[cond.cohen_macaulay]},\n    "iii": {iii}{notes}\n  }},\n'
+        f'  "mt_level": {report.mt_level},\n'
+        f'  "mt_capped": {boolean[report.mt_capped]},\n'
+        f'  "assumptions": {_array(list(map(q, report.assumptions)), "  ")}\n}}\n'
+    )
 
 
 def _parse_field(spec: str) -> FieldSpec:

@@ -387,6 +387,54 @@ def test_json_optional_sections():
     assert isinstance(doc["conditions"]["notes"], list)
 
 
+# ids that JSON must escape: a quote, a backslash and non-ASCII characters,
+# one of them outside the BMP; '/', '<', '&' and '>' are left as they are
+ESCAPED_IDS = ['a"b', "c\\d", "é/😀", "<&>"]
+
+
+@pytest.mark.parametrize("field", ["rational", "gf:2"])
+@pytest.mark.parametrize("flags", [[], ["--hasse", "--witnesses", "--filtration", "--check"]],
+                         ids=["plain", "every-flag"])
+@pytest.mark.parametrize("source", ["skew", "abstract7", "path5", "escaped"])
+def test_json_report_has_the_stdlib_layout(tmp_path, source, flags, field):
+    escaped = tmp_path / "escaped.json"
+    escaped.write_text(json.dumps({
+        "format": 1, "nvars": 3,
+        "elements": [
+            {"id": pid, "dim": dim, "height": 3 - dim}
+            for pid, dim in zip(ESCAPED_IDS, (2, 2, 1, 0))
+        ],
+        "relations": [[ESCAPED_IDS[2], ESCAPED_IDS[0]], [ESCAPED_IDS[2], ESCAPED_IDS[1]],
+                      [ESCAPED_IDS[3], ESCAPED_IDS[2]]],
+    }))
+    argv = {
+        "skew": SKEW,
+        "abstract7": ["--mode", "poset", "--poset", str(DATA / "abstract7.json")],
+        "path5": ["--mode", "graph", "--edges", str(DATA / "path5.edges")],
+        "escaped": ["--mode", "poset", "--poset", str(escaped)],
+    }[source]
+    code, text = run(argv + ["--json", "--field", field, *flags])
+    assert code == EXIT_OK
+    # the standard library is the reference for the layout and the escaping
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert text.isascii()
+    ids = [e["id"] for e in doc["poset"]["elements"]]
+    if source == "escaped":
+        assert ids == ESCAPED_IDS
+        assert doc["poset"]["covers"][0] == ["é/😀", 'a"b']
+    named = {pid for pair in doc["poset"]["covers"] for pid in pair}
+    named.update(m["id"] for m in doc["multiplicities"])
+    named.update(pid for b in doc["bounds"] for pid in b["S"])
+    named.update(pid for w in doc.get("witnesses", ()) for pid in w["members"])
+    named.update(
+        s["id"] for f in doc.get("filtration", ()) for layer in f["layers"]
+        for s in layer["summands"]
+    )
+    assert named <= set(ids)
+    assert ("witnesses" in doc) == ("notes" in doc["conditions"]) == bool(flags)
+
+
 def test_graph_mode_from_fixture():
     code, text = run(["--mode", "graph", "--edges", str(DATA / "path5.edges")])
     assert code == EXIT_OK
