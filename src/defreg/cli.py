@@ -19,11 +19,9 @@ import sys
 from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
-from .binomial_edge import Graph, build_Q_poset
 from .bounds import NEG_INF, BoundReport, analyze
 from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
 from .exactfield import FieldSpec
-from .monomial import SquarefreeIdeal, ZeroIdeal, build_monomial_poset
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
     AnalysisPoset,
@@ -37,6 +35,36 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_BUDGET = 2
 EXIT_STRICT = 3
+
+# The graph and monomial builders load on their mode's first run, not at
+# start-up, so a poset run never compiles them.  These are the names this
+# module takes from each; _load_mode binds them as module globals, and
+# __getattr__ lets callers outside look them up before that first run.
+_MODE_NAMES = {
+    "binomial_edge": ("Graph", "build_Q_poset"),
+    "monomial": ("SquarefreeIdeal", "build_monomial_poset"),
+}
+
+
+def _load_mode(module: str) -> None:
+    """Bind the names taken from a mode module, keeping any bound already.
+
+    A name set from outside first, such as a wrapper around
+    build_Q_poset, stays in place, and the mode's run calls through it.
+    """
+    from importlib import import_module
+
+    found = import_module(f".{module}", __package__)
+    for name in _MODE_NAMES[module]:
+        globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    for module, names in _MODE_NAMES.items():
+        if name in names:
+            _load_mode(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ParseError(ValueError):
@@ -118,6 +146,7 @@ def parse_graph_file(text: str) -> Graph:
                 f"edge {u} {v} must satisfy 1 <= u < v <= {n}"
             )
         edges.append((u, v))
+    _load_mode("binomial_edge")
     return Graph.from_edges(n, edges)
 
 
@@ -212,6 +241,7 @@ def _build_poset(args: argparse.Namespace) -> AnalysisPoset:
         names = parse_var_list(args.variables)
         ring = RingContext(names)
         gens = parse_monomial(names, args.gens)
+        _load_mode("monomial")
         ideal = SquarefreeIdeal.create(ring, gens)
         return build_monomial_poset(ideal, max_elements=args.max_poset)
     if args.mode == "graph":
@@ -219,7 +249,7 @@ def _build_poset(args: argparse.Namespace) -> AnalysisPoset:
             raise ParseError("graph mode needs --edges FILE")
         with open(args.edges_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        graph = parse_graph_file(text)
+        graph = parse_graph_file(text)  # loads the graph mode's names
         return build_Q_poset(graph, max_elements=args.max_poset)
     if not args.poset_path:
         raise ParseError("poset mode needs --poset FILE")
@@ -462,7 +492,7 @@ def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
         poset = _build_poset(args)
     except (ClosureBudgetExceeded, FaceBudgetExceeded) as e:
         return EXIT_BUDGET, f"error: {e}\n"
-    except (ParseError, ZeroIdeal, OSError, ValueError) as e:
+    except (ParseError, OSError, ValueError) as e:
         return EXIT_PARSE, f"error: {e}\n"
     try:
         report = analyze(poset, args.field, max_faces=args.max_faces)

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import defreg.cli
 from defreg.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -459,6 +460,77 @@ def test_runs_are_byte_identical():
         ["--mode", "poset", "--poset", str(DATA / "abstract7.json")],
     ):
         assert run(argv) == run(argv)
+
+
+BUILDER_RUNS = {
+    "build_Q_poset": ["--mode", "graph", "--edges", str(DATA / "path5.edges")],
+    "build_monomial_poset": SKEW,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_RUNS))
+def test_builders_are_called_through_the_cli_module(name):
+    # a tracer replaces defreg.cli.<builder> with a wrapper and puts the
+    # original back afterwards; a run must go through whatever is bound
+    original = getattr(defreg.cli, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    setattr(defreg.cli, name, counting)
+    try:
+        assert run(BUILDER_RUNS[name])[0] == EXIT_OK
+    finally:
+        setattr(defreg.cli, name, original)
+    assert calls == [name]
+    assert run(BUILDER_RUNS[name])[0] == EXIT_OK
+    assert calls == [name]
+
+
+# Looks up defreg.cli.<argv[1]> before any run has loaded its module, as a
+# tracer resolves its hook targets.
+RESOLVE_BEFORE_LOAD = """
+import sys
+import defreg, defreg.cli
+assert getattr(defreg.cli, sys.argv[1]) is getattr(defreg, sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_RUNS))
+def test_builders_resolve_on_the_cli_module_before_the_first_run(name):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", RESOLVE_BEFORE_LOAD, name],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+# Binds a wrapper that raises at defreg.cli.<argv[1]> before the builder's
+# module is loaded, and prints what the CLI prints for argv[2:].
+WRAP_BEFORE_LOAD = """
+import sys
+import defreg.cli
+
+def wrapper(*args, **kwargs):
+    raise ValueError("wrapper called")
+
+setattr(defreg.cli, sys.argv[1], wrapper)
+sys.exit(defreg.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_RUNS))
+def test_a_wrapper_bound_before_the_first_run_stays(name):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", WRAP_BEFORE_LOAD, name, *BUILDER_RUNS[name]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_PARSE, done.stderr
+    assert done.stdout == "error: wrapper called\n"
 
 
 def test_main_entry_point(capsys):

@@ -141,22 +141,79 @@ def test_unequal_fields_give_unequal_records():
 
 
 # Start-up must not load these: dataclasses pulls in inspect, ast, dis and
-# tokenize, and typing pulls in contextlib.  The check runs as a plain
-# script, so any interpreter can run it with the package on its path; it
-# runs under -S, since a site .pth file may load typing before the package.
+# tokenize, typing pulls in contextlib, and the graph and monomial builders
+# load only on their mode's first run.  The check runs as a plain script,
+# so any interpreter can run it with the package on its path; it runs
+# under -S, since a site .pth file may load typing before the package.
 STARTUP_GUARD = """
 import sys
 before = set(sys.modules)
 import defreg, defreg.cli
-loaded = {"dataclasses", "inspect", "typing"} & set(sys.modules) - before
+loaded = {
+    "dataclasses", "inspect", "typing", "defreg.binomial_edge", "defreg.monomial"
+} & set(sys.modules) - before
 sys.exit(f"import defreg, defreg.cli loads {sorted(loaded)}" if loaded else 0)
 """
 
 
-def test_startup_loads_neither_dataclasses_nor_inspect():
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", STARTUP_GUARD],
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_startup_loads_neither_dataclasses_nor_inspect():
+    done = run_script(STARTUP_GUARD)
     assert done.returncode == 0, done.stderr
+
+
+# Imports the package, runs defreg.cli.main on argv[1:] when there are
+# arguments, and prints the package's submodules loaded by then.
+MODULES_LOADED = """
+import contextlib, io, sys
+import defreg
+if sys.argv[1:]:
+    import defreg.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert defreg.cli.main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.startswith("defreg.")))
+"""
+
+DATA = pathlib.Path(__file__).parent / "data"
+EVERY_RUN = ["_record", "bounds", "cli", "complexes", "exactfield", "posets"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["--mode", "poset", "--poset", str(DATA / "abstract7.json")], EVERY_RUN),
+    (["--mode", "graph", "--edges", str(DATA / "path5.edges")],
+     EVERY_RUN + ["binomial_edge"]),
+    (["--mode", "monomial", "--vars", "x,y,z", "--gens", "x*y, y*z"],
+     EVERY_RUN + ["monomial"]),
+], ids=["import-only", "poset-mode", "graph-mode", "monomial-mode"])
+def test_each_mode_loads_only_its_own_modules(argv, loaded):
+    done = run_script(MODULES_LOADED, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == sorted(f"defreg.{m}" for m in loaded)
+
+
+def test_public_names_resolve_lazily_to_their_home_objects():
+    import importlib
+
+    import defreg
+
+    namespace: dict = {}
+    exec("from defreg import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(defreg.__all__)
+    assert len(defreg.__all__) == 31
+    # the lazy table and __all__ list the same names
+    assert [*defreg._HOMES, "__version__"] == defreg.__all__
+    for name, home in defreg._HOMES.items():
+        module = importlib.import_module(f"defreg.{home}")
+        assert namespace[name] is getattr(module, name) is getattr(defreg, name)
+    assert set(defreg.__all__) <= set(dir(defreg))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        defreg.no_such_name
