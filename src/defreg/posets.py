@@ -238,6 +238,76 @@ class AnalysisPoset:
         k = self._pos(pid)
         return _chains(self._down, self._up[k] ^ 1 << k, max_faces)
 
+    def graph_intervals(self) -> int:
+        """Mask of the positions k whose open interval (k, top) has no 3-chain.
+
+        The order complex of such an interval is its comparability graph.
+        With top the maximal positions and second those whose strict
+        up-set lies inside top, (k, top) has no chain of three elements
+        exactly when its members all lie in top | second.
+        """
+        up = self._up
+        top = 0
+        for k, m in enumerate(up):
+            if m.bit_count() == 1:
+                top |= 1 << k
+        # m & ~mask keeps bit k unless k is in mask, so at most one bit
+        # left says that the strict up-set of k lies inside mask
+        flat = top
+        for k, m in enumerate(up):
+            if (m & ~top).bit_count() <= 1:
+                flat |= 1 << k
+        out = 0
+        for k, m in enumerate(up):
+            if (m & ~flat).bit_count() <= 1:
+                out |= 1 << k
+        return out
+
+    def graph_homology(
+        self, pid: str, *, max_faces: int = DEFAULT_MAX_FACES
+    ) -> dict[int, int]:
+        """Reduced homology of (pid, top) read off its comparability graph.
+
+        Only for a position in graph_intervals(), whose order complex is
+        that graph; an interval with a chain of three elements raises
+        ValueError.  V members, E comparable pairs and c components give
+        H_0 = c - 1 and H_1 = E - V + c, and with V = 0 a class in degree
+        -1 (Björner, Topological methods, 1995, §9).  A graph's homology
+        is free, so this holds over every field.  1 + V + E is the face
+        count interval_chains would reach, and it is held to max_faces
+        with the same message.
+        """
+        k = self._pos(pid)
+        up, down = self._up, self._down
+        members = rest = up[k] ^ 1 << k
+        pairs = comps = 0
+        while rest:
+            comps += 1
+            reached = frontier = rest & -rest
+            while frontier:
+                near = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    x = low.bit_length() - 1
+                    above = up[x].bit_count() - 1
+                    if above and (down[x] & members).bit_count() > 1:
+                        raise ValueError(f"the interval above {pid} has a 3-chain")
+                    pairs += above
+                    near |= up[x] | down[x]
+                frontier = near & rest & ~reached
+                reached |= frontier
+            rest ^= reached
+        nverts = members.bit_count()
+        if 1 + nverts + pairs > max_faces:
+            raise FaceBudgetExceeded(
+                f"chain enumeration passed the face budget of {max_faces}"
+            )
+        if not nverts:
+            return {-1: 1}
+        dims = {0: comps - 1, 1: pairs - nverts + comps}
+        return {d: v for d, v in dims.items() if v}
+
     def hasse(self) -> list[tuple[str, str]]:
         """Cover pairs (lower, upper) of the transitive reduction."""
         n = len(self._nodes)

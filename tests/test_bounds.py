@@ -391,27 +391,99 @@ def test_projective_plane_interval_depends_on_the_field():
     assert_matches_rank_oracle(poset)
 
 
-def test_torsion_free_interval_in_two_degrees():
+def point_and_crown():
     # above the bottom: a point and a crown b1, b2 < c1, c2, whose order
     # complex is a 4-cycle, so a point and a circle
-    poset = with_bottom(
+    return with_bottom(
         ["a", "b1", "b2", "c1", "c2"],
         [(b, c) for b in ("b1", "b2") for c in ("c1", "c2")],
     )
+
+
+def test_torsion_free_interval_in_two_degrees():
+    # no chain of three elements, so the graph method reads it off its
+    # comparability graph: V = 5, E = 4 and 2 components
+    poset = point_and_crown()
+    assert poset.graph_intervals() == (1 << len(poset)) - 1
     for field in (QQ, GF2, GF3):
         assert multiplicities(poset, field)["bottom"] == {0: 1, 1: 1}, field
     assert_matches_rank_oracle(poset)
 
 
+def test_torsion_free_rank_three_interval_in_two_degrees():
+    # above the bottom: a point and the octahedral 2-sphere
+    # x1, x2 < y1, y2 < z1, z2; its GF(2) homology sits in two degrees,
+    # so Q takes its own reduction
+    levels = [("x1", "x2"), ("y1", "y2"), ("z1", "z2")]
+    poset = with_bottom(
+        ["a"] + [pid for level in levels for pid in level],
+        [
+            (a, b)
+            for i, lower in enumerate(levels)
+            for upper in levels[i + 1:]
+            for a in lower
+            for b in upper
+        ],
+    )
+    assert not poset.graph_intervals() & 1
+    with pytest.raises(ValueError, match="above bottom has a 3-chain"):
+        poset.graph_homology("bottom")
+    for field in (QQ, GF2, GF3):
+        assert multiplicities(poset, field)["bottom"] == {0: 1, 2: 1}, field
+    assert_matches_rank_oracle(poset)
+
+
+def test_graph_intervals_are_those_without_three_chains():
+    for poset in oracle_posets():
+        graphs = poset.graph_intervals()
+        for k, nd in enumerate(poset.nodes):
+            longest = max(map(len, chains_by_leq(poset, nd.id)))
+            assert (graphs >> k & 1) == (longest <= 2), (poset.ids(), nd.id)
+
+
 def test_chain_masks_keep_the_face_budget_exact():
     # the budget counts every chain of the interval, the empty one too
     for poset in (build_Q_poset(Graph.path(5)), ranked_poset(0)):
-        for nd in poset.nodes:
+        graphs = poset.graph_intervals()
+        for k, nd in enumerate(poset.nodes):
             faces = len(chains_by_leq(poset, nd.id))
             levels = poset.interval_chains(nd.id, max_faces=faces)
             assert sum(map(len, levels)) == faces
             with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
                 poset.interval_chains(nd.id, max_faces=faces - 1)
+            if graphs >> k & 1:
+                poset.graph_homology(nd.id, max_faces=faces)
+                with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+                    poset.graph_homology(nd.id, max_faces=faces - 1)
+
+
+def test_graph_method_keeps_the_face_budget_exact():
+    # the largest interval, above the bottom, has 1 + V + E faces
+    poset = point_and_crown()
+    assert multiplicities(poset, max_faces=1 + 5 + 4)["bottom"] == {0: 1, 1: 1}
+    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+        multiplicities(poset, max_faces=1 + 5 + 4 - 1)
+    single = parse_poset_doc('{"format": 1, "elements": [{"id": "a", "dim": 0}]}')
+    assert multiplicities(single, max_faces=1) == {"a": {-1: 1}}
+    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+        multiplicities(single, max_faces=0)
+
+
+def test_graph_intervals_skip_chain_enumeration(monkeypatch):
+    calls = []
+    inner = defreg.bounds.homology_of_faces
+
+    def counted(faces, field):
+        calls.append(len(faces))
+        return inner(faces, field)
+
+    monkeypatch.setattr(defreg.bounds, "homology_of_faces", counted)
+    multiplicities(ranked_poset(0))
+    assert calls == []
+    # path6 has 41 elements, and only 6 intervals hold a chain of three
+    multiplicities(build_Q_poset(Graph.path(6)))
+    assert len(calls) == 6
+    assert min(calls) >= 4
 
 
 def test_neg_inf_prints_as_minus_inf():
