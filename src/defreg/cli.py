@@ -214,14 +214,14 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
     relations = doc.get("relations", [])
     if not isinstance(relations, list):
         raise ParseError("\"relations\" must be a list of [a, b] pairs")
+    # json.loads makes plain lists and strs, never subclasses of them
     for rel in relations:
-        if not (
-            isinstance(rel, list)
-            and len(rel) == 2
-            and all(isinstance(x, str) for x in rel)
+        if (
+            type(rel) is not list or len(rel) != 2
+            or type(rel[0]) is not str or type(rel[1]) is not str
         ):
             raise ParseError(f"malformed relation {rel!r}")
-        if not seen_ids.issuperset(rel):
+        if rel[0] not in seen_ids or rel[1] not in seen_ids:
             raise ParseError(f"relation {rel!r} mentions an unknown id")
     try:
         return AnalysisPoset.from_relations(

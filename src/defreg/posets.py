@@ -22,10 +22,12 @@ containment test is needed.
 
 Builders hand in the order as up[k] only, an int mask of the positions at
 or above position k; the constructor derives down[k] from it once, for
-chain enumeration and covers.  This module is the only place that builds,
-closes or cycle-checks such masks.  The constructor checks the masks but
-never closes them; relations given as id pairs, such as the covers of a
-poset file, go through AnalysisPoset.from_relations, which closes them.
+chain enumeration.  This module is the only place that builds, closes or
+cycle-checks such masks.  The constructor checks the masks but never
+closes them, and its transitivity check leaves each element's covers as
+a mask, which hasse() reads.  Relations given as id pairs, such as the
+covers of a poset file, go through AnalysisPoset.from_relations, which
+closes them in one pass over a topological order.
 """
 
 from __future__ import annotations
@@ -105,12 +107,36 @@ def _bits(mask: int):
 
 
 def _close(up: Sequence[int]) -> list[int]:
-    """Transitive closure of up-masks, by in-place passes to a fixpoint."""
+    """Transitive closure of up-masks, in one pass over a topological order.
+
+    Kahn's algorithm, run from the top: an element is closed once every
+    element its mask names is closed, and its closed mask is then ORed
+    into each element that names it, one OR per listed pair.  Elements
+    that a cycle leaves unclosed (a self-bit counts as a cycle) finish by
+    in-place passes to a fixpoint.  The closure is unique, so the masks
+    do not depend on the route.
+    """
     up = list(up)
+    below: list[list[int]] = [[] for _ in up]
+    waiting = []
+    for i, m in enumerate(up):
+        waiting.append(m.bit_count())
+        for j in _bits(m):
+            below[j].append(i)
+    done = [i for i, w in enumerate(waiting) if not w]
+    for j in done:
+        m = up[j]
+        for i in below[j]:
+            up[i] |= m
+            waiting[i] -= 1
+            if not waiting[i]:
+                done.append(i)
+    rest = [i for i, w in enumerate(waiting) if w]
     changed = True
     while changed:
         changed = False
-        for i, m in enumerate(up):
+        for i in rest:
+            m = up[i]
             acc = m
             for j in _bits(m):
                 acc |= up[j]
@@ -126,10 +152,15 @@ class AnalysisPoset:
     up[k] is the mask of positions at or above position k; the constructor
     adds the reflexive bit and verifies antisymmetry and transitivity, so a
     builder that derives its order (join_closure) is checked, never
-    silently repaired.
+    silently repaired.  The check ORs the strict up-sets of each strict
+    up-set, one OR per comparable pair: that union stays inside up[k]
+    exactly when the masks are closed, and what it leaves out of k's
+    strict up-set are k's covers.
     """
 
-    __slots__ = ("_nodes", "_index", "_up", "_down", "ring", "provenance")
+    __slots__ = (
+        "_nodes", "_index", "_up", "_down", "_covers", "ring", "provenance",
+    )
 
     def __init__(
         self,
@@ -150,15 +181,19 @@ class AnalysisPoset:
         if any(m >> n for m in up):
             raise ValueError(f"up-mask names a position outside 0..{n - 1}")
         up = [m | 1 << k for k, m in enumerate(up)]
-        down = [0] * n
+        strict = [m ^ 1 << k for k, m in enumerate(up)]
+        down = [1 << k for k in range(n)]
+        covers = []
         transitive = True
-        for i, m in enumerate(up):
+        for i, m in enumerate(strict):
             bit = 1 << i
-            closed = m
+            # what lies strictly above something strictly above i
+            acc = 0
             for j in _bits(m):
                 down[j] |= bit
-                closed |= up[j]
-            transitive = transitive and closed == m
+                acc |= strict[j]
+            covers.append(m & ~acc)
+            transitive = transitive and acc | up[i] == up[i]
         for i, m in enumerate(up):
             both = m & down[i] ^ 1 << i
             if both:
@@ -167,6 +202,7 @@ class AnalysisPoset:
             raise ValueError("order relation is not transitively closed")
         self._up = tuple(up)
         self._down = down
+        self._covers = covers
         self.ring = ring
         self.provenance = provenance
         if ring is not None:
@@ -198,7 +234,10 @@ class AnalysisPoset:
             ib = index.get(b)
             if ia is None or ib is None:
                 raise ValueError(f"order relation mentions unknown id in ({a}, {b})")
-            up[ia] |= 1 << ib
+            # the constructor adds the reflexive bits; left in, a self-pair
+            # would read as a cycle to _close's topological pass
+            if ia != ib:
+                up[ia] |= 1 << ib
         return cls(nodes, _close(up), ring=ring, provenance=provenance)
 
     @property
@@ -309,16 +348,13 @@ class AnalysisPoset:
         return {d: v for d, v in dims.items() if v}
 
     def hasse(self) -> list[tuple[str, str]]:
-        """Cover pairs (lower, upper) of the transitive reduction."""
-        n = len(self._nodes)
-        covers = []
-        for i in range(n):
-            strict_up = self._up[i] & ~(1 << i)
-            for j in _bits(strict_up):
-                between = strict_up & self._down[j] & ~(1 << j)
-                if between == 0:
-                    covers.append((self._nodes[i].id, self._nodes[j].id))
-        return covers
+        """Cover pairs (lower, upper) of the transitive reduction.
+
+        Lower elements in node order, each one's covers by ascending
+        position, read off the cover masks the constructor recorded.
+        """
+        ids = self.ids()
+        return [(a, ids[j]) for a, c in zip(ids, self._covers) for j in _bits(c)]
 
 
 def _chains(down: Sequence[int], members: int, max_faces: int) -> list[list[int]]:

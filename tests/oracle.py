@@ -1,11 +1,14 @@
-"""An independent reference for reduced homology, used only by the tests.
+"""Independent references for the order and homology, used only by the tests.
 
-Faces are sorted tuples of vertex labels, and a poset's chains are read
-off its order one comparison at a time.  Homology is
-f_i - rank d_i - rank d_{i+1}, from one full boundary map per degree:
-no clearing, no masks and no GF(2) certificate for Q.  The one piece
-shared with the engine is exactfield.pivot_rows, whose ranks
-test_exactfield checks against ranks from minors.
+The order is read off the up-masks one comparison at a time: covers by
+leq, and the closure of a relation by in-place passes to a fixpoint
+rather than the engine's topological pass.  Faces are sorted tuples of
+vertex labels, and a poset's chains are read off its order one
+comparison at a time.  Homology is f_i - rank d_i - rank d_{i+1}, from
+one full boundary map per degree: no clearing, no masks and no GF(2)
+certificate for Q.  The one piece shared with the engine is
+exactfield.pivot_rows, whose ranks test_exactfield checks against ranks
+from minors.
 """
 
 import itertools
@@ -17,6 +20,35 @@ def leq(poset, a, b):
     """a <= b in the poset, read off its up-masks."""
     ids = poset.ids()
     return poset.up[ids.index(a)] >> ids.index(b) & 1 == 1
+
+
+def covers_by_leq(poset):
+    """Cover pairs (a, b) in hasse() order: a < b with nothing strictly between."""
+    ids = poset.ids()
+    above = {a: [b for b in ids if b != a and leq(poset, a, b)] for a in ids}
+    return [
+        (a, b)
+        for a in ids
+        for b in above[a]
+        if not any(b in above[c] for c in above[a])
+    ]
+
+
+def close_by_passes(up):
+    """Transitive closure of up-masks, by in-place passes to a fixpoint."""
+    up = list(up)
+    changed = True
+    while changed:
+        changed = False
+        for i, m in enumerate(up):
+            acc = m
+            for j in range(len(up)):
+                if m >> j & 1:
+                    acc |= up[j]
+            if acc != m:
+                up[i] = acc
+                changed = True
+    return up
 
 
 def chains_by_leq(poset, pid):

@@ -19,7 +19,7 @@ from defreg.complexes import FaceBudgetExceeded
 from defreg.exactfield import FieldSpec
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import AnalysisPoset, IdealNode, RingContext
-from oracle import chains_by_leq, leq, rank_oracle
+from oracle import chains_by_leq, covers_by_leq, leq, rank_oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
 RING4 = RingContext(("x", "y", "z", "w"))
@@ -273,6 +273,13 @@ def oracle_posets():
     yield parse_poset_doc((DATA / "abstract7.json").read_text())
     yield ranked_poset(0)
     yield ranked_poset(3)
+
+
+def test_hasse_matches_covers_by_leq():
+    ranked = [ranked_poset(seed) for seed in (1, 2, 5, 8)]
+    ranked.append(ranked_poset(11, sizes=(30, 45, 45, 45)))
+    for poset in itertools.chain(oracle_posets(), ranked):
+        assert poset.hasse() == covers_by_leq(poset), poset.ids()
 
 
 def test_analyze_matches_definitions_oracle():

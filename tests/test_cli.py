@@ -668,6 +668,31 @@ def test_main_high_dimension_is_prompt(tmp_path):
     assert "  reg K^4000 <= 4000 (cap 4000)\n" in done.stdout
 
 
+def test_main_long_chain_file_is_prompt(tmp_path):
+    # a 3000-element chain: closing its relations by passes to a fixpoint
+    # took 7.5 s and the run 10 s; the constructor's check, one OR per
+    # comparable pair, is most of what remains
+    n = 3000
+    doc = {
+        "format": 1,
+        "elements": [{"id": f"c{k}", "dim": 0} for k in range(n)],
+        "relations": [[f"c{k}", f"c{k + 1}"] for k in range(n - 1)],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "defreg.cli", "--mode", "poset", "--poset", str(path)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == EXIT_BUDGET
+    assert done.stdout == (
+        "error: chain enumeration passed the face budget of 200000\n"
+    )
+
+
 @pytest.mark.parametrize("spec", [
     "gf:1000000000000000001",  # 101 * 9901 * 999999000001
     "gf:318665857834031151167461",  # strong pseudoprime to bases 2..37

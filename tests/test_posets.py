@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from defreg import posets
 from defreg.binomial_edge import Graph, build_Q_poset
 from defreg.complexes import homology_of_faces
 from defreg.exactfield import FieldSpec
@@ -13,7 +16,7 @@ from defreg.posets import (
     UnknownElement,
     join_closure,
 )
-from oracle import leq
+from oracle import close_by_passes, leq
 
 
 def node(pid, dim=0, height=None, is_cm=True):
@@ -148,6 +151,80 @@ def test_relations_reproduce_built_posets():
                     leq(poset, a, b) for b in ids
                 ]
             assert again.hasse() == poset.hasse()
+
+
+def random_relation(rng, n, cycle=False, loops=False):
+    """Random pairs (a, b) along a hidden linear order of n ids.
+
+    With cycle, the pairs also run around a cycle of 2 to 5 ids; with
+    loops, some ids also get their self-pair.
+    """
+    ids = [f"e{k}" for k in range(n)]
+    line = rng.sample(ids, n)
+    density = rng.random()
+    pairs = [
+        (a, b) for i, a in enumerate(line) for b in line[i + 1:]
+        if rng.random() < density
+    ]
+    if cycle:
+        ring = rng.sample(ids, rng.randint(2, min(5, n)))
+        pairs += zip(ring, ring[1:] + ring[:1])
+    if loops:
+        pairs += [(a, a) for a in rng.sample(ids, rng.randint(1, n))]
+    rng.shuffle(pairs)
+    return ids, pairs
+
+
+def relation_masks(ids, pairs):
+    index = {pid: k for k, pid in enumerate(ids)}
+    up = [0] * len(ids)
+    for a, b in pairs:
+        up[index[a]] |= 1 << index[b]
+    return up
+
+
+def test_close_matches_fixpoint_passes():
+    rng = random.Random(1972)
+    for _ in range(60):
+        n = rng.randint(2, 25)
+        for cycle in (False, True):
+            for loops in (False, True):
+                ids, pairs = random_relation(rng, n, cycle, loops)
+                up = relation_masks(ids, pairs)
+                assert posets._close(up) == close_by_passes(up)
+                nodes = [node(pid) for pid in ids]
+                if not cycle:
+                    got = AnalysisPoset.from_relations(nodes, pairs)
+                    assert got.up == AnalysisPoset(nodes, close_by_passes(up)).up
+                    continue
+                # the closure is unique, so a cycle names the same two ids
+                with pytest.raises(OrderCycle) as want:
+                    AnalysisPoset(nodes, close_by_passes(up))
+                with pytest.raises(OrderCycle) as got:
+                    AnalysisPoset.from_relations(nodes, pairs)
+                assert got.value.ids == want.value.ids
+                assert str(got.value) == str(want.value)
+
+
+def test_chain_with_self_pairs_closes_in_the_topological_pass(monkeypatch):
+    n = 400
+    ids = [f"c{k}" for k in range(n)]
+    pairs = [(a, a) for a in ids] + list(zip(ids, ids[1:]))
+    handed = []
+    close = posets._close
+    monkeypatch.setattr(posets, "_close", lambda up: handed.append(up) or close(up))
+    chain = AnalysisPoset.from_relations([node(pid) for pid in ids], pairs)
+    assert chain.up == tuple((1 << n) - (1 << k) for k in range(n))
+    # no self-bit reaches the closure, where it would read as a cycle
+    # and send the whole chain to the fixpoint passes
+    (up,) = handed
+    assert not any(m >> k & 1 for k, m in enumerate(up))
+    calls = []
+    bits = posets._bits
+    monkeypatch.setattr(posets, "_bits", lambda m: calls.append(m) or bits(m))
+    close(up)
+    # one _bits walk per element is the topological pass alone
+    assert len(calls) == n
 
 
 def test_hasse_skips_transitive_edges():
