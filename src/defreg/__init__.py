@@ -25,10 +25,10 @@ _HOMES = {
     "ClosureBudgetExceeded": "posets",
     "ConditionReport": "bounds",
     "DEFAULT_MAX_ELEMENTS": "posets",
-    "DEFAULT_MAX_FACES": "complexes",
-    "FaceBudgetExceeded": "complexes",
+    "DEFAULT_MAX_FACES": "posets",
+    "FaceBudgetExceeded": "posets",
     "FacePrime": "monomial",
-    "FieldSpec": "exactfield",
+    "FieldSpec": "complexes",
     "Graph": "binomial_edge",
     "IdealNode": "posets",
     "NEG_INF": "bounds",

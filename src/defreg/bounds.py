@@ -35,9 +35,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ._record import Record
-from .complexes import DEFAULT_MAX_FACES, homology_of_faces
-from .exactfield import FieldSpec
-from .posets import AnalysisPoset
+from .complexes import FieldSpec, homology_of_faces
+from .posets import DEFAULT_MAX_FACES, AnalysisPoset
 
 NEG_INF = float("-inf")  # reg of the zero module: below every integer
 

@@ -20,12 +20,13 @@ from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
 from .bounds import NEG_INF, BoundReport, analyze
-from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
-from .exactfield import FieldSpec
+from .complexes import FieldSpec
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
+    DEFAULT_MAX_FACES,
     AnalysisPoset,
     ClosureBudgetExceeded,
+    FaceBudgetExceeded,
     IdealNode,
     OrderCycle,
     RingContext,
@@ -167,7 +168,7 @@ def parse_poset_doc(text: str) -> AnalysisPoset:
         raise ParseError("invalid JSON: arrays or objects nested too deeply")
     if not isinstance(doc, dict):
         raise ParseError("poset document must be a JSON object")
-    if doc.get("format") != 1:
+    if type(doc.get("format")) is not int or doc["format"] != 1:
         raise ParseError("poset document must declare \"format\": 1")
     ring = None
     if "nvars" in doc:

@@ -1,4 +1,4 @@
-"""Reduced homology of finite simplicial complexes, given by their faces.
+"""Reduced homology of finite simplicial complexes, by exact column reduction.
 
 The augmented chain complex is used throughout, so the empty face is a
 genuine face of dimension -1.  Homology works on faces as int masks of
@@ -13,13 +13,24 @@ complexes of the poset intervals reach over a hundred thousand faces, and
 below the top degree only the columns that the degree above left
 unexplained are reduced.
 
-Over Q the faces are reduced over GF(2) first, where a column is a set of
-rows.  If that homology is nonzero in at most one degree it is the
-rational homology too, by the universal coefficient theorem: dim_Q <=
-dim_GF(2) in every degree, and both have the Euler characteristic of the
-face counts (see exactfield).  Otherwise the same faces are reduced
-fraction-free over Q, and those two invariants are asserted.  GF(p) for
-odd p is reduced directly.
+The reduction reports the pivot rows of the columns that survive it, which
+is what clearing needs.  Over GF(2) a column is the set of its rows and is
+reduced by symmetric difference.  Over Q and odd p a column is a sparse
+dict {row: coefficient} with only dim + 1 entries; entries are ints,
+reduced mod p over GF(p) and kept fraction-free over Q, where every
+combined column is divided by the gcd of its entries to keep them small.
+No floating point is used anywhere.
+
+Over Q the faces are reduced over GF(2) first.  For a chain complex of
+free abelian groups, such as the augmented simplicial chain complex, the
+universal coefficient theorem (Hatcher, Algebraic Topology, 2002, Thm
+3A.3) gives H_i(GF(2)) = H_i(Z) (x) GF(2) plus Tor(H_{i-1}(Z), GF(2)), so
+dim_Q H_i <= dim_GF(2) H_i in every degree, and both alternating sums
+equal the Euler characteristic of the face counts.  When the GF(2)
+homology is nonzero in at most one degree, these two facts force the
+rational dims to equal it.  Otherwise torsion may make them differ, so the
+same faces are reduced over Q on their own and those two invariants are
+asserted.  GF(p) for odd p is reduced directly.
 
 The complex must be nonvoid: faces[0] == [0], the empty face.  The
 complex of the empty face alone, [[0]], is the order complex of an empty
@@ -29,15 +40,81 @@ interval, and its only reduced homology is a single class in degree -1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from math import gcd
 
-from .exactfield import FieldSpec, pivot_rows
+from ._record import Record
 
-DEFAULT_MAX_FACES = 200_000
+Column = Mapping[int, int]
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below MAX_CHARACTERISTIC, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < MAX_CHARACTERISTIC."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class FieldSpec(Record):
+    """Coefficient field for homology: characteristic 0 is Q, p is GF(p)."""
+
+    __slots__ = ("characteristic",)
+
+    def __init__(self, characteristic: int = 0) -> None:
+        c = characteristic
+        if type(c) is not int:
+            raise ValueError(f"characteristic {c!r} is not an int")
+        if c >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {c} is too large: primality is decided"
+                f" exactly only below {MAX_CHARACTERISTIC}"
+            )
+        if c != 0 and not _is_prime(c):
+            raise ValueError(f"{c} is not prime")
+        object.__setattr__(self, "characteristic", c)
+
+    @classmethod
+    def rationals(cls) -> "FieldSpec":
+        return cls(0)
+
+    @classmethod
+    def prime_field(cls, p: int) -> "FieldSpec":
+        if p == 0:
+            raise ValueError("0 is not prime")
+        return cls(p)
+
+    @property
+    def is_rationals(self) -> bool:
+        return self.characteristic == 0
+
+    def label(self) -> str:
+        return "rational" if self.is_rationals else f"gf({self.characteristic})"
+
+
 _GF2 = FieldSpec.prime_field(2)
-
-
-class FaceBudgetExceeded(RuntimeError):
-    """Raised when a complex would exceed the configured face budget."""
 
 
 def homology_of_faces(
@@ -120,4 +197,66 @@ def _signed_column(face: int, rows: Mapping[int, int]) -> dict[int, int]:
         low = rest & -rest
         out[rows[face ^ low]] = -1 if (face & (low - 1)).bit_count() & 1 else 1
         rest ^= low
+    return out
+
+
+def pivot_rows(columns: Iterable[Column], field: FieldSpec) -> list[int]:
+    """Pivot (largest nonzero) row of every column that survives reduction.
+
+    Columns are reduced left to right: while a column's pivot row is the
+    pivot of an earlier reduced column, that column is subtracted to cancel
+    it.  A column that vanishes was a combination of earlier ones; the
+    pivots of the rest are distinct, and their number is the rank.
+    """
+    p = field.characteristic
+    reduced: dict[int, dict[int, int]] = {}
+    for column in columns:
+        col = _integral(column, p)
+        while col:
+            low = max(col)
+            other = reduced.get(low)
+            if other is None:
+                if p and col[low] != 1:
+                    inv = pow(col[low], -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                reduced[low] = col
+                break
+            col = _eliminate(col, other, low, p)
+    return list(reduced)
+
+
+def _integral(column: Column, p: int) -> dict[int, int]:
+    """The nonzero entries of the column, reduced mod p when p is nonzero."""
+    if p:
+        return {r: x for r, v in column.items() if (x := v % p)}
+    return {r: v for r, v in column.items() if v}
+
+
+def _eliminate(
+    col: dict[int, int], other: dict[int, int], low: int, p: int
+) -> dict[int, int]:
+    """a * col - b * other, with a = other[low] and b = col[low], so row low cancels.
+
+    When a divides b, as it always does over GF(p) where stored pivots are
+    1, col - (b / a) * other cancels it without scaling col.  Over Q the
+    result is divided by the gcd of its entries.
+    """
+    a, b = other[low], col[low]
+    if b % a == 0:
+        b //= a
+        out = dict(col)
+    else:
+        out = {r: a * v for r, v in col.items()}
+    for r, v in other.items():
+        x = out.get(r, 0) - b * v
+        if p:
+            x %= p
+        if x:
+            out[r] = x
+        else:
+            del out[r]
+    if not p and out:
+        g = gcd(*out.values())
+        if g != 1:
+            out = {r: v // g for r, v in out.items()}
     return out

@@ -35,9 +35,9 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from ._record import Record
-from .complexes import DEFAULT_MAX_FACES, FaceBudgetExceeded
 
 DEFAULT_MAX_ELEMENTS = 10_000
+DEFAULT_MAX_FACES = 200_000
 
 
 class ClosureBudgetExceeded(RuntimeError):
@@ -46,6 +46,14 @@ class ClosureBudgetExceeded(RuntimeError):
     def __init__(self, max_elements: int) -> None:
         super().__init__(f"sum closure passed the element budget of {max_elements}")
         self.max_elements = max_elements
+
+
+class FaceBudgetExceeded(RuntimeError):
+    """Raised when an interval's order complex would exceed the face budget."""
+
+    def __init__(self, max_faces: int) -> None:
+        super().__init__(f"chain enumeration passed the face budget of {max_faces}")
+        self.max_faces = max_faces
 
 
 class UnknownElement(KeyError):
@@ -339,9 +347,7 @@ class AnalysisPoset:
             rest ^= reached
         nverts = members.bit_count()
         if 1 + nverts + pairs > max_faces:
-            raise FaceBudgetExceeded(
-                f"chain enumeration passed the face budget of {max_faces}"
-            )
+            raise FaceBudgetExceeded(max_faces)
         if not nverts:
             return {-1: 1}
         dims = {0: comps - 1, 1: pairs - nverts + comps}
@@ -384,9 +390,7 @@ def _chains(down: Sequence[int], members: int, max_faces: int) -> list[list[int]
                 longer.append(chain | low)
                 longer_belows.append(down[low.bit_length() - 1] & members ^ low)
             if count + len(longer) > max_faces:
-                raise FaceBudgetExceeded(
-                    f"chain enumeration passed the face budget of {max_faces}"
-                )
+                raise FaceBudgetExceeded(max_faces)
         count += len(longer)
         level, belows = longer, longer_belows
     return levels

@@ -7,13 +7,13 @@ vertex labels, and a poset's chains are read off its order one
 comparison at a time.  Homology is f_i - rank d_i - rank d_{i+1}, from
 one full boundary map per degree: no clearing, no masks and no GF(2)
 certificate for Q.  The one piece shared with the engine is
-exactfield.pivot_rows, whose ranks test_exactfield checks against ranks
+complexes.pivot_rows, whose ranks test_exactfield checks against ranks
 from minors.
 """
 
 import itertools
 
-from defreg.exactfield import pivot_rows
+from defreg.complexes import pivot_rows
 
 
 def leq(poset, a, b):

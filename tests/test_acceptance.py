@@ -16,8 +16,7 @@ import sys
 from defreg.binomial_edge import Graph, build_Q_poset, minimal_primes_graph
 from defreg.bounds import NEG_INF, analyze, check_conditions, multiplicities
 from defreg.cli import parse_poset_doc, run
-from defreg.complexes import homology_of_faces
-from defreg.exactfield import FieldSpec
+from defreg.complexes import FieldSpec, homology_of_faces
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset, minimal_primes
 from defreg.posets import AnalysisPoset, IdealNode, RingContext
 from oracle import faces_by_size

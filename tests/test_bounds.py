@@ -15,10 +15,9 @@ from defreg.bounds import (
     murai_terai_level,
 )
 from defreg.cli import parse_graph_file, parse_poset_doc
-from defreg.complexes import FaceBudgetExceeded
-from defreg.exactfield import FieldSpec
+from defreg.complexes import FieldSpec
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
-from defreg.posets import AnalysisPoset, IdealNode, RingContext
+from defreg.posets import AnalysisPoset, FaceBudgetExceeded, IdealNode, RingContext
 from oracle import chains_by_leq, covers_by_leq, leq, rank_oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -312,8 +311,9 @@ def test_interval_face_budget_is_exact():
         [(a, b) for k, a in enumerate(ids) for b in ids[k:]],
     )
     assert multiplicities(poset, max_faces=2**7)["c0"] == {}
-    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed") as e:
         multiplicities(poset, max_faces=2**7 - 1)
+    assert e.value.max_faces == 2**7 - 1
 
 
 def mobius_to_top(poset):
@@ -456,24 +456,32 @@ def test_chain_masks_keep_the_face_budget_exact():
             faces = len(chains_by_leq(poset, nd.id))
             levels = poset.interval_chains(nd.id, max_faces=faces)
             assert sum(map(len, levels)) == faces
-            with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+            with pytest.raises(
+                FaceBudgetExceeded, match="^chain enumeration passed"
+            ) as e:
                 poset.interval_chains(nd.id, max_faces=faces - 1)
+            assert e.value.max_faces == faces - 1
             if graphs >> k & 1:
                 poset.graph_homology(nd.id, max_faces=faces)
-                with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+                with pytest.raises(
+                    FaceBudgetExceeded, match="^chain enumeration passed"
+                ) as e:
                     poset.graph_homology(nd.id, max_faces=faces - 1)
+                assert e.value.max_faces == faces - 1
 
 
 def test_graph_method_keeps_the_face_budget_exact():
     # the largest interval, above the bottom, has 1 + V + E faces
     poset = point_and_crown()
     assert multiplicities(poset, max_faces=1 + 5 + 4)["bottom"] == {0: 1, 1: 1}
-    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed") as e:
         multiplicities(poset, max_faces=1 + 5 + 4 - 1)
+    assert e.value.max_faces == 1 + 5 + 4 - 1
     single = parse_poset_doc('{"format": 1, "elements": [{"id": "a", "dim": 0}]}')
     assert multiplicities(single, max_faces=1) == {"a": {-1: 1}}
-    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed"):
+    with pytest.raises(FaceBudgetExceeded, match="^chain enumeration passed") as e:
         multiplicities(single, max_faces=0)
+    assert e.value.max_faces == 0
 
 
 def test_graph_intervals_skip_chain_enumeration(monkeypatch):

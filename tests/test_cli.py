@@ -80,6 +80,12 @@ def test_parse_poset_doc_errors():
         parse_poset_doc("[]")
     with pytest.raises(ParseError):
         parse_poset_doc('{"format": 2, "elements": [{"id": "a", "dim": 0}]}')
+    # true and 1.0 compare equal to 1 but are not the integer 1
+    for fmt in ("true", "1.0"):
+        doc = f'{{"format": {fmt}, "elements": [{{"id": "a", "dim": 0}}]}}'
+        with pytest.raises(ParseError) as exc:
+            parse_poset_doc(doc)
+        assert str(exc.value) == 'poset document must declare "format": 1'
     with pytest.raises(ParseError):
         parse_poset_doc('{"format": 1, "elements": []}')
     with pytest.raises(ParseError):

@@ -1,7 +1,6 @@
 import random
 
-from defreg.complexes import homology_of_faces
-from defreg.exactfield import FieldSpec
+from defreg.complexes import FieldSpec, homology_of_faces
 from oracle import closure, faces_by_size, rank_oracle
 
 QQ = FieldSpec.rationals()

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from defreg.exactfield import (
+from defreg.complexes import (
     MAX_CHARACTERISTIC,
     FieldSpec,
     _is_prime,

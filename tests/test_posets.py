@@ -4,8 +4,7 @@ import pytest
 
 from defreg import posets
 from defreg.binomial_edge import Graph, build_Q_poset
-from defreg.complexes import homology_of_faces
-from defreg.exactfield import FieldSpec
+from defreg.complexes import FieldSpec, homology_of_faces
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import (
     AnalysisPoset,

@@ -182,7 +182,7 @@ print(*sorted(m for m in sys.modules if m.startswith("defreg.")))
 """
 
 DATA = pathlib.Path(__file__).parent / "data"
-EVERY_RUN = ["_record", "bounds", "cli", "complexes", "exactfield", "posets"]
+EVERY_RUN = ["_record", "bounds", "cli", "complexes", "posets"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -197,6 +197,15 @@ def test_each_mode_loads_only_its_own_modules(argv, loaded):
     done = run_script(MODULES_LOADED, *argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == sorted(f"defreg.{m}" for m in loaded)
+
+
+def test_poset_layer_loads_no_homology_code():
+    done = run_script(
+        "import sys, defreg.posets\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('defreg.')))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["defreg._record", "defreg.posets"]
 
 
 def test_public_names_resolve_lazily_to_their_home_objects():
