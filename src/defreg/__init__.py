@@ -35,7 +35,6 @@ _HOMES = {
     "OrderCycle": "posets",
     "RingContext": "posets",
     "SquarefreeIdeal": "monomial",
-    "UnknownElement": "posets",
     "ZeroIdeal": "monomial",
     "analyze": "bounds",
     "build_Q_poset": "binomial_edge",

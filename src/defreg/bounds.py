@@ -5,10 +5,11 @@ For each element q the open interval above q (excluding q, with the
 virtual top left implicit) has an order complex; the multiplicity of q in
 degree d is the reduced homology dimension of that complex in degree d.
 multiplicities computes it by one of two exact methods, chosen per
-interval: an interval with no chain of three elements has its
-comparability graph as order complex, whose homology the poset reads off
-vertex, edge and component counts; every other interval has its chains
-enumerated and reduced by homology_of_faces.
+interval by the first: an interval with no chain of three elements has
+its comparability graph as order complex, whose homology
+AnalysisPoset.graph_homology reads off vertex, edge and component
+counts; on every other interval it returns None, and the interval has
+its chains enumerated and reduced by homology_of_faces.
 
 For a cohomological degree j, the contributing set S_j collects the
 elements p with dim p <= j and nonzero multiplicity in degree
@@ -65,24 +66,22 @@ def multiplicities(
     virtual maximum above everything is never materialized, so a maximal
     element gets the empty complex and multiplicity 1 in degree -1.
 
-    The intervals that poset.graph_intervals() marks go to
-    poset.graph_homology, which needs no reduction and is exact over
-    every field; the rest go through interval_chains and
-    homology_of_faces.  Both hold each interval to max_faces order-complex
-    faces, with the same message.
+    Each interval goes first to poset.graph_homology, which needs no
+    reduction and is exact over every field; where it finds a chain of
+    three elements and returns None, the interval goes through
+    interval_chains and homology_of_faces.  Both hold each interval to
+    max_faces order-complex faces, with the same message.
     """
     if field is None:
         field = FieldSpec.rationals()
-    graphs = poset.graph_intervals()
     out = {}
     for k, node in enumerate(poset.nodes):
-        if graphs >> k & 1:
-            dims = poset.graph_homology(node.id, max_faces=max_faces)
-        else:
+        dims = poset.graph_homology(k, max_faces=max_faces)
+        if dims is None:
             dims = homology_of_faces(
-                poset.interval_chains(node.id, max_faces=max_faces), field
+                poset.interval_chains(k, max_faces=max_faces), field
             )
-        assert (-1 in dims) == poset.is_maximal(node.id)
+        assert (-1 in dims) == poset.is_maximal(k)
         out[node.id] = dims
     return out
 

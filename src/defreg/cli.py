@@ -270,9 +270,9 @@ def render_text(report: BoundReport, args: argparse.Namespace) -> str:
         lines.append(f"ring: {n} {plural} ({', '.join(poset.ring.var_names)})")
     lines.append(f"poset size: {len(poset)}")
     lines.append("elements:")
-    for node in poset.nodes:
+    for k, node in enumerate(poset.nodes):
         h = "?" if node.height is None else str(node.height)
-        tag = "  maximal" if poset.is_maximal(node.id) else ""
+        tag = "  maximal" if poset.is_maximal(k) else ""
         lines.append(f"  {node.id}  dim {node.dim}  height {h}{tag}")
     if args.hasse:
         lines.append("covers:")
@@ -322,11 +322,11 @@ def _array(items: list[str], pad: str) -> str:
 def render_json(report: BoundReport, args: argparse.Namespace) -> str:
     """The report as json.dumps(..., indent=2) lays it out, written directly."""
     poset, cond, q = report.poset, report.conditions, encode_basestring_ascii
-    up, boolean, neg_inf = poset.up, ("false", "true"), '"-inf"'
+    boolean, neg_inf = ("false", "true"), '"-inf"'
     elements = [
         f'{{\n        "id": {q(nd.id)},\n        "dim": {nd.dim},\n'
         f'        "height": {"null" if nd.height is None else nd.height},\n'
-        f'        "maximal": {boolean[up[k] == 1 << k]}\n      }}'
+        f'        "maximal": {boolean[poset.is_maximal(k)]}\n      }}'
         for k, nd in enumerate(poset.nodes)
     ]
     covers = [f"[\n        {q(a)},\n        {q(b)}\n      ]" for a, b in poset.hasse()]
@@ -491,7 +491,7 @@ def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
             return EXIT_PARSE, f"error: {flag} must be at least 1, got {budget}\n"
     try:
         poset = _build_poset(args)
-    except (ClosureBudgetExceeded, FaceBudgetExceeded) as e:
+    except ClosureBudgetExceeded as e:
         return EXIT_BUDGET, f"error: {e}\n"
     except (ParseError, OSError, ValueError) as e:
         return EXIT_PARSE, f"error: {e}\n"

@@ -27,7 +27,11 @@ cycle-checks such masks.  The constructor checks the masks but never
 closes them, and its transitivity check leaves each element's covers as
 a mask, which hasse() reads.  Relations given as id pairs, such as the
 covers of a poset file, go through AnalysisPoset.from_relations, which
-closes them in one pass over a topological order.
+closes them in one pass over a topological order.  The interval methods
+address an element by its position k, never by its id: is_maximal(k),
+interval_chains(k) and graph_homology(k) read the open interval
+(k, top), and graph_homology(k) returns None when that interval has a
+chain of three elements.
 """
 
 from __future__ import annotations
@@ -40,32 +44,40 @@ DEFAULT_MAX_ELEMENTS = 10_000
 DEFAULT_MAX_FACES = 200_000
 
 
+# The exceptions keep their constructor arguments as args and format the
+# message in __str__: pickle and copy call the class again with args.
 class ClosureBudgetExceeded(RuntimeError):
     """Raised when the sum closure would exceed the element budget."""
 
     def __init__(self, max_elements: int) -> None:
-        super().__init__(f"sum closure passed the element budget of {max_elements}")
+        super().__init__(max_elements)
         self.max_elements = max_elements
+
+    def __str__(self) -> str:
+        return f"sum closure passed the element budget of {self.max_elements}"
 
 
 class FaceBudgetExceeded(RuntimeError):
     """Raised when an interval's order complex would exceed the face budget."""
 
     def __init__(self, max_faces: int) -> None:
-        super().__init__(f"chain enumeration passed the face budget of {max_faces}")
+        super().__init__(max_faces)
         self.max_faces = max_faces
 
-
-class UnknownElement(KeyError):
-    """Lookup of a poset element id that does not exist."""
+    def __str__(self) -> str:
+        return f"chain enumeration passed the face budget of {self.max_faces}"
 
 
 class OrderCycle(ValueError):
     """Two distinct elements lie at or above each other."""
 
     def __init__(self, a: str, b: str) -> None:
-        super().__init__(f"order relation has a cycle through {a} and {b}")
+        super().__init__(a, b)
         self.ids = (a, b)
+
+    def __str__(self) -> str:
+        a, b = self.ids
+        return f"order relation has a cycle through {a} and {b}"
 
 
 class RingContext(Record):
@@ -167,7 +179,7 @@ class AnalysisPoset:
     """
 
     __slots__ = (
-        "_nodes", "_index", "_up", "_down", "_covers", "ring", "provenance",
+        "_nodes", "_up", "_down", "_covers", "ring", "provenance",
     )
 
     def __init__(
@@ -182,7 +194,6 @@ class AnalysisPoset:
         ids = [nd.id for nd in self._nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
-        self._index = {pid: k for k, pid in enumerate(ids)}
         n = len(self._nodes)
         if len(up) != n:
             raise ValueError(f"{len(up)} up-masks for {n} nodes")
@@ -263,68 +274,38 @@ class AnalysisPoset:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _pos(self, pid: str) -> int:
-        k = self._index.get(pid)
-        if k is None:
-            raise UnknownElement(pid)
-        return k
-
-    def is_maximal(self, pid: str) -> bool:
-        k = self._pos(pid)
+    def is_maximal(self, k: int) -> bool:
+        """Whether position k has nothing strictly above it."""
         return self._up[k] == 1 << k
 
     def interval_chains(
-        self, pid: str, *, max_faces: int = DEFAULT_MAX_FACES
+        self, k: int, *, max_faces: int = DEFAULT_MAX_FACES
     ) -> list[list[int]]:
-        """Chains of the open interval (pid, top) as int masks of positions, by size.
+        """Chains of the open interval (k, top) as int masks of positions, by size.
 
-        This is the order complex of the interval, faces grouped as
-        homology_of_faces takes them, without building the interval poset
-        or anything else of the poset's size.
+        This is the order complex of the interval above position k, faces
+        grouped as homology_of_faces takes them, without building the
+        interval poset or anything else of the poset's size.
         """
-        k = self._pos(pid)
         return _chains(self._down, self._up[k] ^ 1 << k, max_faces)
 
-    def graph_intervals(self) -> int:
-        """Mask of the positions k whose open interval (k, top) has no 3-chain.
-
-        The order complex of such an interval is its comparability graph.
-        With top the maximal positions and second those whose strict
-        up-set lies inside top, (k, top) has no chain of three elements
-        exactly when its members all lie in top | second.
-        """
-        up = self._up
-        top = 0
-        for k, m in enumerate(up):
-            if m.bit_count() == 1:
-                top |= 1 << k
-        # m & ~mask keeps bit k unless k is in mask, so at most one bit
-        # left says that the strict up-set of k lies inside mask
-        flat = top
-        for k, m in enumerate(up):
-            if (m & ~top).bit_count() <= 1:
-                flat |= 1 << k
-        out = 0
-        for k, m in enumerate(up):
-            if (m & ~flat).bit_count() <= 1:
-                out |= 1 << k
-        return out
-
     def graph_homology(
-        self, pid: str, *, max_faces: int = DEFAULT_MAX_FACES
-    ) -> dict[int, int]:
-        """Reduced homology of (pid, top) read off its comparability graph.
+        self, k: int, *, max_faces: int = DEFAULT_MAX_FACES
+    ) -> dict[int, int] | None:
+        """Reduced homology of (k, top) read off its comparability graph, or None.
 
-        Only for a position in graph_intervals(), whose order complex is
-        that graph; an interval with a chain of three elements raises
-        ValueError.  V members, E comparable pairs and c components give
-        H_0 = c - 1 and H_1 = E - V + c, and with V = 0 a class in degree
-        -1 (Björner, Topological methods, 1995, §9).  A graph's homology
-        is free, so this holds over every field.  1 + V + E is the face
-        count interval_chains would reach, and it is held to max_faces
-        with the same message.
+        An interval with no chain of three elements has that graph as its
+        order complex.  The walk over the interval's components finds any
+        chain of three as a non-maximal member with another member below
+        it, and then returns None at once, before the face budget is
+        checked, leaving the interval to interval_chains.  Otherwise V
+        members, E comparable pairs and c components give H_0 = c - 1 and
+        H_1 = E - V + c, and with V = 0 a class in degree -1 (Björner,
+        Topological methods, 1995, §9).  A graph's homology is free, so
+        this holds over every field.  1 + V + E is the face count
+        interval_chains would reach, and it is held to max_faces with the
+        same message.
         """
-        k = self._pos(pid)
         up, down = self._up, self._down
         members = rest = up[k] ^ 1 << k
         pairs = comps = 0
@@ -339,7 +320,7 @@ class AnalysisPoset:
                     x = low.bit_length() - 1
                     above = up[x].bit_count() - 1
                     if above and (down[x] & members).bit_count() > 1:
-                        raise ValueError(f"the interval above {pid} has a 3-chain")
+                        return None
                     pairs += above
                     near |= up[x] | down[x]
                 frontier = near & rest & ~reached

@@ -7,7 +7,7 @@ vertex labels, and a poset's chains are read off its order one
 comparison at a time.  Homology is f_i - rank d_i - rank d_{i+1}, from
 one full boundary map per degree: no clearing, no masks and no GF(2)
 certificate for Q.  The one piece shared with the engine is
-complexes.pivot_rows, whose ranks test_exactfield checks against ranks
+complexes.pivot_rows, whose ranks test_complexes checks against ranks
 from minors.
 """
 

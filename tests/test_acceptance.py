@@ -378,7 +378,7 @@ def test_criterion_10_structural_sanity():
             mults = multiplicities(poset)
             for k, nd in enumerate(poset.nodes):
                 alive = -1 in mults[nd.id]
-                assert alive == poset.is_maximal(nd.id)
+                assert alive == poset.is_maximal(k)
                 # an interval with a least element is a cone, hence acyclic
                 above = poset.up[k] ^ 1 << k
                 has_min = any(

@@ -262,7 +262,7 @@ def test_poset_of_short_path():
     assert len(poset) == 3
     assert [nd.dim for nd in poset.nodes] == [4, 4, 3]
     assert [nd.height for nd in poset.nodes] == [2, 2, 3]
-    assert [poset.is_maximal(pid) for pid in poset.ids()] == [True, True, False]
+    assert [poset.is_maximal(k) for k in range(len(poset))] == [True, True, False]
     assert poset.hasse() == [("p_3", "p_1"), ("p_3", "p_2")]
 
 

@@ -70,7 +70,7 @@ def test_parse_poset_doc():
     assert poset.ring.nvars == 6
     # relations are given as covers; the closure is taken automatically
     assert leq(poset, "p_7", "p_1")
-    assert [poset.is_maximal(pid) for pid in poset.ids()] == [True] * 3 + [False] * 4
+    assert [poset.is_maximal(k) for k in range(len(poset))] == [True] * 3 + [False] * 4
 
 
 def test_parse_poset_doc_errors():

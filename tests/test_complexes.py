@@ -1,6 +1,16 @@
+import itertools
 import random
+import re
 
-from defreg.complexes import FieldSpec, homology_of_faces
+import pytest
+
+from defreg.complexes import (
+    MAX_CHARACTERISTIC,
+    FieldSpec,
+    _is_prime,
+    homology_of_faces,
+    pivot_rows,
+)
 from oracle import closure, faces_by_size, rank_oracle
 
 QQ = FieldSpec.rationals()
@@ -91,3 +101,138 @@ def test_random_complexes_homology_identities():
             euler_hom = sum((-1) ** i * v for i, v in h.items())
             assert euler_hom == euler_faces
         assert all(v <= h2.get(i, 0) for i, v in hq.items())
+
+
+
+def rank(columns, field):
+    """The rank is the number of columns that keep a pivot."""
+    return len(pivot_rows(columns, field))
+
+
+def columns(rows, ncols=None):
+    """Sparse columns {row: entry} of a dense matrix given by its rows."""
+    width = len(rows[0]) if rows else ncols
+    return [
+        {r: row[c] for r, row in enumerate(rows) if row[c] != 0}
+        for c in range(width)
+    ]
+
+
+def minor_rank(data):
+    """Oracle: the largest k with a nonzero k x k minor."""
+
+    def det(rows, cols):
+        if not rows:
+            return 0
+        if len(rows) == 1:
+            return data[rows[0]][cols[0]]
+        total = 0
+        for k, c in enumerate(cols):
+            sign = 1 if k % 2 == 0 else -1
+            total += sign * data[rows[0]][c] * det(rows[1:], cols[:k] + cols[k + 1:])
+        return total
+
+    m, n = len(data), len(data[0]) if data else 0
+    for k in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                if det(rows, cols) != 0:
+                    return k
+    return 0
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for n in range(-3, 20000):
+        assert _is_prime(n) == trial(n), n
+    # Carmichael numbers and strong pseudoprimes to small bases
+    for n in (561, 41041, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(1000000000000000003)
+
+
+def test_field_spec_validation():
+    assert QQ.is_rationals
+    assert QQ.label() == "rational"
+    assert GF3.label() == "gf(3)"
+    with pytest.raises(ValueError):
+        FieldSpec(4)
+    with pytest.raises(ValueError):
+        FieldSpec(1)
+    with pytest.raises(ValueError):
+        FieldSpec.prime_field(6)
+    with pytest.raises(ValueError):
+        FieldSpec.prime_field(0)
+    with pytest.raises(ValueError):
+        FieldSpec(MAX_CHARACTERISTIC)
+    for c in (2.0, 2.5, "3", True, False, None):
+        message = re.escape(f"characteristic {c!r} is not an int")
+        with pytest.raises(ValueError, match=message):
+            FieldSpec(c)
+    assert FieldSpec.prime_field(97).characteristic == 97
+
+
+def test_known_ranks():
+    ident = columns([[1, 0], [0, 1]])
+    assert rank(ident, QQ) == 2
+    singular = columns([[1, 2], [2, 4]])
+    assert rank(singular, QQ) == 1
+    zeros = columns([[0, 0], [0, 0]])
+    assert rank(zeros, QQ) == 0
+    wide = columns([[1, 1, 1], [1, 1, 2]])
+    assert rank(wide, QQ) == 2
+    # a 0 x 5 matrix: five empty columns
+    assert rank(columns([], 5), QQ) == 0
+    assert rank([], GF2) == 0
+
+
+def test_pivot_rows_are_distinct_lowest_rows():
+    # columns e0, e0 + e1, e1: the third reduces to zero, and each pivot
+    # is the largest row left in its reduced column
+    assert pivot_rows(columns([[1, 1, 0], [0, 1, 1]]), QQ) == [0, 1]
+    assert pivot_rows(columns([[1, 1, 0], [0, 1, 1]]), GF2) == [0, 1]
+    assert pivot_rows([{3: 2, 5: 4}, {5: 1}], QQ) == [5, 3]
+    assert pivot_rows([{3: 2, 5: 4}, {5: 1}], GF2) == [5]
+
+
+def test_rank_depends_on_characteristic():
+    two = columns([[2]])
+    assert rank(two, QQ) == 1
+    assert rank(two, GF2) == 0
+    assert rank(two, GF3) == 1
+    # determinant 3, so the matrix drops rank exactly at p = 3
+    m = columns([[1, 2], [2, 1]])
+    assert rank(m, QQ) == 2
+    assert rank(m, GF3) == 1
+    assert rank(m, GF2) == 2
+
+
+def test_random_ranks_match_minor_oracle():
+    rng = random.Random(20240901)
+    for _ in range(120):
+        m = rng.randint(0, 4)
+        n = rng.randint(0, 4)
+        data = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        mat = columns(data, n)
+        got = rank(mat, QQ)
+        assert got == minor_rank(data)
+        # rank never exceeds either dimension, and mod p never exceeds rank over Q
+        assert got <= min(m, n)
+        assert rank(mat, GF2) <= got
+        assert rank(mat, GF3) <= got
+
+
+def test_transpose_has_equal_rank():
+    rng = random.Random(7)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        data = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        mat = columns(data)
+        tr = columns(list(map(list, zip(*data))), m)
+        assert rank(mat, QQ) == rank(tr, QQ)
+        assert rank(mat, GF3) == rank(tr, GF3)

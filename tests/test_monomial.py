@@ -98,7 +98,7 @@ def test_poset_of_two_skew_lines():
     assert by_id["p_3"].ideal.key() == ("w", "x", "y", "z")
     assert [nd.dim for nd in poset.nodes] == [2, 2, 0]
     assert [nd.height for nd in poset.nodes] == [2, 2, 4]
-    assert [poset.is_maximal(pid) for pid in poset.ids()] == [True, True, False]
+    assert [poset.is_maximal(k) for k in range(len(poset))] == [True, True, False]
     assert leq(poset, "p_3", "p_1")
     assert leq(poset, "p_3", "p_2")
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,10 +11,10 @@ from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import (
     AnalysisPoset,
     ClosureBudgetExceeded,
+    FaceBudgetExceeded,
     IdealNode,
     OrderCycle,
     RingContext,
-    UnknownElement,
     join_closure,
 )
 from oracle import close_by_passes, leq
@@ -96,6 +98,25 @@ def test_mask_constructor_checks_and_never_closes():
     assert exc.value.ids == ("a", "b")
 
 
+@pytest.mark.parametrize(
+    "error, field, message",
+    [
+        (ClosureBudgetExceeded(7), "max_elements",
+         "sum closure passed the element budget of 7"),
+        (FaceBudgetExceeded(5), "max_faces",
+         "chain enumeration passed the face budget of 5"),
+        (OrderCycle("a", "b"), "ids", "order relation has a cycle through a and b"),
+    ],
+    ids=["ClosureBudgetExceeded", "FaceBudgetExceeded", "OrderCycle"],
+)
+def test_errors_survive_pickle_and_copy(error, field, message):
+    assert str(error) == message
+    for back in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+        assert type(back) is type(error)
+        assert str(back) == message
+        assert getattr(back, field) == getattr(error, field)
+
+
 def test_poset_checks_height_against_ring():
     ring = RingContext(("x", "y"))
     with pytest.raises(ValueError):
@@ -119,12 +140,8 @@ def test_poset_rejects_dim_above_ring():
 def test_order_navigation():
     p = chain_poset()
     assert p.up == (0b111, 0b110, 0b100)
-    assert p.is_maximal("c")
-    assert not p.is_maximal("b")
-    with pytest.raises(UnknownElement):
-        p.is_maximal("nope")
-    with pytest.raises(UnknownElement):
-        p.interval_chains("nope")
+    assert p.is_maximal(2)
+    assert not p.is_maximal(1)
 
 
 def test_relations_reproduce_built_posets():
@@ -239,19 +256,19 @@ def test_hasse_skips_transitive_edges():
 
 def test_order_complex_of_chain_and_antichain():
     # above a: the chain b < c, whose subsets are all chains
-    assert chain_poset().interval_chains("a") == [[0], [0b010, 0b100], [0b110]]
+    assert chain_poset().interval_chains(0) == [[0], [0b010, 0b100], [0b110]]
     # above a bottom: the antichain of three points
     anti = AnalysisPoset.from_relations(
         [node("bot"), node("a"), node("b"), node("c")],
         [("bot", "a"), ("bot", "b"), ("bot", "c")],
     )
-    assert anti.interval_chains("bot") == [[0], [0b0010, 0b0100, 0b1000]]
+    assert anti.interval_chains(0) == [[0], [0b0010, 0b0100, 0b1000]]
 
 
 def test_order_complex_of_empty_poset():
     # the interval above a maximal element is empty: its order complex has
     # only the empty face, a single class in degree -1
-    chains = chain_poset().interval_chains("c")
+    chains = chain_poset().interval_chains(2)
     assert chains == [[0]]
     for p in (0, 2, 3):
         field = FieldSpec(p)
@@ -305,7 +322,8 @@ def test_join_closure_of_sets():
     assert len(p) == 7
     assert p.ids() == tuple(f"p_{k}" for k in range(1, 8))
     singletons = [nd.id for nd in p.nodes if nd.ideal.bit_count() == 1]
-    assert tuple(pid for pid in p.ids() if p.is_maximal(pid)) == tuple(singletons)
+    maximal = tuple(pid for k, pid in enumerate(p.ids()) if p.is_maximal(k))
+    assert maximal == tuple(singletons)
     bottom = [nd for nd in p.nodes if nd.ideal == 0b111]
     assert len(bottom) == 1
     assert all(leq(p, bottom[0].id, other) for other in p.ids())

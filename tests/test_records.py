@@ -217,7 +217,7 @@ def test_public_names_resolve_lazily_to_their_home_objects():
     exec("from defreg import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(defreg.__all__)
-    assert len(defreg.__all__) == 31
+    assert len(defreg.__all__) == 30
     # the lazy table and __all__ list the same names
     assert [*defreg._HOMES, "__version__"] == defreg.__all__
     for name, home in defreg._HOMES.items():
