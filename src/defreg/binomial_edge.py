@@ -55,8 +55,11 @@ through Python, to be decomposed.
 
 Outside the slots a prime is masks: the cut set walk yields plain
 (kill mask, block masks) tuples, which are packed once per generator and
-per piece, and CliquePrime, the node ideal of the finished poset, holds
-the same masks in its kill and blocks fields.  Eight rows of n + 1 bits
+per piece.  A node of the finished poset keeps its packed relation as its
+ideal, with dim and height read off the killed vertices and the blocks
+of the relation's rows.  CliquePrime holds the same masks in its kill
+and blocks fields; it is built for the minimal primes, and from a node's
+relation only by CliquePrime.from_relation.  Eight rows of n + 1 bits
 fill n + 1 whole bytes, so a relation is packed and unpacked eight rows at
 a time, O(n^2) bits in all.  The label order, which fixes the element ids,
 reads the masks as sorted vertex tuples.
@@ -65,6 +68,7 @@ reads the masks as sorted vertex tuples.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import partial
 from itertools import chain, compress
 from struct import iter_unpack
 
@@ -146,18 +150,7 @@ class CliquePrime(Record):
 
     def __init__(self, n: int, kill: int, blocks: Iterable[int]) -> None:
         blocks = tuple(sorted(blocks))
-        seen = kill
-        for b in blocks:
-            if not b:
-                raise ValueError("empty block")
-            if b & seen:
-                raise ValueError("a vertex is in two blocks, or killed and in a block")
-            seen |= b
-        full = (1 << n) - 1
-        if seen & ~full:
-            raise ValueError(f"a killed or block vertex lies outside 1..{n}")
-        if seen != full:
-            raise ValueError("blocks must partition the unkilled vertices")
+        _check_partition(n, kill, blocks)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kill", kill)
         object.__setattr__(self, "blocks", blocks)
@@ -173,6 +166,40 @@ class CliquePrime(Record):
 
     def key(self) -> tuple:
         return _label_key(self.kill, self.blocks)
+
+    @classmethod
+    def from_relation(cls, n: int, rep: bytes) -> "CliquePrime":
+        """The prime whose packed same-block relation on n vertices is rep.
+
+        This is the form build_Q_poset keeps as each node's ideal.  A rep of
+        the wrong length, one whose blocks do not partition the unkilled
+        vertices, or one with any other bit than those its blocks set
+        raises ValueError.
+        """
+        if len(rep) != _rep_bytes(n):
+            raise ValueError(
+                f"a relation on {n} vertices takes {_rep_bytes(n)} bytes, not {len(rep)}"
+            )
+        prime = cls(n, *_unpack(n, rep))
+        if _pack(n, (prime.kill, prime.blocks)) != rep:
+            raise ValueError("rep is not the packed relation of its blocks")
+        return prime
+
+
+def _check_partition(n: int, kill: int, blocks: Iterable[int]) -> None:
+    """Raise ValueError unless the blocks partition the vertices kill leaves."""
+    seen = kill
+    for b in blocks:
+        if not b:
+            raise ValueError("empty block")
+        if b & seen:
+            raise ValueError("a vertex is in two blocks, or killed and in a block")
+        seen |= b
+    full = (1 << n) - 1
+    if seen & ~full:
+        raise ValueError(f"a killed or block vertex lies outside 1..{n}")
+    if seen != full:
+        raise ValueError("blocks must partition the unkilled vertices")
 
 
 def _clique_adjacency(n: int, cliques: Iterable[int]) -> list[int]:
@@ -417,6 +444,20 @@ def _clique_sums(n: int, max_elements: int | None = None):
     return sums_with
 
 
+def _clique_node(n: int, rep: bytes, node_id: str) -> IdealNode:
+    """The poset element of a packed relation on n vertices.
+
+    The node keeps rep as its ideal, and reads dim = n - k + b and
+    height = n + k - b off its k killed vertices and b blocks; blocks that
+    do not partition the unkilled vertices raise ValueError, as they do in
+    CliquePrime.
+    """
+    kill, blocks = _unpack(n, rep)
+    _check_partition(n, kill, blocks)
+    k, b = kill.bit_count(), len(blocks)
+    return IdealNode(id=node_id, ideal=rep, dim=n - k + b, height=n + k - b)
+
+
 def build_Q_poset(
     graph: Graph, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> AnalysisPoset:
@@ -429,18 +470,13 @@ def build_Q_poset(
     such relation.
     """
     n = graph.n
-
-    def build_node(rep: bytes, node_id: str) -> IdealNode:
-        cp = CliquePrime(n, *_unpack(n, rep))
-        return IdealNode(id=node_id, ideal=cp, dim=cp.dim, height=cp.height)
-
     return join_closure(
         [
             _pack(n, (p.kill, p.blocks))
             for p in minimal_primes_graph(graph, max_elements=max_elements)
         ],
         _clique_sums(n, max_elements),
-        node_builder=build_node,
+        node_builder=partial(_clique_node, n),
         ring=ring_for(graph),
         provenance="binomial-edge",
         max_elements=max_elements,

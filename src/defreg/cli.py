@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .bounds import NEG_INF, BoundReport, analyze
@@ -413,8 +414,14 @@ class _Parser(argparse.ArgumentParser):
         )
 
 
-def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
-    """The exit code of a defreg run on argv, and the text it prints."""
+@cache
+def _parser() -> _Parser:
+    """The command line parser, built on the first run and kept.
+
+    parse_args keeps no state between calls, and error and --help read
+    sys.stderr and sys.stdout when they run, so one parser serves every
+    run of the process.
+    """
     parser = _Parser(
         prog="defreg",
         description=(
@@ -478,8 +485,13 @@ def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
         default=DEFAULT_MAX_FACES,
         help="face budget per order complex",
     )
+    return parser
+
+
+def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
+    """The exit code of a defreg run on argv, and the text it prints."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         args.field = _parse_field(args.field)
     except ValueError as e:
         return EXIT_PARSE, f"error: {e}\n"

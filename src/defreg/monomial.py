@@ -14,9 +14,11 @@ order off per-variable columns: column v is the mask of the earlier
 positions whose prime holds variable v.  The earlier primes containing b
 are those in every column of a variable of b, and those contained in b
 are those in no column of a variable outside b, so a turn costs at most
-nvars operations on ints with one bit per element.  FacePrime objects are
-built once per poset element.  Generators keep the order (height,
-variable names sorted as strings), so "x10" comes before "x2".
+nvars operations on ints with one bit per element.  A node of the
+finished poset keeps its mask as its ideal, with height its popcount and
+dim nvars minus that; FacePrime.from_mask turns a mask into a record on
+request.  Generators keep the order (height, variable names sorted as
+strings), so "x10" comes before "x2".
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ class FacePrime(Record):
 
     def dim_in(self, ring: RingContext) -> int:
         return ring.nvars - len(self.variables)
+
+    @classmethod
+    def from_mask(cls, ring: RingContext, mask: int) -> "FacePrime":
+        """The prime on the variables at the set bits of mask.
+
+        Bit k stands for ring.var_names[k], as in the masks that
+        build_monomial_poset keeps as node ideals.  A bit outside the ring
+        raises ValueError.
+        """
+        if mask < 0 or mask >> ring.nvars:
+            raise ValueError(f"mask {mask} names a variable outside the ring")
+        return cls(frozenset(v for k, v in enumerate(ring.var_names) if mask >> k & 1))
 
 
 class SquarefreeIdeal(Record):
@@ -131,8 +145,8 @@ def build_monomial_poset(
     ]
 
     def build_node(mask: int, node_id: str) -> IdealNode:
-        fp = FacePrime(frozenset(v for k, v in enumerate(names) if mask >> k & 1))
-        return IdealNode(id=node_id, ideal=fp, dim=fp.dim_in(ring), height=fp.height)
+        height = mask.bit_count()
+        return IdealNode(id=node_id, ideal=mask, dim=len(names) - height, height=height)
 
     earlier: list[int] = []
     columns = [0] * len(names)

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -10,15 +11,20 @@ from defreg.binomial_edge import (
     CliquePrime,
     Graph,
     _admissible_primes,
+    _clique_node,
     _clique_sums,
+    _join,
     _pack,
     _unpack,
     build_Q_poset,
     minimal_primes_graph,
     ring_for,
 )
+from defreg.cli import parse_graph_file
 from defreg.posets import ClosureBudgetExceeded
 from oracle import leq
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def oracle_components(n, edges, removed):
@@ -67,6 +73,11 @@ def as_masks(n, prime):
 def as_sets(p):
     """The oracle's (killed, blocks) for an engine CliquePrime."""
     return vertex_set(p.n, p.kill), [vertex_set(p.n, b) for b in p.blocks]
+
+
+def node_primes(n, poset):
+    """The node ideals of a graph poset on n vertices, as CliquePrimes."""
+    return [CliquePrime.from_relation(n, nd.ideal) for nd in poset.nodes]
 
 
 def oracle_contains(p, q):
@@ -214,10 +225,11 @@ def test_contains_rules():
     # the order of the closure is containment of the node ideals
     for g in (Graph.path(3), Graph.path(5), Graph.complete_bipartite(2, 3)):
         poset = build_Q_poset(g)
-        for a in poset.nodes:
-            for b in poset.nodes:
-                want = oracle_contains(as_sets(a.ideal), as_sets(b.ideal))
-                assert leq(poset, a.id, b.id) == want
+        prime = dict(zip(poset.ids(), node_primes(g.n, poset)))
+        for a in poset.ids():
+            for b in poset.ids():
+                want = oracle_contains(as_sets(prime[a]), as_sets(prime[b]))
+                assert leq(poset, a, b) == want
     poset = build_Q_poset(Graph.path(3))
     assert not leq(poset, "p_1", "p_2")
     assert not leq(poset, "p_2", "p_1")
@@ -232,7 +244,7 @@ def test_sum_and_primality_on_short_path():
     got = oracle_sum_primes(3, as_sets(p_empty), as_sets(p_cut))
     assert [as_masks(3, p) for p in got] == [merged]
     poset = build_Q_poset(Graph.path(3))
-    assert [nd.ideal for nd in poset.nodes] == [p_empty, p_cut, merged]
+    assert node_primes(3, poset) == [p_empty, p_cut, merged]
 
 
 def test_decomposition_of_a_nonprime_sum():
@@ -240,12 +252,12 @@ def test_decomposition_of_a_nonprime_sum():
     # a union of disjoint cliques; its two minimal primes are exactly the
     # maximal elements below both summands
     poset = build_Q_poset(Graph.path(5))
-    by_key = {nd.ideal.key(): nd.id for nd in poset.nodes}
+    ideal = dict(zip(poset.ids(), node_primes(5, poset)))
+    by_key = {p.key(): x for x, p in ideal.items()}
     p2 = by_key[((2,), ((1,), (3, 4, 5)))]
     p4 = by_key[((4,), ((1, 2, 3), (5,)))]
     below = [x for x in poset.ids() if leq(poset, x, p2) and leq(poset, x, p4)]
     top = [x for x in below if not any(y != x and leq(poset, x, y) for y in below)]
-    ideal = {nd.id: nd.ideal for nd in poset.nodes}
     pieces = sorted((ideal[x] for x in top), key=lambda p: (p.height, p.key()))
     assert [p.key() for p in pieces] == [
         ((2, 3, 4), ((1,), (5,))),
@@ -282,7 +294,7 @@ def test_poset_is_closed_under_sums():
     rng = random.Random(1234)
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 5))
-        ideals = [nd.ideal for nd in build_Q_poset(g).nodes]
+        ideals = node_primes(g.n, build_Q_poset(g))
         for i, a in enumerate(ideals):
             for b in ideals[i + 1:]:
                 for piece in oracle_sum_primes(g.n, as_sets(a), as_sets(b)):
@@ -293,9 +305,66 @@ def cycle_graph(n):
     return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
-def poset_digest(poset):
+CONVERSION_GRAPHS = {
+    "path6": Graph.path(6),
+    "cycle5": cycle_graph(5),
+    "k35": parse_graph_file((DATA / "k35.edges").read_text()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSION_GRAPHS))
+def test_nodes_convert_to_their_clique_primes(name):
+    # a node keeps its packed relation; from_relation gives the record,
+    # with the node's dim and height, and the maximal nodes are exactly
+    # the minimal primes, in order
+    graph = CONVERSION_GRAPHS[name]
+    poset = build_Q_poset(graph)
+    primes = node_primes(graph.n, poset)
+    for nd, p in zip(poset.nodes, primes):
+        assert (nd.dim, nd.height) == (p.dim, p.height)
+        assert _pack(graph.n, (p.kill, p.blocks)) == nd.ideal
+    generators = [p for k, p in enumerate(primes) if poset.is_maximal(k)]
+    assert generators == minimal_primes_graph(graph)
+
+
+# rows of packed relations on 3 vertices, all unkilled (every diagonal
+# bit set), that no clique prime has
+CORRUPT_RELATIONS = {
+    # {1, 2} is the block of vertex 1 and {2, 3} that of vertex 2
+    "overlapping-blocks": ([0b011, 0b110, 0b110], "two blocks"),
+    # vertex 3 is related to 1, so it starts no block, and 1's block is {1, 2}
+    "vertex-in-no-block": ([0b011, 0b011, 0b101], "partition"),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, message", CORRUPT_RELATIONS.values(), ids=CORRUPT_RELATIONS
+)
+def test_corrupted_relations_raise(rows, message):
+    rep = _join(3, rows)
+    with pytest.raises(ValueError, match=message):
+        _clique_node(3, rep, "p_1")
+    with pytest.raises(ValueError, match=message):
+        CliquePrime.from_relation(3, rep)
+
+
+def test_from_relation_takes_only_packed_relations():
+    rep = _pack(3, (0b010, (0b001, 0b100)))
+    assert CliquePrime.from_relation(3, rep) == CliquePrime(3, 0b010, (0b001, 0b100))
+    for wrong in (rep[:-1], rep + b"\0"):
+        with pytest.raises(ValueError, match="bytes"):
+            CliquePrime.from_relation(3, wrong)
+    # blocks {1, 2} and {3} partition the vertices, but the row of vertex
+    # 2 relates it to 3, and then a guard bit is set
+    for rows in ([0b011, 0b111, 0b100], [0b1011, 0b011, 0b100]):
+        with pytest.raises(ValueError, match="not the packed relation"):
+            CliquePrime.from_relation(3, _join(3, rows))
+
+
+def poset_digest(n, poset):
     """sha256 of every (id, CliquePrime.key(), up-mask), in label order."""
-    rows = [[nd.id, nd.ideal.key(), up] for nd, up in zip(poset.nodes, poset.up)]
+    primes = node_primes(n, poset)
+    rows = [[nd.id, p.key(), up] for nd, p, up in zip(poset.nodes, primes, poset.up)]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
@@ -317,7 +386,7 @@ def test_pinned_labels_and_order(graph, size, digest):
     # test_closure_reference.py
     poset = build_Q_poset(graph)
     assert len(poset) == size
-    assert poset_digest(poset) == digest
+    assert poset_digest(graph.n, poset) == digest
 
 
 def test_isolated_vertices_past_64_bits():
@@ -327,9 +396,11 @@ def test_isolated_vertices_past_64_bits():
     wide = build_Q_poset(Graph.from_edges(70, Graph.path(5).edges))
     assert wide.ids() == small.ids()
     pad = tuple((v,) for v in range(6, 71))
-    for a, b in zip(small.nodes, wide.nodes):
+    for a, b, pa, pb in zip(
+        small.nodes, wide.nodes, node_primes(5, small), node_primes(70, wide)
+    ):
         assert b.height == a.height
-        assert b.ideal.key() == (a.ideal.key()[0], a.ideal.key()[1] + pad)
+        assert pb.key() == (pa.key()[0], pa.key()[1] + pad)
     for x in small.ids():
         for y in small.ids():
             assert leq(wide, x, y) == leq(small, x, y)
@@ -397,8 +468,7 @@ def scalar_primes_of_sum(n):
 def assert_turns_match_pair_sums(graph):
     """Every turn of the packed kernel against the pair-at-a-time sums."""
     n = graph.n
-    ideals = [nd.ideal for nd in build_Q_poset(graph).nodes]
-    reps = [_pack(n, (p.kill, p.blocks)) for p in ideals]
+    reps = [nd.ideal for nd in build_Q_poset(graph).nodes]
     scalar = [scalar_pack(n, _unpack(n, rep)) for rep in reps]
     pair_sum = scalar_primes_of_sum(n)
     sums_with = _clique_sums(n)

@@ -572,6 +572,81 @@ def test_main_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: defreg")
 
 
+PATH5 = ["--mode", "graph", "--edges", str(DATA / "path5.edges")]
+
+# one process runs these in turn through one parser: a good run, a bad
+# budget value, a missing --mode, a budget exit, --help twice, the good
+# run again
+REUSED_PARSER_RUNS = [
+    PATH5,
+    PATH5 + ["--max-faces", "x"],
+    ["--edges", str(DATA / "path5.edges")],
+    PATH5 + ["--max-faces", "1"],
+    ["--help"],
+    ["--help"],
+    PATH5,
+]
+
+
+def test_one_parser_serves_every_run(monkeypatch, capsys):
+    # help text wraps at the terminal width, read from COLUMNS on each call
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(
+        os.environ, COLUMNS="80",
+        PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"),
+    )
+    fresh = {}
+    for argv in map(tuple, REUSED_PARSER_RUNS):
+        if argv not in fresh:
+            done = subprocess.run(
+                [sys.executable, "-m", "defreg.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            fresh[argv] = done.returncode, done.stdout
+    got = []
+    for argv in REUSED_PARSER_RUNS:
+        if argv == ["--help"]:
+            with pytest.raises(SystemExit) as done:
+                run(argv)
+            got.append((done.value.code, capsys.readouterr().out))
+        else:
+            got.append(run(argv))
+    assert [code for code, _ in got] == [
+        EXIT_OK, EXIT_PARSE, EXIT_PARSE, EXIT_BUDGET, 0, 0, EXIT_OK
+    ]
+    assert got[4] == got[5] and got[4][1].startswith("usage: defreg")
+    assert got == [fresh[tuple(argv)] for argv in REUSED_PARSER_RUNS]
+
+
+# Counts the argparse parsers built by importing defreg.cli and by the
+# runs after it.
+PARSERS_BUILT = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    built.append(type(self).__name__)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+import defreg.cli
+assert built == [], built
+for _ in range(3):
+    defreg.cli.run(["--mode", "poset", "--poset", sys.argv[1]])
+assert built == ["_Parser"], built
+"""
+
+
+def test_the_parser_is_built_on_the_first_run():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", PARSERS_BUILT, str(DATA / "abstract7.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("text", ["a\tb", "x, a\x7f", "a\u2028b", "a\x00"])
 def test_parse_var_list_rejects_control_characters(text):
     with pytest.raises(ParseError, match="unprintable character"):

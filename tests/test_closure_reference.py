@@ -12,8 +12,13 @@ import itertools
 import random
 from collections import deque
 
-from defreg.binomial_edge import Graph, build_Q_poset
-from defreg.monomial import SquarefreeIdeal, build_monomial_poset, minimal_primes
+from defreg.binomial_edge import CliquePrime, Graph, build_Q_poset
+from defreg.monomial import (
+    FacePrime,
+    SquarefreeIdeal,
+    build_monomial_poset,
+    minimal_primes,
+)
 from defreg.posets import RingContext
 
 
@@ -184,9 +189,13 @@ def assert_same_poset(poset, reps, leq, key_of):
 def _check_graph(graph):
     reps, leq = reference_graph_closure(graph)
     poset = build_Q_poset(graph)
-    assert_same_poset(poset, [_key(p) for p in reps], leq, lambda cp: cp.key())
+    n = graph.n
+    assert_same_poset(
+        poset, [_key(p) for p in reps], leq,
+        lambda rep: CliquePrime.from_relation(n, rep).key(),
+    )
     for nd, p in zip(poset.nodes, reps):
-        assert nd.ideal.n == graph.n
+        assert CliquePrime.from_relation(n, nd.ideal).n == n
         assert nd.height == _height(p)
 
 
@@ -224,7 +233,9 @@ def test_random_monomial_ideals_over_twelve_variables():
             generator_key=lambda s: (len(s), tuple(sorted(s))),
         )
         poset = build_monomial_poset(ideal)
-        assert_same_poset(poset, reps, leq, lambda fp: fp.variables)
+        assert_same_poset(
+            poset, reps, leq, lambda mask: FacePrime.from_mask(ring, mask).variables
+        )
         for nd in poset.nodes:
-            assert nd.height == len(nd.ideal.variables)
+            assert nd.height == len(FacePrime.from_mask(ring, nd.ideal).variables)
             assert nd.dim == ring.nvars - nd.height

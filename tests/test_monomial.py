@@ -91,11 +91,11 @@ def test_poset_of_two_skew_lines():
     assert poset.provenance == "monomial"
     assert poset.ring is RING4
     assert len(poset) == 3
-    by_id = {nd.id: nd for nd in poset.nodes}
-    assert {by_id["p_1"].ideal.key(), by_id["p_2"].ideal.key()} == {
+    prime = {nd.id: FacePrime.from_mask(RING4, nd.ideal) for nd in poset.nodes}
+    assert {prime["p_1"].key(), prime["p_2"].key()} == {
         ("x", "y"), ("w", "z")
     }
-    assert by_id["p_3"].ideal.key() == ("w", "x", "y", "z")
+    assert prime["p_3"].key() == ("w", "x", "y", "z")
     assert [nd.dim for nd in poset.nodes] == [2, 2, 0]
     assert [nd.height for nd in poset.nodes] == [2, 2, 4]
     assert [poset.is_maximal(k) for k in range(len(poset))] == [True, True, False]
@@ -115,11 +115,46 @@ def test_poset_nodes_are_exactly_the_sums():
         for r in range(1, len(primes) + 1):
             for combo in itertools.combinations(primes, r):
                 expected.add(frozenset().union(*combo))
-        got = {nd.ideal.variables for nd in poset.nodes}
-        assert got == expected
+        variables = {
+            nd.id: FacePrime.from_mask(ring, nd.ideal).variables
+            for nd in poset.nodes
+        }
+        assert set(variables.values()) == expected
         # order agrees with reverse inclusion of the variable sets
-        for a in poset.nodes:
-            for b in poset.nodes:
-                assert leq(poset, a.id, b.id) == (
-                    a.ideal.variables >= b.ideal.variables
-                )
+        for a in poset.ids():
+            for b in poset.ids():
+                assert leq(poset, a, b) == (variables[a] >= variables[b])
+
+
+def test_nodes_convert_to_their_face_primes():
+    # a node keeps its variable mask; from_mask gives the record, with the
+    # node's dim and height, and the maximal nodes are exactly the minimal
+    # primes, in order
+    ideals = [
+        SquarefreeIdeal.create(RING4, gens)
+        for gens in (
+            [["x", "z"], ["x", "w"], ["y", "z"], ["y", "w"]],
+            [["x", "y"], ["x", "z"]],
+            [["x", "y", "z"]],
+        )
+    ]
+    rng = random.Random(9090)
+    for _ in range(30):
+        ring = RingContext(tuple(f"v{i}" for i in range(rng.randint(2, 6))))
+        ideals.append(random_ideal(rng, ring))
+    for ideal in ideals:
+        ring = ideal.ring
+        poset = build_monomial_poset(ideal)
+        primes = [FacePrime.from_mask(ring, nd.ideal) for nd in poset.nodes]
+        for nd, p in zip(poset.nodes, primes):
+            assert (nd.dim, nd.height) == (p.dim_in(ring), p.height)
+        generators = [p for k, p in enumerate(primes) if poset.is_maximal(k)]
+        assert generators == minimal_primes(ideal)
+
+
+def test_from_mask_reads_bits_in_ring_order():
+    assert FacePrime.from_mask(RING4, 0b1010) == FacePrime(frozenset({"y", "w"}))
+    assert FacePrime.from_mask(RING4, 0) == FacePrime(frozenset())
+    for mask in (-1, 1 << 4):
+        with pytest.raises(ValueError, match="outside the ring"):
+            FacePrime.from_mask(RING4, mask)
