@@ -42,16 +42,22 @@ s = ceil(n(n+1) / 8) + 1 bytes:
 
 with a second big int holding, in the same slots, the rows and columns
 of each prime's killed vertices.  Each prime is appended as a slot at
-the end of its own turn, and slots are never rebuilt.  The new prime is
-copied into every slot by one multiplication with the slot unit (a 1 at
-the bottom of each slot), and the masking, the nesting test and A | B
-then run on all slots together.  Three flags per slot come from carries:
-adding 2^w - 1, w the bit of the flag byte, to a slot carries into w
-exactly when the slot is nonzero.  Bit 0 of the flag byte marks a failed
-nesting test, bit 1 a sum that differs from the earlier prime, bit 2 one
-that differs from the new prime.  One to_bytes then yields every sum,
-and a strided slice of it the flag bytes; only the non-prime slots go
-through Python, to be decomposed.
+the end of its own turn, and slots are never rebuilt.  The constants
+the tests below need in every slot grow by one slot along with them:
+the slot unit (a 1 at the bottom of each slot), the row guards, M, and
+2^w - 1.  The new prime is copied into every slot by one multiplication
+with the slot unit, and the masking, the nesting test and A | B then run
+on all slots together.  Three flags per slot come from carries: adding
+2^w - 1, w the bit of the flag byte, to a slot carries into w exactly
+when the slot is nonzero.  Bit 0 of the flag byte marks a failed nesting
+test, bit 1 a sum that differs from the earlier prime, bit 2 one that
+differs from the new prime.  One to_bytes then yields every sum, and a
+strided slice of it the flag bytes.  join_closure needs the primes of
+a sum only once, so a turn reports only the sum relations no turn met: the
+relations are unpacked and filtered against the set of met relations
+(every prime handed in, every sum) in C, and Python loops over the new
+ones alone, decomposing the non-prime among them.  Each non-prime
+relation is thus decomposed exactly once.
 
 Outside the slots a prime is masks: the cut set walk yields plain
 (kill mask, block masks) tuples, which are packed once per generator and
@@ -69,7 +75,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import partial
-from itertools import chain, compress
+from itertools import compress, filterfalse
+from operator import itemgetter
 from struct import iter_unpack
 
 from ._record import Record
@@ -372,7 +379,9 @@ def _clique_sums(n: int, max_elements: int | None = None):
 
     The slot layout is in the module docstring: each call sums its prime
     with the primes in the slots, then appends the prime as the next slot.
-    Decompositions raise ClosureBudgetExceeded past max_elements pieces.
+    Each call reports only the sums no call met before, so each non-prime
+    relation is decomposed once; decompositions raise
+    ClosureBudgetExceeded past max_elements pieces.
     """
     full = (1 << n) - 1
     width = _rep_bytes(n)
@@ -380,30 +389,29 @@ def _clique_sums(n: int, max_elements: int | None = None):
     shift = 8 * step
     record = f"{width}sx"  # a slot: the relation, then the flag byte
     starts = int.from_bytes(_join(n, [1] * n), "little")  # the first bit of every row
-    unit = 0  # one bit at the start of every slot
+    # in one slot: the guard bit of every row, 2^n - 1 in every row, and
+    # 2^w - 1, which carries into the flag bit w when the slot is nonzero
+    slot_guards = starts << n
+    slot_ones = slot_guards - starts
+    slot_top = 1 << 8 * width
+    slot_low = slot_top - 1
+    # the same values in every slot, grown one slot per call
+    unit = guards = ones = top = low = 0
     rels = kills = 0  # the relations and the killed rows and columns
     slots = 0
-    decomposed: dict[bytes, tuple[bytes, ...]] = {}
+    met: set[bytes] = set()  # every prime handed in and every sum met
 
-    def decompose(key: bytes) -> tuple[bytes, ...]:
-        pieces = decomposed.get(key)
-        if pieces is None:
-            kill = _killed(n, key)
-            adj = _split(n, key)
-            pieces = decomposed[key] = tuple(
-                _pack(n, rep)
-                for rep in _admissible_primes(n, kill, adj, full & ~kill, max_elements)
+    def decompose(key: bytes) -> list[bytes]:
+        kill = _killed(n, key)
+        return [
+            _pack(n, rep)
+            for rep in _admissible_primes(
+                n, kill, _split(n, key), full & ~kill, max_elements
             )
-        return pieces
+        ]
 
-    def sum_slots(x: int, cross: int) -> tuple[Iterable[bytes], int, int]:
+    def sum_slots(x: int, cross: int) -> tuple[list[bytes], int, int]:
         """The sums of relation x, killing cross, with every slot."""
-        rows = starts * unit  # the first bit of every row
-        ones = (rows << n) - rows  # 2^n - 1 in every row
-        # 2^w - 1 in every slot carries into its flag bit w when the slot
-        # is nonzero
-        top = unit << 8 * width
-        low = top - unit
         xr = x * unit
         xk = cross * unit
         a = rels ^ rels & xk  # each relation without the new prime's kills
@@ -411,7 +419,7 @@ def _clique_sums(n: int, max_elements: int | None = None):
         ab = a & b
         # a guard bit set on both sides marks a row where neither residual
         # block contains the other: the sum is not prime
-        bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & rows << n
+        bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & guards
         rel = a | b
         flags = (
             (bad + low) & top
@@ -422,22 +430,34 @@ def _clique_sums(n: int, max_elements: int | None = None):
         marks = buf[width::step]
         below = int(marks.translate(_BELOW)[::-1], 2)
         above = int(marks.translate(_ABOVE)[::-1], 2)
-        sums = list(iter_unpack(record, buf))  # (relation,) per slot
-        for i in compress(range(slots), marks.translate(_NONPRIME)):
-            sums[i] = decompose(sums[i][0])
-        return chain.from_iterable(sums), below, above
+        keys = list(map(itemgetter(0), iter_unpack(record, buf)))
+        fresh = dict.fromkeys(filterfalse(met.__contains__, keys))
+        met.update(fresh)
+        nonprime = fresh.keys() & compress(keys, marks.translate(_NONPRIME))
+        pieces: list[bytes] = []
+        for key in fresh:
+            if key in nonprime:
+                pieces += decompose(key)
+            else:
+                pieces.append(key)
+        return pieces, below, above
 
-    def sums_with(rep: bytes) -> tuple[Iterable[bytes], int, int]:
-        nonlocal unit, rels, kills, slots
+    def sums_with(rep: bytes) -> tuple[list[bytes], int, int]:
+        nonlocal unit, guards, ones, top, low, rels, kills, slots
+        met.add(rep)
         x = int.from_bytes(rep, "little")
         kill = _killed(n, rep)
         killed_rows = [full if kill >> v & 1 else kill for v in range(n)]
         cross = int.from_bytes(_join(n, killed_rows), "little")  # rows and columns
-        turn = sum_slots(x, cross) if slots else ((), 0, 0)
+        turn = sum_slots(x, cross) if slots else ([], 0, 0)
         at = slots * shift  # the prime takes the next slot
         rels |= x << at
         kills |= cross << at
         unit |= 1 << at
+        guards |= slot_guards << at
+        ones |= slot_ones << at
+        top |= slot_top << at
+        low |= slot_low << at
         slots += 1
         return turn
 
@@ -448,11 +468,20 @@ def _clique_node(n: int, rep: bytes, node_id: str) -> IdealNode:
     """The poset element of a packed relation on n vertices.
 
     The node keeps rep as its ideal, and reads dim = n - k + b and
-    height = n + k - b off its k killed vertices and b blocks; blocks that
+    height = n + k - b off its k killed vertices and b blocks, in one pass
+    over the rows: a row without its diagonal bit is a killed vertex, and
+    a row whose lowest bit is its own vertex starts a block.  Blocks that
     do not partition the unkilled vertices raise ValueError, as they do in
     CliquePrime.
     """
-    kill, blocks = _unpack(n, rep)
+    kill = 0
+    blocks = []
+    for v, row in enumerate(_split(n, rep)):
+        bit = 1 << v
+        if not row & bit:
+            kill |= bit
+        elif row & -row == bit:
+            blocks.append(row)
     _check_partition(n, kill, blocks)
     k, b = kill.bit_count(), len(blocks)
     return IdealNode(id=node_id, ideal=rep, dim=n - k + b, height=n + k - b)

@@ -24,6 +24,7 @@ strings), so "x10" comes before "x2".
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import islice
 
 from ._record import Record
 from .posets import (
@@ -151,7 +152,7 @@ def build_monomial_poset(
     earlier: list[int] = []
     columns = [0] * len(names)
 
-    def sums_with(b: int) -> tuple[list[int], int, int]:
+    def sums_with(b: int) -> tuple[Iterable[int], int, int]:
         j = len(earlier)
         everyone = (1 << j) - 1
         below = everyone  # positions holding every variable of b
@@ -161,7 +162,9 @@ def build_monomial_poset(
                 below &= column
             else:
                 outside |= column
-        pieces = list(map(b.__or__, earlier))
+        # the sums come lazily, off the first j masks: appends leave
+        # those as they are, so this is a snapshot that copies nothing
+        pieces = map(b.__or__, islice(earlier, j))
         earlier.append(b)
         for k in _bits(b):
             columns[k] |= 1 << j

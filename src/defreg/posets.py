@@ -10,9 +10,11 @@ representations, which are plain hashable values (int masks for face
 primes, packed relation bytes for clique primes).  The closure runs one
 turn per element, in label order: on its turn an element goes to one
 callback, which sums it with every element it was handed before and
-returns the minimal primes of all those sums, flattened in pair order,
-plus two masks saying which earlier elements lie below and which lie
-above it.  Unseen pieces join the pool in the order given until a
+returns the minimal primes of those sums in pair order, plus two masks
+saying which earlier elements lie below and which lie above it.  A sum
+whose primes are already in the pool may be left out: one the callback
+met before, on an earlier turn or earlier in the same one, or one equal
+to an element.  Unseen pieces join the pool in the order given until a
 fixpoint.  Labels p_1, p_2, ... follow first-appearance order, with the
 generators fed in one at a time so that sums of early generators are
 labelled before later generators.
@@ -37,6 +39,7 @@ chain of three elements.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
+from itertools import filterfalse
 
 from ._record import Record
 
@@ -399,8 +402,12 @@ def join_closure(
     order.  It sums rep with each of them, keeping whatever it needs of
     rep for the later turns, and returns (pieces, below, above):
 
-    - pieces: the minimal primes of every sum e_i + rep in canonical
-      form, flattened in the order of i;
+    - pieces: the minimal primes of the sums e_i + rep in canonical
+      form, in the order of i.  The primes of a sum may be left out when
+      they are already in the pool: when the callback met the same sum
+      on an earlier turn, or earlier on this one, or when the sum is an
+      element it was handed.  Leaving them out moves no first
+      appearance, so the labels stay the same;
     - below: the mask of the positions i with e_i <= rep, that is
       e_i + rep = e_i;
     - above: the mask of the positions i with rep <= e_i.
@@ -434,7 +441,7 @@ def join_closure(
             bit = 1 << j
             for i in _bits(below):
                 up[i] |= bit
-            for piece in [p for p in dict.fromkeys(pieces) if p not in index]:
+            for piece in dict.fromkeys(filterfalse(index.__contains__, pieces)):
                 insert(piece)
             j += 1
 

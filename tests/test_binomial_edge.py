@@ -438,13 +438,18 @@ def test_pack_round_trip(n):
         assert _unpack(n, packed) == rep
 
 
-def scalar_primes_of_sum(n):
-    """The closure's pair callback before turns were summed at once."""
+def scalar_sum(n):
+    """The closure's pair sum before turns were summed at once.
+
+    Returns sum_of and decompose: sum_of(a, b) gives the raw sum (kill
+    mask, relation) of two primes in that form and whether it is prime,
+    and decompose(raw) the minimal primes of a non-prime raw sum.
+    """
     full = (1 << n) - 1
     ones = full * row_starts(n, full)
     guards = row_starts(n, full) << n
 
-    def primes_of_sum(a, b):
+    def sum_of(a, b):
         ka, ra = a
         kb, rb = b
         k = ka | kb
@@ -453,35 +458,46 @@ def scalar_primes_of_sum(n):
             keep = rest * row_starts(n, rest)
             ra &= keep
             rb &= keep
-        rel = ra | rb
-        if not ((ra & ~rb) + ones) & ((rb & ~ra) + ones) & guards:
-            return ((k, rel),)
+        prime = not ((ra & ~rb) + ones) & ((rb & ~ra) + ones) & guards
+        return (k, ra | rb), prime
+
+    def decompose(raw):
+        k, rel = raw
         adj = [rel >> v * (n + 1) & full for v in range(n)]
         return tuple(
             scalar_pack(n, rep)
             for rep in _admissible_primes(n, k, adj, full & ~k)
         )
 
-    return primes_of_sum
+    return sum_of, decompose
 
 
 def assert_turns_match_pair_sums(graph):
-    """Every turn of the packed kernel against the pair-at-a-time sums."""
+    """Every turn of the packed kernel against the pair-at-a-time sums.
+
+    A turn meets its own prime and every pair sum, and reports, pair by
+    pair in order, the primes of each raw sum that no turn met before.
+    """
     n = graph.n
     reps = [nd.ideal for nd in build_Q_poset(graph).nodes]
     scalar = [scalar_pack(n, _unpack(n, rep)) for rep in reps]
-    pair_sum = scalar_primes_of_sum(n)
+    sum_of, decompose = scalar_sum(n)
     sums_with = _clique_sums(n)
+    met = set()
     for j, rep in enumerate(reps):
         pieces, below, above = sums_with(rep)
+        met.add(scalar[j])
         want, want_below, want_above = [], 0, 0
         for i in range(j):
-            got = pair_sum(scalar[i], scalar[j])
+            raw, prime = sum_of(scalar[i], scalar[j])
+            got = (raw,) if prime else decompose(raw)
             if got == (scalar[i],):
                 want_below |= 1 << i
             elif got == (scalar[j],):
                 want_above |= 1 << i
-            want += got
+            if raw not in met:
+                met.add(raw)
+                want += got
         assert [scalar_pack(n, _unpack(n, p)) for p in pieces] == want
         assert (below, above) == (want_below, want_above)
 

@@ -12,6 +12,8 @@ import itertools
 import random
 from collections import deque
 
+import pytest
+
 from defreg.binomial_edge import CliquePrime, Graph, build_Q_poset
 from defreg.monomial import (
     FacePrime,
@@ -19,7 +21,7 @@ from defreg.monomial import (
     build_monomial_poset,
     minimal_primes,
 )
-from defreg.posets import RingContext
+from defreg.posets import ClosureBudgetExceeded, RingContext
 
 
 def reference_closure(
@@ -215,23 +217,31 @@ def test_random_graphs_on_five_to_seven_vertices():
         _check_graph(Graph.from_edges(n, [e for e in pairs if rng.random() < 0.4]))
 
 
+def reference_monomial_closure(ideal):
+    return reference_closure(
+        [fp.variables for fp in minimal_primes(ideal)],
+        sum_op=frozenset.union,
+        contains_op=frozenset.__ge__,
+        canonical_key=lambda s: tuple(sorted(s)),
+        generator_key=lambda s: (len(s), tuple(sorted(s))),
+    )
+
+
+def random_ideal(rng, ring):
+    gens = [
+        rng.sample(ring.var_names, rng.randint(2, 3))
+        for _ in range(rng.randint(3, 6))
+    ]
+    return SquarefreeIdeal.create(ring, gens)
+
+
 def test_random_monomial_ideals_over_twelve_variables():
     # names x1..x12: string order ("x10" < "x2") differs from index order
     ring = RingContext(tuple(f"x{i}" for i in range(1, 13)))
     rng = random.Random(77)
     for _ in range(25):
-        gens = [
-            rng.sample(ring.var_names, rng.randint(2, 3))
-            for _ in range(rng.randint(3, 6))
-        ]
-        ideal = SquarefreeIdeal.create(ring, gens)
-        reps, leq = reference_closure(
-            [fp.variables for fp in minimal_primes(ideal)],
-            sum_op=frozenset.union,
-            contains_op=frozenset.__ge__,
-            canonical_key=lambda s: tuple(sorted(s)),
-            generator_key=lambda s: (len(s), tuple(sorted(s))),
-        )
+        ideal = random_ideal(rng, ring)
+        reps, leq = reference_monomial_closure(ideal)
         poset = build_monomial_poset(ideal)
         assert_same_poset(
             poset, reps, leq, lambda mask: FacePrime.from_mask(ring, mask).variables
@@ -239,3 +249,50 @@ def test_random_monomial_ideals_over_twelve_variables():
         for nd in poset.nodes:
             assert nd.height == len(FacePrime.from_mask(ring, nd.ideal).variables)
             assert nd.dim == ring.nvars - nd.height
+
+
+def assert_budget_trips_past_reference(build, size):
+    """build(max_elements=k) raises exactly when the closure has more than k."""
+    for k in range(1, size + 1):
+        if k < size:
+            with pytest.raises(ClosureBudgetExceeded):
+                build(max_elements=k)
+        else:
+            assert len(build(max_elements=k)) == size
+
+
+def budget_graphs():
+    graphs = {
+        "path6": Graph.path(6),
+        "cycle6": Graph.from_edges(6, [(i, i % 6 + 1) for i in range(1, 7)]),
+    }
+    rng = random.Random(38)
+    for k in range(4):
+        n = rng.randint(5, 6)
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        edges = [e for e in pairs if rng.random() < 0.5]
+        graphs[f"seeded{k}"] = Graph.from_edges(n, edges)
+    return graphs
+
+
+BUDGET_GRAPHS = budget_graphs()
+
+
+@pytest.mark.parametrize("name", BUDGET_GRAPHS)
+def test_graph_budget_trips_past_the_reference_size(name):
+    graph = BUDGET_GRAPHS[name]
+    reps, _ = reference_graph_closure(graph)
+    assert_budget_trips_past_reference(
+        lambda **kw: build_Q_poset(graph, **kw), len(reps)
+    )
+
+
+def test_monomial_budget_trips_past_the_reference_size():
+    ring = RingContext(tuple(f"x{i}" for i in range(1, 9)))
+    rng = random.Random(32)
+    for _ in range(4):
+        ideal = random_ideal(rng, ring)
+        reps, _ = reference_monomial_closure(ideal)
+        assert_budget_trips_past_reference(
+            lambda **kw: build_monomial_poset(ideal, **kw), len(reps)
+        )

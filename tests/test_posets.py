@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from defreg import posets
+from defreg import binomial_edge, posets
 from defreg.binomial_edge import Graph, build_Q_poset
 from defreg.complexes import FieldSpec, homology_of_faces
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
@@ -352,18 +352,19 @@ def test_join_closure_requires_generators():
         _set_closure([])
 
 
-def test_join_closure_with_decomposition():
-    # sums of size > 2 are "not prime" and break into singletons, so the
-    # closure is all singletons and all pairs over {1, 2, 3, 4}
-    def primes_of_sum(a, b):
-        s = a | b
-        if s.bit_count() <= 2:
-            return (s,)
-        return tuple(1 << v for v in _bits(s))
+def split_sum(a, b):
+    """Sums of size > 2 are "not prime" and break into singletons."""
+    s = a | b
+    if s.bit_count() <= 2:
+        return (s,)
+    return tuple(1 << v for v in _bits(s))
 
+
+def test_join_closure_with_decomposition():
+    # the closure is all singletons and all pairs over {1, 2, 3, 4}
     p = join_closure(
         [0b0011, 0b1100],
-        per_turn(primes_of_sum),
+        per_turn(split_sum),
         node_builder=_mask_node,
         provenance="abstract",
     )
@@ -396,3 +397,70 @@ def test_join_closure_takes_one_turn_per_element_in_label_order():
     )
     reps = [nd.ideal for nd in p.nodes]
     assert turns == reps
+
+
+def leaving_out_reported(sums_with):
+    """The callback sums_with, less every piece an earlier turn reported."""
+    reported = set()
+
+    def leaving_out(rep):
+        pieces, below, above = sums_with(rep)
+        fresh = [p for p in pieces if p not in reported]
+        reported.update(pieces)
+        return fresh, below, above
+
+    return leaving_out
+
+
+def closure_outcome(generators, sums_with, max_elements):
+    """(ids, ideals, up-masks) of a closure, or None past the budget."""
+    try:
+        p = join_closure(
+            generators,
+            sums_with,
+            node_builder=_mask_node,
+            provenance="abstract",
+            max_elements=max_elements,
+        )
+    except ClosureBudgetExceeded:
+        return None
+    return p.ids(), [nd.ideal for nd in p.nodes], p.up
+
+
+@pytest.mark.parametrize("generators, primes_of_sum", [
+    ([0b0001, 0b0010, 0b0100, 0b1000], lambda a, b: (a | b,)),
+    ([0b0011, 0b1100], split_sum),
+], ids=["sets", "decomposition"])
+def test_leaving_out_reported_pieces_changes_nothing(generators, primes_of_sum):
+    # the contract lets a turn leave out what an earlier turn reported:
+    # those pieces are in the pool, so labels, order and budget stay
+    unbounded = posets.DEFAULT_MAX_ELEMENTS
+    size = len(closure_outcome(generators, per_turn(primes_of_sum), unbounded)[0])
+    for k in range(1, size + 2):
+        want = closure_outcome(generators, per_turn(primes_of_sum), k)
+        got = closure_outcome(
+            generators, leaving_out_reported(per_turn(primes_of_sum)), k
+        )
+        assert got == want
+        assert (want is None) == (k < size)
+
+
+def test_path9_turns_report_each_sum_once(monkeypatch):
+    # 166,176 pair sums over 577 turns; reporting every one hands the
+    # closure 189,192 pieces, reporting each sum relation once 1,095
+    n = 9
+    reps = [nd.ideal for nd in build_Q_poset(Graph.path(n)).nodes]
+    relations = []
+    walk = binomial_edge._admissible_primes
+
+    def counted(n, base_kill, adj, present, max_elements=None):
+        relations.append((base_kill, tuple(adj)))
+        return walk(n, base_kill, adj, present, max_elements)
+
+    monkeypatch.setattr(binomial_edge, "_admissible_primes", counted)
+    sums_with = binomial_edge._clique_sums(n)
+    reported = sum(len(sums_with(rep)[0]) for rep in reps)
+    assert reported < 2000
+    # one cut-set walk per distinct non-prime sum relation, of which
+    # path9 has 263
+    assert len(relations) == len(set(relations)) == 263
