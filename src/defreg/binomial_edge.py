@@ -59,16 +59,17 @@ relations are unpacked and filtered against the set of met relations
 ones alone, decomposing the non-prime among them.  Each non-prime
 relation is thus decomposed exactly once.
 
-Outside the slots a prime is masks: the cut set walk yields plain
-(kill mask, block masks) tuples, which are packed once per generator and
-per piece.  A node of the finished poset keeps its packed relation as its
-ideal, with dim and height read off the killed vertices and the blocks
-of the relation's rows.  CliquePrime holds the same masks in its kill
-and blocks fields; it is built for the minimal primes, and from a node's
-relation only by CliquePrime.from_relation.  Eight rows of n + 1 bits
-fill n + 1 whole bytes, so a relation is packed and unpacked eight rows at
-a time, O(n^2) bits in all.  The label order, which fixes the element ids,
-reads the masks as sorted vertex tuples.
+Every prime the module hands out is in this packed form: the cut set
+walk packs each prime it finds once, so the minimal primes of the graph
+and the pieces of a decomposition go into the closure as they come.  A
+node of the finished poset keeps its packed relation as its ideal, with
+dim and height read off the killed vertices and the blocks of the
+relation's rows.  CliquePrime holds the same data as a kill mask and
+block masks; it is built from a relation only on request, by
+CliquePrime.from_relation.  Eight rows of n + 1 bits fill n + 1 whole
+bytes, so a relation is packed and unpacked eight rows at a time, O(n^2)
+bits in all.  The label order, which fixes the element ids, reads the
+masks as sorted vertex tuples.
 """
 
 from __future__ import annotations
@@ -178,17 +179,17 @@ class CliquePrime(Record):
     def from_relation(cls, n: int, rep: bytes) -> "CliquePrime":
         """The prime whose packed same-block relation on n vertices is rep.
 
-        This is the form build_Q_poset keeps as each node's ideal.  A rep of
-        the wrong length, one whose blocks do not partition the unkilled
-        vertices, or one with any other bit than those its blocks set
-        raises ValueError.
+        This is the form minimal_primes_graph returns and build_Q_poset keeps
+        as each node's ideal.  A rep of the wrong length, one whose blocks
+        do not partition the unkilled vertices, or one with any other bit
+        than those its blocks set raises ValueError.
         """
         if len(rep) != _rep_bytes(n):
             raise ValueError(
                 f"a relation on {n} vertices takes {_rep_bytes(n)} bytes, not {len(rep)}"
             )
         prime = cls(n, *_unpack(n, rep))
-        if _pack(n, (prime.kill, prime.blocks)) != rep:
+        if _pack(n, prime.blocks) != rep:
             raise ValueError("rep is not the packed relation of its blocks")
         return prime
 
@@ -242,12 +243,12 @@ def _admissible_primes(
     adj: Sequence[int],
     present: int,
     max_elements: int | None = None,
-) -> list[tuple[int, tuple[int, ...]]]:
+) -> list[bytes]:
     """All primes from cut sets T of the graph (adj, present), over base_kill.
 
-    A prime comes as (kill mask, block masks in increasing order).
-    T qualifies when removing any single vertex of T gives strictly fewer
-    components than removing all of T; the empty set always qualifies.
+    A prime comes as its packed relation.  T qualifies when removing any
+    single vertex of T gives strictly fewer components than removing all
+    of T; the empty set always qualifies.
     Only vertices whose neighbourhood is not a clique are walked: putting
     back a vertex with a clique or empty neighbourhood joins at most one
     component, so the count never drops.  The primes come sorted by
@@ -281,30 +282,29 @@ def _admissible_primes(
         if all(len(components(rest | (1 << i))) < base for i in _bits(t)):
             if max_elements is not None and len(found) >= max_elements:
                 raise ClosureBudgetExceeded(max_elements)
-            found.append((base_kill | t, tuple(sorted(components(rest)))))
+            found.append((base_kill | t, components(rest)))
         if t == walk:
             break
         t = (t - walk) & walk
     found.sort(
         key=lambda rep: (n + rep[0].bit_count() - len(rep[1]), _label_key(*rep))
     )
-    return found
+    return [_pack(n, blocks) for _, blocks in found]
 
 
 def minimal_primes_graph(
     graph: Graph, *, max_elements: int | None = None
-) -> list[CliquePrime]:
-    """Minimal primes of the binomial edge ideal of the graph.
+) -> list[bytes]:
+    """Minimal primes of the binomial edge ideal, as packed relations.
 
-    There is no budget unless max_elements is given; then
-    ClosureBudgetExceeded is raised once more than that are found.
+    They come by height, then in the label order;
+    CliquePrime.from_relation(graph.n, rep) reads one as a record.  There
+    is no budget unless max_elements is given; then ClosureBudgetExceeded
+    is raised once more than that are found.
     """
     n = graph.n
     adj = _clique_adjacency(n, (1 << u - 1 | 1 << v - 1 for u, v in graph.edges))
-    return [
-        CliquePrime(n, *rep)
-        for rep in _admissible_primes(n, 0, adj, (1 << n) - 1, max_elements)
-    ]
+    return _admissible_primes(n, 0, adj, (1 << n) - 1, max_elements)
 
 
 def _rep_bytes(n: int) -> int:
@@ -341,10 +341,13 @@ def _split(n: int, rep: bytes) -> list[int]:
     return rows[:n]
 
 
-def _pack(n: int, rep: tuple[int, tuple[int, ...]]) -> bytes:
-    """The closure's form of a prime: its packed relation, little-endian."""
+def _pack(n: int, blocks: Iterable[int]) -> bytes:
+    """The closure's form of a prime: the packed relation of its blocks.
+
+    The killed vertices are those in no block, and their rows stay empty.
+    """
     rows = [0] * n
-    for b in rep[1]:
+    for b in blocks:
         for v in _bits(b):
             rows[v] = b
     return _join(n, rows)
@@ -359,11 +362,22 @@ def _killed(n: int, rep: bytes) -> int:
     return kill
 
 
-def _unpack(n: int, rep: bytes) -> tuple[int, tuple[int, ...]]:
-    """(kill mask, block masks in increasing order) of a packed relation."""
-    # a row is a block where its vertex is the block's least
-    blocks = [row for v, row in enumerate(_split(n, rep)) if row & -row == 1 << v]
-    return _killed(n, rep), tuple(sorted(blocks))
+def _unpack(n: int, rep: bytes) -> tuple[int, list[int]]:
+    """(kill mask, block masks by least vertex) of a packed relation.
+
+    One pass over the rows: a row without its diagonal bit is a killed
+    vertex, and a row whose lowest bit is its own vertex starts a block.
+    The blocks are not checked to partition the unkilled vertices.
+    """
+    kill = 0
+    blocks = []
+    for v, row in enumerate(_split(n, rep)):
+        bit = 1 << v
+        if not row & bit:
+            kill |= bit
+        elif row & -row == bit:
+            blocks.append(row)
+    return kill, blocks
 
 
 # bytes.translate tables for the flag bytes, whose bit k reads (b >> k) & 1:
@@ -403,12 +417,7 @@ def _clique_sums(n: int, max_elements: int | None = None):
 
     def decompose(key: bytes) -> list[bytes]:
         kill = _killed(n, key)
-        return [
-            _pack(n, rep)
-            for rep in _admissible_primes(
-                n, kill, _split(n, key), full & ~kill, max_elements
-            )
-        ]
+        return _admissible_primes(n, kill, _split(n, key), full & ~kill, max_elements)
 
     def sum_slots(x: int, cross: int) -> tuple[list[bytes], int, int]:
         """The sums of relation x, killing cross, with every slot."""
@@ -447,8 +456,8 @@ def _clique_sums(n: int, max_elements: int | None = None):
         met.add(rep)
         x = int.from_bytes(rep, "little")
         kill = _killed(n, rep)
-        killed_rows = [full if kill >> v & 1 else kill for v in range(n)]
-        cross = int.from_bytes(_join(n, killed_rows), "little")  # rows and columns
+        # the rows and the columns of the killed vertices
+        cross = kill * starts | sum(full << v * (n + 1) for v in _bits(kill))
         turn = sum_slots(x, cross) if slots else ([], 0, 0)
         at = slots * shift  # the prime takes the next slot
         rels |= x << at
@@ -468,20 +477,11 @@ def _clique_node(n: int, rep: bytes, node_id: str) -> IdealNode:
     """The poset element of a packed relation on n vertices.
 
     The node keeps rep as its ideal, and reads dim = n - k + b and
-    height = n + k - b off its k killed vertices and b blocks, in one pass
-    over the rows: a row without its diagonal bit is a killed vertex, and
-    a row whose lowest bit is its own vertex starts a block.  Blocks that
+    height = n + k - b off its k killed vertices and b blocks.  Blocks that
     do not partition the unkilled vertices raise ValueError, as they do in
     CliquePrime.
     """
-    kill = 0
-    blocks = []
-    for v, row in enumerate(_split(n, rep)):
-        bit = 1 << v
-        if not row & bit:
-            kill |= bit
-        elif row & -row == bit:
-            blocks.append(row)
+    kill, blocks = _unpack(n, rep)
     _check_partition(n, kill, blocks)
     k, b = kill.bit_count(), len(blocks)
     return IdealNode(id=node_id, ideal=rep, dim=n - k + b, height=n + k - b)
@@ -500,10 +500,7 @@ def build_Q_poset(
     """
     n = graph.n
     return join_closure(
-        [
-            _pack(n, (p.kill, p.blocks))
-            for p in minimal_primes_graph(graph, max_elements=max_elements)
-        ],
+        minimal_primes_graph(graph, max_elements=max_elements),
         _clique_sums(n, max_elements),
         node_builder=partial(_clique_node, n),
         ring=ring_for(graph),

@@ -1,24 +1,24 @@
 """Squarefree monomial ideals and their poset of component sums.
 
-A squarefree generator is recorded as its set of variables.  The minimal
-primes of such an ideal are exactly the inclusion-minimal vertex covers of
-the generator hypergraph, each read as the face prime on the covering
-variables.  Face primes are closed under sums (the sum is the prime on the
-union of the variables), so the closure needs no decomposition step and the
-poset of sums embeds in the boolean lattice on the variables.
+A squarefree generator is kept as its variable mask: bit k stands for
+ring.var_names[k].  The minimal primes of such an ideal are exactly the
+inclusion-minimal vertex covers of the generator hypergraph, each read as
+the face prime on the covering variables, and they come as masks too.
+Face primes are closed under sums (the sum is the prime on the union of
+the variables), so the closure needs no decomposition step and the poset
+of sums embeds in the boolean lattice on the variables.
 
-Inside the closure a face prime is an int mask over the positions of
-ring.var_names: the sum is a | b, and a contains b exactly when a | b == a.
-A turn sums the new mask b with every earlier mask at once, and reads the
-order off per-variable columns: column v is the mask of the earlier
-positions whose prime holds variable v.  The earlier primes containing b
-are those in every column of a variable of b, and those contained in b
-are those in no column of a variable outside b, so a turn costs at most
-nvars operations on ints with one bit per element.  A node of the
-finished poset keeps its mask as its ideal, with height its popcount and
-dim nvars minus that; FacePrime.from_mask turns a mask into a record on
-request.  Generators keep the order (height, variable names sorted as
-strings), so "x10" comes before "x2".
+Inside the closure a face prime is the same mask: the sum is a | b, and a
+contains b exactly when a | b == a.  A turn sums the new mask b with every
+earlier mask at once, and reads the order off per-variable columns: column
+v is the mask of the earlier positions whose prime holds variable v.  The
+earlier primes containing b are those in every column of a variable of b,
+and those contained in b are those in no column of a variable outside b,
+so a turn costs at most nvars operations on ints with one bit per element.
+A node of the finished poset keeps its mask as its ideal, with height its
+popcount and dim nvars minus that; FacePrime.from_mask turns a mask into a
+record on request.  Generators and minimal primes keep the label order
+(height, variable names sorted as strings), so "x10" comes before "x2".
 """
 
 from __future__ import annotations
@@ -73,13 +73,15 @@ class FacePrime(Record):
 
 
 class SquarefreeIdeal(Record):
-    """A nonzero squarefree monomial ideal with a minimal generating set."""
+    """A nonzero squarefree monomial ideal with a minimal generating set.
+
+    generators holds the variable masks of the minimal generators, in the
+    label order.
+    """
 
     __slots__ = ("ring", "generators")
 
-    def __init__(
-        self, ring: RingContext, generators: tuple[frozenset[str], ...]
-    ) -> None:
+    def __init__(self, ring: RingContext, generators: tuple[int, ...]) -> None:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", generators)
 
@@ -87,51 +89,53 @@ class SquarefreeIdeal(Record):
     def create(
         cls, ring: RingContext, generators: Iterable[Iterable[str]]
     ) -> "SquarefreeIdeal":
-        known = set(ring.var_names)
-        gens: list[frozenset[str]] = []
+        position = {v: k for k, v in enumerate(ring.var_names)}
+        gens: list[int] = []
         for g in generators:
             gset = frozenset(g)
             if not gset:
                 raise ValueError("a generator must mention at least one variable")
-            extra = gset - known
+            extra = gset.difference(position)
             if extra:
                 raise ValueError(f"unknown variables {sorted(extra)}")
-            gens.append(gset)
+            gens.append(sum(1 << position[v] for v in gset))
         if not gens:
             raise ZeroIdeal("no generators given")
-        minimal = _inclusion_minimal(gens)
-        return cls(ring, tuple(minimal))
+        return cls(ring, tuple(_inclusion_minimal(ring.var_names, gens)))
 
 
-def _inclusion_minimal(sets: Sequence[frozenset]) -> list[frozenset]:
-    uniq = sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s))))
-    keep: list[frozenset] = []
-    for s in uniq:
-        if not any(k <= s for k in keep):
-            keep.append(s)
+def _inclusion_minimal(names: Sequence[str], masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks, in the label order."""
+    uniq = sorted(
+        set(masks), key=lambda m: (m.bit_count(), sorted(names[k] for k in _bits(m)))
+    )
+    keep: list[int] = []
+    for m in uniq:
+        if not any(k & m == k for k in keep):
+            keep.append(m)
     return keep
 
 
-def minimal_primes(ideal: SquarefreeIdeal) -> list[FacePrime]:
-    """Minimal primes, as the inclusion-minimal covers of the generators.
+def minimal_primes(ideal: SquarefreeIdeal) -> list[int]:
+    """Minimal primes as variable masks, in the label order.
 
-    Standard cover expansion: carry the current minimal covers and branch
-    every cover that misses the next generator over that generator's
-    variables, pruning non-minimal results after each step.
+    They are the inclusion-minimal covers of the generators.  Standard
+    cover expansion: carry the current minimal covers and branch every
+    cover that misses the next generator over that generator's variables,
+    pruning non-minimal results after each step.
     """
     if not ideal.generators:
         raise ZeroIdeal("the zero ideal has no minimal primes here")
-    covers: list[frozenset] = [frozenset()]
+    covers = [0]
     for gen in ideal.generators:
-        grown: list[frozenset] = []
+        grown: list[int] = []
         for c in covers:
             if c & gen:
                 grown.append(c)
             else:
-                grown.extend(c | {v} for v in sorted(gen))
-        covers = _inclusion_minimal(grown)
-    ordered = sorted(covers, key=lambda c: (len(c), tuple(sorted(c))))
-    return [FacePrime(c) for c in ordered]
+                grown.extend(c | 1 << k for k in _bits(gen))
+        covers = _inclusion_minimal(ideal.ring.var_names, grown)
+    return covers
 
 
 def build_monomial_poset(
@@ -140,10 +144,6 @@ def build_monomial_poset(
     """Poset of all sums of the minimal primes, under reverse inclusion."""
     ring = ideal.ring
     names = ring.var_names
-    position = {v: k for k, v in enumerate(names)}
-    generators = [
-        sum(1 << position[v] for v in fp.variables) for fp in minimal_primes(ideal)
-    ]
 
     def build_node(mask: int, node_id: str) -> IdealNode:
         height = mask.bit_count()
@@ -171,7 +171,7 @@ def build_monomial_poset(
         return pieces, below, everyone & ~outside
 
     return join_closure(
-        generators,
+        minimal_primes(ideal),
         sums_with,
         node_builder=build_node,
         ring=ring,

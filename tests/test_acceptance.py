@@ -13,11 +13,21 @@ import random
 import subprocess
 import sys
 
-from defreg.binomial_edge import Graph, build_Q_poset, minimal_primes_graph
+from defreg.binomial_edge import (
+    CliquePrime,
+    Graph,
+    build_Q_poset,
+    minimal_primes_graph,
+)
 from defreg.bounds import NEG_INF, analyze, check_conditions, multiplicities
 from defreg.cli import parse_poset_doc, run
 from defreg.complexes import FieldSpec, homology_of_faces
-from defreg.monomial import SquarefreeIdeal, build_monomial_poset, minimal_primes
+from defreg.monomial import (
+    FacePrime,
+    SquarefreeIdeal,
+    build_monomial_poset,
+    minimal_primes,
+)
 from defreg.posets import AnalysisPoset, IdealNode, RingContext
 from oracle import faces_by_size
 
@@ -76,7 +86,7 @@ def test_criterion_02_line_and_plane():
 
 def test_criterion_03_abstract_seven_components():
     def body():
-        poset = parse_poset_doc((DATA / "abstract7.json").read_text())
+        poset = parse_poset_doc((DATA / "abstract7.json").read_text(encoding="utf-8"))
         assert [nd.dim for nd in poset.nodes] == [3, 2, 3, 1, 2, 1, 0]
         report = analyze(poset)
         got = _bounds_by_j(report)
@@ -128,13 +138,19 @@ def test_criterion_05_complete_bipartite_3_5():
     _check(5, "complete bipartite 3+5: labels, covers and bounds", body)
 
 
+def _variables(ring, masks):
+    """The variable sets of masks, as FacePrime.from_mask reads them."""
+    return [FacePrime.from_mask(ring, m).variables for m in masks]
+
+
 def _cover_oracle(ideal):
     names = ideal.ring.var_names
+    gens = _variables(ideal.ring, ideal.generators)
     hitting = []
     for r in range(len(names) + 1):
         for combo in itertools.combinations(names, r):
             s = frozenset(combo)
-            if all(s & g for g in ideal.generators):
+            if all(s & g for g in gens):
                 hitting.append(s)
     minimal = [s for s in hitting if not any(t < s for t in hitting)]
     return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
@@ -151,7 +167,7 @@ def test_criterion_06_random_monomial_ideals_vs_oracle():
                 size = rng.randint(1, min(4, nvars))
                 gens.append(rng.sample(ring.var_names, size))
             ideal = SquarefreeIdeal.create(ring, gens)
-            got = [p.variables for p in minimal_primes(ideal)]
+            got = _variables(ring, minimal_primes(ideal))
             assert got == _cover_oracle(ideal)
 
     _check(6, "random squarefree ideals match the covering oracle", body)
@@ -236,12 +252,14 @@ def _graph_prime_oracle(n, edges):
     return sorted(minimal)
 
 
-def _plain_primes(n, primes):
-    """The oracle's sorted (killed, blocks) vertex tuples, read off the masks."""
+def _plain_primes(n, reps):
+    """The oracle's sorted (killed, blocks) vertex tuples, read off the
+    packed relations through CliquePrime.from_relation."""
 
     def vertices(mask):
         return tuple(v for v in range(1, n + 1) if mask >> v - 1 & 1)
 
+    primes = [CliquePrime.from_relation(n, rep) for rep in reps]
     return sorted(
         (vertices(p.kill), tuple(sorted(vertices(b) for b in p.blocks)))
         for p in primes
@@ -316,7 +334,9 @@ def test_criterion_08_bounds_never_exceed_degree():
                     )
                 )
             ),
-            analyze(parse_poset_doc((DATA / "abstract7.json").read_text())),
+            analyze(
+                parse_poset_doc((DATA / "abstract7.json").read_text(encoding="utf-8"))
+            ),
             analyze(build_Q_poset(Graph.path(5))),
             analyze(build_Q_poset(Graph.complete_bipartite(3, 5))),
         ]

@@ -80,6 +80,12 @@ def node_primes(n, poset):
     return [CliquePrime.from_relation(n, nd.ideal) for nd in poset.nodes]
 
 
+def graph_primes(graph):
+    """The minimal primes of a graph, as CliquePrimes."""
+    n = graph.n
+    return [CliquePrime.from_relation(n, rep) for rep in minimal_primes_graph(graph)]
+
+
 def oracle_contains(p, q):
     """Whether ideal(p) contains ideal(q).
 
@@ -199,12 +205,12 @@ def test_clique_prime_data():
 def test_minimal_primes_of_complete_graph():
     g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
     got = minimal_primes_graph(g)
-    assert len(got) == 1
-    assert got[0] == CliquePrime(3, 0, (0b111,))
+    assert got == [_pack(3, (0b111,))]
+    assert graph_primes(g) == [CliquePrime(3, 0, (0b111,))]
 
 
 def test_minimal_primes_of_short_path():
-    got = minimal_primes_graph(Graph.path(3))
+    got = graph_primes(Graph.path(3))
     keys = [p.key() for p in got]
     assert keys == [
         ((), ((1, 2, 3),)),
@@ -218,7 +224,7 @@ def test_minimal_primes_match_oracle():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6))
         want = [as_masks(g.n, p) for p in oracle_minimal_primes(g.n, g.edges)]
-        assert minimal_primes_graph(g) == want
+        assert graph_primes(g) == want
 
 
 def test_contains_rules():
@@ -239,7 +245,7 @@ def test_contains_rules():
 
 def test_sum_and_primality_on_short_path():
     # P_empty + P_{2} kills 2 and overlays {1, 3}: a prime, added as is
-    p_empty, p_cut = minimal_primes_graph(Graph.path(3))
+    p_empty, p_cut = graph_primes(Graph.path(3))
     merged = CliquePrime(3, 0b010, (0b101,))
     got = oracle_sum_primes(3, as_sets(p_empty), as_sets(p_cut))
     assert [as_masks(3, p) for p in got] == [merged]
@@ -308,7 +314,7 @@ def cycle_graph(n):
 CONVERSION_GRAPHS = {
     "path6": Graph.path(6),
     "cycle5": cycle_graph(5),
-    "k35": parse_graph_file((DATA / "k35.edges").read_text()),
+    "k35": parse_graph_file((DATA / "k35.edges").read_text(encoding="utf-8")),
 }
 
 
@@ -322,8 +328,8 @@ def test_nodes_convert_to_their_clique_primes(name):
     primes = node_primes(graph.n, poset)
     for nd, p in zip(poset.nodes, primes):
         assert (nd.dim, nd.height) == (p.dim, p.height)
-        assert _pack(graph.n, (p.kill, p.blocks)) == nd.ideal
-    generators = [p for k, p in enumerate(primes) if poset.is_maximal(k)]
+        assert _pack(graph.n, p.blocks) == nd.ideal
+    generators = [nd.ideal for k, nd in enumerate(poset.nodes) if poset.is_maximal(k)]
     assert generators == minimal_primes_graph(graph)
 
 
@@ -349,7 +355,7 @@ def test_corrupted_relations_raise(rows, message):
 
 
 def test_from_relation_takes_only_packed_relations():
-    rep = _pack(3, (0b010, (0b001, 0b100)))
+    rep = _pack(3, (0b001, 0b100))
     assert CliquePrime.from_relation(3, rep) == CliquePrime(3, 0b010, (0b001, 0b100))
     for wrong in (rep[:-1], rep + b"\0"):
         with pytest.raises(ValueError, match="bytes"):
@@ -431,11 +437,14 @@ def test_pack_round_trip(n):
         for v in range(n):
             if not kill >> v & 1:
                 blocks[rng.randrange(nblocks)] |= 1 << v
-        rep = kill, tuple(sorted(b for b in blocks if b))
-        packed = _pack(n, rep)
+        blocks = [b for b in blocks if b]
+        packed = _pack(n, blocks)
         assert len(packed) == (n * (n + 1) + 7) // 8
-        assert (kill, int.from_bytes(packed, "little")) == scalar_pack(n, rep)
-        assert _unpack(n, packed) == rep
+        assert (kill, int.from_bytes(packed, "little")) == scalar_pack(
+            n, (kill, blocks)
+        )
+        # the blocks come by least vertex
+        assert _unpack(n, packed) == (kill, sorted(blocks, key=lambda b: b & -b))
 
 
 def scalar_sum(n):
@@ -465,7 +474,7 @@ def scalar_sum(n):
         k, rel = raw
         adj = [rel >> v * (n + 1) & full for v in range(n)]
         return tuple(
-            scalar_pack(n, rep)
+            scalar_pack(n, _unpack(n, rep))
             for rep in _admissible_primes(n, k, adj, full & ~k)
         )
 

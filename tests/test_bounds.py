@@ -270,7 +270,7 @@ def oracle_posets():
         for r in range(len(pairs) + 1):
             for edges in itertools.combinations(pairs, r):
                 yield build_Q_poset(Graph.from_edges(n, list(edges)))
-    yield parse_poset_doc((DATA / "abstract7.json").read_text())
+    yield parse_poset_doc((DATA / "abstract7.json").read_text(encoding="utf-8"))
     yield ranked_poset(0)
     yield ranked_poset(3)
 
@@ -359,8 +359,10 @@ def test_multiplicities_match_order_complex_reference():
     for poset in (
         build_Q_poset(Graph.path(6)),
         build_Q_poset(cycle(5)),
-        build_Q_poset(parse_graph_file((DATA / "k35.edges").read_text())),
-        parse_poset_doc((DATA / "abstract7.json").read_text()),
+        build_Q_poset(
+            parse_graph_file((DATA / "k35.edges").read_text(encoding="utf-8"))
+        ),
+        parse_poset_doc((DATA / "abstract7.json").read_text(encoding="utf-8")),
     ):
         assert_matches_rank_oracle(poset)
 

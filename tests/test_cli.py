@@ -65,7 +65,7 @@ def test_parse_graph_file():
 
 
 def test_parse_poset_doc():
-    poset = parse_poset_doc((DATA / "abstract7.json").read_text())
+    poset = parse_poset_doc((DATA / "abstract7.json").read_text(encoding="utf-8"))
     assert len(poset) == 7
     assert poset.ring.nvars == 6
     # relations are given as covers; the closure is taken automatically
@@ -128,10 +128,11 @@ def test_malformed_relations_exit_1(tmp_path, relations):
     doc = tmp_path / "p.json"
     doc.write_text(
         '{"format": 1, "elements": [{"id": "a", "dim": 0}],'
-        f' "relations": {relations}}}'
+        f' "relations": {relations}}}',
+        encoding="utf-8",
     )
     with pytest.raises(ParseError):
-        parse_poset_doc(doc.read_text())
+        parse_poset_doc(doc.read_text(encoding="utf-8"))
     code, text = run(["--mode", "poset", "--poset", str(doc)])
     assert code == EXIT_PARSE
     assert text.startswith("error:")
@@ -196,7 +197,7 @@ def test_deeply_nested_poset_json_exit_1(tmp_path, where):
             f' "notes": {text}}}'
         )
     doc = tmp_path / "p.json"
-    doc.write_text(text)
+    doc.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError):
         parse_poset_doc(text)
     code, text = run(["--mode", "poset", "--poset", str(doc)])
@@ -210,7 +211,7 @@ def test_surrogate_id_exit_1(tmp_path, capsys):
     with pytest.raises(ParseError, match="not valid UTF-8"):
         parse_poset_doc(text)
     doc = tmp_path / "p.json"
-    doc.write_text(text)
+    doc.write_text(text, encoding="utf-8")
     code = main(["--mode", "poset", "--poset", str(doc)])
     out = capsys.readouterr().out
     assert code == EXIT_PARSE
@@ -224,7 +225,7 @@ def test_unprintable_id_exit_1(tmp_path, capsys):
     with pytest.raises(ParseError, match="unprintable character"):
         parse_poset_doc(text)
     doc = tmp_path / "p.json"
-    doc.write_text(text)
+    doc.write_text(text, encoding="utf-8")
     code = main(["--mode", "poset", "--poset", str(doc)])
     assert code == EXIT_PARSE
     assert capsys.readouterr().out == (
@@ -235,7 +236,10 @@ def test_unprintable_id_exit_1(tmp_path, capsys):
 def test_dim_above_nvars_exit_1(tmp_path, capsys):
     # without a height, only the dim can be held against the ring
     doc = tmp_path / "p.json"
-    doc.write_text('{"format": 1, "nvars": 2, "elements": [{"id": "a", "dim": 5}]}')
+    doc.write_text(
+        '{"format": 1, "nvars": 2, "elements": [{"id": "a", "dim": 5}]}',
+        encoding="utf-8",
+    )
     code = main(["--mode", "poset", "--poset", str(doc)])
     assert code == EXIT_PARSE
     assert capsys.readouterr().out == "error: node a: dim 5 exceeds the ambient 2\n"
@@ -310,7 +314,9 @@ def test_large_intervals_exit_2_under_the_face_budget(tmp_path, capsys):
     # interval passes 200 chains, counting the empty one, right after the
     # closure
     path = tmp_path / "path9.edges"
-    path.write_text("n 9\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 9)))
+    path.write_text(
+        "n 9\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 9)), encoding="utf-8"
+    )
     variables = [f"x{i}" for i in range(1, 13)]
     gens = ", ".join(f"x{2 * k - 1}*x{2 * k}" for k in range(1, 7))
     for argv in (
@@ -333,7 +339,7 @@ def test_budget_of_one_is_valid(capsys):
 def test_run_strict_mode(tmp_path):
     heightless = tmp_path / "p.json"
     heightless.write_text(
-        '{"format": 1, "elements": [{"id": "a", "dim": 1}]}'
+        '{"format": 1, "elements": [{"id": "a", "dim": 1}]}', encoding="utf-8"
     )
     relaxed = ["--mode", "poset", "--poset", str(heightless)]
     code, text = run(relaxed + ["--strict"])
@@ -413,7 +419,7 @@ def test_json_report_has_the_stdlib_layout(tmp_path, source, flags, field):
             for pid, dim in zip(ESCAPED_IDS, (2, 2, 1, 0))
         ],
         "relations": [[c, a], [c, b], [d, c]],
-    }))
+    }), encoding="utf-8")
     argv = {
         "skew": SKEW,
         "abstract7": ["--mode", "poset", "--poset", str(DATA / "abstract7.json")],
@@ -509,7 +515,8 @@ def test_builders_resolve_on_the_cli_module_before_the_first_run(name):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     done = subprocess.run(
         [sys.executable, "-c", RESOLVE_BEFORE_LOAD, name],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
 
@@ -533,7 +540,8 @@ def test_a_wrapper_bound_before_the_first_run_stays(name):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     done = subprocess.run(
         [sys.executable, "-c", WRAP_BEFORE_LOAD, name, *BUILDER_RUNS[name]],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=60,
     )
     assert done.returncode == EXIT_PARSE, done.stderr
     assert done.stdout == "error: wrapper called\n"
@@ -600,7 +608,8 @@ def test_one_parser_serves_every_run(monkeypatch, capsys):
         if argv not in fresh:
             done = subprocess.run(
                 [sys.executable, "-m", "defreg.cli", *argv],
-                capture_output=True, text=True, env=env, timeout=60,
+                capture_output=True, text=True, encoding="utf-8",
+                env=env, timeout=60,
             )
             fresh[argv] = done.returncode, done.stdout
     got = []
@@ -642,7 +651,8 @@ def test_the_parser_is_built_on_the_first_run():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     done = subprocess.run(
         [sys.executable, "-c", PARSERS_BUILT, str(DATA / "abstract7.json")],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
 
@@ -702,12 +712,13 @@ def test_main_cut_set_walk_is_prompt(tmp_path, edges):
     # n(n + 1)-bit relation by one whole-relation shift or OR per vertex
     # took 37 s on edgeless4000 and 5 s on matching1000
     path = tmp_path / "g.edges"
-    path.write_text(edges)
+    path.write_text(edges, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "defreg.cli", "--mode", "graph", "--edges", str(path)],
-        capture_output=True, text=True, env=env, timeout=5,
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=5,
     )
     assert time.perf_counter() - start < 5
     assert done.returncode == EXIT_OK
@@ -718,13 +729,16 @@ def test_main_cut_set_walk_stops_at_the_poset_budget(tmp_path):
     # the 24-vertex path has 46,368 minimal primes; walking all 2^22 cut
     # sets before the closure looked at the budget took over 8 s
     path = tmp_path / "g.edges"
-    path.write_text("n 24\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 24)))
+    path.write_text(
+        "n 24\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 24)), encoding="utf-8"
+    )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "defreg.cli", "--mode", "graph", "--edges", str(path),
          "--max-poset", "5"],
-        capture_output=True, text=True, env=env, timeout=5,
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=5,
     )
     assert time.perf_counter() - start < 5
     assert done.returncode == EXIT_BUDGET
@@ -735,12 +749,15 @@ def test_main_high_dimension_is_prompt(tmp_path):
     # one element of dimension 4000: a layer table with a list for every
     # k <= j took over 5 s and 600 MB to print this 189 KB report
     path = tmp_path / "point.json"
-    path.write_text('{"format": 1, "elements": [{"id": "a", "dim": 4000}]}')
+    path.write_text(
+        '{"format": 1, "elements": [{"id": "a", "dim": 4000}]}', encoding="utf-8"
+    )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "defreg.cli", "--mode", "poset", "--poset", str(path)],
-        capture_output=True, text=True, env=env, timeout=5,
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=5,
     )
     assert time.perf_counter() - start < 2
     assert done.returncode == EXIT_OK
@@ -760,12 +777,13 @@ def test_main_long_chain_file_is_prompt(tmp_path):
         "relations": [[f"c{k}", f"c{k + 1}"] for k in range(n - 1)],
     }
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "defreg.cli", "--mode", "poset", "--poset", str(path)],
-        capture_output=True, text=True, env=env, timeout=5,
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=5,
     )
     assert time.perf_counter() - start < 5
     assert done.returncode == EXIT_BUDGET

@@ -219,7 +219,7 @@ def test_random_graphs_on_five_to_seven_vertices():
 
 def reference_monomial_closure(ideal):
     return reference_closure(
-        [fp.variables for fp in minimal_primes(ideal)],
+        [FacePrime.from_mask(ideal.ring, m).variables for m in minimal_primes(ideal)],
         sum_op=frozenset.union,
         contains_op=frozenset.__ge__,
         canonical_key=lambda s: tuple(sorted(s)),

@@ -16,14 +16,20 @@ from oracle import leq
 RING4 = RingContext(("x", "y", "z", "w"))
 
 
+def face_primes(ring, masks):
+    """The records of variable masks, as FacePrime.from_mask reads them."""
+    return [FacePrime.from_mask(ring, m) for m in masks]
+
+
 def brute_force_primes(ideal):
     """Oracle: inclusion-minimal variable sets meeting every generator."""
     names = ideal.ring.var_names
+    gens = [p.variables for p in face_primes(ideal.ring, ideal.generators)]
     hitting = []
     for r in range(len(names) + 1):
         for combo in itertools.combinations(names, r):
             s = frozenset(combo)
-            if all(s & g for g in ideal.generators):
+            if all(s & g for g in gens):
                 hitting.append(s)
     minimal = [
         s for s in hitting if not any(t < s for t in hitting)
@@ -51,7 +57,10 @@ def test_create_validates_input():
 
 def test_create_minimalizes_generators():
     ideal = SquarefreeIdeal.create(RING4, [["x", "y"], ["x"], ["x", "y"]])
-    assert ideal.generators == (frozenset({"x"}),)
+    assert ideal.generators == (0b0001,)
+    # masks in the label order: (height, names sorted as strings)
+    ideal = SquarefreeIdeal.create(RING4, [["w", "x"], ["z"], ["y", "x"], ["w", "z"]])
+    assert ideal.generators == (0b0100, 0b1001, 0b0011)
 
 
 def test_face_prime_data():
@@ -63,14 +72,25 @@ def test_face_prime_data():
 
 def test_minimal_primes_of_known_ideal():
     ideal = SquarefreeIdeal.create(RING4, [["x", "y"], ["x", "z"]])
-    assert [p.key() for p in minimal_primes(ideal)] == [("x",), ("y", "z")]
+    assert minimal_primes(ideal) == [0b0001, 0b0110]
+    assert [p.key() for p in face_primes(RING4, minimal_primes(ideal))] == [
+        ("x",), ("y", "z")
+    ]
 
 
 def test_minimal_primes_of_principal_ideal():
     ideal = SquarefreeIdeal.create(RING4, [["x", "y", "z"]])
-    assert [p.key() for p in minimal_primes(ideal)] == [
+    assert [p.key() for p in face_primes(RING4, minimal_primes(ideal))] == [
         ("x",), ("y",), ("z",)
     ]
+    # names x1..x12 come in string order, so "x10" before "x2"
+    ring = RingContext(tuple(f"x{i}" for i in range(1, 13)))
+    ideal = SquarefreeIdeal.create(ring, [ring.var_names])
+    names = ["x1", "x10", "x11", "x12"] + [f"x{i}" for i in range(2, 10)]
+    assert [p.key() for p in face_primes(ring, minimal_primes(ideal))] == [
+        (v,) for v in names
+    ]
+    assert minimal_primes(ideal) == [1 << ring.var_names.index(v) for v in names]
 
 
 def test_minimal_primes_match_brute_force():
@@ -79,7 +99,7 @@ def test_minimal_primes_match_brute_force():
         nvars = rng.randint(2, 6)
         ring = RingContext(tuple(f"v{i}" for i in range(nvars)))
         ideal = random_ideal(rng, ring)
-        got = [p.variables for p in minimal_primes(ideal)]
+        got = [p.variables for p in face_primes(ring, minimal_primes(ideal))]
         assert got == brute_force_primes(ideal)
 
 
@@ -110,7 +130,7 @@ def test_poset_nodes_are_exactly_the_sums():
         ring = RingContext(tuple(f"v{i}" for i in range(nvars)))
         ideal = random_ideal(rng, ring)
         poset = build_monomial_poset(ideal)
-        primes = [frozenset(p.variables) for p in minimal_primes(ideal)]
+        primes = [p.variables for p in face_primes(ring, minimal_primes(ideal))]
         expected = set()
         for r in range(1, len(primes) + 1):
             for combo in itertools.combinations(primes, r):
@@ -145,10 +165,12 @@ def test_nodes_convert_to_their_face_primes():
     for ideal in ideals:
         ring = ideal.ring
         poset = build_monomial_poset(ideal)
-        primes = [FacePrime.from_mask(ring, nd.ideal) for nd in poset.nodes]
+        primes = face_primes(ring, [nd.ideal for nd in poset.nodes])
         for nd, p in zip(poset.nodes, primes):
             assert (nd.dim, nd.height) == (p.dim_in(ring), p.height)
-        generators = [p for k, p in enumerate(primes) if poset.is_maximal(k)]
+        generators = [
+            nd.ideal for k, nd in enumerate(poset.nodes) if poset.is_maximal(k)
+        ]
         assert generators == minimal_primes(ideal)
 
 

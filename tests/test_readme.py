@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-README = (ROOT / "README.md").read_text()
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _env():
@@ -26,7 +26,7 @@ def test_library_snippet_runs():
     code = _block("Library", "python")
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=_env(),
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert "layer 0" in proc.stdout
@@ -44,7 +44,8 @@ def test_command_line_examples_run():
     for argv in commands:
         proc = subprocess.run(
             [sys.executable, "-m", "defreg.cli", *argv[1:]], cwd=ROOT,
-            env=_env(), capture_output=True, text=True, timeout=60,
+            env=_env(), capture_output=True, text=True, encoding="utf-8",
+            timeout=60,
         )
         assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)
         assert proc.stdout.startswith(("format: 1", "{"))

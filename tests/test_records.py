@@ -37,7 +37,7 @@ CASES = {
     Graph: ({"n": 3, "edges": frozenset({(1, 2)})}, {}),
     CliquePrime: ({"n": 3, "kill": 0b100, "blocks": (0b011,)}, {}),
     FacePrime: ({"variables": frozenset({"x", "y"})}, {}),
-    SquarefreeIdeal: ({"ring": RING, "generators": (frozenset({"x"}),)}, {}),
+    SquarefreeIdeal: ({"ring": RING, "generators": (0b01,)}, {}),
     ConditionReport: (
         {
             "distributive_lattice": "assumed",
@@ -160,7 +160,8 @@ def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     return subprocess.run(
         [sys.executable, "-S", "-c", script, *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=60,
     )
 
 
