@@ -21,13 +21,11 @@ _HOMES = {
     "AnalysisPoset": "posets",
     "BoundEntry": "bounds",
     "BoundReport": "bounds",
-    "CliquePrime": "binomial_edge",
     "ClosureBudgetExceeded": "posets",
     "ConditionReport": "bounds",
     "DEFAULT_MAX_ELEMENTS": "posets",
     "DEFAULT_MAX_FACES": "posets",
     "FaceBudgetExceeded": "posets",
-    "FacePrime": "monomial",
     "FieldSpec": "complexes",
     "Graph": "binomial_edge",
     "IdealNode": "posets",

@@ -59,23 +59,21 @@ relations are unpacked and filtered against the set of met relations
 ones alone, decomposing the non-prime among them.  Each non-prime
 relation is thus decomposed exactly once.
 
-Every prime the module hands out is in this packed form: the cut set
-walk packs each prime it finds once, so the minimal primes of the graph
-and the pieces of a decomposition go into the closure as they come.  A
-node of the finished poset keeps its packed relation as its ideal, with
-dim and height read off the killed vertices and the blocks of the
-relation's rows.  CliquePrime holds the same data as a kill mask and
-block masks; it is built from a relation only on request, by
-CliquePrime.from_relation.  Eight rows of n + 1 bits fill n + 1 whole
-bytes, so a relation is packed and unpacked eight rows at a time, O(n^2)
-bits in all.  The label order, which fixes the element ids, reads the
-masks as sorted vertex tuples.
+Every prime the module hands out is in this packed form, the only one
+it has: the cut set walk packs each prime it finds once, so the minimal
+primes of the graph and the pieces of a decomposition go into the
+closure as they come.  A node of the finished poset keeps its packed
+relation as its ideal, with dim and height read off the killed vertices
+and the blocks of the relation's rows.  Eight rows of n + 1 bits fill
+n + 1 whole bytes, so a relation is packed and unpacked eight rows at a
+time, O(n^2) bits in all.  The label order, which fixes the element ids,
+reads the kill mask and the block masks as sorted vertex tuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import partial
+from functools import cache, partial
 from itertools import compress, filterfalse
 from operator import itemgetter
 from struct import iter_unpack
@@ -147,53 +145,6 @@ def _label_key(kill: int, blocks: Iterable[int]) -> tuple:
     )
 
 
-class CliquePrime(Record):
-    """A prime: killed vertices plus a partition of the rest into cliques.
-
-    kill and every block are vertex masks, bit v - 1 standing for vertex v,
-    and the blocks are kept in increasing mask order.
-    """
-
-    __slots__ = ("n", "kill", "blocks")
-
-    def __init__(self, n: int, kill: int, blocks: Iterable[int]) -> None:
-        blocks = tuple(sorted(blocks))
-        _check_partition(n, kill, blocks)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kill", kill)
-        object.__setattr__(self, "blocks", blocks)
-        assert self.dim + self.height == 2 * self.n
-
-    @property
-    def height(self) -> int:
-        return 2 * self.kill.bit_count() + sum(b.bit_count() - 1 for b in self.blocks)
-
-    @property
-    def dim(self) -> int:
-        return self.n - self.kill.bit_count() + len(self.blocks)
-
-    def key(self) -> tuple:
-        return _label_key(self.kill, self.blocks)
-
-    @classmethod
-    def from_relation(cls, n: int, rep: bytes) -> "CliquePrime":
-        """The prime whose packed same-block relation on n vertices is rep.
-
-        This is the form minimal_primes_graph returns and build_Q_poset keeps
-        as each node's ideal.  A rep of the wrong length, one whose blocks
-        do not partition the unkilled vertices, or one with any other bit
-        than those its blocks set raises ValueError.
-        """
-        if len(rep) != _rep_bytes(n):
-            raise ValueError(
-                f"a relation on {n} vertices takes {_rep_bytes(n)} bytes, not {len(rep)}"
-            )
-        prime = cls(n, *_unpack(n, rep))
-        if _pack(n, prime.blocks) != rep:
-            raise ValueError("rep is not the packed relation of its blocks")
-        return prime
-
-
 def _check_partition(n: int, kill: int, blocks: Iterable[int]) -> None:
     """Raise ValueError unless the blocks partition the vertices kill leaves."""
     seen = kill
@@ -260,15 +211,7 @@ def _admissible_primes(
     walked smallest mask first, which meets the small cut sets, and so the
     budget, early.
     """
-    cache: dict[int, tuple[int, ...]] = {}
-
-    def components(mask: int) -> tuple[int, ...]:
-        got = cache.get(mask)
-        if got is None:
-            got = _mask_components(adj, mask)
-            cache[mask] = got
-        return got
-
+    components = cache(partial(_mask_components, adj))
     walk = 0
     for v in _bits(present):
         nbrs = adj[v] & present
@@ -297,8 +240,10 @@ def minimal_primes_graph(
 ) -> list[bytes]:
     """Minimal primes of the binomial edge ideal, as packed relations.
 
-    They come by height, then in the label order;
-    CliquePrime.from_relation(graph.n, rep) reads one as a record.  There
+    They come by height, then in the label order.  A relation on n =
+    graph.n vertices takes n rows of n + 1 bits, packed little-endian: row
+    v sits at bit v*(n+1), bit v*(n+1) + u is set when u and v are
+    unkilled and share a block, and a killed vertex's row is empty.  There
     is no budget unless max_elements is given; then ClosureBudgetExceeded
     is raised once more than that are found.
     """
@@ -478,8 +423,7 @@ def _clique_node(n: int, rep: bytes, node_id: str) -> IdealNode:
 
     The node keeps rep as its ideal, and reads dim = n - k + b and
     height = n + k - b off its k killed vertices and b blocks.  Blocks that
-    do not partition the unkilled vertices raise ValueError, as they do in
-    CliquePrime.
+    do not partition the unkilled vertices raise ValueError.
     """
     kill, blocks = _unpack(n, rep)
     _check_partition(n, kill, blocks)

@@ -16,9 +16,9 @@ earlier primes containing b are those in every column of a variable of b,
 and those contained in b are those in no column of a variable outside b,
 so a turn costs at most nvars operations on ints with one bit per element.
 A node of the finished poset keeps its mask as its ideal, with height its
-popcount and dim nvars minus that; FacePrime.from_mask turns a mask into a
-record on request.  Generators and minimal primes keep the label order
-(height, variable names sorted as strings), so "x10" comes before "x2".
+popcount and dim nvars minus that.  Generators and minimal primes keep the
+label order (height, variable names sorted as strings), so "x10" comes
+before "x2".
 """
 
 from __future__ import annotations
@@ -39,37 +39,6 @@ from .posets import (
 
 class ZeroIdeal(ValueError):
     """The zero ideal has no primary decomposition to analyze."""
-
-
-class FacePrime(Record):
-    """The prime generated by a subset of the variables."""
-
-    __slots__ = ("variables",)
-
-    def __init__(self, variables: frozenset[str]) -> None:
-        object.__setattr__(self, "variables", variables)
-
-    def key(self) -> tuple[str, ...]:
-        return tuple(sorted(self.variables))
-
-    @property
-    def height(self) -> int:
-        return len(self.variables)
-
-    def dim_in(self, ring: RingContext) -> int:
-        return ring.nvars - len(self.variables)
-
-    @classmethod
-    def from_mask(cls, ring: RingContext, mask: int) -> "FacePrime":
-        """The prime on the variables at the set bits of mask.
-
-        Bit k stands for ring.var_names[k], as in the masks that
-        build_monomial_poset keeps as node ideals.  A bit outside the ring
-        raises ValueError.
-        """
-        if mask < 0 or mask >> ring.nvars:
-            raise ValueError(f"mask {mask} names a variable outside the ring")
-        return cls(frozenset(v for k, v in enumerate(ring.var_names) if mask >> k & 1))
 
 
 class SquarefreeIdeal(Record):

@@ -103,10 +103,10 @@ class IdealNode(Record):
 
     ideal is the component in its builder's own form, which the engine
     never reads: the packed same-block relation (bytes) from build_Q_poset,
-    the variable mask (an int) from build_monomial_poset, None from a poset
-    file.  CliquePrime.from_relation and FacePrime.from_mask turn the first
-    two into records.  height is optional because abstract inputs may omit
-    it; dim never is, since every bound in the engine is a maximum of dims.
+    the variable mask (an int, bit k for ring.var_names[k]) from
+    build_monomial_poset, None from a poset file.  height is optional
+    because abstract inputs may omit it; dim never is, since every bound in
+    the engine is a maximum of dims.
     """
 
     __slots__ = ("id", "ideal", "dim", "height", "is_cm")

@@ -14,7 +14,6 @@ import subprocess
 import sys
 
 from defreg.binomial_edge import (
-    CliquePrime,
     Graph,
     build_Q_poset,
     minimal_primes_graph,
@@ -23,13 +22,13 @@ from defreg.bounds import NEG_INF, analyze, check_conditions, multiplicities
 from defreg.cli import parse_poset_doc, run
 from defreg.complexes import FieldSpec, homology_of_faces
 from defreg.monomial import (
-    FacePrime,
     SquarefreeIdeal,
     build_monomial_poset,
     minimal_primes,
 )
 from defreg.posets import AnalysisPoset, IdealNode, RingContext
 from oracle import faces_by_size
+from primes import clique, face
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -139,8 +138,8 @@ def test_criterion_05_complete_bipartite_3_5():
 
 
 def _variables(ring, masks):
-    """The variable sets of masks, as FacePrime.from_mask reads them."""
-    return [FacePrime.from_mask(ring, m).variables for m in masks]
+    """The variable sets of masks, bit k for ring.var_names[k]."""
+    return [face(ring, m) for m in masks]
 
 
 def _cover_oracle(ideal):
@@ -254,15 +253,14 @@ def _graph_prime_oracle(n, edges):
 
 def _plain_primes(n, reps):
     """The oracle's sorted (killed, blocks) vertex tuples, read off the
-    packed relations through CliquePrime.from_relation."""
+    packed relations through primes.clique."""
 
     def vertices(mask):
         return tuple(v for v in range(1, n + 1) if mask >> v - 1 & 1)
 
-    primes = [CliquePrime.from_relation(n, rep) for rep in reps]
     return sorted(
-        (vertices(p.kill), tuple(sorted(vertices(b) for b in p.blocks)))
-        for p in primes
+        (vertices(kill), tuple(sorted(map(vertices, blocks))))
+        for kill, blocks in (clique(n, rep) for rep in reps)
     )
 
 

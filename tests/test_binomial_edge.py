@@ -8,12 +8,13 @@ import random
 import pytest
 
 from defreg.binomial_edge import (
-    CliquePrime,
     Graph,
     _admissible_primes,
+    _check_partition,
     _clique_node,
     _clique_sums,
     _join,
+    _label_key,
     _pack,
     _unpack,
     build_Q_poset,
@@ -23,6 +24,7 @@ from defreg.binomial_edge import (
 from defreg.cli import parse_graph_file
 from defreg.posets import ClosureBudgetExceeded
 from oracle import leq
+from primes import clique, clique_height
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -53,7 +55,9 @@ def oracle_components(n, edges, removed):
 
 
 # The oracles take and give a prime as plain sets: (killed, blocks), a
-# frozenset of vertices and a list of frozensets.
+# frozenset of vertices and a list of frozensets.  The engine's side is
+# (kill, blocks) as masks, blocks sorted by mask, as primes.clique reads
+# a packed relation.
 
 
 def vertex_mask(vertices):
@@ -64,26 +68,27 @@ def vertex_set(n, mask):
     return frozenset(v for v in range(1, n + 1) if mask >> v - 1 & 1)
 
 
-def as_masks(n, prime):
-    """The engine's CliquePrime for an oracle prime."""
+def as_masks(prime):
+    """The engine's (kill, blocks) masks for an oracle prime."""
     killed, blocks = prime
-    return CliquePrime(n, vertex_mask(killed), tuple(vertex_mask(b) for b in blocks))
+    return vertex_mask(killed), tuple(sorted(vertex_mask(b) for b in blocks))
 
 
-def as_sets(p):
-    """The oracle's (killed, blocks) for an engine CliquePrime."""
-    return vertex_set(p.n, p.kill), [vertex_set(p.n, b) for b in p.blocks]
+def as_sets(n, prime):
+    """The oracle's (killed, blocks) for the engine's masks on n vertices."""
+    kill, blocks = prime
+    return vertex_set(n, kill), [vertex_set(n, b) for b in blocks]
 
 
 def node_primes(n, poset):
-    """The node ideals of a graph poset on n vertices, as CliquePrimes."""
-    return [CliquePrime.from_relation(n, nd.ideal) for nd in poset.nodes]
+    """The node ideals of a graph poset on n vertices, as (kill, blocks)."""
+    return [clique(n, nd.ideal) for nd in poset.nodes]
 
 
 def graph_primes(graph):
-    """The minimal primes of a graph, as CliquePrimes."""
+    """The minimal primes of a graph, as (kill, blocks)."""
     n = graph.n
-    return [CliquePrime.from_relation(n, rep) for rep in minimal_primes_graph(graph)]
+    return [clique(n, rep) for rep in minimal_primes_graph(graph)]
 
 
 def oracle_contains(p, q):
@@ -177,53 +182,50 @@ def test_ring_for_doubles_the_vertices():
 
 def test_clique_prime_data():
     # kill {2}, blocks {3, 4, 5} and {1}: bit v - 1 stands for vertex v
-    p = CliquePrime(5, 0b00010, (0b11100, 0b00001))
-    assert p.blocks == (0b00001, 0b11100)
-    assert p.height == 2 * 1 + 0 + 2
-    assert p.dim == 4 + 2
-    assert p.height + p.dim == 10
-    assert p.key() == ((2,), ((1,), (3, 4, 5)))
-    # blocks order by vertex tuples in the key, by mask value in the field
-    q = CliquePrime(5, 0, (0b10001, 0b00010, 0b01100))
-    assert q.blocks == (0b00010, 0b01100, 0b10001)
-    assert q.key() == ((), ((1, 5), (2,), (3, 4)))
+    prime = (0b00010, (0b00001, 0b11100))
+    assert _label_key(*prime) == ((2,), ((1,), (3, 4, 5)))
+    assert clique_height(prime) == 2 * 1 + 0 + 2
+    # blocks order by vertex tuples in the label key, not by mask value,
+    # and in whatever order they come
+    assert _label_key(0, (0b00010, 0b01100, 0b10001)) == ((), ((1, 5), (2,), (3, 4)))
+    assert _label_key(0, (0b10001, 0b00010, 0b01100)) == ((), ((1, 5), (2,), (3, 4)))
     bad = [
-        (0, (0b011,)),  # vertex 3 in no block
-        (0, (0b011, 0b110)),  # vertex 2 in two blocks
-        (0, (0b011, 0, 0b100)),  # an empty block
-        (0b10000, (0b111,)),  # killed vertex 5 of 3
-        (0, (0b1011, 0b100)),  # block vertex 4 of 3
-        (0, (-1,)),  # a negative mask
-        (0b010, (0b011, 0b100)),  # vertex 2 killed and in a block
+        (0, (0b011,), "partition"),  # vertex 3 in no block
+        (0, (0b011, 0b110), "two blocks"),  # vertex 2 in two blocks
+        (0, (0b011, 0, 0b100), "empty block"),
+        (0b10000, (0b111,), "outside 1..3"),  # killed vertex 5 of 3
+        (0, (0b1011, 0b100), "outside 1..3"),  # block vertex 4 of 3
+        (0, (-1,), "outside 1..3"),  # a negative mask
+        (0b010, (0b011, 0b100), "killed and in a block"),  # vertex 2
     ]
-    for kill, blocks in bad:
+    for kill, blocks, message in bad:
         # a plain ValueError, so it holds under python -O as well
-        with pytest.raises(ValueError):
-            CliquePrime(3, kill, blocks)
+        with pytest.raises(ValueError, match=message):
+            _check_partition(3, kill, blocks)
 
 
 def test_minimal_primes_of_complete_graph():
     g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
     got = minimal_primes_graph(g)
     assert got == [_pack(3, (0b111,))]
-    assert graph_primes(g) == [CliquePrime(3, 0, (0b111,))]
+    assert graph_primes(g) == [(0, (0b111,))]
 
 
 def test_minimal_primes_of_short_path():
     got = graph_primes(Graph.path(3))
-    keys = [p.key() for p in got]
+    keys = [_label_key(*p) for p in got]
     assert keys == [
         ((), ((1, 2, 3),)),
         ((2,), ((1,), (3,))),
     ]
-    assert all(p.height == 2 for p in got)
+    assert all(clique_height(p) == 2 for p in got)
 
 
 def test_minimal_primes_match_oracle():
     rng = random.Random(550)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6))
-        want = [as_masks(g.n, p) for p in oracle_minimal_primes(g.n, g.edges)]
+        want = [as_masks(p) for p in oracle_minimal_primes(g.n, g.edges)]
         assert graph_primes(g) == want
 
 
@@ -234,7 +236,7 @@ def test_contains_rules():
         prime = dict(zip(poset.ids(), node_primes(g.n, poset)))
         for a in poset.ids():
             for b in poset.ids():
-                want = oracle_contains(as_sets(prime[a]), as_sets(prime[b]))
+                want = oracle_contains(as_sets(g.n, prime[a]), as_sets(g.n, prime[b]))
                 assert leq(poset, a, b) == want
     poset = build_Q_poset(Graph.path(3))
     assert not leq(poset, "p_1", "p_2")
@@ -246,9 +248,9 @@ def test_contains_rules():
 def test_sum_and_primality_on_short_path():
     # P_empty + P_{2} kills 2 and overlays {1, 3}: a prime, added as is
     p_empty, p_cut = graph_primes(Graph.path(3))
-    merged = CliquePrime(3, 0b010, (0b101,))
-    got = oracle_sum_primes(3, as_sets(p_empty), as_sets(p_cut))
-    assert [as_masks(3, p) for p in got] == [merged]
+    merged = (0b010, (0b101,))
+    got = oracle_sum_primes(3, as_sets(3, p_empty), as_sets(3, p_cut))
+    assert [as_masks(p) for p in got] == [merged]
     poset = build_Q_poset(Graph.path(3))
     assert node_primes(3, poset) == [p_empty, p_cut, merged]
 
@@ -259,18 +261,20 @@ def test_decomposition_of_a_nonprime_sum():
     # maximal elements below both summands
     poset = build_Q_poset(Graph.path(5))
     ideal = dict(zip(poset.ids(), node_primes(5, poset)))
-    by_key = {p.key(): x for x, p in ideal.items()}
+    by_key = {_label_key(*p): x for x, p in ideal.items()}
     p2 = by_key[((2,), ((1,), (3, 4, 5)))]
     p4 = by_key[((4,), ((1, 2, 3), (5,)))]
     below = [x for x in poset.ids() if leq(poset, x, p2) and leq(poset, x, p4)]
     top = [x for x in below if not any(y != x and leq(poset, x, y) for y in below)]
-    pieces = sorted((ideal[x] for x in top), key=lambda p: (p.height, p.key()))
-    assert [p.key() for p in pieces] == [
+    pieces = sorted(
+        (ideal[x] for x in top), key=lambda p: (clique_height(p), _label_key(*p))
+    )
+    assert [_label_key(*p) for p in pieces] == [
         ((2, 3, 4), ((1,), (5,))),
         ((2, 4), ((1, 3, 5),)),
     ]
-    want = oracle_sum_primes(5, as_sets(ideal[p2]), as_sets(ideal[p4]))
-    assert pieces == [as_masks(5, p) for p in want]
+    want = oracle_sum_primes(5, as_sets(5, ideal[p2]), as_sets(5, ideal[p4]))
+    assert pieces == [as_masks(p) for p in want]
 
 
 def test_poset_of_short_path():
@@ -303,8 +307,8 @@ def test_poset_is_closed_under_sums():
         ideals = node_primes(g.n, build_Q_poset(g))
         for i, a in enumerate(ideals):
             for b in ideals[i + 1:]:
-                for piece in oracle_sum_primes(g.n, as_sets(a), as_sets(b)):
-                    assert as_masks(g.n, piece) in ideals
+                for piece in oracle_sum_primes(g.n, as_sets(g.n, a), as_sets(g.n, b)):
+                    assert as_masks(piece) in ideals
 
 
 def cycle_graph(n):
@@ -320,15 +324,15 @@ CONVERSION_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(CONVERSION_GRAPHS))
 def test_nodes_convert_to_their_clique_primes(name):
-    # a node keeps its packed relation; from_relation gives the record,
+    # a node keeps its packed relation, which clique() reads back exactly,
     # with the node's dim and height, and the maximal nodes are exactly
     # the minimal primes, in order
     graph = CONVERSION_GRAPHS[name]
     poset = build_Q_poset(graph)
     primes = node_primes(graph.n, poset)
     for nd, p in zip(poset.nodes, primes):
-        assert (nd.dim, nd.height) == (p.dim, p.height)
-        assert _pack(graph.n, p.blocks) == nd.ideal
+        height = clique_height(p)
+        assert (nd.dim, nd.height) == (2 * graph.n - height, height)
     generators = [nd.ideal for k, nd in enumerate(poset.nodes) if poset.is_maximal(k)]
     assert generators == minimal_primes_graph(graph)
 
@@ -351,26 +355,15 @@ def test_corrupted_relations_raise(rows, message):
     with pytest.raises(ValueError, match=message):
         _clique_node(3, rep, "p_1")
     with pytest.raises(ValueError, match=message):
-        CliquePrime.from_relation(3, rep)
-
-
-def test_from_relation_takes_only_packed_relations():
-    rep = _pack(3, (0b001, 0b100))
-    assert CliquePrime.from_relation(3, rep) == CliquePrime(3, 0b010, (0b001, 0b100))
-    for wrong in (rep[:-1], rep + b"\0"):
-        with pytest.raises(ValueError, match="bytes"):
-            CliquePrime.from_relation(3, wrong)
-    # blocks {1, 2} and {3} partition the vertices, but the row of vertex
-    # 2 relates it to 3, and then a guard bit is set
-    for rows in ([0b011, 0b111, 0b100], [0b1011, 0b011, 0b100]):
-        with pytest.raises(ValueError, match="not the packed relation"):
-            CliquePrime.from_relation(3, _join(3, rows))
+        _check_partition(3, *_unpack(3, rep))
 
 
 def poset_digest(n, poset):
-    """sha256 of every (id, CliquePrime.key(), up-mask), in label order."""
+    """sha256 of every (id, label key, up-mask), in label order."""
     primes = node_primes(n, poset)
-    rows = [[nd.id, p.key(), up] for nd, p, up in zip(poset.nodes, primes, poset.up)]
+    rows = [
+        [nd.id, _label_key(*p), up] for nd, p, up in zip(poset.nodes, primes, poset.up)
+    ]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
@@ -406,7 +399,8 @@ def test_isolated_vertices_past_64_bits():
         small.nodes, wide.nodes, node_primes(5, small), node_primes(70, wide)
     ):
         assert b.height == a.height
-        assert pb.key() == (pa.key()[0], pa.key()[1] + pad)
+        kill, blocks = _label_key(*pa)
+        assert _label_key(*pb) == (kill, blocks + pad)
     for x in small.ids():
         for y in small.ids():
             assert leq(wide, x, y) == leq(small, x, y)

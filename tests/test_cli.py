@@ -97,6 +97,14 @@ def test_parse_poset_doc_errors():
         )
     with pytest.raises(ParseError):
         parse_poset_doc('{"format": 1, "elements": [{"id": "a", "dim": -1}]}')
+    for height in ("-1", "true"):
+        doc = (
+            '{"format": 1,'
+            f' "elements": [{{"id": "a", "dim": 0, "height": {height}}}]}}'
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_poset_doc(doc)
+        assert str(exc.value) == "element 'a': \"height\" must be an integer >= 0"
     with pytest.raises(ParseError):
         parse_poset_doc(
             '{"format": 1, "elements": [{"id": "a", "dim": 0, "cm": "yes"}]}'
@@ -566,7 +574,12 @@ def test_main_entry_point(capsys):
      "error: argument --max-poset: invalid int value: 'abc'\n"),
     (["--mode", "graph", "--edges", "g", "a\nb"],
      "error: unrecognized arguments: a\\nb\n"),
-], ids=["dash-value", "missing-mode", "non-integer-budget", "stray-argument"])
+    (["--mode", "graph"], "error: graph mode needs --edges FILE\n"),
+    (["--mode", "poset"], "error: poset mode needs --poset FILE\n"),
+], ids=[
+    "dash-value", "missing-mode", "non-integer-budget", "stray-argument",
+    "graph-without-edges", "poset-without-file",
+])
 def test_main_usage_errors_exit_1(capsys, argv, message):
     code = main(argv)
     assert code == EXIT_PARSE

@@ -14,14 +14,14 @@ from collections import deque
 
 import pytest
 
-from defreg.binomial_edge import CliquePrime, Graph, build_Q_poset
+from defreg.binomial_edge import Graph, _label_key, build_Q_poset
 from defreg.monomial import (
-    FacePrime,
     SquarefreeIdeal,
     build_monomial_poset,
     minimal_primes,
 )
 from defreg.posets import ClosureBudgetExceeded, RingContext
+from primes import clique, face
 
 
 def reference_closure(
@@ -194,10 +194,9 @@ def _check_graph(graph):
     n = graph.n
     assert_same_poset(
         poset, [_key(p) for p in reps], leq,
-        lambda rep: CliquePrime.from_relation(n, rep).key(),
+        lambda rep: _label_key(*clique(n, rep)),
     )
     for nd, p in zip(poset.nodes, reps):
-        assert CliquePrime.from_relation(n, nd.ideal).n == n
         assert nd.height == _height(p)
 
 
@@ -219,7 +218,7 @@ def test_random_graphs_on_five_to_seven_vertices():
 
 def reference_monomial_closure(ideal):
     return reference_closure(
-        [FacePrime.from_mask(ideal.ring, m).variables for m in minimal_primes(ideal)],
+        [face(ideal.ring, m) for m in minimal_primes(ideal)],
         sum_op=frozenset.union,
         contains_op=frozenset.__ge__,
         canonical_key=lambda s: tuple(sorted(s)),
@@ -243,11 +242,9 @@ def test_random_monomial_ideals_over_twelve_variables():
         ideal = random_ideal(rng, ring)
         reps, leq = reference_monomial_closure(ideal)
         poset = build_monomial_poset(ideal)
-        assert_same_poset(
-            poset, reps, leq, lambda mask: FacePrime.from_mask(ring, mask).variables
-        )
+        assert_same_poset(poset, reps, leq, lambda mask: face(ring, mask))
         for nd in poset.nodes:
-            assert nd.height == len(FacePrime.from_mask(ring, nd.ideal).variables)
+            assert nd.height == len(face(ring, nd.ideal))
             assert nd.dim == ring.nvars - nd.height
 
 

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from defreg.monomial import (
-    FacePrime,
     SquarefreeIdeal,
     ZeroIdeal,
     build_monomial_poset,
@@ -12,19 +11,25 @@ from defreg.monomial import (
 )
 from defreg.posets import RingContext
 from oracle import leq
+from primes import face
 
 RING4 = RingContext(("x", "y", "z", "w"))
 
 
 def face_primes(ring, masks):
-    """The records of variable masks, as FacePrime.from_mask reads them."""
-    return [FacePrime.from_mask(ring, m) for m in masks]
+    """The variable sets of masks, bit k for ring.var_names[k]."""
+    return [face(ring, m) for m in masks]
+
+
+def sorted_names(variables):
+    """A variable set as its sorted names: the label order's key."""
+    return tuple(sorted(variables))
 
 
 def brute_force_primes(ideal):
     """Oracle: inclusion-minimal variable sets meeting every generator."""
     names = ideal.ring.var_names
-    gens = [p.variables for p in face_primes(ideal.ring, ideal.generators)]
+    gens = face_primes(ideal.ring, ideal.generators)
     hitting = []
     for r in range(len(names) + 1):
         for combo in itertools.combinations(names, r):
@@ -53,6 +58,9 @@ def test_create_validates_input():
         SquarefreeIdeal.create(RING4, [[]])
     with pytest.raises(ValueError):
         SquarefreeIdeal.create(RING4, [["x", "q"]])
+    # create never builds it, but a direct construction can
+    with pytest.raises(ZeroIdeal, match="no minimal primes"):
+        minimal_primes(SquarefreeIdeal(RING4, ()))
 
 
 def test_create_minimalizes_generators():
@@ -63,34 +71,27 @@ def test_create_minimalizes_generators():
     assert ideal.generators == (0b0100, 0b1001, 0b0011)
 
 
-def test_face_prime_data():
-    fp = FacePrime(frozenset({"x", "z"}))
-    assert fp.key() == ("x", "z")
-    assert fp.height == 2
-    assert fp.dim_in(RING4) == 2
-
-
 def test_minimal_primes_of_known_ideal():
     ideal = SquarefreeIdeal.create(RING4, [["x", "y"], ["x", "z"]])
     assert minimal_primes(ideal) == [0b0001, 0b0110]
-    assert [p.key() for p in face_primes(RING4, minimal_primes(ideal))] == [
+    assert [sorted_names(p) for p in face_primes(RING4, minimal_primes(ideal))] == [
         ("x",), ("y", "z")
     ]
 
 
 def test_minimal_primes_of_principal_ideal():
     ideal = SquarefreeIdeal.create(RING4, [["x", "y", "z"]])
-    assert [p.key() for p in face_primes(RING4, minimal_primes(ideal))] == [
+    assert [sorted_names(p) for p in face_primes(RING4, minimal_primes(ideal))] == [
         ("x",), ("y",), ("z",)
     ]
     # names x1..x12 come in string order, so "x10" before "x2"
     ring = RingContext(tuple(f"x{i}" for i in range(1, 13)))
     ideal = SquarefreeIdeal.create(ring, [ring.var_names])
-    names = ["x1", "x10", "x11", "x12"] + [f"x{i}" for i in range(2, 10)]
-    assert [p.key() for p in face_primes(ring, minimal_primes(ideal))] == [
-        (v,) for v in names
+    order = ["x1", "x10", "x11", "x12"] + [f"x{i}" for i in range(2, 10)]
+    assert [sorted_names(p) for p in face_primes(ring, minimal_primes(ideal))] == [
+        (v,) for v in order
     ]
-    assert minimal_primes(ideal) == [1 << ring.var_names.index(v) for v in names]
+    assert minimal_primes(ideal) == [1 << ring.var_names.index(v) for v in order]
 
 
 def test_minimal_primes_match_brute_force():
@@ -99,7 +100,7 @@ def test_minimal_primes_match_brute_force():
         nvars = rng.randint(2, 6)
         ring = RingContext(tuple(f"v{i}" for i in range(nvars)))
         ideal = random_ideal(rng, ring)
-        got = [p.variables for p in face_primes(ring, minimal_primes(ideal))]
+        got = face_primes(ring, minimal_primes(ideal))
         assert got == brute_force_primes(ideal)
 
 
@@ -111,11 +112,9 @@ def test_poset_of_two_skew_lines():
     assert poset.provenance == "monomial"
     assert poset.ring is RING4
     assert len(poset) == 3
-    prime = {nd.id: FacePrime.from_mask(RING4, nd.ideal) for nd in poset.nodes}
-    assert {prime["p_1"].key(), prime["p_2"].key()} == {
-        ("x", "y"), ("w", "z")
-    }
-    assert prime["p_3"].key() == ("w", "x", "y", "z")
+    prime = {nd.id: sorted_names(face(RING4, nd.ideal)) for nd in poset.nodes}
+    assert {prime["p_1"], prime["p_2"]} == {("x", "y"), ("w", "z")}
+    assert prime["p_3"] == ("w", "x", "y", "z")
     assert [nd.dim for nd in poset.nodes] == [2, 2, 0]
     assert [nd.height for nd in poset.nodes] == [2, 2, 4]
     assert [poset.is_maximal(k) for k in range(len(poset))] == [True, True, False]
@@ -130,15 +129,12 @@ def test_poset_nodes_are_exactly_the_sums():
         ring = RingContext(tuple(f"v{i}" for i in range(nvars)))
         ideal = random_ideal(rng, ring)
         poset = build_monomial_poset(ideal)
-        primes = [p.variables for p in face_primes(ring, minimal_primes(ideal))]
+        primes = face_primes(ring, minimal_primes(ideal))
         expected = set()
         for r in range(1, len(primes) + 1):
             for combo in itertools.combinations(primes, r):
                 expected.add(frozenset().union(*combo))
-        variables = {
-            nd.id: FacePrime.from_mask(ring, nd.ideal).variables
-            for nd in poset.nodes
-        }
+        variables = {nd.id: face(ring, nd.ideal) for nd in poset.nodes}
         assert set(variables.values()) == expected
         # order agrees with reverse inclusion of the variable sets
         for a in poset.ids():
@@ -147,9 +143,9 @@ def test_poset_nodes_are_exactly_the_sums():
 
 
 def test_nodes_convert_to_their_face_primes():
-    # a node keeps its variable mask; from_mask gives the record, with the
-    # node's dim and height, and the maximal nodes are exactly the minimal
-    # primes, in order
+    # a node keeps its variable mask, whose variables give the node's dim
+    # and height, and the maximal nodes are exactly the minimal primes, in
+    # order
     ideals = [
         SquarefreeIdeal.create(RING4, gens)
         for gens in (
@@ -167,16 +163,9 @@ def test_nodes_convert_to_their_face_primes():
         poset = build_monomial_poset(ideal)
         primes = face_primes(ring, [nd.ideal for nd in poset.nodes])
         for nd, p in zip(poset.nodes, primes):
-            assert (nd.dim, nd.height) == (p.dim_in(ring), p.height)
+            assert (nd.dim, nd.height) == (ring.nvars - len(p), len(p))
         generators = [
             nd.ideal for k, nd in enumerate(poset.nodes) if poset.is_maximal(k)
         ]
         assert generators == minimal_primes(ideal)
 
-
-def test_from_mask_reads_bits_in_ring_order():
-    assert FacePrime.from_mask(RING4, 0b1010) == FacePrime(frozenset({"y", "w"}))
-    assert FacePrime.from_mask(RING4, 0) == FacePrime(frozenset())
-    for mask in (-1, 1 << 4):
-        with pytest.raises(ValueError, match="outside the ring"):
-            FacePrime.from_mask(RING4, mask)
