@@ -37,6 +37,7 @@ import sys
 import tempfile
 
 from defreg.cli import main
+from oracle import components
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden.json"
@@ -58,18 +59,6 @@ def _edges_text(n, edges):
     return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
-def _connected(n, edges):
-    seen, todo = {1}, [1]
-    while todo:
-        u = todo.pop()
-        for a, b in edges:
-            for x, y in ((a, b), (b, a)):
-                if x == u and y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-    return len(seen) == n
-
-
 def connected_graphs(max_n=5):
     """(n, edges) for every connected graph on 1..max_n vertices, one per class."""
     for n in range(1, max_n + 1):
@@ -78,7 +67,7 @@ def connected_graphs(max_n=5):
         seen = set()
         for r in range(len(pairs) + 1):
             for edges in itertools.combinations(pairs, r):
-                if not _connected(n, edges):
+                if len(components(range(1, n + 1), edges)) > 1:
                     continue
                 canon = min(
                     tuple(sorted(tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges))

@@ -27,8 +27,14 @@ from defreg.monomial import (
     minimal_primes,
 )
 from defreg.posets import AnalysisPoset, IdealNode, RingContext
-from oracle import faces_by_size
-from primes import clique, face
+from oracle import (
+    components,
+    cover_primes,
+    faces_by_size,
+    graph_primes_by_enumeration,
+    prime_key,
+)
+from primes import clique, face_primes, plain_primes
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -137,24 +143,6 @@ def test_criterion_05_complete_bipartite_3_5():
     _check(5, "complete bipartite 3+5: labels, covers and bounds", body)
 
 
-def _variables(ring, masks):
-    """The variable sets of masks, bit k for ring.var_names[k]."""
-    return [face(ring, m) for m in masks]
-
-
-def _cover_oracle(ideal):
-    names = ideal.ring.var_names
-    gens = _variables(ideal.ring, ideal.generators)
-    hitting = []
-    for r in range(len(names) + 1):
-        for combo in itertools.combinations(names, r):
-            s = frozenset(combo)
-            if all(s & g for g in gens):
-                hitting.append(s)
-    minimal = [s for s in hitting if not any(t < s for t in hitting)]
-    return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
-
-
 def test_criterion_06_random_monomial_ideals_vs_oracle():
     def body():
         rng = random.Random(60616)
@@ -166,107 +154,21 @@ def test_criterion_06_random_monomial_ideals_vs_oracle():
                 size = rng.randint(1, min(4, nvars))
                 gens.append(rng.sample(ring.var_names, size))
             ideal = SquarefreeIdeal.create(ring, gens)
-            got = _variables(ring, minimal_primes(ideal))
-            assert got == _cover_oracle(ideal)
+            got = face_primes(ring, minimal_primes(ideal))
+            assert got == cover_primes(ring, face_primes(ring, ideal.generators))
 
     _check(6, "random squarefree ideals match the covering oracle", body)
 
 
-def _adjacency_masks(n, edges):
-    adj = [0] * (n + 1)
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def _engine_primes(n, edges):
+    """The engine's minimal primes of the graph, in plain_primes form."""
+    reps = minimal_primes_graph(Graph.from_edges(n, edges))
+    return plain_primes(n, (clique(n, rep) for rep in reps))
 
 
-def _components_by_dfs(n, adj, removed_mask):
-    present = (((1 << n) - 1) << 1) & ~removed_mask
-    comps = []
-    todo = present
-    while todo:
-        stack = [(todo & -todo).bit_length() - 1]
-        comp = 0
-        while stack:
-            v = stack.pop()
-            if comp >> v & 1:
-                continue
-            comp |= 1 << v
-            rest = adj[v] & present & ~comp
-            while rest:
-                low = rest & -rest
-                stack.append(low.bit_length() - 1)
-                rest ^= low
-        comps.append(comp)
-        todo &= ~comp
-    return tuple(sorted(comps))
-
-
-def _contains_masks(ka, comps_a, kb, comps_b):
-    if kb & ~ka:
-        return False
-    for cb in comps_b:
-        rest = cb & ~ka
-        if rest & (rest - 1) == 0:
-            continue
-        low = rest & -rest
-        home = next(ca for ca in comps_a if ca & low)
-        if rest & ~home:
-            return False
-    return True
-
-
-def _graph_prime_oracle(n, edges):
-    """Enumerate the prime of every vertex subset, keep the minimal ones."""
-    adj = _adjacency_masks(n, edges)
-    comps_of = {}
-    for sub in itertools.chain.from_iterable(
-        itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
-    ):
-        mask = 0
-        for v in sub:
-            mask |= 1 << v
-        comps_of[mask] = _components_by_dfs(n, adj, mask)
-    minimal = []
-    for mask, comps in comps_of.items():
-        dominated = False
-        bits = [v for v in range(1, n + 1) if mask >> v & 1]
-        for r in range(len(bits) - 1, -1, -1):
-            for tsub in itertools.combinations(bits, r):
-                tmask = 0
-                for v in tsub:
-                    tmask |= 1 << v
-                if _contains_masks(mask, comps, tmask, comps_of[tmask]):
-                    dominated = True
-                    break
-            if dominated:
-                break
-        if not dominated:
-            killed = tuple(v for v in range(1, n + 1) if mask >> v & 1)
-            blocks = tuple(
-                tuple(v for v in range(1, n + 1) if c >> v & 1)
-                for c in comps
-            )
-            minimal.append((killed, tuple(sorted(blocks))))
-    return sorted(minimal)
-
-
-def _plain_primes(n, reps):
-    """The oracle's sorted (killed, blocks) vertex tuples, read off the
-    packed relations through primes.clique."""
-
-    def vertices(mask):
-        return tuple(v for v in range(1, n + 1) if mask >> v - 1 & 1)
-
-    return sorted(
-        (vertices(kill), tuple(sorted(map(vertices, blocks))))
-        for kill, blocks in (clique(n, rep) for rep in reps)
-    )
-
-
-def _is_connected(n, edges):
-    adj = _adjacency_masks(n, edges)
-    return len(_components_by_dfs(n, adj, 0)) <= 1
+def _oracle_primes(n, edges):
+    """graph_primes_by_enumeration's answer, in plain_primes form."""
+    return sorted(prime_key(p)[1:] for p in graph_primes_by_enumeration(n, edges))
 
 
 def _relabel(primes, perm):
@@ -296,17 +198,17 @@ def test_criterion_07_graph_primes_vs_oracle():
             want = {}
             for picks in itertools.product((False, True), repeat=len(pairs)):
                 edges = [e for e, take in zip(pairs, picks) if take]
-                if not _is_connected(n, edges):
+                if len(components(range(1, n + 1), edges)) > 1:
                     continue
                 if frozenset(edges) not in want:
-                    primes = _graph_prime_oracle(n, edges)
+                    primes = _oracle_primes(n, edges)
                     for perm in perms:
                         image = frozenset(
                             tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in edges
                         )
                         if image not in want:
                             want[image] = _relabel(primes, perm)
-                got = _plain_primes(n, minimal_primes_graph(Graph.from_edges(n, edges)))
+                got = _engine_primes(n, edges)
                 assert got == want[frozenset(edges)]
                 cases += 1
         assert cases > 27000
@@ -315,8 +217,8 @@ def test_criterion_07_graph_primes_vs_oracle():
             n = rng.randint(2, 8)
             pairs = list(itertools.combinations(range(1, n + 1), 2))
             edges = [e for e in pairs if rng.random() < 0.4]
-            got = _plain_primes(n, minimal_primes_graph(Graph.from_edges(n, edges)))
-            assert got == _graph_prime_oracle(n, edges)
+            got = _engine_primes(n, edges)
+            assert got == _oracle_primes(n, edges)
 
     _check(7, "graph primes match the enumerate and minimize oracle", body)
 
@@ -372,20 +274,8 @@ def test_criterion_09_random_complex_identities():
             hq = homology_of_faces(faces, qq)
             h2 = homology_of_faces(faces, gf2)
             # vertices are the one-bit faces, edges the two-bit ones
-            parent = {v: v for v in faces[1]}
-
-            def find(v):
-                while parent[v] != v:
-                    parent[v] = parent[parent[v]]
-                    v = parent[v]
-                return v
-
-            for e in faces[2] if len(faces) > 2 else ():
-                ra, rb = find(e & -e), find(e & e - 1)
-                if ra != rb:
-                    parent[ra] = rb
-            ncomp = len({find(v) for v in parent})
-            assert hq.get(0, 0) == ncomp - 1
+            edges = [(e & -e, e & e - 1) for e in (faces[2] if len(faces) > 2 else ())]
+            assert hq.get(0, 0) == len(components(faces[1], edges)) - 1
             # a face with k vertices has dimension k - 1
             euler = sum((-1) ** (k - 1) * len(level) for k, level in enumerate(faces))
             assert euler == sum((-1) ** i * v for i, v in hq.items())

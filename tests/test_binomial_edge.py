@@ -23,61 +23,16 @@ from defreg.binomial_edge import (
 )
 from defreg.cli import parse_graph_file
 from defreg.posets import ClosureBudgetExceeded
-from oracle import leq
-from primes import clique, clique_height
+from oracle import contains, cycle_edges, graph_primes_by_enumeration, leq
+from primes import as_masks, as_sets, clique, clique_height
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def oracle_components(n, edges, removed):
-    """Plain set-based BFS, independent of the bitmask code under test."""
-    adj = {v: set() for v in range(1, n + 1) if v not in removed}
-    for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
-    comps = []
-    seen = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-# The oracles take and give a prime as plain sets: (killed, blocks), a
-# frozenset of vertices and a list of frozensets.  The engine's side is
-# (kill, blocks) as masks, blocks sorted by mask, as primes.clique reads
-# a packed relation.
-
-
-def vertex_mask(vertices):
-    return sum(1 << v - 1 for v in vertices)
-
-
-def vertex_set(n, mask):
-    return frozenset(v for v in range(1, n + 1) if mask >> v - 1 & 1)
-
-
-def as_masks(prime):
-    """The engine's (kill, blocks) masks for an oracle prime."""
-    killed, blocks = prime
-    return vertex_mask(killed), tuple(sorted(vertex_mask(b) for b in blocks))
-
-
-def as_sets(n, prime):
-    """The oracle's (killed, blocks) for the engine's masks on n vertices."""
-    kill, blocks = prime
-    return vertex_set(n, kill), [vertex_set(n, b) for b in blocks]
+# The oracles take and give a prime as plain sets, (killed, blocks); the
+# engine's side is (kill, blocks) as masks, blocks sorted by mask, as
+# primes.clique reads a packed relation.  primes.as_sets and as_masks
+# convert between the two.
 
 
 def node_primes(n, poset):
@@ -91,51 +46,6 @@ def graph_primes(graph):
     return [clique(n, rep) for rep in minimal_primes_graph(graph)]
 
 
-def oracle_contains(p, q):
-    """Whether ideal(p) contains ideal(q).
-
-    A variable lies in p exactly when its vertex is killed, and the minor
-    on vertices i, j lies in p exactly when i or j is killed or both share
-    a block of p.
-    """
-    p_killed, p_blocks = p
-    q_killed, q_blocks = q
-    if not q_killed <= p_killed:
-        return False
-    return all(
-        any(b - p_killed <= c for c in p_blocks)
-        for b in q_blocks
-        if len(b - p_killed) > 1
-    )
-
-
-def oracle_key(prime):
-    """(height, killed vertices, blocks), sorted: the label order."""
-    killed, blocks = prime
-    height = 2 * len(killed) + sum(len(b) - 1 for b in blocks)
-    return height, sorted(killed), sorted(sorted(b) for b in blocks)
-
-
-def oracle_minimal_primes(n, edges, killed=frozenset()):
-    """Oracle: minimal primes of the killed variables plus the graph's ideal.
-
-    These are the inclusion-minimal ideals among the vertex-set primes
-    over every superset of killed.
-    """
-    rest = [v for v in range(1, n + 1) if v not in killed]
-    every = []
-    for r in range(len(rest) + 1):
-        for t in itertools.combinations(rest, r):
-            gone = killed | frozenset(t)
-            every.append((gone, oracle_components(n, edges, gone)))
-    kept = [
-        p
-        for p in every
-        if not any(q is not p and oracle_contains(p, q) for q in every)
-    ]
-    return sorted(kept, key=oracle_key)
-
-
 def oracle_sum_primes(n, a, b):
     """Minimal primes of a + b: the overlay of all blocks over the joint kills."""
     killed = a[0] | b[0]
@@ -146,7 +56,7 @@ def oracle_sum_primes(n, a, b):
         for v in blk - killed
         if u < v
     }
-    return oracle_minimal_primes(n, edges, killed)
+    return graph_primes_by_enumeration(n, edges, killed)
 
 
 def random_graph(rng, n):
@@ -225,7 +135,7 @@ def test_minimal_primes_match_oracle():
     rng = random.Random(550)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6))
-        want = [as_masks(p) for p in oracle_minimal_primes(g.n, g.edges)]
+        want = [as_masks(p) for p in graph_primes_by_enumeration(g.n, g.edges)]
         assert graph_primes(g) == want
 
 
@@ -236,7 +146,7 @@ def test_contains_rules():
         prime = dict(zip(poset.ids(), node_primes(g.n, poset)))
         for a in poset.ids():
             for b in poset.ids():
-                want = oracle_contains(as_sets(g.n, prime[a]), as_sets(g.n, prime[b]))
+                want = contains(as_sets(g.n, prime[a]), as_sets(g.n, prime[b]))
                 assert leq(poset, a, b) == want
     poset = build_Q_poset(Graph.path(3))
     assert not leq(poset, "p_1", "p_2")
@@ -311,13 +221,9 @@ def test_poset_is_closed_under_sums():
                     assert as_masks(piece) in ideals
 
 
-def cycle_graph(n):
-    return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
-
-
 CONVERSION_GRAPHS = {
     "path6": Graph.path(6),
-    "cycle5": cycle_graph(5),
+    "cycle5": Graph.from_edges(5, cycle_edges(5)),
     "k35": parse_graph_file((DATA / "k35.edges").read_text(encoding="utf-8")),
 }
 
@@ -370,11 +276,11 @@ def poset_digest(n, poset):
 @pytest.mark.parametrize("graph, size, digest", [
     (Graph.path(8), 239,
      "5dcd0d36415c90449600ff8237d05cfda6fefba7ae85f492b5c244c328001533"),
-    (cycle_graph(7), 233,
+    (Graph.from_edges(7, cycle_edges(7)), 233,
      "ed02a399b0cf519f250fbedc38f23151ccea64ba9c2af85c60be74332469152b"),
     (Graph.path(9), 577,
      "3125d1149f49bb2e3d8fd7c0cd9a8458cbc5aeb09974f04ed48b19aabd1dc91e"),
-    (cycle_graph(8), 618,
+    (Graph.from_edges(8, cycle_edges(8)), 618,
      "32806cc176d547bd8432b7aa7f256d88b6a1efe1df3451beff4c1486095b7bdf"),
     (Graph.complete_bipartite(4, 4), 6,
      "849c2fe0ba018af9b5107b60893ab1d642679f274cd64cdc36ac9a3f05b700ef"),

@@ -18,7 +18,7 @@ from defreg.cli import parse_graph_file, parse_poset_doc
 from defreg.complexes import FieldSpec
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import AnalysisPoset, FaceBudgetExceeded, IdealNode, RingContext
-from oracle import chains_by_leq, covers_by_leq, leq, rank_oracle
+from oracle import chains_by_leq, covers_by_leq, cycle_edges, leq, rank_oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
 RING4 = RingContext(("x", "y", "z", "w"))
@@ -299,10 +299,6 @@ def test_analyze_matches_definitions_oracle():
             assert got == oracle_entries(report), (poset.ids(), field)
 
 
-def cycle(n):
-    return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
-
-
 def test_interval_face_budget_is_exact():
     # a chain of 8: the interval above the bottom is a 7-chain, whose
     # order complex has 2**7 faces, the empty chain included
@@ -358,7 +354,7 @@ def test_multiplicities_match_order_complex_reference():
     # comparison at a time and reduces its full boundary maps
     for poset in (
         build_Q_poset(Graph.path(6)),
-        build_Q_poset(cycle(5)),
+        build_Q_poset(Graph.from_edges(5, cycle_edges(5))),
         build_Q_poset(
             parse_graph_file((DATA / "k35.edges").read_text(encoding="utf-8"))
         ),

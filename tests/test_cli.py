@@ -356,6 +356,26 @@ def test_run_strict_mode(tmp_path):
     assert "(iii) not checkable" in text
     # same input without --strict reports the same text but exits cleanly
     assert run(relaxed) == (EXIT_OK, text)
+    # a < b at equal heights fails condition (iii), and --check says where
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({
+        "format": 1,
+        "nvars": 3,
+        "elements": [
+            {"id": "a", "dim": 1, "height": 2},
+            {"id": "b", "dim": 1, "height": 2},
+        ],
+        "relations": [["a", "b"]],
+    }), encoding="utf-8")
+    relaxed = ["--mode", "poset", "--poset", str(flat)]
+    code, text = run(relaxed)
+    assert code == EXIT_OK
+    assert "conditions: (i) assumed; (ii) pass; (iii) FAIL" in text
+    _, text = run(relaxed + ["--check"])
+    assert "\n  - height does not drop strictly from a to b\n" in text
+    _, text = run(relaxed + ["--json"])
+    assert json.loads(text)["conditions"]["iii"] is False
+    assert run(relaxed + ["--strict"])[0] == EXIT_STRICT
 
 
 def test_text_report_sections():

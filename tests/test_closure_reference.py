@@ -2,10 +2,10 @@
 
 The reference below is the all-pairs closure written on frozensets: sums
 are built as clique overlays, tested for primality, converted or
-decomposed, and the order is a separate containment test over all pairs.
-It shares no code with the package beyond the inputs, and the closure
-under test must reproduce its labels, node order, ideals and order
-relation exactly.
+decomposed through the set references of oracle.py, and the order is a
+separate containment test over all pairs.  It shares no code with the
+package beyond the inputs, and the closure under test must reproduce
+its labels, node order, ideals and order relation exactly.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from defreg.monomial import (
     minimal_primes,
 )
 from defreg.posets import ClosureBudgetExceeded, RingContext
+from oracle import components, contains, cut_set_primes, cycle_edges, prime_key
 from primes import clique, face
 
 
@@ -64,55 +65,11 @@ def reference_closure(
     return reps, leq
 
 
-# --- binomial edge primes as (n, killed, blocks) over frozensets ----------
+# --- binomial edge primes as (killed, blocks) over frozensets -------------
 
 
 def _canonical(blocks):
     return tuple(sorted(set(blocks), key=lambda b: tuple(sorted(b))))
-
-
-def _key(p):
-    _, killed, blocks = p
-    return tuple(sorted(killed)), tuple(tuple(sorted(b)) for b in blocks)
-
-
-def _height(p):
-    _, killed, blocks = p
-    return 2 * len(killed) + sum(len(b) - 1 for b in blocks)
-
-
-def _components(vertices, edges):
-    adj = {v: set() for v in vertices}
-    for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
-    comps, seen = [], set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp, queue = {start}, [start]
-        while queue:
-            for y in adj[queue.pop()]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _cut_set_primes(n, base_killed, vertices, edges):
-    """Primes of the cut sets T of (vertices, edges), sorted by (height, key)."""
-    found = []
-    for r in range(len(vertices) + 1):
-        for t in itertools.combinations(sorted(vertices), r):
-            rest = set(vertices) - set(t)
-            base = len(_components(rest, edges))
-            if all(len(_components(rest | {v}, edges)) < base for v in t):
-                killed = frozenset(base_killed) | frozenset(t)
-                found.append((n, killed, _canonical(_components(rest, edges))))
-    return sorted(found, key=lambda p: (_height(p), _key(p)))
 
 
 def _overlay_edges(cliques):
@@ -120,61 +77,45 @@ def _overlay_edges(cliques):
 
 
 def _sum(a, b):
-    n, ka, ba = a
-    _, kb, bb = b
+    ka, ba = a
+    kb, bb = b
     killed = ka | kb
     cliques = {c - killed for c in ba + bb} - {frozenset()}
     maximal = [c for c in cliques if not any(c < d for d in cliques)]
-    return n, killed, _canonical(maximal)
-
-
-def _rest(s):
-    n, killed, _ = s
-    return set(range(1, n + 1)) - killed
-
-
-def _is_prime(s):
-    edges = _overlay_edges(s[2])
-    return all(
-        (u, v) in edges
-        for comp in _components(_rest(s), edges)
-        for u in comp
-        for v in comp
-        if u < v
-    )
-
-
-def _as_prime(s):
-    n, killed, cliques = s
-    return n, killed, _canonical(_components(_rest(s), _overlay_edges(cliques)))
-
-
-def _decompose(s):
-    n, killed, cliques = s
-    return _cut_set_primes(n, killed, _rest(s), _overlay_edges(cliques))
-
-
-def _contains(a, b):
-    _, ka, ba = a
-    _, kb, bb = b
-    if not kb <= ka:
-        return False
-    return all(
-        any(blk - ka <= c for c in ba) for blk in bb if len(blk - ka) > 1
-    )
+    return killed, _canonical(maximal)
 
 
 def reference_graph_closure(graph):
-    gens = _cut_set_primes(graph.n, (), set(range(1, graph.n + 1)), graph.edges)
+    every = frozenset(range(1, graph.n + 1))
+
+    def is_prime(s):
+        killed, cliques = s
+        edges = _overlay_edges(cliques)
+        return all(
+            (u, v) in edges
+            for comp in components(every - killed, edges)
+            for u in comp
+            for v in comp
+            if u < v
+        )
+
+    def as_prime(s):
+        killed, cliques = s
+        return killed, components(every - killed, _overlay_edges(cliques))
+
+    def decompose(s):
+        killed, cliques = s
+        return cut_set_primes(killed, every - killed, _overlay_edges(cliques))
+
     return reference_closure(
-        gens,
+        cut_set_primes(frozenset(), every, graph.edges),
         sum_op=_sum,
-        contains_op=_contains,
-        canonical_key=_key,
-        generator_key=lambda p: (_height(p), _key(p)),
-        is_prime_op=_is_prime,
-        to_prime_op=_as_prime,
-        decompose_op=_decompose,
+        contains_op=contains,
+        canonical_key=prime_key,
+        generator_key=prime_key,
+        is_prime_op=is_prime,
+        to_prime_op=as_prime,
+        decompose_op=decompose,
     )
 
 
@@ -192,12 +133,13 @@ def _check_graph(graph):
     reps, leq = reference_graph_closure(graph)
     poset = build_Q_poset(graph)
     n = graph.n
+    keys = [prime_key(p) for p in reps]
     assert_same_poset(
-        poset, [_key(p) for p in reps], leq,
+        poset, [key[1:] for key in keys], leq,
         lambda rep: _label_key(*clique(n, rep)),
     )
-    for nd, p in zip(poset.nodes, reps):
-        assert nd.height == _height(p)
+    for nd, key in zip(poset.nodes, keys):
+        assert nd.height == key[0]
 
 
 def test_every_graph_on_at_most_four_vertices():
@@ -261,7 +203,7 @@ def assert_budget_trips_past_reference(build, size):
 def budget_graphs():
     graphs = {
         "path6": Graph.path(6),
-        "cycle6": Graph.from_edges(6, [(i, i % 6 + 1) for i in range(1, 7)]),
+        "cycle6": Graph.from_edges(6, cycle_edges(6)),
     }
     rng = random.Random(38)
     for k in range(4):

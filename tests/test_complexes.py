@@ -11,7 +11,7 @@ from defreg.complexes import (
     homology_of_faces,
     pivot_rows,
 )
-from oracle import closure, faces_by_size, rank_oracle
+from oracle import closure, components, faces_by_size, rank_oracle
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -63,24 +63,6 @@ def test_point_and_circle_over_every_field():
         assert homology(facets, field) == {0: 1, 1: 1}
 
 
-def _component_count(faces):
-    # union-find over the 1-skeleton of faces grouped by size
-    parent = {v: v for v in faces[1]}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in faces[2] if len(faces) > 2 else ():
-        low = e & -e
-        a, b = find(low), find(e ^ low)
-        if a != b:
-            parent[a] = b
-    return len({find(v) for v in parent})
-
-
 def test_random_complexes_homology_identities():
     rng = random.Random(1105)
     for _ in range(80):
@@ -94,14 +76,15 @@ def test_random_complexes_homology_identities():
         hq = homology(facets, QQ)
         h2 = homology(facets, GF2)
         homology(facets, GF3)
-        assert hq.get(0, 0) == _component_count(faces) - 1
+        # vertices are the one-bit faces, edges the two-bit ones
+        edges = [(e & -e, e & e - 1) for e in (faces[2] if len(faces) > 2 else ())]
+        assert hq.get(0, 0) == len(components(faces[1], edges)) - 1
         # a face with k vertices has dimension k - 1
         euler_faces = sum((-1) ** (k - 1) * len(level) for k, level in enumerate(faces))
         for h in (hq, h2):
             euler_hom = sum((-1) ** i * v for i, v in h.items())
             assert euler_hom == euler_faces
         assert all(v <= h2.get(i, 0) for i, v in hq.items())
-
 
 
 def rank(columns, field):

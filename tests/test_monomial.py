@@ -10,36 +10,15 @@ from defreg.monomial import (
     minimal_primes,
 )
 from defreg.posets import RingContext
-from oracle import leq
-from primes import face
+from oracle import cover_primes, leq
+from primes import face, face_primes
 
 RING4 = RingContext(("x", "y", "z", "w"))
-
-
-def face_primes(ring, masks):
-    """The variable sets of masks, bit k for ring.var_names[k]."""
-    return [face(ring, m) for m in masks]
 
 
 def sorted_names(variables):
     """A variable set as its sorted names: the label order's key."""
     return tuple(sorted(variables))
-
-
-def brute_force_primes(ideal):
-    """Oracle: inclusion-minimal variable sets meeting every generator."""
-    names = ideal.ring.var_names
-    gens = face_primes(ideal.ring, ideal.generators)
-    hitting = []
-    for r in range(len(names) + 1):
-        for combo in itertools.combinations(names, r):
-            s = frozenset(combo)
-            if all(s & g for g in gens):
-                hitting.append(s)
-    minimal = [
-        s for s in hitting if not any(t < s for t in hitting)
-    ]
-    return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def random_ideal(rng, ring):
@@ -101,7 +80,7 @@ def test_minimal_primes_match_brute_force():
         ring = RingContext(tuple(f"v{i}" for i in range(nvars)))
         ideal = random_ideal(rng, ring)
         got = face_primes(ring, minimal_primes(ideal))
-        assert got == brute_force_primes(ideal)
+        assert got == cover_primes(ring, face_primes(ring, ideal.generators))
 
 
 def test_poset_of_two_skew_lines():
