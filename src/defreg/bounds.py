@@ -4,12 +4,16 @@ Everything here consumes an AnalysisPoset whose nodes carry dimensions.
 For each element q the open interval above q (excluding q, with the
 virtual top left implicit) has an order complex; the multiplicity of q in
 degree d is the reduced homology dimension of that complex in degree d.
-multiplicities computes it by one of two exact methods, chosen per
-interval by the first: an interval with no chain of three elements has
-its comparability graph as order complex, whose homology
+multiplicities computes it exactly, by the first of three methods that
+applies.  An interval with no chain of three elements has its
+comparability graph as order complex, whose homology
 AnalysisPoset.graph_homology reads off vertex, edge and component
-counts; on every other interval it returns None, and the interval has
-its chains enumerated and reduced by homology_of_faces.
+counts.  Every other interval is first held to the face budget by
+AnalysisPoset.check_faces.  Then one minimal resolution,
+AnalysisPoset.resolution_homology, gives the GF(2) homology of all of
+them at once, which is the answer over GF(2) and, when it lies in at
+most one degree, over Q.  Only the rest, and every one over GF(p) for
+odd p, have their chains enumerated and reduced.
 
 For a cohomological degree j, the contributing set S_j collects the
 elements p with dim p <= j and nonzero multiplicity in degree
@@ -36,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ._record import Record
-from .complexes import FieldSpec, homology_of_faces
+from .complexes import FieldSpec, homology_of_faces, rational_homology
 from .posets import DEFAULT_MAX_FACES, AnalysisPoset
 
 NEG_INF = float("-inf")  # reg of the zero module: below every integer
@@ -67,22 +71,47 @@ def multiplicities(
     element gets the empty complex and multiplicity 1 in degree -1.
 
     Each interval goes first to poset.graph_homology, which needs no
-    reduction and is exact over every field; where it finds a chain of
-    three elements and returns None, the interval goes through
-    interval_chains and homology_of_faces.  Both hold each interval to
-    max_faces order-complex faces, with the same message.
+    reduction, is exact over every field and holds its interval to
+    max_faces faces.  The intervals it declines, those with a chain of
+    three elements, are held to the same budget by poset.check_faces
+    before any of them is computed, so an input over budget stops there.
+    Over GF(2) they are answered by poset.resolution_homology.  Over Q
+    so is every one whose GF(2) homology lies in at most one degree (see
+    complexes); the others, and every one over GF(p) for odd p, have
+    their chains enumerated and reduced.
     """
     if field is None:
         field = FieldSpec.rationals()
-    out = {}
-    for k, node in enumerate(poset.nodes):
-        dims = poset.graph_homology(k, max_faces=max_faces)
-        if dims is None:
-            dims = homology_of_faces(
-                poset.interval_chains(k, max_faces=max_faces), field
-            )
+    out: dict[str, dict[int, int] | None] = {}
+    declined: list[int] = []
+
+    def graph_method():
+        # check_faces sizes each declined interval as it is declined, so
+        # an input over budget stops where chain enumeration stopped
+        for k, node in enumerate(poset.nodes):
+            out[node.id] = dims = poset.graph_homology(k, max_faces=max_faces)
+            if dims is None:
+                declined.append(k)
+                yield k
+
+    poset.check_faces(graph_method(), max_faces=max_faces)
+    if declined:
+        p = field.characteristic
+        two = poset.resolution_homology() if p in (0, 2) else None
+        for k in declined:
+            if two is None:
+                dims = homology_of_faces(
+                    poset.interval_chains(k, max_faces=max_faces), field
+                )
+            else:
+                dims = two[k]
+                if not p and len(dims) > 1:
+                    dims = rational_homology(
+                        poset.interval_chains(k, max_faces=max_faces), dims
+                    )
+            out[poset.nodes[k].id] = dims
+    for k, dims in enumerate(out.values()):
         assert (-1 in dims) == poset.is_maximal(k)
-        out[node.id] = dims
     return out
 
 

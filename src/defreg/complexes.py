@@ -30,7 +30,9 @@ equal the Euler characteristic of the face counts.  When the GF(2)
 homology is nonzero in at most one degree, these two facts force the
 rational dims to equal it.  Otherwise torsion may make them differ, so the
 same faces are reduced over Q on their own and those two invariants are
-asserted.  GF(p) for odd p is reduced directly.
+asserted; rational_homology takes that step, also for GF(2) dims found
+without the faces, as by the poset's minimal resolution.  GF(p) for odd
+p is reduced directly.
 
 The complex must be nonvoid: faces[0] == [0], the empty face.  The
 complex of the empty face alone, [[0]], is the order complex of an empty
@@ -115,6 +117,7 @@ class FieldSpec(Record):
 
 
 _GF2 = FieldSpec.prime_field(2)
+_QQ = FieldSpec.rationals()
 
 
 def homology_of_faces(
@@ -133,9 +136,19 @@ def homology_of_faces(
     if not field.is_rationals:
         return _dims(faces, field)
     two = _dims(faces, _GF2)
-    if len(two) <= 1:
-        return two
-    dims = _dims(faces, field)
+    return two if len(two) <= 1 else rational_homology(faces, two)
+
+
+def rational_homology(
+    faces: Sequence[Sequence[int]], two: Mapping[int, int]
+) -> dict[int, int]:
+    """Rational dims of a nonvoid complex whose GF(2) dims are two.
+
+    For a complex whose GF(2) homology lies in more than one degree, so
+    that it certifies nothing: the faces are reduced over Q, and the
+    result is checked against two by the universal coefficient theorem.
+    """
+    dims = _dims(faces, _QQ)
     assert all(v <= two.get(d, 0) for d, v in dims.items())
     assert _euler(dims) == _euler(two)
     return dims

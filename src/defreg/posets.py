@@ -33,7 +33,11 @@ closes them in one pass over a topological order.  The interval methods
 address an element by its position k, never by its id: is_maximal(k),
 interval_chains(k) and graph_homology(k) read the open interval
 (k, top), and graph_homology(k) returns None when that interval has a
-chain of three elements.
+chain of three elements.  check_faces(positions) holds the listed
+intervals to the face budget by counting their faces, without listing
+them, and resolution_homology() gives the GF(2) homology of every
+interval at once, from one minimal resolution over the incidence
+algebra.
 """
 
 from __future__ import annotations
@@ -341,6 +345,118 @@ class AnalysisPoset:
         dims = {0: comps - 1, 1: pairs - nverts + comps}
         return {d: v for d, v in dims.items() if v}
 
+    def check_faces(
+        self, positions: Iterable[int], *, max_faces: int = DEFAULT_MAX_FACES
+    ) -> None:
+        """Raise FaceBudgetExceeded if some listed interval has over max_faces faces.
+
+        The open interval (k, top) has c(k) = 1 + Σ_{y > k} c(y)
+        order-complex faces, the empty one included, as c(y) counts the
+        chains with bottom y.  An interval of m members has at most 2^m
+        faces, so one with m < max_faces.bit_length() is passed over
+        uncounted.  The others are counted in one memo, each element after
+        the smaller up-sets of everything above it, and every sum stops at
+        max_faces + 1, so that no count grows past the budget.  The raise
+        comes at the first listed interval over budget, with the message
+        interval_chains gives.
+        """
+        up = self._up
+        cap = max_faces + 1
+        small = max_faces.bit_length() - 1
+        count: dict[int, int] = {}
+        for k in positions:
+            if up[k].bit_count() - 1 <= small:
+                continue
+            todo = filterfalse(count.__contains__, _bits(up[k]))
+            for y in sorted(todo, key=lambda y: up[y].bit_count()):
+                c = 1
+                for z in _bits(up[y] ^ 1 << y):
+                    c += count[z]
+                    if c >= cap:
+                        c = cap
+                        break
+                count[y] = c
+            if count[k] > max_faces:
+                raise FaceBudgetExceeded(max_faces)
+
+    def resolution_homology(self) -> list[dict[int, int]]:
+        """GF(2) reduced homology of every open interval (k, top), by position.
+
+        By Cibils (Cohomology of incidence algebras and simplicial
+        complexes, J. Pure Appl. Algebra 56, 1989), dim Ext^i(S_x, S_y) =
+        dim H~_{i-2}((x, y)) over the incidence algebra, so the minimal
+        projective resolution of the simple module at the virtual top
+        holds the projective of k in term d + 2 exactly dim H~_d((k, top))
+        times.  The resolution is built over the opposite order, where
+        every module is a subspace of coordinate space at each element and
+        every map a coordinate inclusion.  A generator of degree d sits at
+        an element x with a vector over the generators of degree d - 1,
+        and the module at y is spanned by the generators at or above y.
+        Degree -1 has one generator at each maximal element, whose vector
+        is the single coordinate of the top.  In each degree:
+
+        1. at each element y, the vectors of the generators at or above y
+           are eliminated, each carrying a tag bit for its generator; the
+           tags of those that reduce to 0 are a basis of the kernel K_y;
+        2. at each element x, a basis of K_x modulo the span of K_a over
+           the covers a of x are the generators of the next degree at x.
+
+        Generators and tags are int bitsets.  The number of generators at
+        an element in degree d is its multiplicity in degree d, and the
+        resolution ends when a degree has none.  Its work follows these
+        numbers, not the order complexes' faces.
+        """
+        up, covers = self._up, self._covers
+        dims: list[dict[int, int]] = [{} for _ in up]
+        gens = [[1] if m == 1 << x else [] for x, m in enumerate(up)]
+        d = -1
+        while True:
+            # at: positions holding a generator; tagged[x]: (vector, tag)
+            # of the generators at x, tags numbered across the degree
+            at = 0
+            tagged: list[list[tuple[int, int]]] = []
+            tag = 1
+            for x, vectors in enumerate(gens):
+                if vectors:
+                    at |= 1 << x
+                    dims[x][d] = len(vectors)
+                row = []
+                for v in vectors:
+                    row.append((v, tag))
+                    tag <<= 1
+                tagged.append(row)
+            if not at:
+                break
+            kernels = []
+            for y, m in enumerate(up):
+                pivots: dict[int, tuple[int, int]] = {}
+                kernel = []
+                for x in _bits(m & at):
+                    for v, t in tagged[x]:
+                        while v:
+                            hit = pivots.get(v.bit_length())
+                            if hit is None:
+                                pivots[v.bit_length()] = v, t
+                                break
+                            v ^= hit[0]
+                            t ^= hit[1]
+                        else:
+                            kernel.append(t)
+                kernels.append(kernel)
+            gens = []
+            for kernel, c in zip(kernels, covers):
+                new = []
+                if kernel:
+                    span: dict[int, int] = {}
+                    for a in _bits(c):
+                        for t in kernels[a]:
+                            _gf2_insert(span, t)
+                    new = [t for t in kernel if _gf2_insert(span, t)]
+                gens.append(new)
+            d += 1
+        assert _hall_holds(up, dims)
+        return dims
+
     def hasse(self) -> list[tuple[str, str]]:
         """Cover pairs (lower, upper) of the transitive reduction.
 
@@ -349,6 +465,36 @@ class AnalysisPoset:
         """
         ids = self.ids()
         return [(a, ids[j]) for a, c in zip(ids, self._covers) for j in _bits(c)]
+
+
+def _gf2_insert(pivots: dict[int, int], v: int) -> bool:
+    """Reduce v by the echelon basis pivots; keep and report it if nonzero.
+
+    The basis is keyed by each vector's highest bit, as its bit_length.
+    """
+    while v:
+        hit = pivots.get(v.bit_length())
+        if hit is None:
+            pivots[v.bit_length()] = v
+            return True
+        v ^= hit
+    return False
+
+
+def _hall_holds(up: Sequence[int], dims: Sequence[dict[int, int]]) -> bool:
+    """Philip Hall's theorem on every interval (k, top): χ̃ = μ(k, top).
+
+    With e(x) = 1 - Σ_{y > x} e(y), μ(k, top) = -e(k) (Rota, On the
+    foundations of combinatorial theory I, 1964).  An element comes after
+    everything above it when the up-sets are taken by size.
+    """
+    e = [0] * len(up)
+    for x in sorted(range(len(up)), key=lambda x: up[x].bit_count()):
+        e[x] = 1 - sum(e[y] for y in _bits(up[x] ^ 1 << x))
+    return all(
+        sum(-v if d & 1 else v for d, v in h.items()) == -e[k]
+        for k, h in enumerate(dims)
+    )
 
 
 def _chains(down: Sequence[int], members: int, max_faces: int) -> list[list[int]]:

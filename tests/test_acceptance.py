@@ -20,7 +20,6 @@ from defreg.binomial_edge import (
 )
 from defreg.bounds import NEG_INF, analyze, check_conditions, multiplicities
 from defreg.cli import parse_poset_doc, run
-from defreg.complexes import FieldSpec, homology_of_faces
 from defreg.monomial import (
     SquarefreeIdeal,
     build_monomial_poset,
@@ -30,11 +29,11 @@ from defreg.posets import AnalysisPoset, IdealNode, RingContext
 from oracle import (
     components,
     cover_primes,
-    faces_by_size,
     graph_primes_by_enumeration,
     prime_key,
 )
 from primes import clique, face_primes, plain_primes
+from test_complexes import check_random_complex_identities
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -260,29 +259,11 @@ def test_criterion_08_bounds_never_exceed_degree():
 
 
 def test_criterion_09_random_complex_identities():
-    def body():
-        qq = FieldSpec.rationals()
-        gf2 = FieldSpec.prime_field(2)
-        rng = random.Random(90909)
-        for _ in range(300):
-            nverts = rng.randint(1, 12)
-            facets = []
-            for _ in range(rng.randint(1, 8)):
-                size = rng.randint(1, min(4, nverts))
-                facets.append(tuple(rng.sample(range(1, nverts + 1), size)))
-            faces = faces_by_size(facets)
-            hq = homology_of_faces(faces, qq)
-            h2 = homology_of_faces(faces, gf2)
-            # vertices are the one-bit faces, edges the two-bit ones
-            edges = [(e & -e, e & e - 1) for e in (faces[2] if len(faces) > 2 else ())]
-            assert hq.get(0, 0) == len(components(faces[1], edges)) - 1
-            # a face with k vertices has dimension k - 1
-            euler = sum((-1) ** (k - 1) * len(level) for k, level in enumerate(faces))
-            assert euler == sum((-1) ** i * v for i, v in hq.items())
-            assert euler == sum((-1) ** i * v for i, v in h2.items())
-            assert all(v <= h2.get(i, 0) for i, v in hq.items())
-
-    _check(9, "random complexes satisfy the homology identities", body)
+    _check(
+        9,
+        "random complexes satisfy the homology identities",
+        lambda: check_random_complex_identities(90909, 300, 12, 8),
+    )
 
 
 def test_criterion_10_structural_sanity():

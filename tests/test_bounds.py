@@ -488,18 +488,34 @@ def test_graph_method_keeps_the_face_budget_exact():
 def test_graph_intervals_skip_chain_enumeration(monkeypatch):
     calls = []
     inner = defreg.bounds.homology_of_faces
+    resolve = AnalysisPoset.resolution_homology
+    resolved = []
 
     def counted(faces, field):
         calls.append(len(faces))
         return inner(faces, field)
 
+    def counted_resolution(poset):
+        resolved.append(len(poset))
+        return resolve(poset)
+
     monkeypatch.setattr(defreg.bounds, "homology_of_faces", counted)
-    multiplicities(ranked_poset(0))
+    monkeypatch.setattr(AnalysisPoset, "resolution_homology", counted_resolution)
+    for field in (QQ, GF2, GF3):
+        multiplicities(ranked_poset(0), field)
+    assert calls == resolved == []
+    # path6 has 41 elements, and only 6 intervals hold a chain of three:
+    # over GF(2) and Q one resolution answers them all
+    path6 = build_Q_poset(Graph.path(6))
+    for field in (GF2, QQ):
+        multiplicities(path6, field)
     assert calls == []
-    # path6 has 41 elements, and only 6 intervals hold a chain of three
-    multiplicities(build_Q_poset(Graph.path(6)))
+    assert resolved == [41, 41]
+    # over GF(3) each of the 6 has its chains enumerated and reduced
+    multiplicities(path6, GF3)
     assert len(calls) == 6
     assert min(calls) >= 4
+    assert resolved == [41, 41]
 
 
 def test_neg_inf_prints_as_minus_inf():

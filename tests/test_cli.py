@@ -825,6 +825,27 @@ def test_main_long_chain_file_is_prompt(tmp_path):
     )
 
 
+def test_main_path9_passes_the_face_budget_promptly(tmp_path):
+    # every interval is sized before any homology: enumerating the largest
+    # one's chains up to the budget took 2.35 s
+    path = tmp_path / "path9.edges"
+    path.write_text(
+        "n 9\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 9)), encoding="utf-8"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "defreg.cli", "--mode", "graph", "--edges", str(path)],
+        capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=5,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == EXIT_BUDGET
+    assert done.stdout == (
+        "error: chain enumeration passed the face budget of 200000\n"
+    )
+
+
 @pytest.mark.parametrize("spec", [
     "gf:1000000000000000001",  # 101 * 9901 * 999999000001
     "gf:318665857834031151167461",  # strong pseudoprime to bases 2..37

@@ -1,7 +1,8 @@
 """Multiplicities pinned past the golden corpus's sizes.
 
 The golden corpus pins report bytes on graphs of at most six vertices and
-ideals of at most six variables; these inputs have up to 243 elements.
+ideals of at most six variables; these inputs have up to 243 elements,
+and path9, pinned over GF(2) under a raised face budget, has 577.
 Each digest is the sha256 of the JSON list of [id, degree, value]
 triples, in node order and by ascending degree, as multiplicities returns
 them.  They were computed by chain enumeration and column reduction, so a
@@ -11,6 +12,11 @@ Re-pinning one changes what the program prints.
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -108,3 +114,34 @@ def test_multiplicities_keep_their_digests(name):
 # interval 1,739,175 faces), pinned from one run of about 20 s that
 # enumerated and reduced every interval's chains
 PATH9_GF2 = "163611cbd357ed533fa4d61bc562061a6c6e758377eea7c8b4e072d1b8da23f8"
+
+
+def defreg_cli(*args):
+    """One CLI run in a fresh interpreter, with this one's -O: (exit, stdout, s)."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    optimize = ["-O"] * sys.flags.optimize
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, *optimize, "-m", "defreg.cli", *args],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=5,
+    )
+    return done.returncode, done.stdout, time.perf_counter() - start
+
+
+def test_path9_over_gf2_under_a_raised_budget(tmp_path):
+    # the homology of every interval, 1.7 million faces for the largest,
+    # from one run under the 5 s limit
+    path = tmp_path / "path9.edges"
+    path.write_text(
+        "n 9\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 9)), encoding="utf-8"
+    )
+    code, out, seconds = defreg_cli(
+        "--mode", "graph", "--edges", str(path), "--json",
+        "--field", "gf:2", "--max-faces", "5000000",
+    )
+    assert code == 0
+    assert seconds < 5
+    mults = {}
+    for row in json.loads(out)["multiplicities"]:
+        mults.setdefault(row["id"], {})[row["degree"]] = row["value"]
+    assert digest(mults) == PATH9_GF2
