@@ -14,25 +14,23 @@ below the top degree only the columns that the degree above left
 unexplained are reduced.
 
 The reduction reports the pivot rows of the columns that survive it, which
-is what clearing needs.  Over GF(2) a column is the set of its rows and is
-reduced by symmetric difference.  Over Q and odd p a column is a sparse
-dict {row: coefficient} with only dim + 1 entries; entries are ints,
-reduced mod p over GF(p) and kept fraction-free over Q, where every
-combined column is divided by the gcd of its entries to keep them small.
-No floating point is used anywhere.
+is what clearing needs.  A column is a sparse dict {row: coefficient}
+with only dim + 1 entries; entries are ints, reduced mod p over GF(p)
+and kept fraction-free over Q, where every combined column is divided by
+the gcd of its entries to keep them small.  No floating point is used
+anywhere.
 
-Over Q the faces are reduced over GF(2) first.  For a chain complex of
-free abelian groups, such as the augmented simplicial chain complex, the
+Over Q, GF(2) dims computed some other way, as by the poset's minimal
+resolution, bound the rational ones.  For a chain complex of free
+abelian groups, such as the augmented simplicial chain complex, the
 universal coefficient theorem (Hatcher, Algebraic Topology, 2002, Thm
 3A.3) gives H_i(GF(2)) = H_i(Z) (x) GF(2) plus Tor(H_{i-1}(Z), GF(2)), so
 dim_Q H_i <= dim_GF(2) H_i in every degree, and both alternating sums
 equal the Euler characteristic of the face counts.  When the GF(2)
 homology is nonzero in at most one degree, these two facts force the
-rational dims to equal it.  Otherwise torsion may make them differ, so the
-same faces are reduced over Q on their own and those two invariants are
-asserted; rational_homology takes that step, also for GF(2) dims found
-without the faces, as by the poset's minimal resolution.  GF(p) for odd
-p is reduced directly.
+rational dims to equal it.  Otherwise torsion may make them differ, so
+rational_homology reduces the faces over Q and asserts those two facts
+against the GF(2) dims.
 
 The complex must be nonvoid: faces[0] == [0], the empty face.  The
 complex of the empty face alone, [[0]], is the order complex of an empty
@@ -116,7 +114,6 @@ class FieldSpec(Record):
         return "rational" if self.is_rationals else f"gf({self.characteristic})"
 
 
-_GF2 = FieldSpec.prime_field(2)
 _QQ = FieldSpec.rationals()
 
 
@@ -129,14 +126,19 @@ def homology_of_faces(
     faces with k bits, so faces[0] is [0]; clearing any bit of a face
     must give a face listed one size down.  Rows and columns follow the
     listed order.  Any order is correct, clearing included, but the order
-    decides how much fill-in the reduction meets.  Over Q the GF(2) dims
-    are returned when they certify the rational ones (see the module
-    docstring).
+    decides how much fill-in the reduction meets.
     """
-    if not field.is_rationals:
-        return _dims(faces, field)
-    two = _dims(faces, _GF2)
-    return two if len(two) <= 1 else rational_homology(faces, two)
+    dims: dict[int, int] = {}
+    cleared: set[int] = set()
+    for k in range(len(faces) - 1, 0, -1):
+        rows = {f: r for r, f in enumerate(faces[k - 1])}
+        kept = (f for c, f in enumerate(faces[k]) if c not in cleared)
+        pivots = pivot_rows((_signed_column(f, rows) for f in kept), field)
+        dims[k - 1] = len(faces[k]) - len(cleared) - len(pivots)
+        assert dims[k - 1] >= 0
+        cleared = set(pivots)
+    dims[-1] = len(faces[0]) - len(cleared)
+    return {d: v for d, v in sorted(dims.items()) if v}
 
 
 def rational_homology(
@@ -148,7 +150,7 @@ def rational_homology(
     that it certifies nothing: the faces are reduced over Q, and the
     result is checked against two by the universal coefficient theorem.
     """
-    dims = _dims(faces, _QQ)
+    dims = homology_of_faces(faces, _QQ)
     assert all(v <= two.get(d, 0) for d, v in dims.items())
     assert _euler(dims) == _euler(two)
     return dims
@@ -156,50 +158,6 @@ def rational_homology(
 
 def _euler(dims: Mapping[int, int]) -> int:
     return sum(-v if d & 1 else v for d, v in dims.items())
-
-
-def _dims(faces: Sequence[Sequence[int]], field: FieldSpec) -> dict[int, int]:
-    """Nonzero reduced homology dims by ascending degree, with clearing."""
-    dims: dict[int, int] = {}
-    cleared: set[int] = set()
-    for k in range(len(faces) - 1, 0, -1):
-        rows = {f: r for r, f in enumerate(faces[k - 1])}
-        kept = (f for c, f in enumerate(faces[k]) if c not in cleared)
-        if field.characteristic == 2:
-            pivots = _gf2_pivot_rows(kept, rows)
-        else:
-            pivots = pivot_rows((_signed_column(f, rows) for f in kept), field)
-        dims[k - 1] = len(faces[k]) - len(cleared) - len(pivots)
-        assert dims[k - 1] >= 0
-        cleared = set(pivots)
-    dims[-1] = len(faces[0]) - len(cleared)
-    return {d: v for d, v in sorted(dims.items()) if v}
-
-
-def _gf2_pivot_rows(faces: Iterable[int], rows: Mapping[int, int]) -> list[int]:
-    """pivot_rows over GF(2) of the boundary columns of these faces.
-
-    A column is the set of rows of the faces that drop one bit of its
-    face, and reducing it is a symmetric difference with the stored
-    column of its pivot.  Stored columns are tuples, which take less
-    memory than sets, or than int bitsets that grow with the pivot row.
-    """
-    reduced: dict[int, tuple[int, ...]] = {}
-    for face in faces:
-        col = set()
-        rest = face
-        while rest:
-            low = rest & -rest
-            col.add(rows[face ^ low])
-            rest ^= low
-        while col:
-            top = max(col)
-            other = reduced.get(top)
-            if other is None:
-                reduced[top] = tuple(col)
-                break
-            col.symmetric_difference_update(other)
-    return list(reduced)
 
 
 def _signed_column(face: int, rows: Mapping[int, int]) -> dict[int, int]:

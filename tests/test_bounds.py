@@ -460,8 +460,14 @@ def test_chain_masks_keep_the_face_budget_exact():
                 poset.interval_chains(k, max_faces=faces - 1)
             assert e.value.max_faces == faces - 1
             if max(map(len, chains)) > 2:
-                # a chain of three leaves the budget to interval_chains
+                # a chain of three leaves the budget to check_faces
                 assert poset.graph_homology(k, max_faces=0) is None
+                poset.check_faces([k], max_faces=faces)
+                with pytest.raises(
+                    FaceBudgetExceeded, match="^chain enumeration passed"
+                ) as e:
+                    poset.check_faces([k], max_faces=faces - 1)
+                assert e.value.max_faces == faces - 1
                 continue
             poset.graph_homology(k, max_faces=faces)
             with pytest.raises(
