@@ -2,7 +2,7 @@
 
 The golden corpus pins report bytes on graphs of at most six vertices and
 ideals of at most six variables; these inputs have up to 243 elements,
-and path9, pinned over GF(2) under a raised face budget, has 577.
+and the three pinned over GF(2) under a raised face budget up to 729.
 Each digest is the sha256 of the JSON list of [id, degree, value]
 triples, in node order and by ascending degree, as multiplicities returns
 them.  They were computed by chain enumeration and column reduction, so a
@@ -110,10 +110,29 @@ def test_multiplicities_keep_their_digests(name):
     for p in (0, 2, 3):
         assert digest(multiplicities(poset, FieldSpec(p))) == want, p
 
-# path9 over GF(2) under --max-faces 5000000 (577 elements, the largest
-# interval 1,739,175 faces), pinned from one run of about 20 s that
-# enumerated and reduced every interval's chains
-PATH9_GF2 = "163611cbd357ed533fa4d61bc562061a6c6e758377eea7c8b4e072d1b8da23f8"
+
+# over GF(2) under --max-faces 5000000, each pinned from one run that
+# enumerated and reduced every interval's chains: path9 in about 20 s
+# (its largest interval has 1,739,175 faces), cycle8 in 6.5 s and
+# 6 disjoint edges in 3.3 s
+RAISED_BUDGET = 5_000_000
+RAISED = {
+    "path9": (graph(9, path_edges(1, 9)), 577,
+        "163611cbd357ed533fa4d61bc562061a6c6e758377eea7c8b4e072d1b8da23f8"),
+    "cycle8": (graph(8, cycle_edges(8)), 618,
+        "7696360919aafbb6b0ed73261e2e867f4147c4d67769ed7b2c920b479631e464"),
+    "6edges": (disjoint_edges(6), 729,
+        "091412f31560a8c16b70a0aad93220b97de3cebdfa138d0042b2ab945d394b9f"),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISED))
+def test_multiplicities_under_a_raised_budget_keep_their_digests(name):
+    build, size, want = RAISED[name]
+    poset = build()
+    assert len(poset) == size
+    mults = multiplicities(poset, FieldSpec(2), max_faces=RAISED_BUDGET)
+    assert digest(mults) == want
 
 
 def defreg_cli(*args):
@@ -137,11 +156,11 @@ def test_path9_over_gf2_under_a_raised_budget(tmp_path):
     )
     code, out, seconds = defreg_cli(
         "--mode", "graph", "--edges", str(path), "--json",
-        "--field", "gf:2", "--max-faces", "5000000",
+        "--field", "gf:2", "--max-faces", str(RAISED_BUDGET),
     )
     assert code == 0
     assert seconds < 5
     mults = {}
     for row in json.loads(out)["multiplicities"]:
         mults.setdefault(row["id"], {})[row["degree"]] = row["value"]
-    assert digest(mults) == PATH9_GF2
+    assert digest(mults) == RAISED["path9"][2]
