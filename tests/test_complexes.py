@@ -57,7 +57,7 @@ def test_projective_plane_depends_on_field():
 
 
 def test_point_and_circle_over_every_field():
-    # torsion-free homology in two degrees: Q is not read off GF(2) here
+    # torsion-free homology in two degrees, the same over every field
     for field in (QQ, GF2, GF3):
         facets = [(0,), (1, 2), (2, 3), (1, 3)]
         assert homology(facets, field) == {0: 1, 1: 1}
