@@ -309,13 +309,13 @@ class AnalysisPoset:
         order complex.  The walk over the interval's components finds any
         chain of three as a non-maximal member with another member below
         it, and then returns None at once, before the face budget is
-        checked, leaving the interval to interval_chains.  Otherwise V
-        members, E comparable pairs and c components give H_0 = c - 1 and
-        H_1 = E - V + c, and with V = 0 a class in degree -1 (Björner,
-        Topological methods, 1995, §9).  A graph's homology is free, so
-        this holds over every field.  1 + V + E is the face count
-        interval_chains would reach, and it is held to max_faces with the
-        same message.
+        checked, leaving the interval to check_faces and the resolution.
+        Otherwise V members, E comparable pairs and c components give
+        H_0 = c - 1 and H_1 = E - V + c, and with V = 0 a class in degree
+        -1 (Björner, Topological methods, 1995, §9).  A graph's homology
+        is free, so this holds over every field.  1 + V + E is the face
+        count interval_chains would reach, and it is held to max_faces
+        with the same message.
         """
         up, down = self._up, self._down
         members = rest = up[k] ^ 1 << k
