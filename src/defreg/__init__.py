@@ -26,7 +26,7 @@ _HOMES = {
     "DEFAULT_MAX_ELEMENTS": "posets",
     "DEFAULT_MAX_FACES": "posets",
     "FaceBudgetExceeded": "posets",
-    "FieldSpec": "complexes",
+    "FieldSpec": "bounds",
     "Graph": "binomial_edge",
     "IdealNode": "posets",
     "NEG_INF": "bounds",

@@ -3,17 +3,15 @@
 Everything here consumes an AnalysisPoset whose nodes carry dimensions.
 For each element q the open interval above q (excluding q, with the
 virtual top left implicit) has an order complex; the multiplicity of q in
-degree d is the reduced homology dimension of that complex in degree d.
-multiplicities computes it exactly, by the first of three methods that
-applies.  An interval with no chain of three elements has its
-comparability graph as order complex, whose homology
-AnalysisPoset.graph_homology reads off vertex, edge and component
-counts.  Every other interval is first held to the face budget by
-AnalysisPoset.check_faces.  Then one minimal resolution,
-AnalysisPoset.resolution_homology, gives the GF(2) homology of all of
-them at once, which is the answer over GF(2) and, when it lies in at
-most one degree, over Q.  Only the rest, and every one over GF(p) for
-odd p, have their chains enumerated and reduced.
+degree d is the reduced homology dimension of that complex in degree d,
+over the field a FieldSpec names.  multiplicities computes it exactly,
+by the first of two methods that applies.  An interval with no chain of
+three elements has its comparability graph as order complex, whose
+homology AnalysisPoset.graph_homology reads off vertex, edge and
+component counts.  Every other interval is first held to the face budget
+by AnalysisPoset.check_faces.  Then one minimal resolution,
+AnalysisPoset.resolution_homology, gives the homology of all of them at
+once, over Q through a GF(2) certificate (see multiplicities).
 
 For a cohomological degree j, the contributing set S_j collects the
 elements p with dim p <= j and nonzero multiplicity in degree
@@ -40,7 +38,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ._record import Record
-from .complexes import FieldSpec, homology_of_faces, rational_homology
 from .posets import DEFAULT_MAX_FACES, AnalysisPoset
 
 NEG_INF = float("-inf")  # reg of the zero module: below every integer
@@ -57,6 +54,73 @@ ASSUMPTION_TEXT = {
 }
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below MAX_CHARACTERISTIC, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < MAX_CHARACTERISTIC."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class FieldSpec(Record):
+    """Coefficient field for homology: characteristic 0 is Q, p is GF(p)."""
+
+    __slots__ = ("characteristic",)
+
+    def __init__(self, characteristic: int = 0) -> None:
+        c = characteristic
+        if type(c) is not int:
+            raise ValueError(f"characteristic {c!r} is not an int")
+        if c >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {c} is too large: primality is decided"
+                f" exactly only below {MAX_CHARACTERISTIC}"
+            )
+        if c != 0 and not _is_prime(c):
+            raise ValueError(f"{c} is not prime")
+        object.__setattr__(self, "characteristic", c)
+
+    @classmethod
+    def rationals(cls) -> "FieldSpec":
+        return cls(0)
+
+    @classmethod
+    def prime_field(cls, p: int) -> "FieldSpec":
+        if p == 0:
+            raise ValueError("0 is not prime")
+        return cls(p)
+
+    @property
+    def is_rationals(self) -> bool:
+        return self.characteristic == 0
+
+    def label(self) -> str:
+        return "rational" if self.is_rationals else f"gf({self.characteristic})"
+
+
 def multiplicities(
     poset: AnalysisPoset,
     field: FieldSpec | None = None,
@@ -71,14 +135,22 @@ def multiplicities(
     element gets the empty complex and multiplicity 1 in degree -1.
 
     Each interval goes first to poset.graph_homology, which needs no
-    reduction, is exact over every field and holds its interval to
+    elimination, is exact over every field and holds its interval to
     max_faces faces.  The intervals it declines, those with a chain of
     three elements, are held to the same budget by poset.check_faces
     before any of them is computed, so an input over budget stops there.
-    Over GF(2) they are answered by poset.resolution_homology.  Over Q
-    so is every one whose GF(2) homology lies in at most one degree (see
-    complexes); the others, and every one over GF(p) for odd p, have
-    their chains enumerated and reduced.
+    poset.resolution_homology then answers them over the field.
+
+    Over Q that takes a GF(2) resolution first, as a certificate.  The
+    augmented chain complex of an order complex is free over Z, so the
+    universal coefficient theorem (Hatcher, Algebraic Topology, 2002,
+    Thm 3A.3) gives H_i(GF(2)) = H_i(Z) (x) GF(2) plus
+    Tor(H_{i-1}(Z), GF(2)): dim_Q H_i <= dim_GF(2) H_i in every degree,
+    and both alternating sums are the same Euler characteristic.  GF(2)
+    homology in at most one degree therefore forces the rational dims to
+    equal it.  Only when some declined interval's GF(2) homology lies in
+    more than one degree, where torsion may make the two differ, is the
+    resolution run again over Q, and checked against the GF(2) dims.
     """
     if field is None:
         field = FieldSpec.rationals()
@@ -87,7 +159,7 @@ def multiplicities(
 
     def graph_method():
         # check_faces sizes each declined interval as it is declined, so
-        # an input over budget stops where chain enumeration stopped
+        # an input over budget stops at the first interval over budget
         for k, node in enumerate(poset.nodes):
             out[node.id] = dims = poset.graph_homology(k, max_faces=max_faces)
             if dims is None:
@@ -97,19 +169,14 @@ def multiplicities(
     poset.check_faces(graph_method(), max_faces=max_faces)
     if declined:
         p = field.characteristic
-        two = poset.resolution_homology() if p in (0, 2) else None
+        homology = poset.resolution_homology(p or 2)
+        if not p and any(len(homology[k]) > 1 for k in declined):
+            two, homology = homology, poset.resolution_homology(0)
+            assert all(
+                v <= two[k].get(d, 0) for k in declined for d, v in homology[k].items()
+            )
         for k in declined:
-            if two is None:
-                dims = homology_of_faces(
-                    poset.interval_chains(k, max_faces=max_faces), field
-                )
-            else:
-                dims = two[k]
-                if not p and len(dims) > 1:
-                    dims = rational_homology(
-                        poset.interval_chains(k, max_faces=max_faces), dims
-                    )
-            out[poset.nodes[k].id] = dims
+            out[poset.nodes[k].id] = homology[k]
     for k, dims in enumerate(out.values()):
         assert (-1 in dims) == poset.is_maximal(k)
     return out

@@ -20,8 +20,7 @@ from collections.abc import Sequence
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .bounds import NEG_INF, BoundReport, analyze
-from .complexes import FieldSpec
+from .bounds import NEG_INF, BoundReport, FieldSpec, analyze
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
     DEFAULT_MAX_FACES,

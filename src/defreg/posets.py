@@ -24,19 +24,19 @@ containment test is needed.
 
 Builders hand in the order as up[k] only, an int mask of the positions at
 or above position k; the constructor derives down[k] from it once, for
-chain enumeration.  This module is the only place that builds, closes or
+the graph method.  This module is the only place that builds, closes or
 cycle-checks such masks.  The constructor checks the masks but never
 closes them, and its transitivity check leaves each element's covers as
 a mask, which hasse() reads.  Relations given as id pairs, such as the
 covers of a poset file, go through AnalysisPoset.from_relations, which
 closes them in one pass over a topological order.  The interval methods
-address an element by its position k, never by its id: is_maximal(k),
-interval_chains(k) and graph_homology(k) read the open interval
-(k, top), and graph_homology(k) returns None when that interval has a
-chain of three elements.  check_faces(positions) holds the listed
-intervals to the face budget by counting their faces, without listing
-them, and resolution_homology() gives the GF(2) homology of every
-interval at once, from one minimal resolution over the incidence
+address an element by its position k, never by its id: is_maximal(k)
+and graph_homology(k) read the open interval (k, top), and
+graph_homology(k) returns None when that interval has a chain of three
+elements.  check_faces(positions) holds the listed intervals to the face
+budget by counting their faces, without listing them, and
+resolution_homology(p) gives the homology of every interval at once over
+GF(p), or Q when p is 0, from one minimal resolution over the incidence
 algebra.
 """
 
@@ -65,7 +65,11 @@ class ClosureBudgetExceeded(RuntimeError):
 
 
 class FaceBudgetExceeded(RuntimeError):
-    """Raised when an interval's order complex would exceed the face budget."""
+    """Raised when an interval's order complex would exceed the face budget.
+
+    The message keeps the words "chain enumeration", though no chains are
+    listed: the CLI prints it, and report text stays byte-stable.
+    """
 
     def __init__(self, max_faces: int) -> None:
         super().__init__(max_faces)
@@ -289,17 +293,6 @@ class AnalysisPoset:
         """Whether position k has nothing strictly above it."""
         return self._up[k] == 1 << k
 
-    def interval_chains(
-        self, k: int, *, max_faces: int = DEFAULT_MAX_FACES
-    ) -> list[list[int]]:
-        """Chains of the open interval (k, top) as int masks of positions, by size.
-
-        This is the order complex of the interval above position k, faces
-        grouped as homology_of_faces takes them, without building the
-        interval poset or anything else of the poset's size.
-        """
-        return _chains(self._down, self._up[k] ^ 1 << k, max_faces)
-
     def graph_homology(
         self, k: int, *, max_faces: int = DEFAULT_MAX_FACES
     ) -> dict[int, int] | None:
@@ -313,9 +306,9 @@ class AnalysisPoset:
         Otherwise V members, E comparable pairs and c components give
         H_0 = c - 1 and H_1 = E - V + c, and with V = 0 a class in degree
         -1 (Björner, Topological methods, 1995, §9).  A graph's homology
-        is free, so this holds over every field.  1 + V + E is the face
-        count interval_chains would reach, and it is held to max_faces
-        with the same message.
+        is free, so this holds over every field.  1 + V + E is the
+        interval's face count, the empty face included, and it is held to
+        max_faces with the message check_faces gives.
         """
         up, down = self._up, self._down
         members = rest = up[k] ^ 1 << k
@@ -357,8 +350,7 @@ class AnalysisPoset:
         uncounted.  The others are counted in one memo, each element after
         the smaller up-sets of everything above it, and every sum stops at
         max_faces + 1, so that no count grows past the budget.  The raise
-        comes at the first listed interval over budget, with the message
-        interval_chains gives.
+        comes at the first listed interval over budget.
         """
         up = self._up
         cap = max_faces + 1
@@ -379,79 +371,84 @@ class AnalysisPoset:
             if count[k] > max_faces:
                 raise FaceBudgetExceeded(max_faces)
 
-    def resolution_homology(self) -> list[dict[int, int]]:
-        """GF(2) reduced homology of every open interval (k, top), by position.
+    def resolution_homology(self, p: int = 2) -> list[dict[int, int]]:
+        """Reduced homology over GF(p), or Q when p is 0, of every (k, top).
 
+        The result lists each open interval's nonzero dims, by position.
         By Cibils (Cohomology of incidence algebras and simplicial
         complexes, J. Pure Appl. Algebra 56, 1989), dim Ext^i(S_x, S_y) =
-        dim H~_{i-2}((x, y)) over the incidence algebra, so the minimal
-        projective resolution of the simple module at the virtual top
-        holds the projective of k in term d + 2 exactly dim H~_d((k, top))
-        times.  The resolution is built over the opposite order, where
-        every module is a subspace of coordinate space at each element and
-        every map a coordinate inclusion.  A generator of degree d sits at
-        an element x with a vector over the generators of degree d - 1,
-        and the module at y is spanned by the generators at or above y.
-        Degree -1 has one generator at each maximal element, whose vector
-        is the single coordinate of the top.  In each degree:
+        dim H~_{i-2}((x, y)) over the incidence algebra over any field, so
+        the minimal projective resolution of the simple module at the
+        virtual top holds the projective of k in term d + 2 exactly
+        dim H~_d((k, top)) times.  The resolution is built over the
+        opposite order, where every module is a subspace of coordinate
+        space at each element and every map a coordinate inclusion.  A
+        generator of degree d sits at an element x with a vector over the
+        generators of degree d - 1, and the module at y is spanned by the
+        generators at or above y.  Degree -1 has one generator at each
+        maximal element, whose vector is the single coordinate of the top.
+        In each degree:
 
         1. at each element y, the vectors of the generators at or above y
-           are eliminated, each carrying a tag bit for its generator; the
+           are eliminated, each carrying a tag for its generator; the
            tags of those that reduce to 0 are a basis of the kernel K_y;
         2. at each element x, a basis of K_x modulo the span of K_a over
            the covers a of x are the generators of the next degree at x.
 
-        Generators and tags are int bitsets.  The number of generators at
-        an element in degree d is its multiplicity in degree d, and the
-        resolution ends when a degree has none.  Its work follows these
-        numbers, not the order complexes' faces.
+        Only the arithmetic depends on the field.  Over GF(2) vectors and
+        tags are int bitsets.  Otherwise they are sparse rows {coordinate:
+        coefficient}, of ints mod p or of Fractions over Q.  A row's pivot
+        is its largest coordinate.  The number of generators at an element
+        in degree d is its multiplicity in degree d, and the resolution
+        ends when a degree has none.  Its work follows these numbers, not
+        the order complexes' faces.
         """
+        # unit(i) is the vector with the single coordinate i
+        if p == 2:
+            unit, zero, reduce = (1).__lshift__, 0, _reduce_bits
+        else:
+            unit, zero, reduce = _unit_row, {}, _row_reducer(p)
         up, covers = self._up, self._covers
         dims: list[dict[int, int]] = [{} for _ in up]
-        gens = [[1] if m == 1 << x else [] for x, m in enumerate(up)]
+        gens = [[unit(0)] if m == 1 << x else [] for x, m in enumerate(up)]
         d = -1
         while True:
             # at: positions holding a generator; tagged[x]: (vector, tag)
             # of the generators at x, tags numbered across the degree
             at = 0
-            tagged: list[list[tuple[int, int]]] = []
-            tag = 1
+            tagged = []
+            tag = 0
             for x, vectors in enumerate(gens):
                 if vectors:
                     at |= 1 << x
                     dims[x][d] = len(vectors)
                 row = []
                 for v in vectors:
-                    row.append((v, tag))
-                    tag <<= 1
+                    row.append((v, unit(tag)))
+                    tag += 1
                 tagged.append(row)
             if not at:
                 break
             kernels = []
             for y, m in enumerate(up):
-                pivots: dict[int, tuple[int, int]] = {}
+                pivots: dict = {}
                 kernel = []
                 for x in _bits(m & at):
                     for v, t in tagged[x]:
-                        while v:
-                            hit = pivots.get(v.bit_length())
-                            if hit is None:
-                                pivots[v.bit_length()] = v, t
-                                break
-                            v ^= hit[0]
-                            t ^= hit[1]
-                        else:
+                        t = reduce(pivots, v, t)
+                        if t is not None:
                             kernel.append(t)
                 kernels.append(kernel)
             gens = []
             for kernel, c in zip(kernels, covers):
                 new = []
                 if kernel:
-                    span: dict[int, int] = {}
+                    # only whether a vector is new counts: its tag is zero
+                    span: dict = {}
                     for a in _bits(c):
                         for t in kernels[a]:
-                            _gf2_insert(span, t)
-                    new = [t for t in kernel if _gf2_insert(span, t)]
+                            reduce(span, t, zero)
+                    new = [t for t in kernel if reduce(span, t, zero) is None]
                 gens.append(new)
             d += 1
         assert _hall_holds(up, dims)
@@ -467,18 +464,68 @@ class AnalysisPoset:
         return [(a, ids[j]) for a, c in zip(ids, self._covers) for j in _bits(c)]
 
 
-def _gf2_insert(pivots: dict[int, int], v: int) -> bool:
-    """Reduce v by the echelon basis pivots; keep and report it if nonzero.
+def _reduce_bits(pivots: dict, v: int, t: int) -> int | None:
+    """Reduce v over GF(2) by the echelon rows pivots, carrying the tag t.
 
-    The basis is keyed by each vector's highest bit, as its bit_length.
+    Return t reduced with it when v reduces to 0.  Otherwise keep (v, t)
+    under v's pivot, as its bit_length, and return None.
     """
     while v:
-        hit = pivots.get(v.bit_length())
+        top = v.bit_length()
+        hit = pivots.get(top)
         if hit is None:
-            pivots[v.bit_length()] = v
-            return True
-        v ^= hit
-    return False
+            pivots[top] = v, t
+            return None
+        v ^= hit[0]
+        t ^= hit[1]
+    return t
+
+
+def _unit_row(i: int) -> dict:
+    return {i: 1}
+
+
+def _row_reducer(p: int) -> Callable:
+    """_reduce_bits for sparse rows, of ints mod p, or of Fractions when p is 0.
+
+    A kept row is scaled so that its pivot entry is 1.
+    """
+    if p:
+        def inverse(c):
+            return pow(c, -1, p)
+    else:
+        from fractions import Fraction
+
+        inverse = Fraction(1).__truediv__
+
+    def minus(row: dict, c, other: dict) -> dict:
+        """row - c * other, without its zero entries."""
+        out = dict(row)
+        for k, y in other.items():
+            x = out.get(k, 0) - c * y
+            if p:
+                x %= p
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+        return out
+
+    def reduce(pivots: dict, v: dict, t: dict) -> dict | None:
+        while v:
+            top = max(v)
+            hit = pivots.get(top)
+            if hit is None:
+                # c * v and c * t, as 0 - (-c) * v and 0 - (-c) * t
+                c = inverse(v[top])
+                pivots[top] = minus({}, -c, v), minus({}, -c, t)
+                return None
+            c = v[top]
+            v = minus(v, c, hit[0])
+            t = minus(t, c, hit[1])
+        return t
+
+    return reduce
 
 
 def _hall_holds(up: Sequence[int], dims: Sequence[dict[int, int]]) -> bool:
@@ -495,39 +542,6 @@ def _hall_holds(up: Sequence[int], dims: Sequence[dict[int, int]]) -> bool:
         sum(-v if d & 1 else v for d, v in h.items()) == -e[k]
         for k, h in enumerate(dims)
     )
-
-
-def _chains(down: Sequence[int], members: int, max_faces: int) -> list[list[int]]:
-    """Chains of the elements in the mask members, as position masks grouped by size.
-
-    A chain grows from its one-shorter prefix by a member y strictly below
-    the prefix's bottom, so clearing any bit of a chain gives a mask listed
-    one size down.  Each chain of the working size carries the mask
-    down[y] & members ^ (1 << y) of what may still go below it, so
-    extending it reads only the poset's own down-masks.  The lists come
-    out grouped by top element, which leaves the column reduction less
-    fill-in than grouping by bottom element (about 1.7x faster on the
-    8-vertex path).  The empty chain counts toward max_faces, as it is a
-    face too.
-    """
-    levels: list[list[int]] = []
-    level, belows = [0], [members]
-    count = 1
-    while level:
-        levels.append(level)
-        longer: list[int] = []
-        longer_belows: list[int] = []
-        for chain, below in zip(level, belows):
-            while below:
-                low = below & -below
-                below ^= low
-                longer.append(chain | low)
-                longer_belows.append(down[low.bit_length() - 1] & members ^ low)
-            if count + len(longer) > max_faces:
-                raise FaceBudgetExceeded(max_faces)
-        count += len(longer)
-        level, belows = longer, longer_belows
-    return levels
 
 
 def join_closure(

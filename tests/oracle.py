@@ -5,13 +5,12 @@ leq, and the closure of a relation by in-place passes to a fixpoint
 rather than the engine's topological pass.  Faces are sorted tuples of
 vertex labels, and a poset's chains are read off its order one
 comparison at a time.  Homology is f_i - rank d_i - rank d_{i+1}, from
-one full boundary map per degree: no clearing, no masks and no GF(2)
-certificate for Q.  The one piece shared with the engine is
-complexes.pivot_rows, whose ranks test_complexes checks against ranks
-from minors.
+one full boundary map per degree: no resolution, no masks and no GF(2)
+certificate for Q.  Each rank comes from dense Gaussian elimination over
+Fraction or mod p, which test_complexes checks against ranks from
+minors.  Nothing here imports from the package.
 
-The graph and monomial references work on plain sets and import nothing
-from the package.  A vertex is 1..n and a binomial edge prime is a pair
+The graph and monomial references work on plain sets.  A vertex is 1..n and a binomial edge prime is a pair
 (killed, blocks): the frozenset of killed vertices and a tuple of
 frozensets partitioning the rest.
 
@@ -27,8 +26,7 @@ frozensets partitioning the rest.
 """
 
 import itertools
-
-from defreg.complexes import pivot_rows
+from fractions import Fraction
 
 
 def leq(poset, a, b):
@@ -83,26 +81,56 @@ def rank_oracle(faces, field):
     """Nonzero reduced homology dims, by ascending degree, of these faces.
 
     faces are sorted tuples, closed under taking subsets, the empty face
-    included; dropping the k-th vertex of a face has sign (-1)^k.
+    included; dropping the k-th vertex of a face has sign (-1)^k.  field
+    is read only for its characteristic.
     """
     by_size = {}
     for f in faces:
         by_size.setdefault(len(f), set()).add(f)
-    rows = {f: r for size in by_size.values() for r, f in enumerate(sorted(size))}
     top = max(by_size)
-    ranks = {
-        k: len(pivot_rows(
-            ({rows[f[:i] + f[i + 1:]]: -1 if i & 1 else 1 for i in range(k)}
-             for f in by_size[k]),
-            field,
-        ))
-        for k in range(1, top + 1)
-    }
+    ranks = {}
+    for k in range(1, top + 1):
+        rows = {f: r for r, f in enumerate(sorted(by_size[k - 1]))}
+        matrix = []
+        for f in sorted(by_size[k]):
+            column = [0] * len(rows)
+            for i in range(k):
+                column[rows[f[:i] + f[i + 1:]]] = -1 if i & 1 else 1
+            matrix.append(column)
+        ranks[k] = matrix_rank(matrix, field.characteristic)
     dims = {
         k - 1: len(by_size[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(top + 1)
     }
     return {d: v for d, v in dims.items() if v}
+
+
+def matrix_rank(rows, p):
+    """Rank of a dense matrix, given by its rows, over Q (p = 0) or GF(p).
+
+    Gaussian elimination, column by column: a row with a nonzero entry in
+    the column is swapped up to be the pivot and cancels that entry from
+    every row below it.  Entries are ints mod p, or over Q ints until an
+    elimination makes them Fractions.
+    """
+    rows = [[x % p for x in row] if p else list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        hit = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if hit is None:
+            continue
+        pivot = rows[hit]
+        rows[hit] = rows[rank]
+        rows[rank] = pivot
+        inv = pow(pivot[c], -1, p) if p else Fraction(1) / pivot[c]
+        support = [(j, b) for j, b in enumerate(pivot) if b]
+        for row in rows[rank + 1:]:
+            f = row[c] * inv
+            if f:
+                for j, b in support:
+                    row[j] = (row[j] - f * b) % p if p else row[j] - f * b
+        rank += 1
+    return rank
 
 
 def closure(facets):
@@ -113,20 +141,6 @@ def closure(facets):
         for k in range(len(facet) + 1)
         for face in itertools.combinations(sorted(facet), k)
     }
-
-
-def faces_by_size(facets):
-    """The closure of facets in the form homology_of_faces takes.
-
-    A face is the mask of its vertices' positions in sorted order, and
-    entry k lists the faces with k vertices, so entry 0 is [0].
-    """
-    faces = closure(facets)
-    pos = {v: k for k, v in enumerate(sorted({v for f in faces for v in f}))}
-    out = [[] for _ in range(max(map(len, faces)) + 1)]
-    for face in sorted(faces):
-        out[len(face)].append(sum(1 << pos[v] for v in face))
-    return out
 
 
 def components(vertices, edges):

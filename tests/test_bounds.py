@@ -9,13 +9,13 @@ from defreg.binomial_edge import Graph, build_Q_poset
 import defreg
 from defreg.bounds import (
     NEG_INF,
+    FieldSpec,
     analyze,
     check_conditions,
     multiplicities,
     murai_terai_level,
 )
 from defreg.cli import parse_graph_file, parse_poset_doc
-from defreg.complexes import FieldSpec
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import AnalysisPoset, FaceBudgetExceeded, IdealNode, RingContext
 from oracle import chains_by_leq, covers_by_leq, cycle_edges, leq, rank_oracle
@@ -376,10 +376,12 @@ RP2_FACETS = [
 ]
 
 
-def test_projective_plane_interval_depends_on_the_field():
-    # the faces of RP^2, a face below each of its own faces: the interval
-    # above the bottom is its barycentric subdivision, whose GF(2)
-    # homology sits in two degrees, so Q needs its own reduction
+def projective_plane_faces():
+    """The faces of RP^2, a face below each of its own faces, over a bottom.
+
+    The interval above the bottom is the barycentric subdivision of RP^2,
+    whose GF(2) homology sits in two degrees.
+    """
     faces = {
         frozenset(f)
         for facet in RP2_FACETS
@@ -387,10 +389,15 @@ def test_projective_plane_interval_depends_on_the_field():
         for f in itertools.combinations(facet, k)
     }
     name = {f: "f" + "".join(map(str, sorted(f))) for f in faces}
-    poset = with_bottom(
+    return with_bottom(
         sorted(name.values()),
         [(name[f], name[g]) for f in faces for g in faces if g < f],
     )
+
+
+def test_projective_plane_interval_depends_on_the_field():
+    # torsion makes Q and GF(2) differ, so Q needs its own resolution
+    poset = projective_plane_faces()
     assert len(poset) == 32
     for field, want in ((QQ, {}), (GF2, {1: 1, 2: 1}), (GF3, {})):
         assert multiplicities(poset, field)["bottom"] == want, field
@@ -419,7 +426,7 @@ def test_torsion_free_interval_in_two_degrees():
 def test_torsion_free_rank_three_interval_in_two_degrees():
     # above the bottom: a point and the octahedral 2-sphere
     # x1, x2 < y1, y2 < z1, z2; its GF(2) homology sits in two degrees,
-    # so Q takes its own reduction
+    # so Q takes its own resolution
     levels = [("x1", "x2"), ("y1", "y2"), ("z1", "z2")]
     poset = with_bottom(
         ["a"] + [pid for level in levels for pid in level],
@@ -452,13 +459,6 @@ def test_chain_masks_keep_the_face_budget_exact():
         for k, nd in enumerate(poset.nodes):
             chains = chains_by_leq(poset, nd.id)
             faces = len(chains)
-            levels = poset.interval_chains(k, max_faces=faces)
-            assert sum(map(len, levels)) == faces
-            with pytest.raises(
-                FaceBudgetExceeded, match="^chain enumeration passed"
-            ) as e:
-                poset.interval_chains(k, max_faces=faces - 1)
-            assert e.value.max_faces == faces - 1
             if max(map(len, chains)) > 2:
                 # a chain of three leaves the budget to check_faces
                 assert poset.graph_homology(k, max_faces=0) is None
@@ -492,36 +492,27 @@ def test_graph_method_keeps_the_face_budget_exact():
 
 
 def test_graph_intervals_skip_chain_enumeration(monkeypatch):
-    calls = []
-    inner = defreg.bounds.homology_of_faces
     resolve = AnalysisPoset.resolution_homology
     resolved = []
 
-    def counted(faces, field):
-        calls.append(len(faces))
-        return inner(faces, field)
+    def counted_resolution(poset, p=2):
+        resolved.append((len(poset), p))
+        return resolve(poset, p)
 
-    def counted_resolution(poset):
-        resolved.append(len(poset))
-        return resolve(poset)
-
-    monkeypatch.setattr(defreg.bounds, "homology_of_faces", counted)
     monkeypatch.setattr(AnalysisPoset, "resolution_homology", counted_resolution)
     for field in (QQ, GF2, GF3):
         multiplicities(ranked_poset(0), field)
-    assert calls == resolved == []
+    assert resolved == []
     # path6 has 41 elements, and only 6 intervals hold a chain of three:
-    # over GF(2) and Q one resolution answers them all
+    # one resolution answers them all, over Q its GF(2) certificate
     path6 = build_Q_poset(Graph.path(6))
-    for field in (GF2, QQ):
+    for field in (QQ, GF2, GF3):
         multiplicities(path6, field)
-    assert calls == []
-    assert resolved == [41, 41]
-    # over GF(3) each of the 6 has its chains enumerated and reduced
-    multiplicities(path6, GF3)
-    assert len(calls) == 6
-    assert min(calls) >= 4
-    assert resolved == [41, 41]
+    assert resolved == [(41, 2), (41, 2), (41, 3)]
+    # RP^2's GF(2) homology lies in two degrees, so Q resolves again
+    resolved.clear()
+    multiplicities(projective_plane_faces(), QQ)
+    assert resolved == [(32, 2), (32, 0)]
 
 
 def test_neg_inf_prints_as_minus_inf():

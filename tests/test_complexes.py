@@ -4,14 +4,9 @@ import re
 
 import pytest
 
-from defreg.complexes import (
-    MAX_CHARACTERISTIC,
-    FieldSpec,
-    _is_prime,
-    homology_of_faces,
-    pivot_rows,
-)
-from oracle import closure, components, faces_by_size, rank_oracle
+from defreg.bounds import MAX_CHARACTERISTIC, FieldSpec, _is_prime, multiplicities
+from oracle import closure, components, matrix_rank, rank_oracle
+from test_bounds import with_bottom
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -26,9 +21,25 @@ RP2_FACETS = [
 
 
 def homology(facets, field):
-    """homology_of_faces of the complex with these facets, checked by the oracle."""
-    dims = homology_of_faces(faces_by_size(facets), field)
-    assert dims == rank_oracle(closure(facets), field), (facets, field)
+    """The homology of the complex with these facets, checked by the oracle.
+
+    It is read through multiplicities, at a bottom element added below
+    the complex's face poset, where each face lies below its own faces:
+    the interval above the bottom is the barycentric subdivision.
+    """
+    faces = closure(facets)
+    name = {f: ",".join(map(str, f)) for f in sorted(faces) if f}
+    poset = with_bottom(
+        list(name.values()),
+        [
+            (name[f], name[g])
+            for f in name
+            for k in range(1, len(f))
+            for g in itertools.combinations(f, k)
+        ],
+    )
+    dims = multiplicities(poset, field)["bottom"]
+    assert dims == rank_oracle(faces, field), (facets, field)
     assert list(dims) == sorted(dims) and all(dims.values())
     return dims
 
@@ -79,15 +90,15 @@ def check_random_complex_identities(seed, count, max_verts, max_facets):
         for _ in range(rng.randint(1, max_facets)):
             size = rng.randint(1, min(4, nverts))
             facets.append(tuple(rng.sample(range(1, nverts + 1), size)))
-        faces = faces_by_size(facets)
+        faces = closure(facets)
         hq = homology(facets, QQ)
         h2 = homology(facets, GF2)
         homology(facets, GF3)
-        # vertices are the one-bit faces, edges the two-bit ones
-        edges = [(e & -e, e & e - 1) for e in (faces[2] if len(faces) > 2 else ())]
-        assert hq.get(0, 0) == len(components(faces[1], edges)) - 1
+        vertices = [f[0] for f in faces if len(f) == 1]
+        edges = [f for f in faces if len(f) == 2]
+        assert hq.get(0, 0) == len(components(vertices, edges)) - 1
         # a face with k vertices has dimension k - 1
-        euler_faces = sum((-1) ** (k - 1) * len(level) for k, level in enumerate(faces))
+        euler_faces = sum(1 if len(f) & 1 else -1 for f in faces)
         for h in (hq, h2):
             euler_hom = sum((-1) ** i * v for i, v in h.items())
             assert euler_hom == euler_faces
@@ -98,18 +109,8 @@ def test_random_complexes_homology_identities():
     check_random_complex_identities(1105, 80, 9, 6)
 
 
-def rank(columns, field):
-    """The rank is the number of columns that keep a pivot."""
-    return len(pivot_rows(columns, field))
-
-
-def columns(rows, ncols=None):
-    """Sparse columns {row: entry} of a dense matrix given by its rows."""
-    width = len(rows[0]) if rows else ncols
-    return [
-        {r: row[c] for r, row in enumerate(rows) if row[c] != 0}
-        for c in range(width)
-    ]
+def rank(rows, field):
+    return matrix_rank(rows, field.characteristic)
 
 
 def minor_rank(data):
@@ -171,35 +172,21 @@ def test_field_spec_validation():
 
 
 def test_known_ranks():
-    ident = columns([[1, 0], [0, 1]])
-    assert rank(ident, QQ) == 2
-    singular = columns([[1, 2], [2, 4]])
-    assert rank(singular, QQ) == 1
-    zeros = columns([[0, 0], [0, 0]])
-    assert rank(zeros, QQ) == 0
-    wide = columns([[1, 1, 1], [1, 1, 2]])
-    assert rank(wide, QQ) == 2
-    # a 0 x 5 matrix: five empty columns
-    assert rank(columns([], 5), QQ) == 0
-    assert rank([], GF2) == 0
-
-
-def test_pivot_rows_are_distinct_lowest_rows():
-    # columns e0, e0 + e1, e1: the third reduces to zero, and each pivot
-    # is the largest row left in its reduced column
-    assert pivot_rows(columns([[1, 1, 0], [0, 1, 1]]), QQ) == [0, 1]
-    assert pivot_rows(columns([[1, 1, 0], [0, 1, 1]]), GF2) == [0, 1]
-    assert pivot_rows([{3: 2, 5: 4}, {5: 1}], QQ) == [5, 3]
-    assert pivot_rows([{3: 2, 5: 4}, {5: 1}], GF2) == [5]
+    assert rank([[1, 0], [0, 1]], QQ) == 2
+    assert rank([[1, 2], [2, 4]], QQ) == 1
+    assert rank([[0, 0], [0, 0]], QQ) == 0
+    assert rank([[1, 1, 1], [1, 1, 2]], QQ) == 2
+    # 0 x 5 and 5 x 0 matrices
+    assert rank([], QQ) == 0
+    assert rank([[]] * 5, GF2) == 0
 
 
 def test_rank_depends_on_characteristic():
-    two = columns([[2]])
-    assert rank(two, QQ) == 1
-    assert rank(two, GF2) == 0
-    assert rank(two, GF3) == 1
+    assert rank([[2]], QQ) == 1
+    assert rank([[2]], GF2) == 0
+    assert rank([[2]], GF3) == 1
     # determinant 3, so the matrix drops rank exactly at p = 3
-    m = columns([[1, 2], [2, 1]])
+    m = [[1, 2], [2, 1]]
     assert rank(m, QQ) == 2
     assert rank(m, GF3) == 1
     assert rank(m, GF2) == 2
@@ -211,13 +198,12 @@ def test_random_ranks_match_minor_oracle():
         m = rng.randint(0, 4)
         n = rng.randint(0, 4)
         data = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        mat = columns(data, n)
-        got = rank(mat, QQ)
+        got = rank(data, QQ)
         assert got == minor_rank(data)
         # rank never exceeds either dimension, and mod p never exceeds rank over Q
         assert got <= min(m, n)
-        assert rank(mat, GF2) <= got
-        assert rank(mat, GF3) <= got
+        assert rank(data, GF2) <= got
+        assert rank(data, GF3) <= got
 
 
 def test_transpose_has_equal_rank():
@@ -226,7 +212,6 @@ def test_transpose_has_equal_rank():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         data = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-        mat = columns(data)
-        tr = columns(list(map(list, zip(*data))), m)
-        assert rank(mat, QQ) == rank(tr, QQ)
-        assert rank(mat, GF3) == rank(tr, GF3)
+        tr = [list(col) for col in zip(*data)]
+        assert rank(data, QQ) == rank(tr, QQ)
+        assert rank(data, GF3) == rank(tr, GF3)

@@ -21,8 +21,7 @@ import time
 import pytest
 
 from defreg.binomial_edge import Graph, build_Q_poset
-from defreg.bounds import multiplicities
-from defreg.complexes import FieldSpec
+from defreg.bounds import FieldSpec, multiplicities
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import RingContext
 from oracle import cycle_edges
@@ -149,7 +148,8 @@ def defreg_cli(*args):
     return done.returncode, done.stdout, time.perf_counter() - start
 
 
-def test_path9_over_gf2_under_a_raised_budget(tmp_path):
+@pytest.mark.parametrize("field", ["gf:2", "gf:3"])
+def test_path9_under_a_raised_budget(tmp_path, field):
     # the homology of every interval, 1.7 million faces for the largest,
     # from one run under the 5 s limit
     path = tmp_path / "path9.edges"
@@ -158,7 +158,7 @@ def test_path9_over_gf2_under_a_raised_budget(tmp_path):
     )
     code, out, seconds = defreg_cli(
         "--mode", "graph", "--edges", str(path), "--json",
-        "--field", "gf:2", "--max-faces", str(RAISED_BUDGET),
+        "--field", field, "--max-faces", str(RAISED_BUDGET),
     )
     assert code == 0
     assert seconds < 5

@@ -196,7 +196,7 @@ print(*sorted(m for m in sys.modules if m.startswith("defreg.")))
 """
 
 DATA = pathlib.Path(__file__).parent / "data"
-EVERY_RUN = ["_record", "bounds", "cli", "complexes", "posets"]
+EVERY_RUN = ["_record", "bounds", "cli", "posets"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
