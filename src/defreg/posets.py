@@ -375,6 +375,9 @@ class AnalysisPoset:
         """Reduced homology over GF(p), or Q when p is 0, of every (k, top).
 
         The result lists each open interval's nonzero dims, by position.
+        p must be 0 or a prime, as a FieldSpec's characteristic is; it is
+        not checked here.
+
         By Cibils (Cohomology of incidence algebras and simplicial
         complexes, J. Pure Appl. Algebra 56, 1989), dim Ext^i(S_x, S_y) =
         dim H~_{i-2}((x, y)) over the incidence algebra over any field, so

@@ -10,9 +10,10 @@ certificate for Q.  Each rank comes from dense Gaussian elimination over
 Fraction or mod p, which test_complexes checks against ranks from
 minors.  Nothing here imports from the package.
 
-The graph and monomial references work on plain sets.  A vertex is 1..n and a binomial edge prime is a pair
-(killed, blocks): the frozenset of killed vertices and a tuple of
-frozensets partitioning the rest.
+The graph and monomial references work on plain sets.  A vertex is
+1..n and a binomial edge prime is a pair (killed, blocks): the
+frozenset of killed vertices and a tuple of frozensets partitioning the
+rest.
 
 - components(vertices, edges): the connected components, by a set walk;
 - contains(p, q) and prime_key(p): containment of two primes' ideals, and
