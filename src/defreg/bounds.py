@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ._record import Record
-from .posets import DEFAULT_MAX_FACES, AnalysisPoset
+from .posets import DEFAULT_MAX_FACES, MAX_CHARACTERISTIC, AnalysisPoset, _is_prime
 
 NEG_INF = float("-inf")  # reg of the zero module: below every integer
 
@@ -52,37 +52,6 @@ ASSUMPTION_TEXT = {
         " assumed, not checked"
     ),
 }
-
-
-# Miller-Rabin with the first 13 primes as bases decides primality exactly
-# below MAX_CHARACTERISTIC, the least strong pseudoprime to all of them
-# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MAX_CHARACTERISTIC = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < MAX_CHARACTERISTIC."""
-    if n < 2:
-        return False
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class FieldSpec(Record):

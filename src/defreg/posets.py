@@ -5,39 +5,18 @@ the minimal primes are the maximal elements of the poset, sitting just below
 a virtual top element that is never stored; all homology happens on the open
 intervals (p, top), which are simply the strict up-sets.
 
-The poset of sums is built by a worklist closure over canonical prime
-representations, which are plain hashable values (int masks for face
-primes, packed relation bytes for clique primes).  The closure runs one
-turn per element, in label order: on its turn an element goes to one
-callback, which sums it with every element it was handed before and
-returns the minimal primes of those sums in pair order, plus two masks
-saying which earlier elements lie below and which lie above it.  A sum
-whose primes are already in the pool may be left out: one the callback
-met before, on an earlier turn or earlier in the same one, or one equal
-to an element.  Unseen pieces join the pool in the order given until a
-fixpoint.  Labels p_1, p_2, ... follow first-appearance order, with the
-generators fed in one at a time so that sums of early generators are
-labelled before later generators.
-The order is read off the same sums: a + b = a says that ideal(a)
-contains ideal(b), and every pair is summed exactly once, so no separate
-containment test is needed.
+The poset of sums is built by join_closure, which reads the order off
+the same sums: a + b = a says that ideal(a) contains ideal(b).
 
-Builders hand in the order as up[k] only, an int mask of the positions at
-or above position k; the constructor derives down[k] from it once, for
-the graph method.  This module is the only place that builds, closes or
-cycle-checks such masks.  The constructor checks the masks but never
-closes them, and its transitivity check leaves each element's covers as
-a mask, which hasse() reads.  Relations given as id pairs, such as the
-covers of a poset file, go through AnalysisPoset.from_relations, which
-closes them in one pass over a topological order.  The interval methods
-address an element by its position k, never by its id: is_maximal(k)
-and graph_homology(k) read the open interval (k, top), and
-graph_homology(k) returns None when that interval has a chain of three
-elements.  check_faces(positions) holds the listed intervals to the face
-budget by counting their faces, without listing them, and
-resolution_homology(p) gives the homology of every interval at once over
-GF(p), or Q when p is 0, from one minimal resolution over the incidence
-algebra.
+The order is given as up[k] only, an int mask of the positions at or
+above position k.  This module is the only place that builds, closes or
+checks such masks.  The constructor checks them, never closes them, and
+keeps each element's covers as a mask, which hasse(), the graph method
+and the resolution read.  Id pairs, such as the covers of a poset file,
+go through AnalysisPoset.from_relations, which closes them in one pass
+over a topological order.  The interval methods (is_maximal,
+graph_homology, check_faces and resolution_homology) address an element
+by its position k, never by its id, and read the open interval (k, top).
 """
 
 from __future__ import annotations
@@ -49,6 +28,26 @@ from ._record import Record
 
 DEFAULT_MAX_ELEMENTS = 10_000
 DEFAULT_MAX_FACES = 200_000
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below MAX_CHARACTERISTIC, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < MAX_CHARACTERISTIC."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    # n - 1 = d * 2^s, d odd; base a passes if a^d = 1 or a^(d * 2^r) = -1, r < s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        if pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 # The exceptions keep their constructor arguments as args and format the
@@ -109,12 +108,11 @@ class RingContext(Record):
 class IdealNode(Record):
     """One poset element: a prime component together with its numeric data.
 
-    ideal is the component in its builder's own form, which the engine
-    never reads: the packed same-block relation (bytes) from build_Q_poset,
-    the variable mask (an int, bit k for ring.var_names[k]) from
-    build_monomial_poset, None from a poset file.  height is optional
-    because abstract inputs may omit it; dim never is, since every bound in
-    the engine is a maximum of dims.
+    ideal is in its builder's own form, which the engine never reads:
+    packed same-block relation bytes from build_Q_poset, a variable mask
+    (bit k for ring.var_names[k]) from build_monomial_poset, None from a
+    poset file.  height is optional, as abstract inputs may omit it; dim
+    is not, since every bound in the engine is a maximum of dims.
     """
 
     __slots__ = ("id", "ideal", "dim", "height", "is_cm")
@@ -148,14 +146,12 @@ def _close(up: Sequence[int]) -> list[int]:
     element its mask names is closed, and its closed mask is then ORed
     into each element that names it, one OR per listed pair.  Elements
     that a cycle leaves unclosed (a self-bit counts as a cycle) finish by
-    in-place passes to a fixpoint.  The closure is unique, so the masks
-    do not depend on the route.
+    in-place passes to a fixpoint; the closure is unique either way.
     """
     up = list(up)
     below: list[list[int]] = [[] for _ in up]
-    waiting = []
+    waiting = [m.bit_count() for m in up]
     for i, m in enumerate(up):
-        waiting.append(m.bit_count())
         for j in _bits(m):
             below[j].append(i)
     done = [i for i, w in enumerate(waiting) if not w]
@@ -167,17 +163,13 @@ def _close(up: Sequence[int]) -> list[int]:
             if not waiting[i]:
                 done.append(i)
     rest = [i for i, w in enumerate(waiting) if w]
-    changed = True
-    while changed:
-        changed = False
+    while rest:
+        before = [up[i] for i in rest]
         for i in rest:
-            m = up[i]
-            acc = m
-            for j in _bits(m):
-                acc |= up[j]
-            if acc != m:
-                up[i] = acc
-                changed = True
+            for j in _bits(up[i]):
+                up[i] |= up[j]
+        if before == [up[i] for i in rest]:
+            break
     return up
 
 
@@ -187,15 +179,23 @@ class AnalysisPoset:
     up[k] is the mask of positions at or above position k; the constructor
     adds the reflexive bit and verifies antisymmetry and transitivity, so a
     builder that derives its order (join_closure) is checked, never
-    silently repaired.  The check ORs the strict up-sets of each strict
-    up-set, one OR per comparable pair: that union stays inside up[k]
-    exactly when the masks are closed, and what it leaves out of k's
-    strict up-set are k's covers.
+    silently repaired.  With S(i) the strict up-set of i, the check picks
+    from rest = S(i), until it is empty, whichever end (highest or lowest
+    position) has the larger S(j); a pick ORs S(j) into acc and drops S(j)
+    and j from rest.  i fails when acc leaves S(i).
+
+    That is as strong as a check of every comparable pair.  Were there k
+    in S(i) and l in S(k) outside S(i), l = i included, with every i
+    passing, k would be no pick, as S(k) would lie in acc; so k lies in
+    S(j) for a pick j, and S(j), inside acc but missing j, is a proper
+    subset of S(i): (j, k, l) is a violation with a smaller strict up-set,
+    and these cannot shrink forever.  Conversely, in a partial order each
+    k in S(i) is a pick or in a pick's S(j), which holds S(k), so S(i) &
+    ~acc are i's covers; _lower holds their transpose.  On a failure one
+    pass over the comparable pairs raises the per-pair check's error.
     """
 
-    __slots__ = (
-        "_nodes", "_up", "_down", "_covers", "ring", "provenance",
-    )
+    __slots__ = ("_nodes", "_up", "_covers", "_lower", "_maximal", "ring", "provenance")
 
     def __init__(
         self,
@@ -216,27 +216,36 @@ class AnalysisPoset:
             raise ValueError(f"up-mask names a position outside 0..{n - 1}")
         up = [m | 1 << k for k, m in enumerate(up)]
         strict = [m ^ 1 << k for k, m in enumerate(up)]
-        down = [1 << k for k in range(n)]
-        covers = []
-        transitive = True
+        size = [m.bit_count() for m in strict]
+        covers, lower, maximal = [], [0] * n, 0
         for i, m in enumerate(strict):
-            bit = 1 << i
-            # what lies strictly above something strictly above i
-            acc = 0
-            for j in _bits(m):
-                down[j] |= bit
+            acc, rest = 0, m
+            while rest:
+                j = rest.bit_length() - 1
+                low = (rest & -rest).bit_length() - 1
+                if size[low] > size[j]:
+                    j = low
                 acc |= strict[j]
-            covers.append(m & ~acc)
-            transitive = transitive and acc | up[i] == up[i]
-        for i, m in enumerate(up):
-            both = m & down[i] ^ 1 << i
-            if both:
-                raise OrderCycle(ids[i], ids[(both & -both).bit_length() - 1])
-        if not transitive:
-            raise ValueError("order relation is not transitively closed")
+                rest &= ~up[j]
+            if acc & ~m:
+                for a, s in enumerate(strict):
+                    for b in _bits(s):
+                        if strict[b] >> a & 1:
+                            raise OrderCycle(ids[a], ids[b])
+                raise ValueError("order relation is not transitively closed")
+            c = m & ~acc
+            covers.append(c)
+            bit = 1 << i
+            while c:
+                low = c & -c
+                lower[low.bit_length() - 1] |= bit
+                c ^= low
+            if not m:
+                maximal |= bit
         self._up = tuple(up)
-        self._down = down
         self._covers = covers
+        self._lower = lower
+        self._maximal = maximal
         self.ring = ring
         self.provenance = provenance
         if ring is not None:
@@ -264,8 +273,7 @@ class AnalysisPoset:
         index = {nd.id: k for k, nd in enumerate(nodes)}
         up = [0] * len(nodes)
         for a, b in pairs:
-            ia = index.get(a)
-            ib = index.get(b)
+            ia, ib = index.get(a), index.get(b)
             if ia is None or ib is None:
                 raise ValueError(f"order relation mentions unknown id in ({a}, {b})")
             # the constructor adds the reflexive bits; left in, a self-pair
@@ -291,7 +299,7 @@ class AnalysisPoset:
 
     def is_maximal(self, k: int) -> bool:
         """Whether position k has nothing strictly above it."""
-        return self._up[k] == 1 << k
+        return bool(self._maximal >> k & 1)
 
     def graph_homology(
         self, k: int, *, max_faces: int = DEFAULT_MAX_FACES
@@ -299,37 +307,41 @@ class AnalysisPoset:
         """Reduced homology of (k, top) read off its comparability graph, or None.
 
         An interval with no chain of three elements has that graph as its
-        order complex.  The walk over the interval's components finds any
-        chain of three as a non-maximal member with another member below
-        it, and then returns None at once, before the face budget is
-        checked, leaving the interval to check_faces and the resolution.
-        Otherwise V members, E comparable pairs and c components give
-        H_0 = c - 1 and H_1 = E - V + c, and with V = 0 a class in degree
-        -1 (Björner, Topological methods, 1995, §9).  A graph's homology
-        is free, so this holds over every field.  1 + V + E is the
-        interval's face count, the empty face included, and it is held to
-        max_faces with the message check_faces gives.
+        order complex.  It has such a chain x < y < z exactly when some
+        member y neither covers k (x lies between) nor is maximal (z lies
+        above), and then None comes back at once, before the face budget
+        is checked, leaving the interval to check_faces and the resolution.
+        Otherwise every comparable pair in the interval is a cover pair
+        from a cover of k up to a maximal element, so E sums the cover
+        counts of k's covers.  A maximal cover of k is a component of its
+        own; one search over the rest of the interval, stepping up through
+        covers and down through _lower, meets each member once.  V
+        members, E pairs and c components give H_0 = c - 1 and
+        H_1 = E - V + c, and with V = 0 a class in degree -1 (Björner,
+        Topological methods, 1995, §9), over every field, as a graph's
+        homology is free.  1 + V + E, the interval's face count with the
+        empty face, is held to max_faces as check_faces holds it.
         """
-        up, down = self._up, self._down
-        members = rest = up[k] ^ 1 << k
-        pairs = comps = 0
+        covers, lower, maximal = self._covers, self._lower, self._maximal
+        members = self._up[k] ^ 1 << k
+        if members & ~covers[k] & ~maximal:
+            return None
+        alone = covers[k] & maximal
+        rest = members ^ alone
+        comps, pairs = alone.bit_count(), 0
         while rest:
             comps += 1
-            reached = frontier = rest & -rest
+            frontier = rest & -rest
             while frontier:
+                rest ^= frontier
                 near = 0
                 while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    x = low.bit_length() - 1
-                    above = up[x].bit_count() - 1
-                    if above and (down[x] & members).bit_count() > 1:
-                        return None
-                    pairs += above
-                    near |= up[x] | down[x]
-                frontier = near & rest & ~reached
-                reached |= frontier
-            rest ^= reached
+                    x = frontier & -frontier
+                    frontier ^= x
+                    x = x.bit_length() - 1
+                    near |= covers[x] | lower[x]
+                    pairs += covers[x].bit_count()
+                frontier = near & rest
         nverts = members.bit_count()
         if 1 + nverts + pairs > max_faces:
             raise FaceBudgetExceeded(max_faces)
@@ -375,22 +387,20 @@ class AnalysisPoset:
         """Reduced homology over GF(p), or Q when p is 0, of every (k, top).
 
         The result lists each open interval's nonzero dims, by position.
-        p must be 0 or a prime, as a FieldSpec's characteristic is; it is
-        not checked here.
+        p must be 0 or a prime below MAX_CHARACTERISTIC, as a FieldSpec's
+        characteristic is, or ValueError names it.
 
         By Cibils (Cohomology of incidence algebras and simplicial
         complexes, J. Pure Appl. Algebra 56, 1989), dim Ext^i(S_x, S_y) =
         dim H~_{i-2}((x, y)) over the incidence algebra over any field, so
         the minimal projective resolution of the simple module at the
         virtual top holds the projective of k in term d + 2 exactly
-        dim H~_d((k, top)) times.  The resolution is built over the
-        opposite order, where every module is a subspace of coordinate
-        space at each element and every map a coordinate inclusion.  A
-        generator of degree d sits at an element x with a vector over the
-        generators of degree d - 1, and the module at y is spanned by the
-        generators at or above y.  Degree -1 has one generator at each
-        maximal element, whose vector is the single coordinate of the top.
-        In each degree:
+        dim H~_d((k, top)) times.  Over the opposite order every module is
+        a subspace of coordinate space at each element and every map a
+        coordinate inclusion.  A generator of degree d sits at an element
+        x with a vector over the generators of degree d - 1; the module at
+        y is spanned by the generators at or above y.  Degree -1 has one
+        generator at each maximal element, the top's coordinate.  In each degree:
 
         1. at each element y, the vectors of the generators at or above y
            are eliminated, each carrying a tag for its generator; the
@@ -398,14 +408,14 @@ class AnalysisPoset:
         2. at each element x, a basis of K_x modulo the span of K_a over
            the covers a of x are the generators of the next degree at x.
 
-        Only the arithmetic depends on the field.  Over GF(2) vectors and
-        tags are int bitsets.  Otherwise they are sparse rows {coordinate:
-        coefficient}, of ints mod p or of Fractions over Q.  A row's pivot
-        is its largest coordinate.  The number of generators at an element
-        in degree d is its multiplicity in degree d, and the resolution
-        ends when a degree has none.  Its work follows these numbers, not
-        the order complexes' faces.
+        Only the arithmetic depends on the field: int bitsets over GF(2),
+        else sparse rows {coordinate: coefficient} of ints mod p or
+        Fractions, pivoting on their largest coordinate.  An element's
+        generators in degree d number its multiplicity in degree d, and
+        the resolution ends at a degree with none.
         """
+        if p and not (p < MAX_CHARACTERISTIC and _is_prime(p)):
+            raise ValueError(f"characteristic {p} is neither 0 nor a prime")
         # unit(i) is the vector with the single coordinate i
         if p == 2:
             unit, zero, reduce = (1).__lshift__, 0, _reduce_bits
@@ -418,9 +428,8 @@ class AnalysisPoset:
         while True:
             # at: positions holding a generator; tagged[x]: (vector, tag)
             # of the generators at x, tags numbered across the degree
-            at = 0
+            at = tag = 0
             tagged = []
-            tag = 0
             for x, vectors in enumerate(gens):
                 if vectors:
                     at |= 1 << x
@@ -458,11 +467,7 @@ class AnalysisPoset:
         return dims
 
     def hasse(self) -> list[tuple[str, str]]:
-        """Cover pairs (lower, upper) of the transitive reduction.
-
-        Lower elements in node order, each one's covers by ascending
-        position, read off the cover masks the constructor recorded.
-        """
+        """Cover pairs (lower, upper), by lower position, then upper position."""
         ids = self.ids()
         return [(a, ids[j]) for a, c in zip(ids, self._covers) for j in _bits(c)]
 
@@ -470,8 +475,8 @@ class AnalysisPoset:
 def _reduce_bits(pivots: dict, v: int, t: int) -> int | None:
     """Reduce v over GF(2) by the echelon rows pivots, carrying the tag t.
 
-    Return t reduced with it when v reduces to 0.  Otherwise keep (v, t)
-    under v's pivot, as its bit_length, and return None.
+    Return t reduced with it when v reduces to 0, else keep (v, t) under
+    v's pivot, its bit_length, and return None.
     """
     while v:
         top = v.bit_length()
@@ -505,13 +510,11 @@ def _row_reducer(p: int) -> Callable:
         """row - c * other, without its zero entries."""
         out = dict(row)
         for k, y in other.items():
-            x = out.get(k, 0) - c * y
+            x = out.pop(k, 0) - c * y
             if p:
                 x %= p
             if x:
                 out[k] = x
-            else:
-                del out[k]
         return out
 
     def reduce(pivots: dict, v: dict, t: dict) -> dict | None:
@@ -558,27 +561,24 @@ def join_closure(
 ) -> AnalysisPoset:
     """Close a family of primes under pairwise sums, ordered by the sums.
 
-    generators are canonical prime representations, already sorted; they
-    are fed in one at a time.  Each element takes one turn, in label
-    order: sums_with(rep) is called once per element, so the elements it
-    was handed before are exactly the earlier ones, e_0, e_1, ... in label
-    order.  It sums rep with each of them, keeping whatever it needs of
-    rep for the later turns, and returns (pieces, below, above):
+    generators are canonical prime representations, already sorted, fed
+    in one at a time.  Each element takes one turn, in label order:
+    sums_with(rep) is called once per element, so the elements it was
+    handed before are exactly the earlier ones, e_0, e_1, ...  It sums
+    rep with each of them, keeping whatever it needs of rep for the later
+    turns, and returns (pieces, below, above):
 
     - pieces: the minimal primes of the sums e_i + rep in canonical
-      form, in the order of i.  The primes of a sum may be left out when
-      they are already in the pool: when the callback met the same sum
-      on an earlier turn, or earlier on this one, or when the sum is an
-      element it was handed.  Leaving them out moves no first
-      appearance, so the labels stay the same;
-    - below: the mask of the positions i with e_i <= rep, that is
-      e_i + rep = e_i;
+      form, in the order of i.  The primes of a sum already in the pool
+      may be left out: one the callback met on an earlier turn or earlier
+      on this one, or one equal to an element it was handed.  That moves
+      no first appearance, so the labels stay the same;
+    - below: the mask of the positions i with e_i <= rep (e_i + rep = e_i);
     - above: the mask of the positions i with rep <= e_i.
 
-    Unseen pieces join the pool in the order given, and every accumulated
-    prime is summed with every other until nothing new appears.  Every
-    pair is summed once, on the turn of the later element, so the masks
-    give the whole order with no separate containment test.
+    Unseen pieces join the pool in the order given until nothing new
+    appears.  Every pair is summed once, on the turn of the later element,
+    so the masks give the whole order with no containment test.
     node_builder(rep, id) turns each representation into its IdealNode.
     """
     if not generators:

@@ -23,7 +23,10 @@ rest.
 - cut_set_primes(killed, vertices, edges): the primes of the cut sets;
 - cover_primes(ring, generators): the inclusion-minimal variable sets
   meeting every generator;
-- cycle_edges(n): the edges of the n-cycle.
+- cycle_edges(n): the edges of the n-cycle;
+- check_order(ids, up) and graph_homology_by_sets(above, k, max_faces):
+  up-masks checked as an order one comparable pair at a time, and an
+  interval's homology read off its comparability graph as sets.
 """
 
 import itertools
@@ -258,3 +261,45 @@ def cover_primes(ring, generators):
 def cycle_edges(n):
     """The edges of the cycle on vertices 1..n."""
     return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+def check_order(ids, up):
+    """The outcome of checking up-masks as an order, one comparable pair at a time.
+
+    up[a] names the positions at or above a; the reflexive bits are
+    implied.  The outcome is ("cycle", ids[a], ids[b]) for the first
+    position a that has some other b both above and below it, b the
+    least such; else ("not closed",) when some c above some b above a is
+    not above a; else ("ok", above), above[a] the set of positions
+    strictly above a.
+    """
+    n = len(up)
+    above = [{b for b in range(n) if b != a and up[a] >> b & 1} for a in range(n)]
+    for a in range(n):
+        for b in sorted(above[a]):
+            if a in above[b]:
+                return ("cycle", ids[a], ids[b])
+    if any(not above[b] <= above[a] for a in range(n) for b in above[a]):
+        return ("not closed",)
+    return ("ok", above)
+
+
+def graph_homology_by_sets(above, k, max_faces):
+    """Reduced homology of the open interval above k, from its comparability graph.
+
+    above[a] is the set strictly above a, in a partial order.  The
+    outcome is None when the interval holds a chain of three, "over
+    budget" when its 1 + V + E faces pass max_faces, and otherwise the
+    nonzero dims: {0: c - 1, 1: E - V + c}, or {-1: 1} when V = 0.
+    """
+    members = above[k]
+    if any(above[y] and any(y in above[x] for x in members) for y in members):
+        return None
+    edges = [(x, y) for x in members for y in above[x]]
+    if 1 + len(members) + len(edges) > max_faces:
+        return "over budget"
+    if not members:
+        return {-1: 1}
+    c = len(components(members, edges))
+    dims = {0: c - 1, 1: len(edges) - len(members) + c}
+    return {d: v for d, v in dims.items() if v}

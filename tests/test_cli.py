@@ -800,29 +800,67 @@ def test_main_high_dimension_is_prompt(tmp_path):
 
 
 def test_main_long_chain_file_is_prompt(tmp_path):
-    # a 3000-element chain: closing its relations by passes to a fixpoint
-    # took 7.5 s and the run 10 s; the constructor's check, one OR per
-    # comparable pair, is most of what remains
+    # a 3000-element chain, listed bottom first and top first: closing its
+    # relations by passes to a fixpoint took 7.5 s and the run 10 s, and an
+    # order check of one OR per comparable pair took 1.2 s of the rest
     n = 3000
-    doc = {
-        "format": 1,
-        "elements": [{"id": f"c{k}", "dim": 0} for k in range(n)],
-        "relations": [[f"c{k}", f"c{k + 1}"] for k in range(n - 1)],
-    }
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    elements = [{"id": f"c{k}", "dim": 0} for k in range(n)]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    argv = [sys.executable, "-m", "defreg.cli", "--mode", "poset", "--poset"]
+    for order in (elements, elements[::-1]):
+        doc = {
+            "format": 1,
+            "elements": order,
+            "relations": [[f"c{k}", f"c{k + 1}"] for k in range(n - 1)],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        done = subprocess.run(
+            argv + [str(path)], capture_output=True, text=True, encoding="utf-8",
+            env=env, timeout=5,
+        )
+        assert time.perf_counter() - start < 5
+        assert done.returncode == EXIT_BUDGET
+        assert done.stdout == (
+            "error: chain enumeration passed the face budget of 200000\n"
+        )
+
+
+def test_main_wide_graph_interval_is_prompt(tmp_path):
+    # one bottom below m disjoint 2-chains and m maximal elements: its
+    # interval is a graph of 2m components, which merging component masks
+    # pairwise took 1.34 s to count at m = 3000, growing as m^2
+    m = 9000
+    elements = [{"id": "b", "dim": 0}] + [
+        {"id": f"{c}{k}", "dim": 0} for k in range(m) for c in "xyz"
+    ]
+    relations = [
+        pair
+        for k in range(m)
+        for pair in (["b", f"x{k}"], [f"x{k}", f"y{k}"], ["b", f"z{k}"])
+    ]
+    path = tmp_path / "comb.json"
+    path.write_text(
+        json.dumps({"format": 1, "elements": elements, "relations": relations}),
+        encoding="utf-8",
+    )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "defreg.cli", "--mode", "poset", "--poset", str(path)],
+        [sys.executable, "-m", "defreg.cli", "--mode", "poset", "--poset", str(path),
+         "--json"],
         capture_output=True, text=True, encoding="utf-8",
         env=env, timeout=5,
     )
     assert time.perf_counter() - start < 5
-    assert done.returncode == EXIT_BUDGET
-    assert done.stdout == (
-        "error: chain enumeration passed the face budget of 200000\n"
-    )
+    assert done.returncode == EXIT_OK
+    dims = {
+        row["degree"]: row["value"]
+        for row in json.loads(done.stdout)["multiplicities"]
+        if row["id"] == "b"
+    }
+    assert dims == {0: 2 * m - 1}
 
 
 def test_main_path9_passes_the_face_budget_promptly(tmp_path):

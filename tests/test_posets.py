@@ -17,7 +17,7 @@ from defreg.posets import (
     RingContext,
     join_closure,
 )
-from oracle import close_by_passes, leq
+from oracle import check_order, close_by_passes, graph_homology_by_sets, leq
 
 
 def node(pid, dim=0, height=None, is_cm=True):
@@ -96,6 +96,68 @@ def test_mask_constructor_checks_and_never_closes():
     with pytest.raises(OrderCycle) as exc:
         AnalysisPoset(nodes, [0b010, 0b101, 0])
     assert exc.value.ids == ("a", "b")
+
+
+def random_masks(rng, n):
+    """Up-masks of a closed order, the same with one bit flipped, or any masks."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return [rng.getrandbits(n) for _ in range(n)]
+    # a random relation along a random linear order, closed
+    rank = rng.sample(range(n), n)
+    density = rng.random()
+    up = [
+        sum(1 << j for j in range(n) if rank[i] < rank[j] and rng.random() < density)
+        for i in range(n)
+    ]
+    up = close_by_passes(up)
+    if kind == 1:
+        up[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return up
+
+
+def test_order_check_matches_the_per_pair_reference():
+    # the constructor checks an order by picks, not by comparable pairs;
+    # every outcome must be the per-pair check's, errors included
+    rng = random.Random(2828)
+    outcomes = {"ok": 0, "cycle": 0, "not closed": 0}
+    for _ in range(10_000):
+        n = rng.randint(1, 9)
+        up = random_masks(rng, n)
+        ids = [f"e{k}" for k in range(n)]
+        want = check_order(ids, up)
+        outcomes[want[0]] += 1
+        try:
+            poset = AnalysisPoset([node(pid) for pid in ids], up)
+        except OrderCycle as exc:
+            assert want[0] == "cycle", (up, want)
+            assert exc.ids == want[1:]
+            a, b = exc.ids
+            assert str(exc) == f"order relation has a cycle through {a} and {b}"
+            continue
+        except ValueError as exc:
+            assert type(exc) is ValueError
+            assert want == ("not closed",), (up, want)
+            assert str(exc) == "order relation is not transitively closed"
+            continue
+        assert want[0] == "ok", (up, want)
+        above = want[1]
+        assert poset.hasse() == [
+            (ids[a], ids[b])
+            for a in range(n)
+            for b in sorted(above[a])
+            if not any(b in above[c] for c in above[a])
+        ]
+        for k in range(n):
+            assert poset.is_maximal(k) is not above[k]
+            for budget in (3, 10, 10**6):
+                expected = graph_homology_by_sets(above, k, budget)
+                try:
+                    got = poset.graph_homology(k, max_faces=budget)
+                except FaceBudgetExceeded:
+                    got = "over budget"
+                assert got == expected, (up, k, budget)
+    assert min(outcomes.values()) > 500, outcomes
 
 
 @pytest.mark.parametrize(
@@ -272,6 +334,16 @@ def test_order_complex_of_empty_poset():
     for p in (0, 2, 3):
         field = FieldSpec(p)
         assert multiplicities(chain_poset(), field)["c"] == {-1: 1}
+
+
+@pytest.mark.parametrize("p", [1, 4, -3])
+def test_resolution_rejects_a_characteristic_that_is_no_field(p):
+    # 1 once raised KeyError and 4 computed over Z/4
+    message = f"^characteristic {p} is neither 0 nor a prime$"
+    with pytest.raises(ValueError, match=message):
+        chain_poset().resolution_homology(p)
+    for q in (0, 2, 3):
+        assert chain_poset().resolution_homology(q) == [{}, {}, {-1: 1}]
 
 
 def _bits(mask):
