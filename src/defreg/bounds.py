@@ -4,14 +4,11 @@ Everything here consumes an AnalysisPoset whose nodes carry dimensions.
 For each element q the open interval above q (excluding q, with the
 virtual top left implicit) has an order complex; the multiplicity of q in
 degree d is the reduced homology dimension of that complex in degree d,
-over the field a FieldSpec names.  multiplicities computes it exactly,
-by the first of two methods that applies.  An interval with no chain of
-three elements has its comparability graph as order complex, whose
-homology AnalysisPoset.graph_homology reads off vertex, edge and
-component counts.  Every other interval is first held to the face budget
-by AnalysisPoset.check_faces.  Then one minimal resolution,
-AnalysisPoset.resolution_homology, gives the homology of all of them at
-once, over Q through a GF(2) certificate (see multiplicities).
+over the field a FieldSpec names.  multiplicities reads it, exactly, off
+one call to AnalysisPoset.homology, which holds every interval to the
+face budget and then answers them all: off their comparability graphs
+when no interval holds a chain of three elements, else by one minimal
+resolution, over Q through a GF(2) certificate.
 
 For a cohomological degree j, the contributing set S_j collects the
 elements p with dim p <= j and nonzero multiplicity in degree
@@ -103,52 +100,14 @@ def multiplicities(
     virtual maximum above everything is never materialized, so a maximal
     element gets the empty complex and multiplicity 1 in degree -1.
 
-    Each interval goes first to poset.graph_homology, which needs no
-    elimination, is exact over every field and holds its interval to
-    max_faces faces.  The intervals it declines, those with a chain of
-    three elements, are held to the same budget by poset.check_faces
-    before any of them is computed, so an input over budget stops there.
-    poset.resolution_homology then answers them over the field.
-
-    Over Q that takes a GF(2) resolution first, as a certificate.  The
-    augmented chain complex of an order complex is free over Z, so the
-    universal coefficient theorem (Hatcher, Algebraic Topology, 2002,
-    Thm 3A.3) gives H_i(GF(2)) = H_i(Z) (x) GF(2) plus
-    Tor(H_{i-1}(Z), GF(2)): dim_Q H_i <= dim_GF(2) H_i in every degree,
-    and both alternating sums are the same Euler characteristic.  GF(2)
-    homology in at most one degree therefore forces the rational dims to
-    equal it.  Only when some declined interval's GF(2) homology lies in
-    more than one degree, where torsion may make the two differ, is the
-    resolution run again over Q, and checked against the GF(2) dims.
+    One call, poset.homology(p, max_faces=max_faces) with p the field's
+    characteristic, computes them all.
     """
     if field is None:
         field = FieldSpec.rationals()
-    out: dict[str, dict[int, int] | None] = {}
-    declined: list[int] = []
-
-    def graph_method():
-        # check_faces sizes each declined interval as it is declined, so
-        # an input over budget stops at the first interval over budget
-        for k, node in enumerate(poset.nodes):
-            out[node.id] = dims = poset.graph_homology(k, max_faces=max_faces)
-            if dims is None:
-                declined.append(k)
-                yield k
-
-    poset.check_faces(graph_method(), max_faces=max_faces)
-    if declined:
-        p = field.characteristic
-        homology = poset.resolution_homology(p or 2)
-        if not p and any(len(homology[k]) > 1 for k in declined):
-            two, homology = homology, poset.resolution_homology(0)
-            assert all(
-                v <= two[k].get(d, 0) for k in declined for d, v in homology[k].items()
-            )
-        for k in declined:
-            out[poset.nodes[k].id] = homology[k]
-    for k, dims in enumerate(out.values()):
-        assert (-1 in dims) == poset.is_maximal(k)
-    return out
+    homology = poset.homology(field.characteristic, max_faces=max_faces)
+    assert all((-1 in dims) == poset.is_maximal(k) for k, dims in enumerate(homology))
+    return {node.id: dims for node, dims in zip(poset.nodes, homology)}
 
 
 class ConditionReport(Record):

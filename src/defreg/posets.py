@@ -11,12 +11,12 @@ the same sums: a + b = a says that ideal(a) contains ideal(b).
 The order is given as up[k] only, an int mask of the positions at or
 above position k.  This module is the only place that builds, closes or
 checks such masks.  The constructor checks them, never closes them, and
-keeps each element's covers as a mask, which hasse(), the graph method
-and the resolution read.  Id pairs, such as the covers of a poset file,
-go through AnalysisPoset.from_relations, which closes them in one pass
-over a topological order.  The interval methods (is_maximal,
-graph_homology, check_faces and resolution_homology) address an element
-by its position k, never by its id, and read the open interval (k, top).
+keeps each element's covers as a mask, which hasse() and homology read.
+Id pairs, such as the covers of a poset file, go through
+AnalysisPoset.from_relations, which closes them in one pass over their
+strongly connected components.  is_maximal and homology address an
+element by its position k, never by its id; homology answers every open
+interval (k, top) in one call.
 """
 
 from __future__ import annotations
@@ -139,38 +139,61 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _close(up: Sequence[int]) -> list[int]:
-    """Transitive closure of up-masks, in one pass over a topological order.
+def _close(up: Sequence[int]) -> tuple[list[int], tuple[int, int] | None]:
+    """Transitive closure of up-masks, and the first cycle, if any.
 
-    Kahn's algorithm, run from the top: an element is closed once every
-    element its mask names is closed, and its closed mask is then ORed
-    into each element that names it, one OR per listed pair.  Elements
-    that a cycle leaves unclosed (a self-bit counts as a cycle) finish by
-    in-place passes to a fixpoint; the closure is unique either way.
+    One iterative Tarjan walk up the listed pairs finishes each strongly
+    connected component after every component above it.  acc[v] ORs v's
+    mask with acc of each element it names, one OR per listed pair; one
+    still on the stack is in v's component, whose closed mask ORs its
+    members' acc.  The cycle is (a, b): a the least position in a
+    component of two or more elements, b the least other member of it.
     """
-    up = list(up)
-    below: list[list[int]] = [[] for _ in up]
-    waiting = [m.bit_count() for m in up]
-    for i, m in enumerate(up):
-        for j in _bits(m):
-            below[j].append(i)
-    done = [i for i, w in enumerate(waiting) if not w]
-    for j in done:
-        m = up[j]
-        for i in below[j]:
-            up[i] |= m
-            waiting[i] -= 1
-            if not waiting[i]:
-                done.append(i)
-    rest = [i for i, w in enumerate(waiting) if w]
-    while rest:
-        before = [up[i] for i in rest]
-        for i in rest:
-            for j in _bits(up[i]):
-                up[i] |= up[j]
-        if before == [up[i] for i in rest]:
-            break
-    return up
+    n, acc, rest = len(up), list(up), list(up)  # rest[v]: names left to walk
+    order, low = [0] * n, [0] * n  # visits from 1; 0: unvisited, n + 1: done
+    stack, walk, seen, cycle = [], [], 0, None
+    for root in range(n):
+        if not order[root]:
+            walk.append(root)
+        while walk:
+            v = walk[-1]
+            if not order[v]:
+                seen += 1
+                order[v] = low[v] = seen
+                stack.append(v)
+            m = rest[v]
+            while m:
+                bit = m & -m
+                m ^= bit
+                w = bit.bit_length() - 1
+                if not order[w]:
+                    rest[v] = m
+                    walk.append(w)
+                    break
+                acc[v] |= acc[w]
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                walk.pop()
+                if low[v] == order[v] and stack[-1] == v:
+                    stack.pop()
+                    order[v] = n + 1
+                elif low[v] == order[v]:
+                    members, w = [], -1
+                    while w != v:
+                        w = stack.pop()
+                        members.append(w)
+                        acc[v] |= acc[w]
+                    for w in members:
+                        acc[w], order[w] = acc[v], n + 1
+                    a, b = sorted(members)[:2]
+                    cycle = min(cycle or (a, b), (a, b))
+                if walk:
+                    u = walk[-1]
+                    acc[u] |= acc[v]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return acc, cycle
 
 
 class AnalysisPoset:
@@ -276,11 +299,13 @@ class AnalysisPoset:
             ia, ib = index.get(a), index.get(b)
             if ia is None or ib is None:
                 raise ValueError(f"order relation mentions unknown id in ({a}, {b})")
-            # the constructor adds the reflexive bits; left in, a self-pair
-            # would read as a cycle to _close's topological pass
-            if ia != ib:
-                up[ia] |= 1 << ib
-        return cls(nodes, _close(up), ring=ring, provenance=provenance)
+            up[ia] |= 1 << ib
+        up, cycle = _close(up)
+        # the ids the constructor would name; it checks duplicate ids first
+        if cycle and len(index) == len(nodes):
+            a, b = cycle
+            raise OrderCycle(nodes[a].id, nodes[b].id)
+        return cls(nodes, up, ring=ring, provenance=provenance)
 
     @property
     def nodes(self) -> tuple[IdealNode, ...]:
@@ -301,31 +326,56 @@ class AnalysisPoset:
         """Whether position k has nothing strictly above it."""
         return bool(self._maximal >> k & 1)
 
-    def graph_homology(
-        self, k: int, *, max_faces: int = DEFAULT_MAX_FACES
-    ) -> dict[int, int] | None:
-        """Reduced homology of (k, top) read off its comparability graph, or None.
+    def homology(
+        self, p: int, *, max_faces: int = DEFAULT_MAX_FACES
+    ) -> list[dict[int, int]]:
+        """Nonzero reduced dims of every open interval (k, top), by position.
 
-        An interval with no chain of three elements has that graph as its
-        order complex.  It has such a chain x < y < z exactly when some
-        member y neither covers k (x lies between) nor is maximal (z lies
-        above), and then None comes back at once, before the face budget
-        is checked, leaving the interval to check_faces and the resolution.
-        Otherwise every comparable pair in the interval is a cover pair
-        from a cover of k up to a maximal element, so E sums the cover
-        counts of k's covers.  A maximal cover of k is a component of its
-        own; one search over the rest of the interval, stepping up through
-        covers and down through _lower, meets each member once.  V
-        members, E pairs and c components give H_0 = c - 1 and
-        H_1 = E - V + c, and with V = 0 a class in degree -1 (Björner,
-        Topological methods, 1995, §9), over every field, as a graph's
-        homology is free.  1 + V + E, the interval's face count with the
-        empty face, is held to max_faces as check_faces holds it.
+        The field is GF(p), or Q when p is 0; any other p that is no prime
+        below MAX_CHARACTERISTIC raises ValueError.  Every interval is held
+        to max_faces faces first, in position order.  Some interval holds a
+        chain of three exactly when some a covers something and has a cover
+        b that is not maximal: k < x < y < z refines into covers k < a < b
+        <= z, and k < a < b < z puts a < b < z in (k, top).  Without one,
+        _graph_homology answers each interval, over every field; with one,
+        _resolution_homology answers all of them at once.
+
+        Over Q the resolution runs over GF(2) first.  An order complex's
+        augmented chain complex is free over Z, so dim_GF(2) H_i = r_i +
+        s_i + s_{i-1}, with r_i = dim_Q H_i and s_i the number of torsion
+        summands of even order in H_i(Z) (Hatcher, Algebraic Topology,
+        2002, Thm 3A.3).  Reduced H_{-1} and H_0 are free, so Q differs
+        from GF(2) only where some interval's GF(2) homology is nonzero in
+        degrees d and d + 1 with d >= 1: only then does Q resolve again.
+        """
+        if p and not (p < MAX_CHARACTERISTIC and _is_prime(p)):
+            raise ValueError(f"characteristic {p} is neither 0 nor a prime")
+        positions = range(len(self._up))
+        self._check_faces(positions, max_faces)
+        nonmaximal = ~self._maximal
+        if not any(low and c & nonmaximal for c, low in zip(self._covers, self._lower)):
+            return [self._graph_homology(k) for k in positions]
+        dims = self._resolution_homology(p or 2)
+        if not p and any(d > 0 and d + 1 in h for h in dims for d in h):
+            two, dims = dims, self._resolution_homology(0)
+            assert all(v <= two[k].get(d, 0)
+                       for k, h in enumerate(dims) for d, v in h.items())
+        return dims
+
+    def _graph_homology(self, k: int) -> dict[int, int]:
+        """Reduced homology of (k, top) when no interval has a chain of three.
+
+        The order complex is then the comparability graph, whose edges are
+        cover pairs from a cover of k up to a maximal element, so E sums
+        the cover counts of k's covers.  A maximal cover of k is a
+        component of its own; one search over the rest, stepping up
+        through covers and down through _lower, meets each member once.
+        V members, E pairs and c components give H_0 = c - 1 and H_1 =
+        E - V + c, and V = 0 a class in degree -1 (Björner, Topological
+        methods, 1995, §9), over every field, as a graph's homology is free.
         """
         covers, lower, maximal = self._covers, self._lower, self._maximal
         members = self._up[k] ^ 1 << k
-        if members & ~covers[k] & ~maximal:
-            return None
         alone = covers[k] & maximal
         rest = members ^ alone
         comps, pairs = alone.bit_count(), 0
@@ -343,26 +393,21 @@ class AnalysisPoset:
                     pairs += covers[x].bit_count()
                 frontier = near & rest
         nverts = members.bit_count()
-        if 1 + nverts + pairs > max_faces:
-            raise FaceBudgetExceeded(max_faces)
         if not nverts:
             return {-1: 1}
         dims = {0: comps - 1, 1: pairs - nverts + comps}
         return {d: v for d, v in dims.items() if v}
 
-    def check_faces(
-        self, positions: Iterable[int], *, max_faces: int = DEFAULT_MAX_FACES
-    ) -> None:
+    def _check_faces(self, positions: Iterable[int], max_faces: int) -> None:
         """Raise FaceBudgetExceeded if some listed interval has over max_faces faces.
 
-        The open interval (k, top) has c(k) = 1 + Σ_{y > k} c(y)
-        order-complex faces, the empty one included, as c(y) counts the
-        chains with bottom y.  An interval of m members has at most 2^m
-        faces, so one with m < max_faces.bit_length() is passed over
-        uncounted.  The others are counted in one memo, each element after
-        the smaller up-sets of everything above it, and every sum stops at
-        max_faces + 1, so that no count grows past the budget.  The raise
-        comes at the first listed interval over budget.
+        The open interval (k, top) has c(k) = 1 + Σ_{y > k} c(y) faces,
+        the empty one included, as c(y) counts the chains with bottom y.
+        An interval of m members has at most 2^m faces, so one with m <
+        max_faces.bit_length() is passed over uncounted.  The others are
+        counted in one memo, each element after the smaller up-sets of
+        everything above it, and every sum stops at max_faces + 1.  The
+        raise comes at the first listed interval over budget.
         """
         up = self._up
         cap = max_faces + 1
@@ -383,12 +428,8 @@ class AnalysisPoset:
             if count[k] > max_faces:
                 raise FaceBudgetExceeded(max_faces)
 
-    def resolution_homology(self, p: int = 2) -> list[dict[int, int]]:
+    def _resolution_homology(self, p: int) -> list[dict[int, int]]:
         """Reduced homology over GF(p), or Q when p is 0, of every (k, top).
-
-        The result lists each open interval's nonzero dims, by position.
-        p must be 0 or a prime below MAX_CHARACTERISTIC, as a FieldSpec's
-        characteristic is, or ValueError names it.
 
         By Cibils (Cohomology of incidence algebras and simplicial
         complexes, J. Pure Appl. Algebra 56, 1989), dim Ext^i(S_x, S_y) =
@@ -414,8 +455,6 @@ class AnalysisPoset:
         generators in degree d number its multiplicity in degree d, and
         the resolution ends at a degree with none.
         """
-        if p and not (p < MAX_CHARACTERISTIC and _is_prime(p)):
-            raise ValueError(f"characteristic {p} is neither 0 nor a prime")
         # unit(i) is the vector with the single coordinate i
         if p == 2:
             unit, zero, reduce = (1).__lshift__, 0, _reduce_bits

@@ -24,9 +24,10 @@ rest.
 - cover_primes(ring, generators): the inclusion-minimal variable sets
   meeting every generator;
 - cycle_edges(n): the edges of the n-cycle;
-- check_order(ids, up) and graph_homology_by_sets(above, k, max_faces):
-  up-masks checked as an order one comparable pair at a time, and an
-  interval's homology read off its comparability graph as sets.
+- check_order(ids, up), chains_by_sets(above, k) and
+  graph_homology_by_sets(above, k): up-masks checked as an order one
+  comparable pair at a time, an interval's chains listed one at a time,
+  and its homology read off its comparability graph as sets.
 """
 
 import itertools
@@ -284,20 +285,31 @@ def check_order(ids, up):
     return ("ok", above)
 
 
-def graph_homology_by_sets(above, k, max_faces):
+def chains_by_sets(above, k):
+    """The chains of the open interval above k, the empty one included.
+
+    above[a] is the set strictly above a, in a partial order; a chain is
+    a tuple, listed from its least element up.
+    """
+    out, longer = [()], [(y,) for y in above[k]]
+    while longer:
+        out += longer
+        longer = [c + (z,) for c in longer for z in above[c[-1]]]
+    return out
+
+
+def graph_homology_by_sets(above, k):
     """Reduced homology of the open interval above k, from its comparability graph.
 
     above[a] is the set strictly above a, in a partial order.  The
-    outcome is None when the interval holds a chain of three, "over
-    budget" when its 1 + V + E faces pass max_faces, and otherwise the
-    nonzero dims: {0: c - 1, 1: E - V + c}, or {-1: 1} when V = 0.
+    outcome is None when the interval holds a chain of three, and
+    otherwise the nonzero dims: {0: c - 1, 1: E - V + c}, or {-1: 1}
+    when V = 0.
     """
     members = above[k]
     if any(above[y] and any(y in above[x] for x in members) for y in members):
         return None
     edges = [(x, y) for x in members for y in above[x]]
-    if 1 + len(members) + len(edges) > max_faces:
-        return "over budget"
     if not members:
         return {-1: 1}
     c = len(components(members, edges))

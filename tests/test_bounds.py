@@ -376,16 +376,15 @@ RP2_FACETS = [
 ]
 
 
-def projective_plane_faces():
-    """The faces of RP^2, a face below each of its own faces, over a bottom.
+def face_poset(facets):
+    """The faces of a complex, a face below each of its own faces, over a bottom.
 
-    The interval above the bottom is the barycentric subdivision of RP^2,
-    whose GF(2) homology sits in two degrees.
+    The interval above the bottom is the complex's barycentric subdivision.
     """
     faces = {
         frozenset(f)
-        for facet in RP2_FACETS
-        for k in range(1, 4)
+        for facet in facets
+        for k in range(1, len(facet) + 1)
         for f in itertools.combinations(facet, k)
     }
     name = {f: "f" + "".join(map(str, sorted(f))) for f in faces}
@@ -395,12 +394,54 @@ def projective_plane_faces():
     )
 
 
+def projective_plane_faces():
+    # GF(2) homology {1: 1, 2: 1}, and none over Q
+    return face_poset(RP2_FACETS)
+
+
+def suspended_projective_plane_faces():
+    # the suspension of RP^2, with apexes 7 and 8: its homology is RP^2's
+    # one degree up, so GF(2) {2: 1, 3: 1}, and none over Q
+    return face_poset([facet + (apex,) for facet in RP2_FACETS for apex in (7, 8)])
+
+
+def count_methods(monkeypatch):
+    """Lists that record each resolution, as (size, p), and each graph-method call."""
+    resolve = AnalysisPoset._resolution_homology
+    graph = AnalysisPoset._graph_homology
+    resolved, graphed = [], []
+
+    def counted_resolution(poset, p):
+        resolved.append((len(poset), p))
+        return resolve(poset, p)
+
+    def counted_graph(poset, k):
+        graphed.append(k)
+        return graph(poset, k)
+
+    monkeypatch.setattr(AnalysisPoset, "_resolution_homology", counted_resolution)
+    monkeypatch.setattr(AnalysisPoset, "_graph_homology", counted_graph)
+    return resolved, graphed
+
+
 def test_projective_plane_interval_depends_on_the_field():
     # torsion makes Q and GF(2) differ, so Q needs its own resolution
     poset = projective_plane_faces()
     assert len(poset) == 32
     for field, want in ((QQ, {}), (GF2, {1: 1, 2: 1}), (GF3, {})):
         assert multiplicities(poset, field)["bottom"] == want, field
+    assert_matches_rank_oracle(poset)
+
+
+def test_suspended_projective_plane_interval_depends_on_the_field(monkeypatch):
+    # GF(2) homology in degrees 2 and 3, consecutive and above degree 0,
+    # so Q runs its own resolution after the GF(2) one
+    poset = suspended_projective_plane_faces()
+    assert len(poset) == 96
+    resolved, _ = count_methods(monkeypatch)
+    for field, want in ((QQ, {}), (GF2, {2: 1, 3: 1}), (GF3, {})):
+        assert multiplicities(poset, field)["bottom"] == want, field
+    assert resolved == [(96, 2), (96, 0), (96, 2), (96, 3)]
     assert_matches_rank_oracle(poset)
 
 
@@ -413,20 +454,24 @@ def point_and_crown():
     )
 
 
-def test_torsion_free_interval_in_two_degrees():
-    # no chain of three elements, so the graph method reads it off its
-    # comparability graph: V = 5, E = 4 and 2 components
+def test_torsion_free_interval_in_two_degrees(monkeypatch):
+    # no chain of three elements, so the graph method reads every interval
+    # off its comparability graph: above the bottom V = 5, E = 4 and 2
+    # components
     poset = point_and_crown()
-    assert all(poset.graph_homology(k) is not None for k in range(len(poset)))
+    resolved, graphed = count_methods(monkeypatch)
     for field in (QQ, GF2, GF3):
         assert multiplicities(poset, field)["bottom"] == {0: 1, 1: 1}, field
+    assert resolved == []
+    assert graphed == list(range(len(poset))) * 3
     assert_matches_rank_oracle(poset)
 
 
-def test_torsion_free_rank_three_interval_in_two_degrees():
+def test_torsion_free_rank_three_interval_in_two_degrees(monkeypatch):
     # above the bottom: a point and the octahedral 2-sphere
-    # x1, x2 < y1, y2 < z1, z2; its GF(2) homology sits in two degrees,
-    # so Q takes its own resolution
+    # x1, x2 < y1, y2 < z1, z2.  Its GF(2) homology lies in degrees 0 and
+    # 2, no two of them consecutive, so it is the rational homology too
+    # and Q runs no resolution of its own
     levels = [("x1", "x2"), ("y1", "y2"), ("z1", "z2")]
     poset = with_bottom(
         ["a"] + [pid for level in levels for pid in level],
@@ -439,42 +484,54 @@ def test_torsion_free_rank_three_interval_in_two_degrees():
         ],
     )
     assert poset.ids()[0] == "bottom"
-    assert poset.graph_homology(0) is None
+    resolved, graphed = count_methods(monkeypatch)
     for field in (QQ, GF2, GF3):
         assert multiplicities(poset, field)["bottom"] == {0: 1, 2: 1}, field
+    assert resolved == [(8, 2), (8, 2), (8, 3)]
+    assert graphed == []
     assert_matches_rank_oracle(poset)
 
 
-def test_graph_intervals_are_those_without_three_chains():
+def test_graph_intervals_are_those_without_three_chains(monkeypatch):
+    # the graph method answers a poset exactly when none of its intervals
+    # holds a chain of three elements; otherwise one resolution answers all
+    resolved, graphed = count_methods(monkeypatch)
+    seen = set()
     for poset in oracle_posets():
-        for k, nd in enumerate(poset.nodes):
-            longest = max(map(len, chains_by_leq(poset, nd.id)))
-            none = poset.graph_homology(k) is None
-            assert none == (longest > 2), (poset.ids(), nd.id)
+        longest = max(max(map(len, chains_by_leq(poset, pid))) for pid in poset.ids())
+        resolved.clear()
+        graphed.clear()
+        poset.homology(2)
+        if longest > 2:
+            assert (resolved, graphed) == ([(len(poset), 2)], []), poset.ids()
+        else:
+            assert (resolved, graphed) == ([], list(range(len(poset)))), poset.ids()
+        seen.add(longest > 2)
+    assert seen == {False, True}
 
 
-def test_chain_masks_keep_the_face_budget_exact():
+def test_chain_masks_keep_the_face_budget_exact(monkeypatch):
     # the budget counts every chain of the interval, the empty one too
+    resolved, graphed = count_methods(monkeypatch)
     for poset in (build_Q_poset(Graph.path(5)), ranked_poset(0)):
-        for k, nd in enumerate(poset.nodes):
-            chains = chains_by_leq(poset, nd.id)
-            faces = len(chains)
-            if max(map(len, chains)) > 2:
-                # a chain of three leaves the budget to check_faces
-                assert poset.graph_homology(k, max_faces=0) is None
-                poset.check_faces([k], max_faces=faces)
-                with pytest.raises(
-                    FaceBudgetExceeded, match="^chain enumeration passed"
-                ) as e:
-                    poset.check_faces([k], max_faces=faces - 1)
-                assert e.value.max_faces == faces - 1
-                continue
-            poset.graph_homology(k, max_faces=faces)
+        most = 0
+        for k, pid in enumerate(poset.ids()):
+            faces = len(chains_by_leq(poset, pid))
+            most = max(most, faces)
+            poset._check_faces([k], faces)
             with pytest.raises(
                 FaceBudgetExceeded, match="^chain enumeration passed"
             ) as e:
-                poset.graph_homology(k, max_faces=faces - 1)
+                poset._check_faces([k], faces - 1)
             assert e.value.max_faces == faces - 1
+        # homology sizes every interval before it computes any
+        with pytest.raises(FaceBudgetExceeded) as e:
+            poset.homology(2, max_faces=most - 1)
+        assert e.value.max_faces == most - 1
+        assert resolved == graphed == []
+        poset.homology(2, max_faces=most)
+        resolved.clear()
+        graphed.clear()
 
 
 def test_graph_method_keeps_the_face_budget_exact():
@@ -492,24 +549,20 @@ def test_graph_method_keeps_the_face_budget_exact():
 
 
 def test_graph_intervals_skip_chain_enumeration(monkeypatch):
-    resolve = AnalysisPoset.resolution_homology
-    resolved = []
-
-    def counted_resolution(poset, p=2):
-        resolved.append((len(poset), p))
-        return resolve(poset, p)
-
-    monkeypatch.setattr(AnalysisPoset, "resolution_homology", counted_resolution)
+    resolved, graphed = count_methods(monkeypatch)
     for field in (QQ, GF2, GF3):
         multiplicities(ranked_poset(0), field)
     assert resolved == []
-    # path6 has 41 elements, and only 6 intervals hold a chain of three:
-    # one resolution answers them all, over Q its GF(2) certificate
+    # path6 has 41 elements, and 6 intervals hold a chain of three: one
+    # resolution answers all 41 and the graph method none, and over Q the
+    # GF(2) certificate is enough
+    graphed.clear()
     path6 = build_Q_poset(Graph.path(6))
     for field in (QQ, GF2, GF3):
         multiplicities(path6, field)
     assert resolved == [(41, 2), (41, 2), (41, 3)]
-    # RP^2's GF(2) homology lies in two degrees, so Q resolves again
+    assert graphed == []
+    # RP^2's GF(2) homology is nonzero in degrees 1 and 2, so Q resolves again
     resolved.clear()
     multiplicities(projective_plane_faces(), QQ)
     assert resolved == [(32, 2), (32, 0)]

@@ -17,7 +17,13 @@ from defreg.posets import (
     RingContext,
     join_closure,
 )
-from oracle import check_order, close_by_passes, graph_homology_by_sets, leq
+from oracle import (
+    chains_by_sets,
+    check_order,
+    close_by_passes,
+    graph_homology_by_sets,
+    leq,
+)
 
 
 def node(pid, dim=0, height=None, is_cm=True):
@@ -66,6 +72,12 @@ def test_poset_rejects_bad_input():
         AnalysisPoset.from_relations(
             [node("a"), node("b")], [("a", "b"), ("b", "a")]
         )
+    # duplicate ids are reported before a cycle, as the constructor does
+    with pytest.raises(ValueError, match="^duplicate node ids$") as exc:
+        AnalysisPoset.from_relations(
+            [node("a"), node("b"), node("a")], [("a", "b"), ("b", "a")]
+        )
+    assert type(exc.value) is ValueError
     # relations are closed: the composite (a, c) is implied
     closed = AnalysisPoset.from_relations(
         [node("a"), node("b"), node("c")], [("a", "b"), ("b", "c")]
@@ -116,11 +128,21 @@ def random_masks(rng, n):
     return up
 
 
-def test_order_check_matches_the_per_pair_reference():
+def test_order_check_matches_the_per_pair_reference(monkeypatch):
     # the constructor checks an order by picks, not by comparable pairs;
-    # every outcome must be the per-pair check's, errors included
+    # every outcome must be the per-pair check's, errors included.  On
+    # an order, homology must take the graph method, and give its
+    # answers, exactly when no interval holds a chain of three, and keep
+    # the face budget of every interval
+    resolve = AnalysisPoset._resolution_homology
+    resolved = []
+    monkeypatch.setattr(
+        AnalysisPoset, "_resolution_homology",
+        lambda poset, p: resolved.append(p) or resolve(poset, p),
+    )
     rng = random.Random(2828)
     outcomes = {"ok": 0, "cycle": 0, "not closed": 0}
+    methods = {"over budget": 0, "graph": 0, "resolution": 0}
     for _ in range(10_000):
         n = rng.randint(1, 9)
         up = random_masks(rng, n)
@@ -150,14 +172,26 @@ def test_order_check_matches_the_per_pair_reference():
         ]
         for k in range(n):
             assert poset.is_maximal(k) is not above[k]
-            for budget in (3, 10, 10**6):
-                expected = graph_homology_by_sets(above, k, budget)
-                try:
-                    got = poset.graph_homology(k, max_faces=budget)
-                except FaceBudgetExceeded:
-                    got = "over budget"
-                assert got == expected, (up, k, budget)
+        graph = [graph_homology_by_sets(above, k) for k in range(n)]
+        faces = max(len(chains_by_sets(above, k)) for k in range(n))
+        for budget in (3, 10, 10**6):
+            resolved.clear()
+            try:
+                got = poset.homology(2, max_faces=budget)
+            except FaceBudgetExceeded:
+                assert faces > budget, (up, budget)
+                assert resolved == []
+                methods["over budget"] += 1
+                continue
+            assert faces <= budget, (up, budget)
+            if None in graph:
+                assert resolved == [2], up
+                methods["resolution"] += 1
+            else:
+                assert resolved == [] and got == graph, up
+                methods["graph"] += 1
     assert min(outcomes.values()) > 500, outcomes
+    assert min(methods.values()) > 500, methods
 
 
 @pytest.mark.parametrize(
@@ -269,7 +303,7 @@ def test_close_matches_fixpoint_passes():
             for loops in (False, True):
                 ids, pairs = random_relation(rng, n, cycle, loops)
                 up = relation_masks(ids, pairs)
-                assert posets._close(up) == close_by_passes(up)
+                assert posets._close(up)[0] == close_by_passes(up)
                 nodes = [node(pid) for pid in ids]
                 if not cycle:
                     got = AnalysisPoset.from_relations(nodes, pairs)
@@ -292,17 +326,14 @@ def test_chain_with_self_pairs_closes_in_the_topological_pass(monkeypatch):
     close = posets._close
     monkeypatch.setattr(posets, "_close", lambda up: handed.append(up) or close(up))
     chain = AnalysisPoset.from_relations([node(pid) for pid in ids], pairs)
-    assert chain.up == tuple((1 << n) - (1 << k) for k in range(n))
-    # no self-bit reaches the closure, where it would read as a cycle
-    # and send the whole chain to the fixpoint passes
+    want = tuple((1 << n) - (1 << k) for k in range(n))
+    assert chain.up == want
+    # a self-pair reaches the closure as a self-bit, a component of one
+    # element: the bit stays where the constructor puts the reflexive bit
+    # anyway, and names no cycle
     (up,) = handed
-    assert not any(m >> k & 1 for k, m in enumerate(up))
-    calls = []
-    bits = posets._bits
-    monkeypatch.setattr(posets, "_bits", lambda m: calls.append(m) or bits(m))
-    close(up)
-    # one _bits walk per element is the topological pass alone
-    assert len(calls) == n
+    assert all(m >> k & 1 for k, m in enumerate(up))
+    assert close(up) == (list(want), None)
 
 
 def test_hasse_skips_transitive_edges():
@@ -338,12 +369,17 @@ def test_order_complex_of_empty_poset():
 
 @pytest.mark.parametrize("p", [1, 4, -3])
 def test_resolution_rejects_a_characteristic_that_is_no_field(p):
-    # 1 once raised KeyError and 4 computed over Z/4
+    # 1 once raised KeyError and 4 computed over Z/4; homology checks p
+    # before it picks a method: the graph method for the 3-chain, the
+    # resolution for the 4-chain
     message = f"^characteristic {p} is neither 0 nor a prime$"
-    with pytest.raises(ValueError, match=message):
-        chain_poset().resolution_homology(p)
+    four = AnalysisPoset([node(pid) for pid in "abcd"], [0b1110, 0b1100, 0b1000, 0])
+    for poset in (chain_poset(), four):
+        with pytest.raises(ValueError, match=message):
+            poset.homology(p)
     for q in (0, 2, 3):
-        assert chain_poset().resolution_homology(q) == [{}, {}, {-1: 1}]
+        assert chain_poset().homology(q) == [{}, {}, {-1: 1}]
+        assert chain_poset()._resolution_homology(q) == [{}, {}, {-1: 1}]
 
 
 def _bits(mask):
