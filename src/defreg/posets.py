@@ -139,19 +139,34 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _close(up: Sequence[int]) -> tuple[list[int], tuple[int, int] | None]:
-    """Transitive closure of up-masks, and the first cycle, if any.
+def _wide_bits(mask: int) -> Iterable[int]:
+    """_bits, but a mask of many bits is read off its binary digits.
+
+    Stepping off the lowest bit costs a pass over the whole int per bit,
+    quadratic in a wide mask; bin(mask) costs one pass per mask.
+    """
+    if mask.bit_count() < 64:
+        return _bits(mask)
+    digits = bin(mask)[:1:-1]
+    out, k = [], digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
+def _close(up: Sequence[int]) -> tuple[list[int], int]:
+    """Transitive closure of up-masks, and the mask of the positions on a cycle.
 
     One iterative Tarjan walk up the listed pairs finishes each strongly
     connected component after every component above it.  acc[v] ORs v's
     mask with acc of each element it names, one OR per listed pair; one
     still on the stack is in v's component, whose closed mask ORs its
-    members' acc.  The cycle is (a, b): a the least position in a
-    component of two or more elements, b the least other member of it.
+    members' acc.  A component of two or more elements is a cycle.
     """
     n, acc, rest = len(up), list(up), list(up)  # rest[v]: names left to walk
     order, low = [0] * n, [0] * n  # visits from 1; 0: unvisited, n + 1: done
-    stack, walk, seen, cycle = [], [], 0, None
+    stack, walk, seen, cyclic = [], [], 0, 0
     for root in range(n):
         if not order[root]:
             walk.append(root)
@@ -186,14 +201,33 @@ def _close(up: Sequence[int]) -> tuple[list[int], tuple[int, int] | None]:
                         acc[v] |= acc[w]
                     for w in members:
                         acc[w], order[w] = acc[v], n + 1
-                    a, b = sorted(members)[:2]
-                    cycle = min(cycle or (a, b), (a, b))
+                        cyclic |= 1 << w
                 if walk:
                     u = walk[-1]
                     acc[u] |= acc[v]
                     if low[v] < low[u]:
                         low[u] = low[v]
-    return acc, cycle
+    return acc, cyclic
+
+
+def _unique_ids(nodes: Sequence[IdealNode]) -> list[str]:
+    ids = [nd.id for nd in nodes]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate node ids")
+    return ids
+
+
+def _cycle(up: Sequence[int], among: int) -> tuple[int, int] | None:
+    """The per-pair check's cycle (a, b), if any.
+
+    a is the least position in among with some b != a both ways, b the
+    least such; in a closed order those a are the positions on a cycle.
+    """
+    for a in _bits(among):
+        for b in _bits(up[a] & ~(1 << a)):
+            if up[b] >> a & 1:
+                return a, b
+    return None
 
 
 class AnalysisPoset:
@@ -214,11 +248,12 @@ class AnalysisPoset:
     subset of S(i): (j, k, l) is a violation with a smaller strict up-set,
     and these cannot shrink forever.  Conversely, in a partial order each
     k in S(i) is a pick or in a pick's S(j), which holds S(k), so S(i) &
-    ~acc are i's covers; _lower holds their transpose.  On a failure one
-    pass over the comparable pairs raises the per-pair check's error.
+    ~acc are i's covers; _lower holds their transpose.  On a failure
+    _cycle's pass over the comparable pairs names the per-pair check's
+    cycle, if there is one.
     """
 
-    __slots__ = ("_nodes", "_up", "_covers", "_lower", "_maximal", "ring", "provenance")
+    __slots__ = ("_nodes", "_up", "_size", "_covers", "_lower", "_maximal", "ring", "provenance")
 
     def __init__(
         self,
@@ -229,9 +264,7 @@ class AnalysisPoset:
         provenance: str = "abstract",
     ) -> None:
         self._nodes = tuple(nodes)
-        ids = [nd.id for nd in self._nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node ids")
+        ids = _unique_ids(self._nodes)
         n = len(self._nodes)
         if len(up) != n:
             raise ValueError(f"{len(up)} up-masks for {n} nodes")
@@ -251,10 +284,9 @@ class AnalysisPoset:
                 acc |= strict[j]
                 rest &= ~up[j]
             if acc & ~m:
-                for a, s in enumerate(strict):
-                    for b in _bits(s):
-                        if strict[b] >> a & 1:
-                            raise OrderCycle(ids[a], ids[b])
+                cycle = _cycle(up, (1 << n) - 1)
+                if cycle:
+                    raise OrderCycle(ids[cycle[0]], ids[cycle[1]])
                 raise ValueError("order relation is not transitively closed")
             c = m & ~acc
             covers.append(c)
@@ -266,6 +298,7 @@ class AnalysisPoset:
             if not m:
                 maximal |= bit
         self._up = tuple(up)
+        self._size = size
         self._covers = covers
         self._lower = lower
         self._maximal = maximal
@@ -292,7 +325,12 @@ class AnalysisPoset:
         ring: RingContext | None = None,
         provenance: str = "abstract",
     ) -> "AnalysisPoset":
-        """The poset generated by pairs (a, b) meaning a <= b, closed here."""
+        """The poset generated by pairs (a, b) meaning a <= b, closed here.
+
+        A cycle raises here what the constructor would raise, duplicate
+        ids first (_unique_ids), but _cycle reads the ids off the cycle's
+        positions alone, not off every comparable pair of the closure.
+        """
         index = {nd.id: k for k, nd in enumerate(nodes)}
         up = [0] * len(nodes)
         for a, b in pairs:
@@ -300,11 +338,11 @@ class AnalysisPoset:
             if ia is None or ib is None:
                 raise ValueError(f"order relation mentions unknown id in ({a}, {b})")
             up[ia] |= 1 << ib
-        up, cycle = _close(up)
-        # the ids the constructor would name; it checks duplicate ids first
-        if cycle and len(index) == len(nodes):
-            a, b = cycle
-            raise OrderCycle(nodes[a].id, nodes[b].id)
+        up, cyclic = _close(up)
+        if cyclic:
+            a, b = _cycle(up, cyclic)
+            ids = _unique_ids(nodes)
+            raise OrderCycle(ids[a], ids[b])
         return cls(nodes, up, ring=ring, provenance=provenance)
 
     @property
@@ -409,17 +447,17 @@ class AnalysisPoset:
         everything above it, and every sum stops at max_faces + 1.  The
         raise comes at the first listed interval over budget.
         """
-        up = self._up
+        up, size = self._up, self._size
         cap = max_faces + 1
         small = max_faces.bit_length() - 1
         count: dict[int, int] = {}
         for k in positions:
-            if up[k].bit_count() - 1 <= small:
+            if size[k] <= small:
                 continue
-            todo = filterfalse(count.__contains__, _bits(up[k]))
-            for y in sorted(todo, key=lambda y: up[y].bit_count()):
+            todo = filterfalse(count.__contains__, _wide_bits(up[k]))
+            for y in sorted(todo, key=size.__getitem__):
                 c = 1
-                for z in _bits(up[y] ^ 1 << y):
+                for z in _wide_bits(up[y] ^ 1 << y):
                     c += count[z]
                     if c >= cap:
                         c = cap

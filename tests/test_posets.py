@@ -23,6 +23,7 @@ from oracle import (
     close_by_passes,
     graph_homology_by_sets,
     leq,
+    rank_oracle,
 )
 
 
@@ -131,9 +132,11 @@ def random_masks(rng, n):
 def test_order_check_matches_the_per_pair_reference(monkeypatch):
     # the constructor checks an order by picks, not by comparable pairs;
     # every outcome must be the per-pair check's, errors included.  On
-    # an order, homology must take the graph method, and give its
-    # answers, exactly when no interval holds a chain of three, and keep
-    # the face budget of every interval
+    # an order, homology must take the graph method exactly when no
+    # interval holds a chain of three, else one GF(2) resolution, keep
+    # the face budget of every interval, and answer every interval as
+    # the comparability graph does where it can, else as the chains do
+    GF2 = FieldSpec(2)
     resolve = AnalysisPoset._resolution_homology
     resolved = []
     monkeypatch.setattr(
@@ -172,8 +175,14 @@ def test_order_check_matches_the_per_pair_reference(monkeypatch):
         ]
         for k in range(n):
             assert poset.is_maximal(k) is not above[k]
+        chains = [chains_by_sets(above, k) for k in range(n)]
+        faces = max(map(len, chains))
         graph = [graph_homology_by_sets(above, k) for k in range(n)]
-        faces = max(len(chains_by_sets(above, k)) for k in range(n))
+        # the graph method's answers where it applies, else the chains' own
+        expect = [
+            rank_oracle([tuple(sorted(c)) for c in chains[k]], GF2) if g is None else g
+            for k, g in enumerate(graph)
+        ]
         for budget in (3, 10, 10**6):
             resolved.clear()
             try:
@@ -184,11 +193,12 @@ def test_order_check_matches_the_per_pair_reference(monkeypatch):
                 methods["over budget"] += 1
                 continue
             assert faces <= budget, (up, budget)
+            assert got == expect, up
             if None in graph:
                 assert resolved == [2], up
                 methods["resolution"] += 1
             else:
-                assert resolved == [] and got == graph, up
+                assert resolved == [], up
                 methods["graph"] += 1
     assert min(outcomes.values()) > 500, outcomes
     assert min(methods.values()) > 500, methods
@@ -295,6 +305,15 @@ def relation_masks(ids, pairs):
     return up
 
 
+def test_wide_bits_match_bits():
+    # _check_faces reads a mask of 64 or more bits off its binary digits
+    rng = random.Random(64)
+    for width in (1, 63, 64, 65, 300, 5000):
+        for density in (0.01, 0.5, 1.0):
+            mask = sum(1 << k for k in range(width) if rng.random() < density)
+            assert list(posets._wide_bits(mask)) == list(posets._bits(mask))
+
+
 def test_close_matches_fixpoint_passes():
     rng = random.Random(1972)
     for _ in range(60):
@@ -303,7 +322,15 @@ def test_close_matches_fixpoint_passes():
             for loops in (False, True):
                 ids, pairs = random_relation(rng, n, cycle, loops)
                 up = relation_masks(ids, pairs)
-                assert posets._close(up)[0] == close_by_passes(up)
+                closed = close_by_passes(up)
+                # on a cycle: some other position lies both above and below
+                on_cycle = sum(
+                    1 << a
+                    for a, m in enumerate(closed)
+                    if any(b != a and closed[b] >> a & 1 for b in range(n) if m >> b & 1)
+                )
+                assert posets._close(up) == (closed, on_cycle)
+                assert bool(on_cycle) is cycle
                 nodes = [node(pid) for pid in ids]
                 if not cycle:
                     got = AnalysisPoset.from_relations(nodes, pairs)
@@ -333,7 +360,7 @@ def test_chain_with_self_pairs_closes_in_the_topological_pass(monkeypatch):
     # anyway, and names no cycle
     (up,) = handed
     assert all(m >> k & 1 for k, m in enumerate(up))
-    assert close(up) == (list(want), None)
+    assert close(up) == (list(want), 0)
 
 
 def test_hasse_skips_transitive_edges():
