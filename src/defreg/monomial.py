@@ -15,6 +15,24 @@ v is the mask of the earlier positions whose prime holds variable v.  The
 earlier primes containing b are those in every column of a variable of b,
 and those contained in b are those in no column of a variable outside b,
 so a turn costs at most nvars operations on ints with one bit per element.
+
+Only the turn of a minimal prime hands over sums; every other turn hands
+over none, and join_closure's contract allows that, as | is a semilattice
+join.  join_closure takes the next minimal prime g only once every
+earlier turn has run; say the pool C is then closed under |, as the
+empty pool is.  g's turn reports g | c for every c in C, and C' = C +
+{g} + (g | C) is closed again, since (g | a) | b = g | (a | b) with a |
+b in C.  Every later turn before the next minimal prime belongs to some
+x in C', and each of its sums x | e lies in C' already.  So the same
+elements join the pool in the same order, and the labels, the up-masks
+and the point where ClosureBudgetExceeded is raised do not move.  This
+needs no antichain: a minimal prime that first arrives as a sum still
+reports all of its sums on its turn.  On 6 disjoint edges the closure is
+handed 18,970 pieces for 729 elements, where every pair sum would be
+265,356.  The graph closure cannot do this: its sums decompose, which
+breaks associativity, and on the 9-vertex path 19 of the 577 elements
+first appear on a turn of no minimal prime.
+
 A node of the finished poset keeps its mask as its ideal, with height its
 popcount and dim nvars minus that.  Generators and minimal primes keep the
 label order (height, variable names sorted as strings), so "x10" comes
@@ -118,6 +136,8 @@ def build_monomial_poset(
         height = mask.bit_count()
         return IdealNode(id=node_id, ideal=mask, dim=len(names) - height, height=height)
 
+    primes = minimal_primes(ideal)
+    minimal = set(primes)
     earlier: list[int] = []
     columns = [0] * len(names)
 
@@ -131,16 +151,17 @@ def build_monomial_poset(
                 below &= column
             else:
                 outside |= column
-        # the sums come lazily, off the first j masks: appends leave
-        # those as they are, so this is a snapshot that copies nothing
-        pieces = map(b.__or__, islice(earlier, j))
+        # only a minimal prime's turn has sums outside the pool; they
+        # come lazily, off the first j masks: appends leave those as
+        # they are, so this is a snapshot that copies nothing
+        pieces = map(b.__or__, islice(earlier, j)) if b in minimal else ()
         earlier.append(b)
         for k in _bits(b):
             columns[k] |= 1 << j
         return pieces, below, everyone & ~outside
 
     return join_closure(
-        minimal_primes(ideal),
+        primes,
         sums_with,
         node_builder=build_node,
         ring=ring,

@@ -237,18 +237,21 @@ class AnalysisPoset:
     adds the reflexive bit and verifies antisymmetry and transitivity, so a
     builder that derives its order (join_closure) is checked, never
     silently repaired.  With S(i) the strict up-set of i, the check picks
-    from rest = S(i), until it is empty, whichever end (highest or lowest
-    position) has the larger S(j); a pick ORs S(j) into acc and drops S(j)
-    and j from rest.  i fails when acc leaves S(i).
+    from rest, the members of S(i) that are not maximal, until it is
+    empty, whichever end (highest or lowest position) has the larger
+    S(j); a pick ORs S(j) into acc and drops S(j) and j from rest.  i
+    fails when acc leaves S(i).
 
     That is as strong as a check of every comparable pair.  Were there k
     in S(i) and l in S(k) outside S(i), l = i included, with every i
-    passing, k would be no pick, as S(k) would lie in acc; so k lies in
-    S(j) for a pick j, and S(j), inside acc but missing j, is a proper
-    subset of S(i): (j, k, l) is a violation with a smaller strict up-set,
-    and these cannot shrink forever.  Conversely, in a partial order each
-    k in S(i) is a pick or in a pick's S(j), which holds S(k), so S(i) &
-    ~acc are i's covers; _lower holds their transpose.  On a failure
+    passing, k, not maximal as S(k) holds l, would start in rest but be
+    no pick, as S(k) would lie in acc; so k lies in S(j) for a pick j,
+    and S(j), inside acc but missing j, is a proper subset of S(i): (j,
+    k, l) is a violation with a smaller strict up-set, and these cannot
+    shrink forever.  Conversely, in a partial order each k in S(i) that
+    is not maximal is a pick or in a pick's S(j), which holds S(k), so
+    every member of S(i) above another lies in acc, and S(i) & ~acc are
+    i's covers; _lower holds their transpose.  On a failure
     _cycle's pass over the comparable pairs names the per-pair check's
     cycle, if there is one.
     """
@@ -273,9 +276,10 @@ class AnalysisPoset:
         up = [m | 1 << k for k, m in enumerate(up)]
         strict = [m ^ 1 << k for k, m in enumerate(up)]
         size = [m.bit_count() for m in strict]
-        covers, lower, maximal = [], [0] * n, 0
+        maximal = sum(1 << k for k, m in enumerate(strict) if not m)
+        covers, lower = [], [0] * n
         for i, m in enumerate(strict):
-            acc, rest = 0, m
+            acc, rest = 0, m & ~maximal
             while rest:
                 j = rest.bit_length() - 1
                 low = (rest & -rest).bit_length() - 1
@@ -295,8 +299,6 @@ class AnalysisPoset:
                 low = c & -c
                 lower[low.bit_length() - 1] |= bit
                 c ^= low
-            if not m:
-                maximal |= bit
         self._up = tuple(up)
         self._size = size
         self._covers = covers

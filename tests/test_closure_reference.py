@@ -176,18 +176,76 @@ def random_ideal(rng, ring):
     return SquarefreeIdeal.create(ring, gens)
 
 
+def disjoint_edges(k):
+    """x0*x1, ..., x(2k-2)*x(2k-1): 2^k minimal primes, 3^k sums."""
+    ring = RingContext(tuple(f"x{i}" for i in range(2 * k)))
+    return SquarefreeIdeal.create(
+        ring, [[f"x{2 * i}", f"x{2 * i + 1}"] for i in range(k)]
+    )
+
+
+def two_blocks(rng, nvars):
+    """Seeded quadrics on two disjoint, interleaved sets of x1..x{nvars}.
+
+    Each set has at least three of the nvars >= 6 variables and carries
+    two to five generators.
+    """
+    names = [f"x{i}" for i in range(1, nvars + 1)]
+    rng.shuffle(names)
+    split = rng.randint(3, nvars - 3)
+    return [
+        [rng.sample(block, 2) for _ in range(rng.randint(2, 5))]
+        for block in (names[:split], names[split:])
+    ]
+
+
+def _check_monomial(ideal):
+    ring = ideal.ring
+    reps, leq = reference_monomial_closure(ideal)
+    poset = build_monomial_poset(ideal)
+    assert_same_poset(poset, reps, leq, lambda mask: face(ring, mask))
+    for nd in poset.nodes:
+        assert nd.height == len(face(ring, nd.ideal))
+        assert nd.dim == ring.nvars - nd.height
+
+
 def test_random_monomial_ideals_over_twelve_variables():
     # names x1..x12: string order ("x10" < "x2") differs from index order
     ring = RingContext(tuple(f"x{i}" for i in range(1, 13)))
     rng = random.Random(77)
     for _ in range(25):
-        ideal = random_ideal(rng, ring)
-        reps, leq = reference_monomial_closure(ideal)
-        poset = build_monomial_poset(ideal)
-        assert_same_poset(poset, reps, leq, lambda mask: face(ring, mask))
-        for nd in poset.nodes:
-            assert nd.height == len(face(ring, nd.ideal))
-            assert nd.dim == ring.nvars - nd.height
+        _check_monomial(random_ideal(rng, ring))
+
+
+# the closure hands over sums on a minimal prime's turn only; on these
+# inputs most turns are of other elements
+
+
+def test_disjoint_edges():
+    for k in (4, 5):
+        _check_monomial(disjoint_edges(k))
+
+
+def test_two_block_ideals():
+    rng = random.Random(12)
+    for _ in range(30):
+        nvars = rng.randint(6, 10)
+        ring = RingContext(tuple(f"x{i}" for i in range(1, nvars + 1)))
+        a, b = two_blocks(rng, nvars)
+        _check_monomial(SquarefreeIdeal.create(ring, a + b))
+
+
+def test_ideals_with_twenty_or_more_minimal_primes():
+    ring = RingContext(tuple(f"x{i}" for i in range(1, 11)))
+    rng = random.Random(20)
+    checked = 0
+    while checked < 8:
+        gens = [rng.sample(ring.var_names, rng.randint(2, 3))
+                for _ in range(rng.randint(6, 10))]
+        ideal = SquarefreeIdeal.create(ring, gens)
+        if len(minimal_primes(ideal)) >= 20:
+            _check_monomial(ideal)
+            checked += 1
 
 
 def assert_budget_trips_past_reference(build, size):
@@ -229,8 +287,8 @@ def test_graph_budget_trips_past_the_reference_size(name):
 def test_monomial_budget_trips_past_the_reference_size():
     ring = RingContext(tuple(f"x{i}" for i in range(1, 9)))
     rng = random.Random(32)
-    for _ in range(4):
-        ideal = random_ideal(rng, ring)
+    # 4 disjoint edges: 81 elements from 16 minimal primes
+    for ideal in [random_ideal(rng, ring) for _ in range(4)] + [disjoint_edges(4)]:
         reps, _ = reference_monomial_closure(ideal)
         assert_budget_trips_past_reference(
             lambda **kw: build_monomial_poset(ideal, **kw), len(reps)

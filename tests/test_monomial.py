@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from defreg.bounds import FieldSpec, multiplicities
 from defreg.monomial import (
     SquarefreeIdeal,
     ZeroIdeal,
@@ -12,6 +14,7 @@ from defreg.monomial import (
 from defreg.posets import RingContext
 from oracle import cover_primes, leq
 from primes import face, face_primes
+from test_closure_reference import two_blocks
 
 RING4 = RingContext(("x", "y", "z", "w"))
 
@@ -148,3 +151,41 @@ def test_nodes_convert_to_their_face_primes():
         ]
         assert generators == minimal_primes(ideal)
 
+
+def _by_face(ideal, field):
+    """Each element's multiplicities, keyed by its variable set."""
+    poset = build_monomial_poset(ideal)
+    mults = multiplicities(poset, field)
+    return {face(ideal.ring, nd.ideal): mults[nd.id] for nd in poset.nodes}
+
+
+def test_disjoint_union_joins_the_intervals():
+    # A and B on disjoint variables: the sums of A + B are the a | b, and
+    # the interval above a | b is the join of those above a and above b,
+    # so mult(a | b, d) = sum over i + j = d - 1 of mult_A(a, i) *
+    # mult_B(b, j) (Quillen, Adv. Math. 28, 1978, Prop. 1.9), a maximal
+    # element's empty interval counting as {-1: 1}
+    rng = random.Random(1978)
+    elements = 0
+    for _ in range(60):
+        nvars = rng.randint(6, 10)
+        blocks = two_blocks(rng, nvars)
+        ring = RingContext(tuple(f"x{i}" for i in range(1, nvars + 1)))
+        whole = SquarefreeIdeal.create(ring, blocks[0] + blocks[1])
+        names = [sorted({*itertools.chain(*gens)}) for gens in blocks]
+        parts = [
+            SquarefreeIdeal.create(RingContext(tuple(block)), gens)
+            for block, gens in zip(names, blocks)
+        ]
+        names_a = set(names[0])
+        for field in (FieldSpec.rationals(), FieldSpec.prime_field(2)):
+            got = _by_face(whole, field)
+            by_a, by_b = (_by_face(part, field) for part in parts)
+            for s, dims in got.items():
+                want = Counter()
+                for i, u in by_a[s & names_a].items():
+                    for j, v in by_b[s - names_a].items():
+                        want[i + j + 1] += u * v
+                assert dims == want, (s, field)
+        elements += len(got)
+    assert elements > 1000

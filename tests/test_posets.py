@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from defreg import binomial_edge, posets
+from defreg import binomial_edge, monomial, posets
 from defreg.binomial_edge import Graph, build_Q_poset
 from defreg.bounds import FieldSpec, multiplicities
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
@@ -25,6 +25,7 @@ from oracle import (
     leq,
     rank_oracle,
 )
+from test_closure_reference import disjoint_edges
 
 
 def node(pid, dim=0, height=None, is_cm=True):
@@ -439,11 +440,16 @@ def per_turn(primes_of_sum):
     return sums_with
 
 
+def join(a, b):
+    """The primes of a sum of variable sets: the one set a | b."""
+    return (a | b,)
+
+
 def _set_closure(generators, **kwargs):
     """Closure of variable sets as int masks: every sum is prime, a | b."""
     return join_closure(
         generators,
-        per_turn(lambda a, b: (a | b,)),
+        per_turn(join),
         node_builder=_mask_node,
         provenance="abstract",
         **kwargs,
@@ -517,7 +523,7 @@ def test_join_closure_with_decomposition():
 def test_join_closure_takes_one_turn_per_element_in_label_order():
     # so the elements a callback was handed before are the earlier ones
     turns = []
-    sums_with = per_turn(lambda a, b: (a | b,))
+    sums_with = per_turn(join)
 
     def recording(rep):
         turns.append(rep)
@@ -562,7 +568,7 @@ def closure_outcome(generators, sums_with, max_elements):
 
 
 @pytest.mark.parametrize("generators, primes_of_sum", [
-    ([0b0001, 0b0010, 0b0100, 0b1000], lambda a, b: (a | b,)),
+    ([0b0001, 0b0010, 0b0100, 0b1000], join),
     ([0b0011, 0b1100], split_sum),
 ], ids=["sets", "decomposition"])
 def test_leaving_out_reported_pieces_changes_nothing(generators, primes_of_sum):
@@ -577,6 +583,68 @@ def test_leaving_out_reported_pieces_changes_nothing(generators, primes_of_sum):
         )
         assert got == want
         assert (want is None) == (k < size)
+
+
+def generator_turns_only(sums_with, generators):
+    """The callback sums_with, with no pieces on a turn of a non-generator."""
+    generators = set(generators)
+
+    def generator_turns(rep):
+        pieces, below, above = sums_with(rep)
+        return (pieces if rep in generators else ()), below, above
+
+    return generator_turns
+
+
+def test_only_generator_turns_need_to_report_joins():
+    # when every sum is a | b, the pool is closed under | before each new
+    # generator, so the turns of other elements meet only sums in the pool
+    rng = random.Random(30)
+    for _ in range(40):
+        bits = rng.randint(1, 8)
+        generators = list(dict.fromkeys(
+            rng.getrandbits(bits) or 1 for _ in range(rng.randint(1, 6))
+        ))
+        unbounded = posets.DEFAULT_MAX_ELEMENTS
+        size = len(closure_outcome(generators, per_turn(join), unbounded)[0])
+        for k in range(1, size + 2):
+            want = closure_outcome(generators, per_turn(join), k)
+            got = closure_outcome(
+                generators, generator_turns_only(per_turn(join), generators), k
+            )
+            assert got == want
+            assert (want is None) == (k < size)
+
+
+def test_only_generator_turns_is_wrong_for_decomposing_sums():
+    # split_sum is no join: 0b0011 + 0b1100 splits into singletons, whose
+    # sums with each other only their own turns report
+    generators = [0b0011, 0b1100]
+    unbounded = posets.DEFAULT_MAX_ELEMENTS
+    want = closure_outcome(generators, per_turn(split_sum), unbounded)
+    got = closure_outcome(
+        generators, generator_turns_only(per_turn(split_sum), generators), unbounded
+    )
+    assert len(got[0]) < len(want[0]) == 10
+
+
+def test_six_disjoint_edges_hand_the_closure_18970_pieces(monkeypatch):
+    # every pair sum would be 265,356 pieces
+    counted = []
+
+    def counting(generators, sums_with, **kwargs):
+        def turn(rep):
+            pieces, below, above = sums_with(rep)
+            pieces = list(pieces)
+            counted.append(len(pieces))
+            return pieces, below, above
+
+        return join_closure(generators, turn, **kwargs)
+
+    monkeypatch.setattr(monomial, "join_closure", counting)
+    poset = build_monomial_poset(disjoint_edges(6))
+    assert len(poset) == len(counted) == 729
+    assert sum(counted) == 18_970
 
 
 def test_path9_turns_report_each_sum_once(monkeypatch):
