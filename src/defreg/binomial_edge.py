@@ -57,7 +57,43 @@ a sum only once, so a turn reports only the sum relations no turn met: the
 relations are unpacked and filtered against the set of met relations
 (every prime handed in, every sum) in C, and Python loops over the new
 ones alone, decomposing the non-prime among them.  Each non-prime
-relation is thus decomposed exactly once.
+relation is thus decomposed at most once.
+
+Most turns are quiet: they read the flag bits 1 and 2 for the order and
+report nothing, with no unpacking, no nesting test and no decomposition.
+The primes of a sum are the minimal primes of the sum ideal, and as
+the variety of g + I is the union of those of the g + q_i, for q_i the
+minimal primes of I, the primes of g + I lie among those of the g + q_i.
+join_closure hands in the minimal primes of the graph, an antichain, and
+takes the next one, g, only once every earlier turn has run; say the pool
+C is then closed, every prime of a sum of two of its elements in it, as
+the empty pool is.  Every element of C contains an earlier minimal
+prime, so g is not in C: g joins the pool, its turn sums it with exactly
+C, and every element its block adds contains g.
+Let x = g + c, c in C, be a prime sum that no turn met before g's turn;
+it joins the pool, and its turn sums it with each earlier e:
+
+- e in C: x + e = g + (c + e), and the primes q_i of c + e lie in C, so
+  the primes of x + e are among the primes of the g + q_i, which g's
+  turn met;
+- e = g: x + e = x;
+- e = g + c', another prime sum first met on g's turn: x + e = g + (c +
+  c'), as in the first case;
+- any other e of the block: e contains g, so x + e = c + e.  The block's
+  only quiet elements are the prime sums of the case above, so e's turn,
+  which summed e with every element of C, met c + e.
+
+Every prime of x's sums is thus in the pool when x's turn runs, and
+join_closure lets the turn leave them all out; by induction the pool is
+closed again before the next minimal prime.  The same elements join in
+the same order, so the labels and the up-masks do not move.  A quiet
+turn adds nothing to the met relations, so a later turn that meets one
+of its sums decomposes it then, still once at most.  Nor does a skipped
+decomposition move the point where ClosureBudgetExceeded is raised: its
+primes are all in the pool, which holds at most max_elements of them,
+and a cut set walk raises only past max_elements.  On the 9-vertex path,
+493 of the 577 turns are quiet and 263 sum relations are decomposed, as
+many as when every turn reports.
 
 Every prime the module hands out is in this packed form, the only one
 it has: the cut set walk packs each prime it finds once, so the minimal
@@ -333,14 +369,20 @@ _BELOW = b"1100" * 64
 _ABOVE = b"11110000" * 32
 
 
-def _clique_sums(n: int, max_elements: int | None = None):
+def _clique_sums(
+    n: int, generators: Iterable[bytes], max_elements: int | None = None
+):
     """The join_closure callback for clique primes on n vertices.
 
     The slot layout is in the module docstring: each call sums its prime
     with the primes in the slots, then appends the prime as the next slot.
     Each call reports only the sums no call met before, so each non-prime
-    relation is decomposed once; decompositions raise
-    ClosureBudgetExceeded past max_elements pieces.
+    relation is decomposed at most once; decompositions raise
+    ClosureBudgetExceeded past max_elements pieces.  generators are the
+    minimal primes join_closure is given, an antichain: a prime sum first
+    met on a generator's turn takes a quiet turn, which reads only the
+    order marks and reports nothing (the proof is in the module
+    docstring).  With no generators, every turn reports.
     """
     full = (1 << n) - 1
     width = _rep_bytes(n)
@@ -359,35 +401,41 @@ def _clique_sums(n: int, max_elements: int | None = None):
     rels = kills = 0  # the relations and the killed rows and columns
     slots = 0
     met: set[bytes] = set()  # every prime handed in and every sum met
+    generators = set(generators)
+    quiet: set[bytes] = set()  # the prime sums first met on a generator's turn
 
     def decompose(key: bytes) -> list[bytes]:
         kill = _killed(n, key)
         return _admissible_primes(n, kill, _split(n, key), full & ~kill, max_elements)
 
-    def sum_slots(x: int, cross: int) -> tuple[list[bytes], int, int]:
-        """The sums of relation x, killing cross, with every slot."""
+    def sum_slots(rep: bytes, x: int, cross: int) -> tuple[list[bytes], int, int]:
+        """The sums of rep, as relation x killing cross, with every slot."""
         xr = x * unit
         xk = cross * unit
         a = rels ^ rels & xk  # each relation without the new prime's kills
         b = xr ^ xr & kills  # the new relation without each slot's kills
-        ab = a & b
-        # a guard bit set on both sides marks a row where neither residual
-        # block contains the other: the sum is not prime
-        bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & guards
         rel = a | b
-        flags = (
-            (bad + low) & top
-            | ((rel ^ rels) + low & top) << 1
-            | ((rel ^ xr) + low & top) << 2
-        )
-        buf = (rel | flags).to_bytes(slots * step, "little")
+        order = ((rel ^ rels) + low & top) << 1 | ((rel ^ xr) + low & top) << 2
+        loud = rep not in quiet
+        if loud:
+            ab = a & b
+            # a guard bit set on both sides marks a row where neither
+            # residual block contains the other: the sum is not prime
+            bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & guards
+            buf = (rel | (bad + low) & top | order).to_bytes(slots * step, "little")
+        else:
+            buf = order.to_bytes(slots * step, "little")
         marks = buf[width::step]
         below = int(marks.translate(_BELOW)[::-1], 2)
         above = int(marks.translate(_ABOVE)[::-1], 2)
+        if not loud:
+            return [], below, above
         keys = list(map(itemgetter(0), iter_unpack(record, buf)))
         fresh = dict.fromkeys(filterfalse(met.__contains__, keys))
         met.update(fresh)
         nonprime = fresh.keys() & compress(keys, marks.translate(_NONPRIME))
+        if rep in generators:
+            quiet.update(fresh.keys() - nonprime)
         pieces: list[bytes] = []
         for key in fresh:
             if key in nonprime:
@@ -403,7 +451,7 @@ def _clique_sums(n: int, max_elements: int | None = None):
         kill = _killed(n, rep)
         # the rows and the columns of the killed vertices
         cross = kill * starts | sum(full << v * (n + 1) for v in _bits(kill))
-        turn = sum_slots(x, cross) if slots else ([], 0, 0)
+        turn = sum_slots(rep, x, cross) if slots else ([], 0, 0)
         at = slots * shift  # the prime takes the next slot
         rels |= x << at
         kills |= cross << at
@@ -439,13 +487,14 @@ def build_Q_poset(
     Every accumulated prime is summed with every other; non-prime sums are
     decomposed and their minimal primes join the pool, so the result is
     closed under the whole sum-then-decompose loop.  A decomposition
-    depends only on the relation of the sum, so it is computed once per
-    such relation.
+    depends only on the relation of the sum, so it is computed at most once
+    per such relation.
     """
     n = graph.n
+    primes = minimal_primes_graph(graph, max_elements=max_elements)
     return join_closure(
-        minimal_primes_graph(graph, max_elements=max_elements),
-        _clique_sums(n, max_elements),
+        primes,
+        _clique_sums(n, primes, max_elements),
         node_builder=partial(_clique_node, n),
         ring=ring_for(graph),
         provenance="binomial-edge",

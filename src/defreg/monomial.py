@@ -29,9 +29,10 @@ and the point where ClosureBudgetExceeded is raised do not move.  This
 needs no antichain: a minimal prime that first arrives as a sum still
 reports all of its sums on its turn.  On 6 disjoint edges the closure is
 handed 18,970 pieces for 729 elements, where every pair sum would be
-265,356.  The graph closure cannot do this: its sums decompose, which
-breaks associativity, and on the 9-vertex path 19 of the 577 elements
-first appear on a turn of no minimal prime.
+265,356.  The graph closure's sums decompose, so a graph turn cannot
+leave out every sum this way; only the turn of a prime sum first met on a
+minimal prime's turn reports nothing there, by the proof in the
+binomial_edge docstring.
 
 A node of the finished poset keeps its mask as its ideal, with height its
 popcount and dim nvars minus that.  Generators and minimal primes keep the

@@ -21,7 +21,7 @@ interval (k, top) in one call.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from itertools import filterfalse
 
 from ._record import Record
@@ -139,20 +139,22 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _wide_bits(mask: int) -> Iterable[int]:
+def _wide_bits(mask: int) -> Iterator[int]:
     """_bits, but a mask of many bits is read off its binary digits.
 
     Stepping off the lowest bit costs a pass over the whole int per bit,
-    quadratic in a wide mask; bin(mask) costs one pass per mask.
+    quadratic in a wide mask; bin(mask) costs one pass per mask.  Each bit
+    is yielded as it is found, so a reader that stops early reads no
+    further.
     """
     if mask.bit_count() < 64:
-        return _bits(mask)
+        yield from _bits(mask)
+        return
     digits = bin(mask)[:1:-1]
-    out, k = [], digits.find("1")
+    k = digits.find("1")
     while k >= 0:
-        out.append(k)
+        yield k
         k = digits.find("1", k + 1)
-    return out
 
 
 def _close(up: Sequence[int]) -> tuple[list[int], int]:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from defreg import binomial_edge
 from defreg.binomial_edge import (
     Graph,
     _admissible_primes,
@@ -381,20 +382,36 @@ def scalar_sum(n):
     return sum_of, decompose
 
 
-def assert_turns_match_pair_sums(graph):
+def assert_turns_match_pair_sums(graph, generators=False):
     """Every turn of the packed kernel against the pair-at-a-time sums.
 
     A turn meets its own prime and every pair sum, and reports, pair by
     pair in order, the primes of each raw sum that no turn met before.
+    The new ones among them join the pool, the reps that join_closure has
+    inserted when a turn runs.
+
+    With generators, the kernel is handed the minimal primes, and each
+    prime sum first met on a minimal prime's turn takes a quiet turn: it
+    reports no pieces and meets no sum, its masks are still the pair at
+    a time ones, and every prime of every pair sum on it is already in
+    the pool.  Returns the number of quiet turns.
     """
     n = graph.n
     reps = [nd.ideal for nd in build_Q_poset(graph).nodes]
     scalar = [scalar_pack(n, _unpack(n, rep)) for rep in reps]
     sum_of, decompose = scalar_sum(n)
-    sums_with = _clique_sums(n)
-    met = set()
+    handed = minimal_primes_graph(graph) if generators else []
+    minimal = {scalar_pack(n, _unpack(n, rep)) for rep in handed}
+    sums_with = _clique_sums(n, handed)
+    met, quiet = set(), set()
+    pool = 0  # reps[:pool] are in the pool
+    hushed = 0
     for j, rep in enumerate(reps):
         pieces, below, above = sums_with(rep)
+        pool = max(pool, j + 1)  # a minimal prime joins on its own turn
+        pooled = set(scalar[:pool])
+        hush = scalar[j] in quiet
+        hushed += hush
         met.add(scalar[j])
         want, want_below, want_above = [], 0, 0
         for i in range(j):
@@ -404,11 +421,19 @@ def assert_turns_match_pair_sums(graph):
                 want_below |= 1 << i
             elif got == (scalar[j],):
                 want_above |= 1 << i
-            if raw not in met:
+            if hush:
+                assert pooled.issuperset(got)
+            elif raw not in met:
                 met.add(raw)
                 want += got
+                if prime and scalar[j] in minimal:
+                    quiet.add(raw)
         assert [scalar_pack(n, _unpack(n, p)) for p in pieces] == want
         assert (below, above) == (want_below, want_above)
+        new = list(dict.fromkeys(p for p in want if p not in pooled))
+        assert scalar[pool:pool + len(new)] == new
+        pool += len(new)
+    return hushed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -416,7 +441,9 @@ def test_turns_match_pair_sums_on_every_small_graph(n):
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for chosen in itertools.product((False, True), repeat=len(pairs)):
         edges = [e for e, keep in zip(pairs, chosen) if keep]
-        assert_turns_match_pair_sums(Graph.from_edges(n, edges))
+        g = Graph.from_edges(n, edges)
+        assert_turns_match_pair_sums(g)
+        assert_turns_match_pair_sums(g, generators=True)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
@@ -429,6 +456,25 @@ def test_turns_match_pair_sums_on_random_graphs(n):
     graphs += [random_graph(rng, n) for _ in range(3)]
     for g in graphs:
         assert_turns_match_pair_sums(g)
+        assert_turns_match_pair_sums(g, generators=True)
+
+
+def test_path9_takes_mostly_quiet_turns(monkeypatch):
+    # of path9's 577 turns, 34 are the minimal primes' and 493 quiet
+    g = Graph.path(9)
+    assert assert_turns_match_pair_sums(g, generators=True) == 493
+    walks = []
+    walk = binomial_edge._admissible_primes
+
+    def counted(*args, **kwargs):
+        walks.append(args[1])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(binomial_edge, "_admissible_primes", counted)
+    assert len(build_Q_poset(g)) == 577
+    # one walk for the minimal primes, then one per distinct non-prime sum
+    # relation, as many as when every turn reports its new sums
+    assert len(walks) == 1 + 263
 
 
 def test_cut_set_walk_stops_at_the_element_budget():

@@ -64,6 +64,20 @@ def test_parse_graph_file():
         parse_graph_file("n 3\n1 4\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x 3\n", "expected a vertex count line 'n <count>'"),
+        ("n 3\n0 1\n", "edge 0 1 must satisfy 1 <= u < v <= 3"),
+    ],
+    ids=["count-line", "edge-range"],
+)
+def test_parse_graph_file_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_graph_file(text)
+    assert str(exc.value) == message
+
+
 def test_parse_poset_doc():
     poset = parse_poset_doc((DATA / "abstract7.json").read_text(encoding="utf-8"))
     assert len(poset) == 7
@@ -155,8 +169,9 @@ def test_malformed_relations_exit_1(tmp_path, relations):
         ),
         ('[["a", "ghost"]]', "relation ['a', 'ghost'] mentions an unknown id"),
         ('{"a": "b"}', '"relations" must be a list of [a, b] pairs'),
+        ('[["a", 5]]', "malformed relation ['a', 5]"),
     ],
-    ids=["cycle", "unknown-id", "not-a-list"],
+    ids=["cycle", "unknown-id", "not-a-list", "int-endpoint"],
 )
 def test_parse_poset_doc_messages(relations, message):
     elements = ", ".join(f'{{"id": "{pid}", "dim": 0}}' for pid in "abcd")

@@ -1,6 +1,8 @@
 import copy
+import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -313,6 +315,20 @@ def test_wide_bits_match_bits():
         for density in (0.01, 0.5, 1.0):
             mask = sum(1 << k for k in range(width) if rng.random() < density)
             assert list(posets._wide_bits(mask)) == list(posets._bits(mask))
+
+
+def test_wide_bits_stop_where_the_reader_stops():
+    # _check_faces stops reading a mask at its cap: the binary digits of
+    # 10^5 bits take about 200 kB, a list of every bit megabytes
+    mask = (1 << 10**5) - 1
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(posets._wide_bits(mask), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [0, 1, 2]
+    assert peak < 10**6
 
 
 def test_close_matches_fixpoint_passes():
@@ -660,7 +676,7 @@ def test_path9_turns_report_each_sum_once(monkeypatch):
         return walk(n, base_kill, adj, present, max_elements)
 
     monkeypatch.setattr(binomial_edge, "_admissible_primes", counted)
-    sums_with = binomial_edge._clique_sums(n)
+    sums_with = binomial_edge._clique_sums(n, ())
     reported = sum(len(sums_with(rep)[0]) for rep in reps)
     assert reported < 2000
     # one cut-set walk per distinct non-prime sum relation, of which
