@@ -41,35 +41,40 @@ s = ceil(n(n+1) / 8) + 1 bytes:
     | R: n rows of n + 1 bits | padding to a byte | flag byte |
 
 with a second big int holding, in the same slots, the rows and columns
-of each prime's killed vertices.  Each prime is appended as a slot at
-the end of its own turn, and slots are never rebuilt.  The constants
-the tests below need in every slot grow by one slot along with them:
-the slot unit (a 1 at the bottom of each slot), the row guards, M, and
-2^w - 1.  The new prime is copied into every slot by one multiplication
-with the slot unit, and the masking, the nesting test and A | B then run
-on all slots together.  Three flags per slot come from carries: adding
-2^w - 1, w the bit of the flag byte, to a slot carries into w exactly
-when the slot is nonzero.  Bit 0 of the flag byte marks a failed nesting
-test, bit 1 a sum that differs from the earlier prime, bit 2 one that
-differs from the new prime.  One to_bytes then yields every sum, and a
-strided slice of it the flag bytes.  join_closure needs the primes of
-a sum only once, so a turn reports only the sum relations no turn met: the
-relations are unpacked and filtered against the set of met relations
-(every prime handed in, every sum) in C, and Python loops over the new
-ones alone, decomposing the non-prime among them.  Each non-prime
-relation is thus decomposed at most once.
+of each prime's killed vertices.  Each prime is appended as a slot on
+its own turn, once its sums with the earlier slots are taken, and slots
+are never rebuilt.  The constants the tests below need in every slot
+grow by one slot along with them: the slot unit (a 1 at the bottom of
+each slot), the row guards, M, and 2^w - 1.  The new prime is copied
+into every slot by one multiplication with the slot unit, and the
+masking, the nesting test and A | B then run on all slots together.
+Three flags per slot come from carries: adding 2^w - 1, w the bit of the
+flag byte, to a slot carries into w exactly when the slot is nonzero.
+Bit 0 of the flag byte marks a failed nesting test, bit 1 a sum that
+differs from the earlier prime, bit 2 one that differs from the new
+prime.  One to_bytes then yields every sum, and a strided slice of it
+the flag bytes.  The kernel assembles the up-masks from the flags: bit 2
+clear puts the earlier prime above the new one, which starts the new
+prime's mask, and bit 1 clear puts it below, which sets the new prime's
+bit in the earlier prime's mask; join_closure takes the masks once the
+closure is done.  join_closure needs the primes of a sum only once, so a
+turn reports only the sum relations no turn met: the relations are
+unpacked and filtered against the set of met relations (every prime
+handed in, every sum) in C, and Python loops over the new ones alone,
+decomposing the non-prime among them.  Each non-prime relation is thus
+decomposed at most once.
 
-Most turns are quiet: they read the flag bits 1 and 2 for the order and
-report nothing, with no unpacking, no nesting test and no decomposition.
-The primes of a sum are the minimal primes of the sum ideal, and as
-the variety of g + I is the union of those of the g + q_i, for q_i the
-minimal primes of I, the primes of g + I lie among those of the g + q_i.
-join_closure hands in the minimal primes of the graph, an antichain, and
-takes the next one, g, only once every earlier turn has run; say the pool
-C is then closed, every prime of a sum of two of its elements in it, as
-the empty pool is.  Every element of C contains an earlier minimal
-prime, so g is not in C: g joins the pool, its turn sums it with exactly
-C, and every element its block adds contains g.
+Most turns are quiet: they read only the flag bits 1 and 2, into the
+up-masks, and report nothing, with no unpacking, no nesting test and no
+decomposition.  The primes of a sum are the minimal primes of the sum
+ideal, and as the variety of g + I is the union of those of the g + q_i,
+for q_i the minimal primes of I, the primes of g + I lie among those of
+the g + q_i.  join_closure hands in the minimal primes of the graph, an
+antichain, and takes the next one, g, only once every earlier turn has
+run; say the pool C is then closed, every prime of a sum of two of its
+elements in it, as the empty pool is.  Every element of C contains an
+earlier minimal prime, so g is not in C: g joins the pool, its turn sums
+it with exactly C, and every element its block adds contains g.
 Let x = g + c, c in C, be a prime sum that no turn met before g's turn;
 it joins the pool, and its turn sums it with each earlier e:
 
@@ -372,17 +377,19 @@ _ABOVE = b"11110000" * 32
 def _clique_sums(
     n: int, generators: Iterable[bytes], max_elements: int | None = None
 ):
-    """The join_closure callback for clique primes on n vertices.
+    """join_closure's (sums_with, order) for clique primes on n vertices.
 
-    The slot layout is in the module docstring: each call sums its prime
-    with the primes in the slots, then appends the prime as the next slot.
-    Each call reports only the sums no call met before, so each non-prime
+    The slot layout is in the module docstring: each call of sums_with
+    sums its prime with the primes in the slots, reads the order marks
+    into the up-masks, and appends the prime as the next slot.  Each
+    call reports only the sums no call met before, so each non-prime
     relation is decomposed at most once; decompositions raise
     ClosureBudgetExceeded past max_elements pieces.  generators are the
     minimal primes join_closure is given, an antichain: a prime sum first
     met on a generator's turn takes a quiet turn, which reads only the
     order marks and reports nothing (the proof is in the module
-    docstring).  With no generators, every turn reports.
+    docstring).  With no generators, every turn reports.  order returns
+    the up-masks the turns built.
     """
     full = (1 << n) - 1
     width = _rep_bytes(n)
@@ -403,55 +410,40 @@ def _clique_sums(
     met: set[bytes] = set()  # every prime handed in and every sum met
     generators = set(generators)
     quiet: set[bytes] = set()  # the prime sums first met on a generator's turn
+    up: list[int] = []  # up[i]: the slots at or above slot i, as far as known
 
     def decompose(key: bytes) -> list[bytes]:
         kill = _killed(n, key)
         return _admissible_primes(n, kill, _split(n, key), full & ~kill, max_elements)
 
-    def sum_slots(rep: bytes, x: int, cross: int) -> tuple[list[bytes], int, int]:
-        """The sums of rep, as relation x killing cross, with every slot."""
-        xr = x * unit
-        xk = cross * unit
-        a = rels ^ rels & xk  # each relation without the new prime's kills
-        b = xr ^ xr & kills  # the new relation without each slot's kills
-        rel = a | b
-        order = ((rel ^ rels) + low & top) << 1 | ((rel ^ xr) + low & top) << 2
-        loud = rep not in quiet
-        if loud:
-            ab = a & b
-            # a guard bit set on both sides marks a row where neither
-            # residual block contains the other: the sum is not prime
-            bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & guards
-            buf = (rel | (bad + low) & top | order).to_bytes(slots * step, "little")
-        else:
-            buf = order.to_bytes(slots * step, "little")
-        marks = buf[width::step]
-        below = int(marks.translate(_BELOW)[::-1], 2)
-        above = int(marks.translate(_ABOVE)[::-1], 2)
-        if not loud:
-            return [], below, above
-        keys = list(map(itemgetter(0), iter_unpack(record, buf)))
-        fresh = dict.fromkeys(filterfalse(met.__contains__, keys))
-        met.update(fresh)
-        nonprime = fresh.keys() & compress(keys, marks.translate(_NONPRIME))
-        if rep in generators:
-            quiet.update(fresh.keys() - nonprime)
-        pieces: list[bytes] = []
-        for key in fresh:
-            if key in nonprime:
-                pieces += decompose(key)
-            else:
-                pieces.append(key)
-        return pieces, below, above
-
-    def sums_with(rep: bytes) -> tuple[list[bytes], int, int]:
+    def sums_with(rep: bytes) -> list[bytes]:
         nonlocal unit, guards, ones, top, low, rels, kills, slots
         met.add(rep)
         x = int.from_bytes(rep, "little")
         kill = _killed(n, rep)
         # the rows and the columns of the killed vertices
         cross = kill * starts | sum(full << v * (n + 1) for v in _bits(kill))
-        turn = sum_slots(rep, x, cross) if slots else ([], 0, 0)
+        # the sums of rep, as relation x killing cross, with every slot
+        xr = x * unit
+        xk = cross * unit
+        a = rels ^ rels & xk  # each relation without the new prime's kills
+        b = xr ^ xr & kills  # the new relation without each slot's kills
+        rel = a | b
+        marks = ((rel ^ rels) + low & top) << 1 | ((rel ^ xr) + low & top) << 2
+        loud = rep not in quiet
+        if loud:
+            ab = a & b
+            # a guard bit set on both sides marks a row where neither
+            # residual block contains the other: the sum is not prime
+            bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & guards
+            marks |= rel | (bad + low) & top
+        buf = marks.to_bytes(slots * step, "little")
+        flags = buf[width::step]
+        # the leading 0 reads the first turn's empty flags as no slot
+        bit = 1 << slots
+        for i in _bits(int(b"0" + flags.translate(_BELOW)[::-1], 2)):
+            up[i] |= bit
+        up.append(int(b"0" + flags.translate(_ABOVE)[::-1], 2))
         at = slots * shift  # the prime takes the next slot
         rels |= x << at
         kills |= cross << at
@@ -461,9 +453,27 @@ def _clique_sums(
         top |= slot_top << at
         low |= slot_low << at
         slots += 1
-        return turn
+        if not loud:
+            return []
+        keys = list(map(itemgetter(0), iter_unpack(record, buf)))
+        fresh = dict.fromkeys(filterfalse(met.__contains__, keys))
+        met.update(fresh)
+        nonprime = fresh.keys() & compress(keys, flags.translate(_NONPRIME))
+        if rep in generators:
+            quiet.update(fresh.keys() - nonprime)
+        pieces: list[bytes] = []
+        for key in fresh:
+            if key in nonprime:
+                pieces += decompose(key)
+            else:
+                pieces.append(key)
+        return pieces
 
-    return sums_with
+    def order(reps: Sequence[bytes]) -> list[int]:
+        # the turns ran on reps, in label order, so up is theirs already
+        return up
+
+    return sums_with, order
 
 
 def _clique_node(n: int, rep: bytes, node_id: str) -> IdealNode:
@@ -492,9 +502,11 @@ def build_Q_poset(
     """
     n = graph.n
     primes = minimal_primes_graph(graph, max_elements=max_elements)
+    sums_with, order = _clique_sums(n, primes, max_elements)
     return join_closure(
         primes,
-        _clique_sums(n, primes, max_elements),
+        sums_with,
+        order=order,
         node_builder=partial(_clique_node, n),
         ring=ring_for(graph),
         provenance="binomial-edge",

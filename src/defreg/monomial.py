@@ -10,11 +10,12 @@ of sums embeds in the boolean lattice on the variables.
 
 Inside the closure a face prime is the same mask: the sum is a | b, and a
 contains b exactly when a | b == a.  A turn sums the new mask b with every
-earlier mask at once, and reads the order off per-variable columns: column
-v is the mask of the earlier positions whose prime holds variable v.  The
-earlier primes containing b are those in every column of a variable of b,
-and those contained in b are those in no column of a variable outside b,
-so a turn costs at most nvars operations on ints with one bit per element.
+earlier mask at once.  The order is read once, after the last turn, off
+per-variable columns: column v is the mask of the positions whose prime
+holds variable v, built in one pass over the elements.  The primes at or
+above b, those contained in b, are those in no column of a variable
+outside b, so an element's up-mask costs at most nvars operations on ints
+with one bit per element.
 
 Only the turn of a minimal prime hands over sums; every other turn hands
 over none, and join_closure's contract allows that, as | is a semilattice
@@ -43,7 +44,9 @@ before "x2".
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import reduce
 from itertools import islice
+from operator import or_
 
 from ._record import Record
 from .posets import (
@@ -140,30 +143,32 @@ def build_monomial_poset(
     primes = minimal_primes(ideal)
     minimal = set(primes)
     earlier: list[int] = []
-    columns = [0] * len(names)
 
-    def sums_with(b: int) -> tuple[Iterable[int], int, int]:
-        j = len(earlier)
-        everyone = (1 << j) - 1
-        below = everyone  # positions holding every variable of b
-        outside = 0  # positions holding a variable outside b
-        for k, column in enumerate(columns):
-            if b >> k & 1:
-                below &= column
-            else:
-                outside |= column
+    def sums_with(b: int) -> Iterable[int]:
         # only a minimal prime's turn has sums outside the pool; they
-        # come lazily, off the first j masks: appends leave those as
+        # come lazily, off the masks before b: appends leave those as
         # they are, so this is a snapshot that copies nothing
-        pieces = map(b.__or__, islice(earlier, j)) if b in minimal else ()
+        pieces = map(b.__or__, islice(earlier, len(earlier))) if b in minimal else ()
         earlier.append(b)
-        for k in _bits(b):
-            columns[k] |= 1 << j
-        return pieces, below, everyone & ~outside
+        return pieces
+
+    def order(reps: Sequence[int]) -> list[int]:
+        # column v: the positions whose prime holds variable v
+        columns = [0] * len(names)
+        for k, b in enumerate(reps):
+            for v in _bits(b):
+                columns[v] |= 1 << k
+        everyone, full = (1 << len(reps)) - 1, (1 << len(names)) - 1
+        # at or above b: the primes inside b, in no column of a variable outside b
+        return [
+            everyone & ~reduce(or_, (columns[v] for v in _bits(full & ~b)), 0)
+            for b in reps
+        ]
 
     return join_closure(
         primes,
         sums_with,
+        order=order,
         node_builder=build_node,
         ring=ring,
         provenance="monomial",

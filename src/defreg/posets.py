@@ -5,12 +5,13 @@ the minimal primes are the maximal elements of the poset, sitting just below
 a virtual top element that is never stored; all homology happens on the open
 intervals (p, top), which are simply the strict up-sets.
 
-The poset of sums is built by join_closure, which reads the order off
-the same sums: a + b = a says that ideal(a) contains ideal(b).
+The poset of sums is built by join_closure, which takes the order from
+its builder once the last sum is in: a + b = a says that ideal(a)
+contains ideal(b), and each builder reads that off its own form.
 
 The order is given as up[k] only, an int mask of the positions at or
-above position k.  This module is the only place that builds, closes or
-checks such masks.  The constructor checks them, never closes them, and
+above position k.  This module is the only place that closes or checks
+such masks.  The constructor checks them, never closes them, and
 keeps each element's covers as a mask, which hasse() and homology read.
 Id pairs, such as the covers of a poset file, go through
 AnalysisPoset.from_relations, which closes them in one pass over their
@@ -633,61 +634,53 @@ def _hall_holds(up: Sequence[int], dims: Sequence[dict[int, int]]) -> bool:
 
 def join_closure(
     generators: Sequence[Hashable],
-    sums_with: Callable[[Hashable], tuple[Iterable[Hashable], int, int]],
+    sums_with: Callable[[Hashable], Iterable[Hashable]],
     *,
+    order: Callable[[list], Sequence[int]],
     node_builder: Callable,
     ring: RingContext | None = None,
     provenance: str,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> AnalysisPoset:
-    """Close a family of primes under pairwise sums, ordered by the sums.
+    """Close a family of primes under pairwise sums, ordered by order.
 
     generators are canonical prime representations, already sorted, fed
     in one at a time.  Each element takes one turn, in label order:
     sums_with(rep) is called once per element, so the elements it was
     handed before are exactly the earlier ones, e_0, e_1, ...  It sums
     rep with each of them, keeping whatever it needs of rep for the later
-    turns, and returns (pieces, below, above):
-
-    - pieces: the minimal primes of the sums e_i + rep in canonical
-      form, in the order of i.  The primes of a sum already in the pool
-      may be left out: one the callback met on an earlier turn or earlier
-      on this one, or one equal to an element it was handed.  That moves
-      no first appearance, so the labels stay the same;
-    - below: the mask of the positions i with e_i <= rep (e_i + rep = e_i);
-    - above: the mask of the positions i with rep <= e_i.
+    turns, and returns the minimal primes of the sums e_i + rep in
+    canonical form, in the order of i.  The primes of a sum already in
+    the pool may be left out: one the callback met on an earlier turn or
+    earlier on this one, or one equal to an element it was handed.  That
+    moves no first appearance, so the labels stay the same.
 
     Unseen pieces join the pool in the order given until nothing new
-    appears.  Every pair is summed once, on the turn of the later element,
-    so the masks give the whole order with no containment test.
-    node_builder(rep, id) turns each representation into its IdealNode.
+    appears.  order(reps) is then called once, with the finished reps in
+    label order, and returns their up-masks, which the constructor
+    checks.  node_builder(rep, id) turns each representation into its
+    IdealNode.
     """
     if not generators:
         raise ValueError("closure needs at least one generator")
     reps: list = []
     index: dict = {}
-    up: list[int] = []
 
     def insert(rep) -> None:
         if len(reps) >= max_elements:
             raise ClosureBudgetExceeded(max_elements)
         index[rep] = len(reps)
         reps.append(rep)
-        up.append(0)
 
     j = 0
     for g in generators:
         if g not in index:
             insert(g)
         while j < len(reps):
-            pieces, below, above = sums_with(reps[j])
-            up[j] |= above
-            bit = 1 << j
-            for i in _bits(below):
-                up[i] |= bit
+            pieces = sums_with(reps[j])
             for piece in dict.fromkeys(filterfalse(index.__contains__, pieces)):
                 insert(piece)
             j += 1
 
     nodes = [node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps)]
-    return AnalysisPoset(nodes, up, ring=ring, provenance=provenance)
+    return AnalysisPoset(nodes, order(reps), ring=ring, provenance=provenance)

@@ -73,6 +73,12 @@ def test_graph_validation():
         Graph(3, frozenset({(1, 4)}))
     with pytest.raises(ValueError):
         Graph(0, frozenset())
+    # vertices count from 1: the file parser checks this first, so only
+    # these calls reach the constructor's own check
+    with pytest.raises(ValueError):
+        Graph(3, frozenset({(0, 1)}))
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(0, 1)])
     g = Graph.from_edges(3, [(2, 1), (1, 2), (2, 3)])
     assert g.edges == frozenset({(1, 2), (2, 3)})
 
@@ -392,9 +398,10 @@ def assert_turns_match_pair_sums(graph, generators=False):
 
     With generators, the kernel is handed the minimal primes, and each
     prime sum first met on a minimal prime's turn takes a quiet turn: it
-    reports no pieces and meets no sum, its masks are still the pair at
-    a time ones, and every prime of every pair sum on it is already in
-    the pool.  Returns the number of quiet turns.
+    reports no pieces and meets no sum, and every prime of every pair sum
+    on it is already in the pool.  After the last turn, the kernel's
+    up-masks are the pair at a time ones, quiet turns included: a + b = a
+    puts a below b.  Returns the number of quiet turns.
     """
     n = graph.n
     reps = [nd.ideal for nd in build_Q_poset(graph).nodes]
@@ -402,25 +409,26 @@ def assert_turns_match_pair_sums(graph, generators=False):
     sum_of, decompose = scalar_sum(n)
     handed = minimal_primes_graph(graph) if generators else []
     minimal = {scalar_pack(n, _unpack(n, rep)) for rep in handed}
-    sums_with = _clique_sums(n, handed)
+    sums_with, order = _clique_sums(n, handed)
     met, quiet = set(), set()
+    want_up = [0] * len(reps)
     pool = 0  # reps[:pool] are in the pool
     hushed = 0
     for j, rep in enumerate(reps):
-        pieces, below, above = sums_with(rep)
+        pieces = sums_with(rep)
         pool = max(pool, j + 1)  # a minimal prime joins on its own turn
         pooled = set(scalar[:pool])
         hush = scalar[j] in quiet
         hushed += hush
         met.add(scalar[j])
-        want, want_below, want_above = [], 0, 0
+        want = []
         for i in range(j):
             raw, prime = sum_of(scalar[i], scalar[j])
             got = (raw,) if prime else decompose(raw)
             if got == (scalar[i],):
-                want_below |= 1 << i
+                want_up[i] |= 1 << j
             elif got == (scalar[j],):
-                want_above |= 1 << i
+                want_up[j] |= 1 << i
             if hush:
                 assert pooled.issuperset(got)
             elif raw not in met:
@@ -429,10 +437,10 @@ def assert_turns_match_pair_sums(graph, generators=False):
                 if prime and scalar[j] in minimal:
                     quiet.add(raw)
         assert [scalar_pack(n, _unpack(n, p)) for p in pieces] == want
-        assert (below, above) == (want_below, want_above)
         new = list(dict.fromkeys(p for p in want if p not in pooled))
         assert scalar[pool:pool + len(new)] == new
         pool += len(new)
+    assert order(reps) == want_up
     return hushed
 
 

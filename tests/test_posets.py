@@ -435,25 +435,22 @@ def _mask_node(rep, pid):
 
 
 def per_turn(primes_of_sum):
-    """The per-turn callback made of a pair function, one pair at a time.
-
-    The order is read off each sum: a + rep = a puts a below rep.
-    """
+    """The per-turn callback made of a pair function, one pair at a time."""
     earlier = []
 
     def sums_with(rep):
-        pieces, below, above = [], 0, 0
-        for i, a in enumerate(earlier):
-            got = primes_of_sum(a, rep)
-            if got == (a,):
-                below |= 1 << i
-            elif got == (rep,):
-                above |= 1 << i
-            pieces += got
+        pieces = []
+        for a in earlier:
+            pieces += primes_of_sum(a, rep)
         earlier.append(rep)
-        return pieces, below, above
+        return pieces
 
     return sums_with
+
+
+def set_order(reps):
+    """Up-masks of variable sets: a + b = a, read a | b == a, puts a below b."""
+    return [sum(1 << i for i, b in enumerate(reps) if a | b == a) for a in reps]
 
 
 def join(a, b):
@@ -466,6 +463,7 @@ def _set_closure(generators, **kwargs):
     return join_closure(
         generators,
         per_turn(join),
+        order=set_order,
         node_builder=_mask_node,
         provenance="abstract",
         **kwargs,
@@ -483,7 +481,7 @@ def test_join_closure_of_sets():
     bottom = [nd for nd in p.nodes if nd.ideal == 0b111]
     assert len(bottom) == 1
     assert all(leq(p, bottom[0].id, other) for other in p.ids())
-    # the order read off the sums is reverse inclusion of the masks
+    # the order handed back is reverse inclusion of the masks
     for a in p.nodes:
         for b in p.nodes:
             assert leq(p, a.id, b.id) == (a.ideal | b.ideal == a.ideal)
@@ -521,6 +519,7 @@ def test_join_closure_with_decomposition():
     p = join_closure(
         [0b0011, 0b1100],
         per_turn(split_sum),
+        order=set_order,
         node_builder=_mask_node,
         provenance="abstract",
     )
@@ -548,6 +547,7 @@ def test_join_closure_takes_one_turn_per_element_in_label_order():
     p = join_closure(
         [0b001, 0b010, 0b100],
         recording,
+        order=set_order,
         node_builder=_mask_node,
         provenance="abstract",
     )
@@ -555,15 +555,69 @@ def test_join_closure_takes_one_turn_per_element_in_label_order():
     assert turns == reps
 
 
+def test_join_closure_asks_for_the_order_once_after_the_last_turn():
+    # order gets the finished reps in label order, its masks go to the
+    # constructor as they are, and a closure past its budget never asks
+    events = []
+    sums_with = per_turn(split_sum)
+
+    def recording(rep):
+        events.append(("turn", rep))
+        return sums_with(rep)
+
+    def ordering(reps):
+        events.append(("order", list(reps)))
+        return set_order(reps)
+
+    p = join_closure(
+        [0b0011, 0b1100],
+        recording,
+        order=ordering,
+        node_builder=_mask_node,
+        provenance="abstract",
+    )
+    reps = [nd.ideal for nd in p.nodes]
+    assert events == [("turn", rep) for rep in reps] + [("order", reps)]
+    assert p.up == tuple(m | 1 << k for k, m in enumerate(set_order(reps)))
+    events.clear()
+    sums_with = per_turn(split_sum)
+    with pytest.raises(ClosureBudgetExceeded):
+        join_closure(
+            [0b0011, 0b1100],
+            recording,
+            order=ordering,
+            node_builder=_mask_node,
+            provenance="abstract",
+            max_elements=5,
+        )
+    assert [kind for kind, _ in events] == ["turn"] * len(events)
+
+
+def test_join_closure_order_is_checked():
+    # the constructor checks the masks order hands back, never repairs them
+    def swapped(reps):
+        return [1 << (len(reps) - 1 - k) | 1 << k for k in range(len(reps))]
+
+    for order, error in [(swapped, OrderCycle), (lambda reps: [0], ValueError)]:
+        with pytest.raises(error):
+            join_closure(
+                [0b01, 0b10],
+                per_turn(join),
+                order=order,
+                node_builder=_mask_node,
+                provenance="abstract",
+            )
+
+
 def leaving_out_reported(sums_with):
     """The callback sums_with, less every piece an earlier turn reported."""
     reported = set()
 
     def leaving_out(rep):
-        pieces, below, above = sums_with(rep)
+        pieces = sums_with(rep)
         fresh = [p for p in pieces if p not in reported]
         reported.update(pieces)
-        return fresh, below, above
+        return fresh
 
     return leaving_out
 
@@ -574,6 +628,7 @@ def closure_outcome(generators, sums_with, max_elements):
         p = join_closure(
             generators,
             sums_with,
+            order=set_order,
             node_builder=_mask_node,
             provenance="abstract",
             max_elements=max_elements,
@@ -606,8 +661,8 @@ def generator_turns_only(sums_with, generators):
     generators = set(generators)
 
     def generator_turns(rep):
-        pieces, below, above = sums_with(rep)
-        return (pieces if rep in generators else ()), below, above
+        pieces = sums_with(rep)
+        return pieces if rep in generators else ()
 
     return generator_turns
 
@@ -650,10 +705,9 @@ def test_six_disjoint_edges_hand_the_closure_18970_pieces(monkeypatch):
 
     def counting(generators, sums_with, **kwargs):
         def turn(rep):
-            pieces, below, above = sums_with(rep)
-            pieces = list(pieces)
+            pieces = list(sums_with(rep))
             counted.append(len(pieces))
-            return pieces, below, above
+            return pieces
 
         return join_closure(generators, turn, **kwargs)
 
@@ -676,8 +730,8 @@ def test_path9_turns_report_each_sum_once(monkeypatch):
         return walk(n, base_kill, adj, present, max_elements)
 
     monkeypatch.setattr(binomial_edge, "_admissible_primes", counted)
-    sums_with = binomial_edge._clique_sums(n, ())
-    reported = sum(len(sums_with(rep)[0]) for rep in reps)
+    sums_with, _ = binomial_edge._clique_sums(n, ())
+    reported = sum(len(sums_with(rep)) for rep in reps)
     assert reported < 2000
     # one cut-set walk per distinct non-prime sum relation, of which
     # path9 has 263
