@@ -34,6 +34,20 @@ and (B & ~A) + M must share no guard bit.  A non-prime sum decomposes by
 the cut set rule applied to the overlay graph, whose adjacency is A | B
 itself, computed once per A | B.
 
+The cut set walk need only visit the non-simplicial vertices, those
+whose neighbourhood is not a clique, and in the overlay these are the
+rows whose nesting failed, the guard bits the test above sets.  Let v
+be unkilled in the sum, with residual blocks A_v and B_v, both holding
+v; its closed neighbourhood in A | B is A_v | B_v.  If A_v lies in B_v,
+that is B_v, a block of B and so a clique, and likewise the other way.
+If neither holds, take u in A_v but not B_v and w in B_v but not A_v:
+both are neighbours of v, and an edge u - w would put them in one block
+of A, so w in A_u = A_v, or of B, so u in B_w = B_v, against the
+choice.  A killed vertex's rows are empty on both sides and set no
+guard bit.  So the walk set of a non-prime sum is read off its guard
+bits; minimal_primes_graph tests neighbourhoods, as the graph itself is
+no overlay.
+
 A closure turn sums the new prime with every earlier one at once.  The
 earlier primes sit in slots of one big int, slot i at bit 8 * i * s for
 s = ceil(n(n+1) / 8) + 1 bytes:
@@ -57,11 +71,20 @@ the flag bytes.  The kernel assembles the up-masks from the flags: bit 2
 clear puts the earlier prime above the new one, which starts the new
 prime's mask, and bit 1 clear puts it below, which sets the new prime's
 bit in the earlier prime's mask; join_closure takes the masks once the
-closure is done.  join_closure needs the primes of a sum only once, so a
-turn reports only the sum relations no turn met: the relations are
-unpacked and filtered against the set of met relations (every prime
-handed in, every sum) in C, and Python loops over the new ones alone,
-decomposing the non-prime among them.  Each non-prime relation is thus
+closure is done.  The below marks are not set pair by pair.  A turn
+keeps its flag bytes translated to digits, "1" for a slot below it, and
+every _FOLD turns, and once more when the order is asked for, the kept
+rows, padded to the last one's length, are joined into one byte matrix.
+Column i, one strided slice, is slot i's digits over those turns, and
+read reversed as a binary number and shifted to the first of the turns
+it is ORed into slot i's mask; the OR of the rows, read as ints, names
+the columns that hold a "1", and only those are read.  The matrix takes
+at most _FOLD bytes per element.  join_closure needs the primes of a sum
+only once, so a turn reports only the sum relations no turn met: the
+relations are unpacked and filtered against the set of met relations
+(every prime handed in, every sum) in C, and Python loops over the new
+ones alone, decomposing the non-prime among them, each over the guard
+bits of the first slot that gave it.  Each non-prime relation is thus
 decomposed at most once.
 
 Most turns are quiet: they read only the flag bits 1 and 2, into the
@@ -101,20 +124,29 @@ and a cut set walk raises only past max_elements.  On the 9-vertex path,
 many as when every turn reports.
 
 Every prime the module hands out is in this packed form, the only one
-it has: the cut set walk packs each prime it finds once, so the minimal
+it has: the cut set walk packs the primes it finds, so the minimal
 primes of the graph and the pieces of a decomposition go into the
-closure as they come.  A node of the finished poset keeps its packed
-relation as its ideal, with dim and height read off the killed vertices
-and the blocks of the relation's rows.  Eight rows of n + 1 bits fill
-n + 1 whole bytes, so a relation is packed and unpacked eight rows at a
-time, O(n^2) bits in all.  The label order, which fixes the element ids,
-reads the kill mask and the block masks as sorted vertex tuples.
+closure as they come.  A walk meets a prime as its kill mask and its
+components, which come by least vertex, so the pair is canonical; the
+closure's decompositions share one dict from that pair to the packed
+relation, and each piece is packed once however many sums it comes
+from.  Every piece joins the pool, so the dict holds at most one entry
+per element.  Nor does a walk label its primes in full: their kill masks
+are base_kill | T for distinct T inside the walked vertices, which
+base_kill misses, so the label order never reaches their blocks, and
+sorting by height and then by the killed vertices gives it.  A node of
+the finished poset keeps its packed relation as its ideal, with dim and
+height read off the killed vertices and the blocks of the relation's
+rows.  Eight rows of n + 1 bits fill n + 1 whole bytes, so a relation is
+packed and unpacked eight rows at a time, O(n^2) bits in all.  The label
+order, which fixes the element ids, reads the kill mask and the block
+masks as sorted vertex tuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cache, partial
+from functools import partial
 from itertools import compress, filterfalse
 from operator import itemgetter
 from struct import iter_unpack
@@ -174,18 +206,6 @@ def ring_for(graph: Graph) -> RingContext:
     return RingContext(names)
 
 
-def _label_key(kill: int, blocks: Iterable[int]) -> tuple:
-    """The label order of clique primes, as sorted 1-based vertex tuples.
-
-    The killed vertices come first, then the blocks, which compare by
-    their vertex tuples, not by mask value: {1, 5} comes before {2}.
-    """
-    return (
-        tuple(_bits(kill << 1)),
-        tuple(sorted(tuple(_bits(b << 1)) for b in blocks)),
-    )
-
-
 def _check_partition(n: int, kill: int, blocks: Iterable[int]) -> None:
     """Raise ValueError unless the blocks partition the vertices kill leaves."""
     seen = kill
@@ -234,46 +254,53 @@ def _admissible_primes(
     base_kill: int,
     adj: Sequence[int],
     present: int,
+    walk: int,
     max_elements: int | None = None,
+    packed: dict | None = None,
 ) -> list[bytes]:
     """All primes from cut sets T of the graph (adj, present), over base_kill.
 
     A prime comes as its packed relation.  T qualifies when removing any
     single vertex of T gives strictly fewer components than removing all
-    of T; the empty set always qualifies.
-    Only vertices whose neighbourhood is not a clique are walked: putting
-    back a vertex with a clique or empty neighbourhood joins at most one
-    component, so the count never drops.  The primes come sorted by
-    height, then by the label order.
+    of T; the empty set always qualifies.  Only the vertices of walk, the
+    non-simplicial ones, are walked: putting back a vertex with a clique or
+    empty neighbourhood joins at most one component, so the count never
+    drops.  The primes come sorted by height, then by the label order,
+    which for distinct kill masks is the order of the killed vertices.
+
+    Subsets are walked smallest mask first, so T minus one vertex came
+    before T, and one dict of component counts by subset answers the test.
+    packed maps (kill, components by least vertex), a prime's canonical
+    form here, to its packed relation; a caller that hands the same dict
+    to every walk packs each prime once.
 
     Inside the closure every prime found here becomes a poset element, so
     given a max_elements the walk stops with the closure's
-    ClosureBudgetExceeded once more than that are found.  Subsets are
-    walked smallest mask first, which meets the small cut sets, and so the
-    budget, early.
+    ClosureBudgetExceeded once more than that are found.  Smallest mask
+    first also meets the small cut sets, and so the budget, early.
     """
-    components = cache(partial(_mask_components, adj))
-    walk = 0
-    for v in _bits(present):
-        nbrs = adj[v] & present
-        if any(nbrs & ~(adj[u] | 1 << u) for u in _bits(nbrs)):
-            walk |= 1 << v
+    if packed is None:
+        packed = {}
+    counts: dict[int, int] = {}  # T: the components left when T is removed
     found = []
     t = 0
     while True:
-        rest = present & ~t
-        base = len(components(rest))
-        if all(len(components(rest | (1 << i))) < base for i in _bits(t)):
+        components = _mask_components(adj, present & ~t)
+        base = counts[t] = len(components)
+        if all(counts[t ^ 1 << i] < base for i in _bits(t)):
             if max_elements is not None and len(found) >= max_elements:
                 raise ClosureBudgetExceeded(max_elements)
-            found.append((base_kill | t, components(rest)))
+            found.append((base_kill | t, components))
         if t == walk:
             break
         t = (t - walk) & walk
-    found.sort(
-        key=lambda rep: (n + rep[0].bit_count() - len(rep[1]), _label_key(*rep))
-    )
-    return [_pack(n, blocks) for _, blocks in found]
+    found.sort(key=lambda rep: (
+        n + rep[0].bit_count() - len(rep[1]), tuple(_bits(rep[0]))
+    ))
+    for rep in found:
+        if rep not in packed:
+            packed[rep] = _pack(n, rep[1])
+    return [packed[rep] for rep in found]
 
 
 def minimal_primes_graph(
@@ -290,7 +317,12 @@ def minimal_primes_graph(
     """
     n = graph.n
     adj = _clique_adjacency(n, (1 << u - 1 | 1 << v - 1 for u, v in graph.edges))
-    return _admissible_primes(n, 0, adj, (1 << n) - 1, max_elements)
+    # walk the vertices whose neighbourhood is not a clique
+    walk = 0
+    for v in range(n):
+        if any(adj[v] & ~(adj[u] | 1 << u) for u in _bits(adj[v])):
+            walk |= 1 << v
+    return _admissible_primes(n, 0, adj, (1 << n) - 1, walk, max_elements)
 
 
 def _rep_bytes(n: int) -> int:
@@ -368,10 +400,15 @@ def _unpack(n: int, rep: bytes) -> tuple[int, list[int]]:
 
 # bytes.translate tables for the flag bytes, whose bit k reads (b >> k) & 1:
 # a 0 or 1 byte per non-prime slot (bit 0 set), and the digit "1" per sum
-# equal to the earlier prime (bit 1 clear) or to the new prime (bit 2 clear)
+# equal to the earlier prime (bit 1 clear) or to the new prime (bit 2 clear);
+# and for digits, a 1 byte per "1"
 _NONPRIME = b"\0\1" * 128
 _BELOW = b"1100" * 64
 _ABOVE = b"11110000" * 32
+_DIGIT = bytes(49) + b"\1" + bytes(206)
+
+# turns whose below digits are kept, then folded into the up-masks at once
+_FOLD = 64
 
 
 def _clique_sums(
@@ -383,15 +420,16 @@ def _clique_sums(
     sums its prime with the primes in the slots, reads the order marks
     into the up-masks, and appends the prime as the next slot.  Each
     call reports only the sums no call met before, so each non-prime
-    relation is decomposed at most once; decompositions raise
-    ClosureBudgetExceeded past max_elements pieces.  generators are the
-    minimal primes join_closure is given, an antichain: a prime sum first
-    met on a generator's turn takes a quiet turn, which reads only the
-    order marks and reports nothing (the proof is in the module
-    docstring).  With no generators, every turn reports.  order returns
-    the up-masks the turns built.
+    relation is decomposed at most once, walking the rows whose nesting
+    failed; decompositions raise ClosureBudgetExceeded past max_elements
+    pieces.  generators are the minimal primes join_closure is given, an
+    antichain: a prime sum first met on a generator's turn takes a quiet
+    turn, which reads only the order marks and reports nothing (the
+    proof is in the module docstring).  With no generators, every turn
+    reports.  order returns the up-masks the turns built.
     """
     full = (1 << n) - 1
+    w = n + 1  # bits per row
     width = _rep_bytes(n)
     step = width + 1  # slot bytes: the relation and the flag byte
     shift = 8 * step
@@ -410,11 +448,24 @@ def _clique_sums(
     met: set[bytes] = set()  # every prime handed in and every sum met
     generators = set(generators)
     quiet: set[bytes] = set()  # the prime sums first met on a generator's turn
+    packed: dict = {}  # the decompositions' pieces, packed
     up: list[int] = []  # up[i]: the slots at or above slot i, as far as known
+    below: list[bytes] = []  # the below digits of the turns not yet folded
 
-    def decompose(key: bytes) -> list[bytes]:
-        kill = _killed(n, key)
-        return _admissible_primes(n, kill, _split(n, key), full & ~kill, max_elements)
+    def fold() -> None:
+        # row r is turn x0 + r's digits, one per earlier slot; padded to
+        # the last row's length, the rows are a byte matrix whose column i
+        # is slot i's digits over the turns, read by one strided slice
+        x0 = len(up) - len(below)
+        cols = len(below[-1])
+        matrix = b"".join(row.ljust(cols, b"0") for row in below)
+        seen = 0
+        for row in below:
+            seen |= int.from_bytes(row, "little")
+        hit = seen.to_bytes(cols, "little").translate(_DIGIT)
+        for i in compress(range(cols), hit):
+            up[i] |= int(matrix[i::cols][::-1], 2) << x0
+        below.clear()
 
     def sums_with(rep: bytes) -> list[bytes]:
         nonlocal unit, guards, ones, top, low, rels, kills, slots
@@ -422,7 +473,7 @@ def _clique_sums(
         x = int.from_bytes(rep, "little")
         kill = _killed(n, rep)
         # the rows and the columns of the killed vertices
-        cross = kill * starts | sum(full << v * (n + 1) for v in _bits(kill))
+        cross = kill * starts | sum(full << v * w for v in _bits(kill))
         # the sums of rep, as relation x killing cross, with every slot
         xr = x * unit
         xk = cross * unit
@@ -440,10 +491,10 @@ def _clique_sums(
         buf = marks.to_bytes(slots * step, "little")
         flags = buf[width::step]
         # the leading 0 reads the first turn's empty flags as no slot
-        bit = 1 << slots
-        for i in _bits(int(b"0" + flags.translate(_BELOW)[::-1], 2)):
-            up[i] |= bit
         up.append(int(b"0" + flags.translate(_ABOVE)[::-1], 2))
+        below.append(flags.translate(_BELOW))
+        if len(below) == _FOLD:
+            fold()
         at = slots * shift  # the prime takes the next slot
         rels |= x << at
         kills |= cross << at
@@ -461,16 +512,30 @@ def _clique_sums(
         nonprime = fresh.keys() & compress(keys, flags.translate(_NONPRIME))
         if rep in generators:
             quiet.update(fresh.keys() - nonprime)
+        if nonprime:
+            rows = bad.to_bytes(len(buf), "little")
         pieces: list[bytes] = []
         for key in fresh:
-            if key in nonprime:
-                pieces += decompose(key)
-            else:
+            if key not in nonprime:
                 pieces.append(key)
+                continue
+            # the walk: the unkilled vertices whose nesting failed, the
+            # guard bits of the first slot that gave this sum
+            at = keys.index(key) * step
+            walk = 0
+            for g in _bits(int.from_bytes(rows[at:at + width], "little")):
+                walk |= 1 << g // w
+            gone = _killed(n, key)
+            pieces += _admissible_primes(
+                n, gone, _split(n, key), full & ~gone, walk, max_elements, packed
+            )
         return pieces
 
     def order(reps: Sequence[bytes]) -> list[int]:
-        # the turns ran on reps, in label order, so up is theirs already
+        # the turns ran on reps, in label order, so up is theirs once the
+        # last digits are folded
+        if below:
+            fold()
         return up
 
     return sums_with, order

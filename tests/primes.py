@@ -62,6 +62,18 @@ def vertices(n, mask):
     return tuple(v for v in range(1, n + 1) if mask >> v - 1 & 1)
 
 
+def label_key(kill, blocks):
+    """The label order of clique primes, as sorted 1-based vertex tuples.
+
+    The killed vertices come first, then the blocks, which compare by
+    their vertex tuples, not by mask value: {1, 5} comes before {2}.
+    """
+    def ones(mask):
+        return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> v - 1 & 1)
+
+    return ones(kill), tuple(sorted(ones(b) for b in blocks))
+
+
 def as_masks(prime):
     """The engine's (kill, blocks) masks, blocks sorted by mask, for an oracle prime."""
     killed, blocks = prime

@@ -15,7 +15,6 @@ from defreg.binomial_edge import (
     _clique_node,
     _clique_sums,
     _join,
-    _label_key,
     _pack,
     _unpack,
     build_Q_poset,
@@ -25,7 +24,7 @@ from defreg.binomial_edge import (
 from defreg.cli import parse_graph_file
 from defreg.posets import ClosureBudgetExceeded
 from oracle import contains, cycle_edges, graph_primes_by_enumeration, leq
-from primes import as_masks, as_sets, clique, clique_height
+from primes import as_masks, as_sets, clique, clique_height, label_key
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -100,12 +99,12 @@ def test_ring_for_doubles_the_vertices():
 def test_clique_prime_data():
     # kill {2}, blocks {3, 4, 5} and {1}: bit v - 1 stands for vertex v
     prime = (0b00010, (0b00001, 0b11100))
-    assert _label_key(*prime) == ((2,), ((1,), (3, 4, 5)))
+    assert label_key(*prime) == ((2,), ((1,), (3, 4, 5)))
     assert clique_height(prime) == 2 * 1 + 0 + 2
     # blocks order by vertex tuples in the label key, not by mask value,
     # and in whatever order they come
-    assert _label_key(0, (0b00010, 0b01100, 0b10001)) == ((), ((1, 5), (2,), (3, 4)))
-    assert _label_key(0, (0b10001, 0b00010, 0b01100)) == ((), ((1, 5), (2,), (3, 4)))
+    assert label_key(0, (0b00010, 0b01100, 0b10001)) == ((), ((1, 5), (2,), (3, 4)))
+    assert label_key(0, (0b10001, 0b00010, 0b01100)) == ((), ((1, 5), (2,), (3, 4)))
     bad = [
         (0, (0b011,), "partition"),  # vertex 3 in no block
         (0, (0b011, 0b110), "two blocks"),  # vertex 2 in two blocks
@@ -130,7 +129,7 @@ def test_minimal_primes_of_complete_graph():
 
 def test_minimal_primes_of_short_path():
     got = graph_primes(Graph.path(3))
-    keys = [_label_key(*p) for p in got]
+    keys = [label_key(*p) for p in got]
     assert keys == [
         ((), ((1, 2, 3),)),
         ((2,), ((1,), (3,))),
@@ -178,15 +177,15 @@ def test_decomposition_of_a_nonprime_sum():
     # maximal elements below both summands
     poset = build_Q_poset(Graph.path(5))
     ideal = dict(zip(poset.ids(), node_primes(5, poset)))
-    by_key = {_label_key(*p): x for x, p in ideal.items()}
+    by_key = {label_key(*p): x for x, p in ideal.items()}
     p2 = by_key[((2,), ((1,), (3, 4, 5)))]
     p4 = by_key[((4,), ((1, 2, 3), (5,)))]
     below = [x for x in poset.ids() if leq(poset, x, p2) and leq(poset, x, p4)]
     top = [x for x in below if not any(y != x and leq(poset, x, y) for y in below)]
     pieces = sorted(
-        (ideal[x] for x in top), key=lambda p: (clique_height(p), _label_key(*p))
+        (ideal[x] for x in top), key=lambda p: (clique_height(p), label_key(*p))
     )
-    assert [_label_key(*p) for p in pieces] == [
+    assert [label_key(*p) for p in pieces] == [
         ((2, 3, 4), ((1,), (5,))),
         ((2, 4), ((1, 3, 5),)),
     ]
@@ -275,7 +274,7 @@ def poset_digest(n, poset):
     """sha256 of every (id, label key, up-mask), in label order."""
     primes = node_primes(n, poset)
     rows = [
-        [nd.id, _label_key(*p), up] for nd, p, up in zip(poset.nodes, primes, poset.up)
+        [nd.id, label_key(*p), up] for nd, p, up in zip(poset.nodes, primes, poset.up)
     ]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
@@ -312,8 +311,8 @@ def test_isolated_vertices_past_64_bits():
         small.nodes, wide.nodes, node_primes(5, small), node_primes(70, wide)
     ):
         assert b.height == a.height
-        kill, blocks = _label_key(*pa)
-        assert _label_key(*pb) == (kill, blocks + pad)
+        kill, blocks = label_key(*pa)
+        assert label_key(*pb) == (kill, blocks + pad)
     for x in small.ids():
         for y in small.ids():
             assert leq(wide, x, y) == leq(small, x, y)
@@ -354,6 +353,23 @@ def test_pack_round_trip(n):
         assert _unpack(n, packed) == (kill, sorted(blocks, key=lambda b: b & -b))
 
 
+def reference_walk(adj, present):
+    """The non-simplicial vertices of present, by a plain neighbourhood test.
+
+    adj[v] holds v's neighbours, and may hold v itself; v is walked when
+    two of its other neighbours in present are not adjacent.
+    """
+    walk = 0
+    for v in range(len(adj)):
+        if not present >> v & 1:
+            continue
+        near = present & adj[v]
+        nbrs = [u for u in range(len(adj)) if u != v and near >> u & 1]
+        if any(not adj[u] >> x & 1 for u, x in itertools.combinations(nbrs, 2)):
+            walk |= 1 << v
+    return walk
+
+
 def scalar_sum(n):
     """The closure's pair sum before turns were summed at once.
 
@@ -380,9 +396,11 @@ def scalar_sum(n):
     def decompose(raw):
         k, rel = raw
         adj = [rel >> v * (n + 1) & full for v in range(n)]
+        present = full & ~k
+        walk = reference_walk(adj, present)
         return tuple(
             scalar_pack(n, _unpack(n, rep))
-            for rep in _admissible_primes(n, k, adj, full & ~k)
+            for rep in _admissible_primes(n, k, adj, present, walk)
         )
 
     return sum_of, decompose
@@ -483,6 +501,57 @@ def test_path9_takes_mostly_quiet_turns(monkeypatch):
     # one walk for the minimal primes, then one per distinct non-prime sum
     # relation, as many as when every turn reports its new sums
     assert len(walks) == 1 + 263
+
+
+WALK_GRAPHS = (
+    [Graph.path(n) for n in range(5, 10)]
+    + [Graph.from_edges(n, cycle_edges(n)) for n in range(5, 9)]
+    + [Graph.complete_bipartite(3, 5)]
+)
+
+
+def test_walks_are_the_rows_whose_nesting_failed(monkeypatch):
+    # a decomposition walks the guard bits of its sum's failed nesting
+    # test; they must be exactly the vertices whose neighbourhood in the
+    # overlay is not a clique, and so for the graph's own minimal primes
+    rng = random.Random(4141)
+    graphs = WALK_GRAPHS + [random_graph(rng, rng.randint(4, 8)) for _ in range(40)]
+    walk = binomial_edge._admissible_primes
+    walks = []
+
+    def checked(n, base_kill, adj, present, mask, *args, **kwargs):
+        assert mask == reference_walk(adj, present), (base_kill, adj)
+        walks.append(mask)
+        return walk(n, base_kill, adj, present, mask, *args, **kwargs)
+
+    monkeypatch.setattr(binomial_edge, "_admissible_primes", checked)
+    for g in graphs:
+        build_Q_poset(g)
+    # the minimal primes' walks and path9's 263 decompositions among them
+    assert len(walks) > len(graphs) + 263
+    assert sum(map(bool, walks)) > 263
+
+
+# a 7-vertex graph whose closure has 30 elements, a multiple of every
+# fold below
+THIRTY = Graph.from_edges(7, [
+    (1, 2), (1, 3), (1, 5), (1, 7), (2, 3), (2, 4), (3, 6), (3, 7), (4, 6),
+    (4, 7), (5, 7),
+])
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3, 5])
+def test_turns_match_pair_sums_across_fold_boundaries(monkeypatch, fold):
+    # the turns' order marks are folded into the up-masks every fold
+    # turns and once more by order(); the closures here span many folds,
+    # and THIRTY ends exactly on a fold boundary
+    monkeypatch.setattr(binomial_edge, "_FOLD", fold)
+    assert len(build_Q_poset(THIRTY)) % fold == 0
+    graphs = [THIRTY, Graph.path(7), Graph.from_edges(6, cycle_edges(6))]
+    graphs.append(Graph.complete_bipartite(3, 5))
+    for g in graphs:
+        assert_turns_match_pair_sums(g)
+        assert_turns_match_pair_sums(g, generators=True)
 
 
 def test_cut_set_walk_stops_at_the_element_budget():

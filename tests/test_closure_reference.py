@@ -14,7 +14,7 @@ from collections import deque
 
 import pytest
 
-from defreg.binomial_edge import Graph, _label_key, build_Q_poset
+from defreg.binomial_edge import Graph, build_Q_poset
 from defreg.monomial import (
     SquarefreeIdeal,
     build_monomial_poset,
@@ -22,7 +22,7 @@ from defreg.monomial import (
 )
 from defreg.posets import ClosureBudgetExceeded, RingContext
 from oracle import components, contains, cut_set_primes, cycle_edges, prime_key
-from primes import clique, face
+from primes import clique, face, label_key
 
 
 def reference_closure(
@@ -136,7 +136,7 @@ def _check_graph(graph):
     keys = [prime_key(p) for p in reps]
     assert_same_poset(
         poset, [key[1:] for key in keys], leq,
-        lambda rep: _label_key(*clique(n, rep)),
+        lambda rep: label_key(*clique(n, rep)),
     )
     for nd, key in zip(poset.nodes, keys):
         assert nd.height == key[0]
