@@ -106,7 +106,6 @@ def multiplicities(
     if field is None:
         field = FieldSpec.rationals()
     homology = poset.homology(field.characteristic, max_faces=max_faces)
-    assert all((-1 in dims) == poset.is_maximal(k) for k, dims in enumerate(homology))
     return {node.id: dims for node, dims in zip(poset.nodes, homology)}
 
 

@@ -12,7 +12,8 @@ contains ideal(b), and each builder reads that off its own form.
 The order is given as up[k] only, an int mask of the positions at or
 above position k.  This module is the only place that closes or checks
 such masks.  The constructor checks them, never closes them, and
-keeps each element's covers as a mask, which hasse() and homology read.
+keeps each element's covers as a mask, which hasse() and homology read,
+and their OR, the elements that cover something.
 Id pairs, such as the covers of a poset file, go through
 AnalysisPoset.from_relations, which closes them in one pass over their
 strongly connected components.  is_maximal and homology address an
@@ -254,12 +255,12 @@ class AnalysisPoset:
     shrink forever.  Conversely, in a partial order each k in S(i) that
     is not maximal is a pick or in a pick's S(j), which holds S(k), so
     every member of S(i) above another lies in acc, and S(i) & ~acc are
-    i's covers; _lower holds their transpose.  On a failure
-    _cycle's pass over the comparable pairs names the per-pair check's
-    cycle, if there is one.
+    i's covers; _covered is the OR of them all.  On a failure _cycle's
+    pass over the comparable pairs names the per-pair check's cycle, if
+    there is one.
     """
 
-    __slots__ = ("_nodes", "_up", "_size", "_covers", "_lower", "_maximal", "ring", "provenance")
+    __slots__ = ("_nodes", "_up", "_size", "_covers", "_covered", "_maximal", "ring", "provenance")
 
     def __init__(
         self,
@@ -280,7 +281,7 @@ class AnalysisPoset:
         strict = [m ^ 1 << k for k, m in enumerate(up)]
         size = [m.bit_count() for m in strict]
         maximal = sum(1 << k for k, m in enumerate(strict) if not m)
-        covers, lower = [], [0] * n
+        covers, covered = [], 0
         for i, m in enumerate(strict):
             acc, rest = 0, m & ~maximal
             while rest:
@@ -297,15 +298,11 @@ class AnalysisPoset:
                 raise ValueError("order relation is not transitively closed")
             c = m & ~acc
             covers.append(c)
-            bit = 1 << i
-            while c:
-                low = c & -c
-                lower[low.bit_length() - 1] |= bit
-                c ^= low
+            covered |= c
         self._up = tuple(up)
         self._size = size
         self._covers = covers
-        self._lower = lower
+        self._covered = covered
         self._maximal = maximal
         self.ring = ring
         self.provenance = provenance
@@ -377,11 +374,13 @@ class AnalysisPoset:
         The field is GF(p), or Q when p is 0; any other p that is no prime
         below MAX_CHARACTERISTIC raises ValueError.  Every interval is held
         to max_faces faces first, in position order.  Some interval holds a
-        chain of three exactly when some a covers something and has a cover
-        b that is not maximal: k < x < y < z refines into covers k < a < b
-        <= z, and k < a < b < z puts a < b < z in (k, top).  Without one,
-        _graph_homology answers each interval, over every field; with one,
-        _resolution_homology answers all of them at once.
+        chain of three exactly when some a in _covered, the mask of the
+        elements that cover something, has a cover b that is not maximal:
+        k < x < y < z refines into covers k < a < b <= z, and k < a < b <
+        z puts a < b < z in (k, top).  Without one, one _graph_sweep
+        answers every interval, over every field; with one,
+        _resolution_homology answers all of them at once.  Either way,
+        exactly the maximal elements hold a class in degree -1.
 
         Over Q the resolution runs over GF(2) first.  An order complex's
         augmented chain complex is free over Z, so dim_GF(2) H_i = r_i +
@@ -393,53 +392,79 @@ class AnalysisPoset:
         """
         if p and not (p < MAX_CHARACTERISTIC and _is_prime(p)):
             raise ValueError(f"characteristic {p} is neither 0 nor a prime")
-        positions = range(len(self._up))
-        self._check_faces(positions, max_faces)
-        nonmaximal = ~self._maximal
-        if not any(low and c & nonmaximal for c, low in zip(self._covers, self._lower)):
-            return [self._graph_homology(k) for k in positions]
-        dims = self._resolution_homology(p or 2)
-        if not p and any(d > 0 and d + 1 in h for h in dims for d in h):
-            two, dims = dims, self._resolution_homology(0)
-            assert all(v <= two[k].get(d, 0)
-                       for k, h in enumerate(dims) for d, v in h.items())
+        covers, nonmaximal = self._covers, ~self._maximal
+        self._check_faces(range(len(covers)), max_faces)
+        if not any(covers[a] & nonmaximal for a in _wide_bits(self._covered)):
+            dims = self._graph_sweep()
+        else:
+            dims = self._resolution_homology(p or 2)
+            if not p and any(d > 0 and d + 1 in h for h in dims for d in h):
+                two, dims = dims, self._resolution_homology(0)
+                assert all(v <= two[k].get(d, 0)
+                           for k, h in enumerate(dims) for d, v in h.items())
+        assert sum(1 << k for k, h in enumerate(dims) if -1 in h) == self._maximal
         return dims
 
-    def _graph_homology(self, k: int) -> dict[int, int]:
-        """Reduced homology of (k, top) when no interval has a chain of three.
+    def _graph_sweep(self) -> list[dict[int, int]]:
+        """Reduced homology of every (k, top) when no interval has a chain of three.
 
-        The order complex is then the comparability graph, whose edges are
-        cover pairs from a cover of k up to a maximal element, so E sums
-        the cover counts of k's covers.  A maximal cover of k is a
-        component of its own; one search over the rest, stepping up
-        through covers and down through _lower, meets each member once.
-        V members, E pairs and c components give H_0 = c - 1 and H_1 =
-        E - V + c, and V = 0 a class in degree -1 (Björner, Topological
-        methods, 1995, §9), over every field, as a graph's homology is free.
+        The order complex of (k, top) is then its comparability graph: V
+        members, E pairs and c components give H_0 = c - 1 and H_1 = E -
+        V + c, and V = 0 a class in degree -1 (Björner, Topological
+        methods, 1995, §9), over every field, as a graph's homology is
+        free.  Two facts turn most of these counts into popcounts.
+
+        1. A non-maximal cover a of k has only maximal covers: a b > a
+           below some z would make a < b < z a chain of three in (k,
+           top).  So everything above a is maximal and covers a, and
+           size[a] counts a's covers.
+        2. A maximal cover m of k is an isolated vertex of (k, top):
+           nothing lies above m, and an x in (k, top) below m would lie
+           between k and its cover m.
+
+        Every member of (k, top) lies at or above a cover of k, so by 1
+        it is a cover of k or a cover of a non-maximal one, an a.  In a
+        pair x < y of members x is an a, as an x above some a would make
+        a < x < y a chain of three.  So V = size[k] and E sums size[a]
+        over the a.  By 2 each maximal cover of k is a component of its
+        own; every other component holds an a, and two a share one
+        exactly when a chain of a joins them, each sharing a maximal
+        cover with the next.  A maximal k has V = 0, and a k with no a
+        has c covers, V = c and E = 0, so {0: c - 1}.  Every other k
+        walks its a alone, each step ORing in sibling[a]: the elements
+        that cover something and share a maximal cover with a, built
+        once from the down-covers of the maximal elements.
         """
-        covers, lower, maximal = self._covers, self._lower, self._maximal
-        members = self._up[k] ^ 1 << k
-        alone = covers[k] & maximal
-        rest = members ^ alone
-        comps, pairs = alone.bit_count(), 0
-        while rest:
-            comps += 1
-            frontier = rest & -rest
-            while frontier:
-                rest ^= frontier
-                near = 0
-                while frontier:
-                    x = frontier & -frontier
-                    frontier ^= x
-                    x = x.bit_length() - 1
-                    near |= covers[x] | lower[x]
-                    pairs += covers[x].bit_count()
-                frontier = near & rest
-        nverts = members.bit_count()
-        if not nverts:
-            return {-1: 1}
-        dims = {0: comps - 1, 1: pairs - nverts + comps}
-        return {d: v for d, v in dims.items() if v}
+        covers, size, nonmaximal = self._covers, self._size, ~self._maximal
+        middle = list(_wide_bits(self._covered & nonmaximal))
+        tops = [list(_bits(covers[a])) for a in middle]
+        down, sibling = [0] * len(covers), [0] * len(covers)
+        for a, ms in zip(middle, tops):
+            for m in ms:
+                down[m] |= 1 << a
+        for a, ms in zip(middle, tops):
+            for m in ms:
+                sibling[a] |= down[m]
+        dims = []
+        for k, c in enumerate(covers):
+            rest = c & nonmaximal
+            if not rest:
+                comps = c.bit_count() - 1
+                dims.append({0: comps} if comps > 0 else {} if c else {-1: 1})
+                continue
+            comps, pairs = (c ^ rest).bit_count(), 0
+            while rest:
+                comps += 1
+                todo = rest & -rest
+                while todo:
+                    rest &= ~todo
+                    a = (todo & -todo).bit_length() - 1
+                    todo &= todo - 1
+                    pairs += size[a]
+                    todo |= sibling[a] & rest
+            h = (0, comps - 1), (1, pairs - size[k] + comps)
+            dims.append({d: v for d, v in h if v})
+        return dims
 
     def _check_faces(self, positions: Iterable[int], max_faces: int) -> None:
         """Raise FaceBudgetExceeded if some listed interval has over max_faces faces.
@@ -550,8 +575,13 @@ class AnalysisPoset:
 
     def hasse(self) -> list[tuple[str, str]]:
         """Cover pairs (lower, upper), by lower position, then upper position."""
-        ids = self.ids()
-        return [(a, ids[j]) for a, c in zip(ids, self._covers) for j in _bits(c)]
+        ids, pairs = [nd.id for nd in self._nodes], []
+        for a, c in zip(ids, self._covers):
+            while c:
+                low = c & -c
+                pairs.append((a, ids[low.bit_length() - 1]))
+                c ^= low
+        return pairs
 
 
 def _reduce_bits(pivots: dict, v: int, t: int) -> int | None:

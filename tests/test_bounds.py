@@ -406,21 +406,23 @@ def suspended_projective_plane_faces():
 
 
 def count_methods(monkeypatch):
-    """Lists that record each resolution, as (size, p), and each graph-method call."""
+    """Lists that record each resolution, as (size, p), and each position
+    that a graph sweep answers."""
     resolve = AnalysisPoset._resolution_homology
-    graph = AnalysisPoset._graph_homology
+    sweep = AnalysisPoset._graph_sweep
     resolved, graphed = [], []
 
     def counted_resolution(poset, p):
         resolved.append((len(poset), p))
         return resolve(poset, p)
 
-    def counted_graph(poset, k):
-        graphed.append(k)
-        return graph(poset, k)
+    def counted_sweep(poset):
+        dims = sweep(poset)
+        graphed.extend(range(len(dims)))
+        return dims
 
     monkeypatch.setattr(AnalysisPoset, "_resolution_homology", counted_resolution)
-    monkeypatch.setattr(AnalysisPoset, "_graph_homology", counted_graph)
+    monkeypatch.setattr(AnalysisPoset, "_graph_sweep", counted_sweep)
     return resolved, graphed
 
 

@@ -476,10 +476,12 @@ def test_both_homology_methods_agree_on_rank_two_posets():
         cases.append(rank_two_masks(rng, sizes, rng.random(), rng.random() / 2))
     for up in cases:
         poset = AnalysisPoset([node(f"e{k}") for k in range(len(up))], up)
+        graph = poset._graph_sweep()
         two = poset._resolution_homology(2)
         rational = poset._resolution_homology(0)
+        assert len(graph) == len(up)
         for k in range(len(up)):
-            assert poset._graph_homology(k) == two[k] == rational[k], (up, k)
+            assert graph[k] == two[k] == rational[k], (up, k)
 
 
 def _bits(mask):
