@@ -138,9 +138,11 @@ sorting by height and then by the killed vertices gives it.  A node of
 the finished poset keeps its packed relation as its ideal, with dim and
 height read off the killed vertices and the blocks of the relation's
 rows.  Eight rows of n + 1 bits fill n + 1 whole bytes, so a relation is
-packed and unpacked eight rows at a time, O(n^2) bits in all.  The label
-order, which fixes the element ids, reads the kill mask and the block
-masks as sorted vertex tuples.
+packed eight rows at a time, and unpacked by shifting its rows off one
+int per group of eight rows or more, up to 4096 bits: one int for a
+graph under 64 vertices, and O(n^2) bits in all for a wide one.  The
+label order, which fixes the element ids, reads the kill mask and the
+block masks as sorted vertex tuples.
 """
 
 from __future__ import annotations
@@ -231,22 +233,12 @@ def _clique_adjacency(n: int, cliques: Iterable[int]) -> list[int]:
     return adj
 
 
-def _mask_components(adj: Sequence[int], present: int) -> tuple[int, ...]:
-    comps = []
-    rest = present
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grown = 0
-            for v in _bits(frontier):
-                grown |= adj[v]
-            grown &= present & ~comp
-            comp |= grown
-            frontier = grown
-        comps.append(comp)
-        rest &= ~comp
-    return tuple(comps)
+# the killed vertices as a sorted tuple compare as the digits of 2 * kill + 1
+# from bit 0, 0 and 1 swapped: at the least vertex in one mask only, that
+# mask reads "0" against "1" and comes first, unless the other has no vertex
+# beyond it, and so a digit string that is a prefix; the leading digit makes
+# the empty mask "0", a prefix of every other
+_SWAP = str.maketrans("01", "10")
 
 
 def _admissible_primes(
@@ -266,10 +258,15 @@ def _admissible_primes(
     non-simplicial ones, are walked: putting back a vertex with a clique or
     empty neighbourhood joins at most one component, so the count never
     drops.  The primes come sorted by height, then by the label order,
-    which for distinct kill masks is the order of the killed vertices.
+    which for distinct kill masks is the order of the killed vertices
+    (_SWAP reads it off their digits); a walk that finds one prime has
+    nothing to sort.
 
     Subsets are walked smallest mask first, so T minus one vertex came
     before T, and one dict of component counts by subset answers the test.
+    Both the components, each grown from its least vertex a frontier at a
+    time, and the test, over the vertices of T, step off the lowest bit
+    of an int inline, with no generator or all() per subset.
     packed maps (kill, components by least vertex), a prime's canonical
     form here, to its packed relation; a caller that hands the same dict
     to every walk packs each prime once.
@@ -285,18 +282,41 @@ def _admissible_primes(
     found = []
     t = 0
     while True:
-        components = _mask_components(adj, present & ~t)
+        # the components of present minus T, each grown from its least vertex
+        components = []
+        rest = present & ~t
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & rest & ~comp
+                comp |= frontier
+            components.append(comp)
+            rest ^= comp
         base = counts[t] = len(components)
-        if all(counts[t ^ 1 << i] < base for i in _bits(t)):
+        # T qualifies when every T minus one vertex leaves fewer components
+        m = t
+        while m:
+            low = m & -m
+            if counts[t ^ low] >= base:
+                break
+            m ^= low
+        else:
             if max_elements is not None and len(found) >= max_elements:
                 raise ClosureBudgetExceeded(max_elements)
-            found.append((base_kill | t, components))
+            found.append((base_kill | t, tuple(components)))
         if t == walk:
             break
         t = (t - walk) & walk
-    found.sort(key=lambda rep: (
-        n + rep[0].bit_count() - len(rep[1]), tuple(_bits(rep[0]))
-    ))
+    if len(found) > 1:
+        found.sort(key=lambda rep: (
+            n + rep[0].bit_count() - len(rep[1]),
+            bin(2 * rep[0] + 1)[:1:-1].translate(_SWAP),
+        ))
     for rep in found:
         if rep not in packed:
             packed[rep] = _pack(n, rep[1])
@@ -347,16 +367,23 @@ def _join(n: int, rows: Sequence[int]) -> bytes:
 
 
 def _split(n: int, rep: bytes) -> list[int]:
-    """The n rows of a packed relation."""
+    """The n rows of a packed relation.
+
+    The rows are shifted off one int per group of 8k rows, which fill k(n +
+    1) whole bytes: k is the most that keeps the int within 4096 bits, or
+    1.  So a graph on under 64 vertices is read off one int, and a wide
+    relation is not shifted whole once per row, which is O(n^3) bits.
+    """
     w = n + 1
     full = (1 << n) - 1
+    size = 8 * max(1, 512 // w)
     rows = []
-    for at in range(0, len(rep), w):
-        group = int.from_bytes(rep[at:at + w], "little")
-        for _ in range(8):
+    for first in range(0, n, size):
+        group = int.from_bytes(rep[first * w >> 3:(first + size) * w >> 3], "little")
+        for _ in range(min(size, n - first)):
             rows.append(group & full)
             group >>= w
-    return rows[:n]
+    return rows
 
 
 def _pack(n: int, blocks: Iterable[int]) -> bytes:
@@ -383,18 +410,27 @@ def _killed(n: int, rep: bytes) -> int:
 def _unpack(n: int, rep: bytes) -> tuple[int, list[int]]:
     """(kill mask, block masks by least vertex) of a packed relation.
 
-    One pass over the rows: a row without its diagonal bit is a killed
-    vertex, and a row whose lowest bit is its own vertex starts a block.
-    The blocks are not checked to partition the unkilled vertices.
+    One pass over the rows, shifted off the ints of _split's groups, with
+    no list of rows: a row without its diagonal bit is a killed vertex,
+    and a row whose lowest bit is its own vertex starts a block.  The
+    blocks are not checked to partition the unkilled vertices.
     """
-    kill = 0
-    blocks = []
-    for v, row in enumerate(_split(n, rep)):
-        bit = 1 << v
-        if not row & bit:
-            kill |= bit
-        elif row & -row == bit:
-            blocks.append(row)
+    w = n + 1
+    full = (1 << n) - 1
+    size = 8 * max(1, 512 // w)
+    kill, blocks = 0, []
+    bit, end = 1, 1 << n
+    for first in range(0, n, size):
+        group = int.from_bytes(rep[first * w >> 3:(first + size) * w >> 3], "little")
+        stop = min(bit << size, end)
+        while bit != stop:
+            row = group & full
+            if not row & bit:
+                kill |= bit
+            elif row & -row == bit:
+                blocks.append(row)
+            group >>= w
+            bit <<= 1
     return kill, blocks
 
 
@@ -426,7 +462,9 @@ def _clique_sums(
     antichain: a prime sum first met on a generator's turn takes a quiet
     turn, which reads only the order marks and reports nothing (the
     proof is in the module docstring).  With no generators, every turn
-    reports.  order returns the up-masks the turns built.
+    reports.  The killed rows and columns of a kill mask are built once
+    per closure, on the first turn whose prime kills exactly those
+    vertices.  order returns the up-masks the turns built.
     """
     full = (1 << n) - 1
     w = n + 1  # bits per row
@@ -449,6 +487,7 @@ def _clique_sums(
     generators = set(generators)
     quiet: set[bytes] = set()  # the prime sums first met on a generator's turn
     packed: dict = {}  # the decompositions' pieces, packed
+    crosses: dict[int, int] = {}  # kill mask: its killed rows and columns
     up: list[int] = []  # up[i]: the slots at or above slot i, as far as known
     below: list[bytes] = []  # the below digits of the turns not yet folded
 
@@ -472,8 +511,12 @@ def _clique_sums(
         met.add(rep)
         x = int.from_bytes(rep, "little")
         kill = _killed(n, rep)
-        # the rows and the columns of the killed vertices
-        cross = kill * starts | sum(full << v * w for v in _bits(kill))
+        cross = crosses.get(kill)
+        if cross is None:
+            # the rows and the columns of the killed vertices
+            cross = crosses[kill] = kill * starts | sum(
+                full << v * w for v in _bits(kill)
+            )
         # the sums of rep, as relation x killing cross, with every slot
         xr = x * unit
         xk = cross * unit

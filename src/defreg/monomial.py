@@ -12,10 +12,15 @@ Inside the closure a face prime is the same mask: the sum is a | b, and a
 contains b exactly when a | b == a.  A turn sums the new mask b with every
 earlier mask at once.  The order is read once, after the last turn, off
 per-variable columns: column v is the mask of the positions whose prime
-holds variable v, built in one pass over the elements.  The primes at or
-above b, those contained in b, are those in no column of a variable
-outside b, so an element's up-mask costs at most nvars operations on ints
-with one bit per element.
+holds variable v, one strided slice of the primes' binary digits joined
+into one string.  The primes at or above b are those contained in b, and
+for b inside c they are the primes inside c that miss c & ~b: a prime
+inside b is inside c and misses c & ~b, and a prime inside c that misses
+c & ~b is inside b.  So the up-masks are set largest prime first: up[b]
+is up[b | v] minus column v, one operation on ints with one bit per
+element, for the first variable v outside b whose b | v is an element.
+Failing that, as for the union of all the primes, c is every variable,
+whose up-mask is everyone, and up[b] costs at most nvars operations.
 
 Only the turn of a minimal prime hands over sums; every other turn hands
 over none, and join_closure's contract allows that, as | is a semilattice
@@ -153,17 +158,30 @@ def build_monomial_poset(
         return pieces
 
     def order(reps: Sequence[int]) -> list[int]:
-        # column v: the positions whose prime holds variable v
-        columns = [0] * len(names)
-        for k, b in enumerate(reps):
-            for v in _bits(b):
-                columns[v] |= 1 << k
-        everyone, full = (1 << len(reps)) - 1, (1 << len(names)) - 1
-        # at or above b: the primes inside b, in no column of a variable outside b
-        return [
-            everyone & ~reduce(or_, (columns[v] for v in _bits(full & ~b)), 0)
-            for b in reps
-        ]
+        n = len(names)
+        # column v: the positions whose prime holds variable v, one strided
+        # slice of the primes' digits, last prime first
+        spec = f"0{n}b"
+        digits = "".join([format(b, spec) for b in reversed(reps)])
+        columns = [int(digits[n - 1 - v::n], 2) for v in range(n)]
+        everyone, full = (1 << len(reps)) - 1, (1 << n) - 1
+        index = {b: k for k, b in enumerate(reps)}
+        up = [0] * len(reps)
+        # largest prime first, so up[b | v] is set before up[b]
+        for k in sorted(range(len(reps)), key=lambda k: -reps[k].bit_count()):
+            b = reps[k]
+            rest = full & ~b
+            while rest:
+                bit = rest & -rest
+                c = index.get(b | bit)
+                if c is not None:
+                    up[k] = up[c] & ~columns[bit.bit_length() - 1]
+                    break
+                rest ^= bit
+            else:
+                # no b | v is an element: c is every variable, up[c] everyone
+                up[k] = everyone & ~reduce(or_, (columns[v] for v in _bits(full & ~b)), 0)
+        return up
 
     return join_closure(
         primes,

@@ -280,10 +280,12 @@ class AnalysisPoset:
         up = [m | 1 << k for k, m in enumerate(up)]
         strict = [m ^ 1 << k for k, m in enumerate(up)]
         size = [m.bit_count() for m in strict]
-        maximal = sum(1 << k for k, m in enumerate(strict) if not m)
+        # one digit per position, the last first; the leading 0 reads no nodes
+        maximal = int("0" + "".join(["0" if m else "1" for m in reversed(strict)]), 2)
+        nonmaximal = ~maximal
         covers, covered = [], 0
         for i, m in enumerate(strict):
-            acc, rest = 0, m & ~maximal
+            acc, rest = 0, m & nonmaximal
             while rest:
                 j = rest.bit_length() - 1
                 low = (rest & -rest).bit_length() - 1
@@ -307,15 +309,16 @@ class AnalysisPoset:
         self.ring = ring
         self.provenance = provenance
         if ring is not None:
+            ambient = ring.nvars
             for nd in self._nodes:
-                if nd.dim > ring.nvars:
+                if nd.dim > ambient:
                     raise ValueError(
-                        f"node {nd.id}: dim {nd.dim} exceeds the ambient {ring.nvars}"
+                        f"node {nd.id}: dim {nd.dim} exceeds the ambient {ambient}"
                     )
-                if nd.height is not None and nd.height + nd.dim != ring.nvars:
+                if nd.height is not None and nd.height + nd.dim != ambient:
                     raise ValueError(
                         f"node {nd.id}: height {nd.height} + dim {nd.dim} "
-                        f"differs from the ambient {ring.nvars}"
+                        f"differs from the ambient {ambient}"
                     )
 
     @classmethod
@@ -402,7 +405,9 @@ class AnalysisPoset:
                 two, dims = dims, self._resolution_homology(0)
                 assert all(v <= two[k].get(d, 0)
                            for k, h in enumerate(dims) for d, v in h.items())
-        assert sum(1 << k for k, h in enumerate(dims) if -1 in h) == self._maximal
+        assert int(
+            "0" + "".join(["1" if -1 in h else "0" for h in reversed(dims)]), 2
+        ) == self._maximal
         return dims
 
     def _graph_sweep(self) -> list[dict[int, int]]:

@@ -1,9 +1,12 @@
 import itertools
 import random
 from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
+from defreg import monomial
 from defreg.bounds import FieldSpec, multiplicities
 from defreg.monomial import (
     SquarefreeIdeal,
@@ -14,7 +17,7 @@ from defreg.monomial import (
 from defreg.posets import RingContext
 from oracle import cover_primes, leq
 from primes import face, face_primes
-from test_closure_reference import two_blocks
+from test_closure_reference import disjoint_edges, two_blocks
 
 RING4 = RingContext(("x", "y", "z", "w"))
 
@@ -189,3 +192,54 @@ def test_disjoint_union_joins_the_intervals():
                 assert dims == want, (s, field)
         elements += len(got)
     assert elements > 1000
+
+
+def _pairwise_up(reps):
+    """up[k] by pairs: the primes inside reps[k], a | b == a for a = reps[k]."""
+    return [
+        sum(1 << j for j, b in enumerate(reps) if a | b == a) for a in reps
+    ]
+
+
+def _without_extension(reps, nvars):
+    """The primes b with no b | v in the pool for a variable v outside b."""
+    pool = set(reps)
+    return [
+        b for b in reps
+        if not any(b | 1 << v in pool for v in range(nvars) if not b >> v & 1)
+    ]
+
+
+def test_order_matches_the_pairwise_reference_where_no_extension_exists(monkeypatch):
+    # the order sets up[b] from up[b | v]; a prime with no such b | v in the
+    # pool falls back to the columns of every variable outside b.  reduce
+    # runs in the fallback alone, so counting its calls shows that it ran,
+    # once for each such prime
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return reduce(*args)
+
+    monkeypatch.setattr(monomial, "reduce", counted)
+    rng = random.Random(3535)
+    beyond_union = 0
+    for _ in range(40):
+        ring = RingContext(tuple(f"v{i}" for i in range(rng.randint(4, 8))))
+        ideal = random_ideal(rng, ring)
+        calls.clear()
+        poset = build_monomial_poset(ideal)
+        reps = [nd.ideal for nd in poset.nodes]
+        assert list(poset.up) == _pairwise_up(reps)
+        alone = _without_extension(reps, ring.nvars)
+        assert len(calls) == len(alone)
+        assert reduce(or_, reps) in alone
+        beyond_union += len(alone) > 1
+    assert beyond_union >= 10
+    # 6 disjoint edges: every prime but the union extends by one variable
+    ideal = disjoint_edges(6)
+    calls.clear()
+    poset = build_monomial_poset(ideal)
+    reps = [nd.ideal for nd in poset.nodes]
+    assert list(poset.up) == _pairwise_up(reps)
+    assert len(calls) == 1

@@ -1,0 +1,80 @@
+"""Relabeling an input moves no number of the report.
+
+Permuting a graph's vertices, or renaming a monomial ideal's variables
+and reordering its generators, gives an isomorphic poset of sums: the
+element ids may move, but not the multiset of (dim, height,
+multiplicities), nor any bound, |S_j| or the Murai-Terai level.
+"""
+
+import random
+from collections import Counter
+
+from defreg.binomial_edge import Graph, build_Q_poset
+from defreg.bounds import FieldSpec, analyze
+from defreg.monomial import SquarefreeIdeal, build_monomial_poset
+from defreg.posets import RingContext
+
+FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(2))
+
+
+def invariants(poset, field):
+    """What a relabeling must keep, read off the report over field."""
+    report = analyze(poset, field)
+    mults = report.multiplicities
+    return (
+        Counter(
+            (nd.dim, nd.height, tuple(sorted(mults[nd.id].items())))
+            for nd in poset.nodes
+        ),
+        [e.bound for e in report.entries],
+        [len(e.members) for e in report.entries],
+        (report.mt_level, report.mt_capped),
+    )
+
+
+def test_vertex_permutations_of_graphs():
+    rng = random.Random(9)
+    elements = 0
+    for _ in range(60):
+        n = rng.randint(6, 7)
+        density = rng.uniform(0.25, 0.6)
+        edges = [
+            (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+            if rng.random() < density
+        ]
+        poset = build_Q_poset(Graph.from_edges(n, edges))
+        want = [invariants(poset, field) for field in FIELDS]
+        for _ in range(2):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            moved = [(perm[u - 1], perm[v - 1]) for u, v in edges]
+            rng.shuffle(moved)
+            image = build_Q_poset(Graph.from_edges(n, moved))
+            assert [invariants(image, field) for field in FIELDS] == want, (n, edges, perm)
+        elements += len(poset)
+    assert elements > 1000
+
+
+def test_variable_renaming_and_generator_order_of_monomial_ideals():
+    rng = random.Random(10)
+    elements = 0
+    for _ in range(80):
+        nvars = rng.randint(4, 10)
+        names = [f"x{i}" for i in range(1, nvars + 1)]
+        gens = [
+            rng.sample(names, rng.randint(1, 3)) for _ in range(rng.randint(2, 8))
+        ]
+        poset = build_monomial_poset(SquarefreeIdeal.create(RingContext(tuple(names)), gens))
+        want = [invariants(poset, field) for field in FIELDS]
+        # new names, whose string order differs from the old one, in a new
+        # ring order, and the generators in a new order
+        renamed = [f"y{i}" for i in rng.sample(range(1, nvars + 1), nvars)]
+        rename = dict(zip(names, renamed))
+        order = renamed[:]
+        rng.shuffle(order)
+        moved = [[rename[v] for v in g] for g in gens]
+        rng.shuffle(moved)
+        image = build_monomial_poset(SquarefreeIdeal.create(RingContext(tuple(order)), moved))
+        assert [invariants(image, field) for field in FIELDS] == want, (gens, rename)
+        elements += len(poset)
+    assert elements > 800
