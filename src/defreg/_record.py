@@ -3,16 +3,22 @@
 A record class lists its fields in __slots__ and sets each one in its own
 __init__ with object.__setattr__, after its checks pass; from then on,
 assigning or deleting an attribute raises AttributeError.  Records
-compare and hash by their fields, in __slots__ order, and a record
-equals only records of its own class.
+compare and hash by their fields, the __slots__ of every class in order,
+base first, and a record equals only records of its own class.  A
+subclass that adds no slots keeps its base's fields.
 """
 
 
 class Record:
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -29,7 +35,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -14,7 +14,8 @@ height c - 1, so
 and the two are complementary in the 2n ambient variables.
 
 The minimal primes of the graph itself come from cut sets: keep S exactly
-when every vertex of S raises the component count of what is left.
+when every vertex of S raises the component count of what is left, that
+is, when each is next to two or more of the components of G - S.
 
 Inside the sum closure a prime is its same-block relation R, packed into
 bytes, with bit v - 1 of a mask standing for vertex v.  Row v takes n + 1
@@ -224,15 +225,6 @@ def _check_partition(n: int, kill: int, blocks: Iterable[int]) -> None:
         raise ValueError("blocks must partition the unkilled vertices")
 
 
-def _clique_adjacency(n: int, cliques: Iterable[int]) -> list[int]:
-    """Adjacency masks of the union of complete graphs on the given masks."""
-    adj = [0] * n
-    for c in cliques:
-        for v in _bits(c):
-            adj[v] |= c ^ 1 << v
-    return adj
-
-
 # the killed vertices as a sorted tuple compare as the digits of 2 * kill + 1
 # from bit 0, 0 and 1 swapped: at the least vertex in one mask only, that
 # mask reads "0" against "1" and comes first, unless the other has no vertex
@@ -252,60 +244,59 @@ def _admissible_primes(
 ) -> list[bytes]:
     """All primes from cut sets T of the graph (adj, present), over base_kill.
 
-    A prime comes as its packed relation.  T qualifies when removing any
-    single vertex of T gives strictly fewer components than removing all
-    of T; the empty set always qualifies.  Only the vertices of walk, the
-    non-simplicial ones, are walked: putting back a vertex with a clique or
-    empty neighbourhood joins at most one component, so the count never
-    drops.  The primes come sorted by height, then by the label order,
-    which for distinct kill masks is the order of the killed vertices
-    (_SWAP reads it off their digits); a walk that finds one prime has
-    nothing to sort.
+    A prime comes as its packed relation.  T qualifies when putting back
+    any single vertex of T leaves strictly fewer components than removing
+    all of T; the empty set always qualifies.  Putting back t joins the
+    components of present minus T that t is next to, and t alone, into
+    one, so c(T - t) = c(T) + 1 - (the components t is next to), and T
+    qualifies exactly when every vertex of T is next to two or more of
+    them.  That is read off T's own components: each ORs in the rows it
+    reads as it grows, the vertices next to it, and a vertex next to two
+    lies in two of these ORs.  Only the vertices of walk, the
+    non-simplicial ones, are walked: a vertex with a clique or empty
+    neighbourhood is next to at most one component.  The primes come
+    sorted by height, then by the label order, which for distinct kill
+    masks is the order of the killed vertices (_SWAP reads it off their
+    digits); a walk that finds one prime has nothing to sort.
 
-    Subsets are walked smallest mask first, so T minus one vertex came
-    before T, and one dict of component counts by subset answers the test.
-    Both the components, each grown from its least vertex a frontier at a
-    time, and the test, over the vertices of T, step off the lowest bit
-    of an int inline, with no generator or all() per subset.
-    packed maps (kill, components by least vertex), a prime's canonical
-    form here, to its packed relation; a caller that hands the same dict
-    to every walk packs each prime once.
+    Each component is grown from its least vertex a frontier at a time,
+    stepping off the lowest bit of an int inline, with no generator per
+    subset.  packed maps (kill, components by least vertex), a prime's
+    canonical form here, to its packed relation; a caller that hands the
+    same dict to every walk packs each prime once.
 
     Inside the closure every prime found here becomes a poset element, so
     given a max_elements the walk stops with the closure's
-    ClosureBudgetExceeded once more than that are found.  Smallest mask
-    first also meets the small cut sets, and so the budget, early.
+    ClosureBudgetExceeded once more than that are found.  Subsets are
+    walked smallest mask first, which meets the small cut sets, and so
+    the budget, early.
     """
     if packed is None:
         packed = {}
-    counts: dict[int, int] = {}  # T: the components left when T is removed
     found = []
     t = 0
     while True:
-        # the components of present minus T, each grown from its least vertex
+        # the components of present minus T, each grown from its least
+        # vertex; near gathers the rows a component reads, and twice the
+        # vertices next to two components so far
         components = []
+        once = twice = 0
         rest = present & ~t
         while rest:
             comp = frontier = rest & -rest
+            near = 0
             while frontier:
-                grown = 0
                 while frontier:
                     low = frontier & -frontier
-                    grown |= adj[low.bit_length() - 1]
+                    near |= adj[low.bit_length() - 1]
                     frontier ^= low
-                frontier = grown & rest & ~comp
+                frontier = near & rest & ~comp
                 comp |= frontier
             components.append(comp)
             rest ^= comp
-        base = counts[t] = len(components)
-        # T qualifies when every T minus one vertex leaves fewer components
-        m = t
-        while m:
-            low = m & -m
-            if counts[t ^ low] >= base:
-                break
-            m ^= low
-        else:
+            twice |= once & near
+            once |= near
+        if twice & t == t:
             if max_elements is not None and len(found) >= max_elements:
                 raise ClosureBudgetExceeded(max_elements)
             found.append((base_kill | t, tuple(components)))
@@ -336,7 +327,10 @@ def minimal_primes_graph(
     is raised once more than that are found.
     """
     n = graph.n
-    adj = _clique_adjacency(n, (1 << u - 1 | 1 << v - 1 for u, v in graph.edges))
+    adj = [0] * n
+    for u, v in graph.edges:
+        adj[u - 1] |= 1 << v - 1
+        adj[v - 1] |= 1 << u - 1
     # walk the vertices whose neighbourhood is not a clique
     walk = 0
     for v in range(n):
@@ -410,10 +404,11 @@ def _killed(n: int, rep: bytes) -> int:
 def _unpack(n: int, rep: bytes) -> tuple[int, list[int]]:
     """(kill mask, block masks by least vertex) of a packed relation.
 
-    One pass over the rows, shifted off the ints of _split's groups, with
-    no list of rows: a row without its diagonal bit is a killed vertex,
-    and a row whose lowest bit is its own vertex starts a block.  The
-    blocks are not checked to partition the unkilled vertices.
+    One pass over the rows, shifted off one int per group of 8k rows as
+    in _split, with no list of rows: a row without its diagonal bit is a
+    killed vertex, and a row whose lowest bit is its own vertex starts a
+    block.  The blocks are not checked to partition the unkilled
+    vertices.
     """
     w = n + 1
     full = (1 << n) - 1

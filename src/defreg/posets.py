@@ -19,6 +19,14 @@ AnalysisPoset.from_relations, which closes them in one pass over their
 strongly connected components.  is_maximal and homology address an
 element by its position k, never by its id; homology answers every open
 interval (k, top) in one call.
+
+Set bits are read by _bits, narrow and wide masks alike.  Four hot loops
+step off the lowest bit inline instead, each for its own reason: _close
+leaves a mask partway to walk an element and resumes it later; the
+constructor's order check picks from either end of a mask that shrinks
+by whole up-sets; _graph_sweep walks a set that grows as it is walked;
+and hasse() runs once per cover pair, where a generator per element
+costs more than the pairs.
 """
 
 from __future__ import annotations
@@ -134,23 +142,20 @@ class IdealNode(Record):
         object.__setattr__(self, "is_cm", is_cm)
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first.
 
-
-def _wide_bits(mask: int) -> Iterator[int]:
-    """_bits, but a mask of many bits is read off its binary digits.
-
-    Stepping off the lowest bit costs a pass over the whole int per bit,
-    quadratic in a wide mask; bin(mask) costs one pass per mask.  Each bit
-    is yielded as it is found, so a reader that stops early reads no
-    further.
+    Below 64 set bits each step takes off the lowest bit.  That costs a
+    pass over the whole int per bit, quadratic in a wide mask, so from 64
+    set bits up the positions are read off the digits of bin(mask), one
+    pass per mask.  Each bit is yielded as it is found, so a reader that
+    stops early reads no further.
     """
     if mask.bit_count() < 64:
-        yield from _bits(mask)
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
         return
     digits = bin(mask)[:1:-1]
     k = digits.find("1")
@@ -397,7 +402,7 @@ class AnalysisPoset:
             raise ValueError(f"characteristic {p} is neither 0 nor a prime")
         covers, nonmaximal = self._covers, ~self._maximal
         self._check_faces(range(len(covers)), max_faces)
-        if not any(covers[a] & nonmaximal for a in _wide_bits(self._covered)):
+        if not any(covers[a] & nonmaximal for a in _bits(self._covered)):
             dims = self._graph_sweep()
         else:
             dims = self._resolution_homology(p or 2)
@@ -441,7 +446,7 @@ class AnalysisPoset:
         once from the down-covers of the maximal elements.
         """
         covers, size, nonmaximal = self._covers, self._size, ~self._maximal
-        middle = list(_wide_bits(self._covered & nonmaximal))
+        middle = list(_bits(self._covered & nonmaximal))
         tops = [list(_bits(covers[a])) for a in middle]
         down, sibling = [0] * len(covers), [0] * len(covers)
         for a, ms in zip(middle, tops):
@@ -489,10 +494,10 @@ class AnalysisPoset:
         for k in positions:
             if size[k] <= small:
                 continue
-            todo = filterfalse(count.__contains__, _wide_bits(up[k]))
+            todo = filterfalse(count.__contains__, _bits(up[k]))
             for y in sorted(todo, key=size.__getitem__):
                 c = 1
-                for z in _wide_bits(up[y] ^ 1 << y):
+                for z in _bits(up[y] ^ 1 << y):
                     c += count[z]
                     if c >= cap:
                         c = cap

@@ -308,22 +308,24 @@ def relation_masks(ids, pairs):
     return up
 
 
-def test_wide_bits_match_bits():
-    # _check_faces reads a mask of 64 or more bits off its binary digits
+def test_bits_match_a_plain_reference():
+    # posets._bits steps off the lowest bit below 64 set bits and reads a
+    # wider mask off its binary digits
     rng = random.Random(64)
     for width in (1, 63, 64, 65, 300, 5000):
         for density in (0.01, 0.5, 1.0):
             mask = sum(1 << k for k in range(width) if rng.random() < density)
-            assert list(posets._wide_bits(mask)) == list(posets._bits(mask))
+            assert list(posets._bits(mask)) == _bits(mask)
+    assert list(posets._bits(0)) == []
 
 
-def test_wide_bits_stop_where_the_reader_stops():
+def test_bits_stop_where_the_reader_stops():
     # _check_faces stops reading a mask at its cap: the binary digits of
     # 10^5 bits take about 200 kB, a list of every bit megabytes
     mask = (1 << 10**5) - 1
     tracemalloc.start()
     try:
-        first = list(itertools.islice(posets._wide_bits(mask), 3))
+        first = list(itertools.islice(posets._bits(mask), 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -62,6 +62,10 @@ CASES = {
 }
 UNHASHABLE = {BoundEntry, BoundReport}  # they hold dicts
 RECORDS = pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+# a subclass of each record that adds no slots, named in this module so
+# that pickle finds it
+NO_SLOTS = {cls: type(f"Plain{cls.__name__}", (cls,), {"__slots__": ()}) for cls in CASES}
+globals().update({sub.__name__: sub for sub in NO_SLOTS.values()})
 
 
 def clone(value):
@@ -132,6 +136,26 @@ def test_copy_and_pickle_keep_the_value(cls):
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+@RECORDS
+def test_a_subclass_without_slots_keeps_the_fields(cls):
+    given, defaults = CASES[cls]
+    sub = NO_SLOTS[cls]
+    record, base = sub(**given), cls(**given)
+    assert record._values() == base._values() == tuple({**given, **defaults}.values())
+    fields = ", ".join(f"{k}={v!r}" for k, v in {**given, **defaults}.items())
+    assert repr(record) == f"{sub.__name__}({fields})"
+    assert record == sub(**clone(given)) and record != base
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(base)
+    for copied in (copy.copy(record), clone(record)):
+        assert type(copied) is sub and copied._values() == record._values()
+    if cls is not BoundReport:  # an unpickled poset is another poset
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
 def test_record_set_agrees_everywhere():
     # the public records, the cases above and the README's list of value
     # types name the same classes
@@ -151,6 +175,9 @@ def test_record_set_agrees_everywhere():
 def test_unequal_fields_give_unequal_records():
     assert FieldSpec(2) != FieldSpec(3)
     assert IdealNode("p_1", None, 1) != IdealNode("p_1", None, 1, height=2)
+    plain = NO_SLOTS[FieldSpec]
+    assert plain(3) != plain(5) and hash(plain(3)) != hash(plain(5))
+    assert copy.copy(plain(3)).characteristic == 3
 
 
 # Start-up must not load these: dataclasses pulls in inspect, ast, dis and

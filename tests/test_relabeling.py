@@ -1,18 +1,26 @@
 """Relabeling an input moves no number of the report.
 
 Permuting a graph's vertices, or renaming a monomial ideal's variables
-and reordering its generators, gives an isomorphic poset of sums: the
-element ids may move, but not the multiset of (dim, height,
-multiplicities), nor any bound, |S_j| or the Murai-Terai level.
+and reordering its generators, gives an isomorphic poset of sums, and
+reordering a poset file's elements and relations gives an isomorphic
+poset: the element ids and positions may move, but not the multiset of
+(dim, height, multiplicities), nor any bound, |S_j| or the Murai-Terai
+level.
 """
 
+import json
+import pathlib
 import random
 from collections import Counter
 
 from defreg.binomial_edge import Graph, build_Q_poset
 from defreg.bounds import FieldSpec, analyze
+from defreg.cli import parse_poset_doc
 from defreg.monomial import SquarefreeIdeal, build_monomial_poset
 from defreg.posets import RingContext
+from golden import _ranked_doc
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(2))
 
@@ -78,3 +86,23 @@ def test_variable_renaming_and_generator_order_of_monomial_ideals():
         assert [invariants(image, field) for field in FIELDS] == want, (gens, rename)
         elements += len(poset)
     assert elements > 800
+
+
+def test_element_and_relation_order_of_poset_files():
+    rng = random.Random(12)
+    texts = [(DATA / "abstract7.json").read_text(encoding="utf-8")]
+    texts += [_ranked_doc(rng, (3, 4, 4), 5), _ranked_doc(rng, (2, 5, 6, 4), 6)]
+    texts += [_ranked_doc(rng, (12, 18, 18), 6) for _ in range(3)]
+    texts.append(_ranked_doc(rng, (2, 3, 3), 4, heights=False))
+    moved = 0
+    for text in texts:
+        poset = parse_poset_doc(text)
+        want = [invariants(poset, field) for field in FIELDS]
+        for _ in range(3):
+            doc = json.loads(text)
+            rng.shuffle(doc["elements"])
+            rng.shuffle(doc["relations"])
+            image = parse_poset_doc(json.dumps(doc))
+            assert [invariants(image, field) for field in FIELDS] == want, doc
+            moved += [nd.id for nd in image.nodes] != [nd.id for nd in poset.nodes]
+    assert moved > 15

@@ -21,10 +21,11 @@ comparable pairs and cover pairs.  Only the standard library is used.
 
     python3 tools/layers.py [--repeat N] [input ...]
 
-The inputs are path9, path10, cycle9, matching12 (a perfect matching of
-x1..x12, paired by random.Random(0)), edges6 and edges8 (6 and 8
-disjoint edges); all of them when none is named.  The script only
-reports; it sets no bound.
+The inputs are path9, path10, cycle9, k88 (K_{8,8}, whose cut-set walk
+visits all 2^16 vertex subsets for its 3 minimal primes), matching12 (a
+perfect matching of x1..x12, paired by random.Random(0)), edges6 and
+edges8 (6 and 8 disjoint edges); all of them when none is named.  The
+script only reports; it sets no bound.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ INPUTS = {
     "path9": lambda: binomial_edge.Graph.path(9),
     "path10": lambda: binomial_edge.Graph.path(10),
     "cycle9": lambda: _cycle(9),
+    "k88": lambda: binomial_edge.Graph.complete_bipartite(8, 8),
     "matching12": lambda: _matching(
         6, [f"x{i}" for i in range(1, 13)], random.Random(0)
     ),
