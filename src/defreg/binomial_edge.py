@@ -71,26 +71,26 @@ prime.  One to_bytes then yields every sum, and a strided slice of it
 the flag bytes.  The kernel assembles the up-masks from the flags: bit 2
 clear puts the earlier prime above the new one, which starts the new
 prime's mask, and bit 1 clear puts it below, which sets the new prime's
-bit in the earlier prime's mask; join_closure takes the masks once the
-closure is done.  The below marks are not set pair by pair.  A turn
-keeps its flag bytes translated to digits, "1" for a slot below it, and
-every _FOLD turns, and once more when the order is asked for, the kept
-rows, padded to the last one's length, are joined into one byte matrix.
-Column i, one strided slice, is slot i's digits over those turns, and
-read reversed as a binary number and shifted to the first of the turns
-it is ORed into slot i's mask; the OR of the rows, read as ints, names
-the columns that hold a "1", and only those are read.  The matrix takes
-at most _FOLD bytes per element.  join_closure needs the primes of a sum
-only once, so a turn reports only the sum relations no turn met: the
-relations are unpacked and filtered against the set of met relations
-(every prime handed in, every sum) in C, and Python loops over the new
-ones alone, decomposing the non-prime among them, each over the guard
-bits of the first slot that gave it.  Each non-prime relation is thus
-decomposed at most once.
+bit in the earlier prime's mask; build_Q_poset hands the masks to the
+constructor once the closure is done.  The below marks are not set pair
+by pair.  A turn keeps its flag bytes translated to digits, "1" for a
+slot below it, and every _FOLD turns, and once more when the order is
+asked for, the kept rows, padded to the last one's length, are joined
+into one byte matrix.  Column i, one strided slice, is slot i's digits
+over those turns, and read reversed as a binary number and shifted to
+the first of the turns it is ORed into slot i's mask; the OR of the
+rows, read as ints, names the columns that hold a "1", and only those
+are read.  The matrix takes at most _FOLD bytes per element.
+join_closure needs the primes of a sum only once, so a turn reports only
+the sum relations no turn met: the relations are unpacked and filtered
+against the set of met relations (every prime handed in, every sum) in
+C, and Python loops over the new ones alone, decomposing the non-prime
+among them, each over the guard bits of the first slot that gave it.
+Each non-prime relation is thus decomposed at most once.
 
 Most turns are quiet: they read only the flag bits 1 and 2, into the
-up-masks, and report nothing, with no unpacking, no nesting test and no
-decomposition.  The primes of a sum are the minimal primes of the sum
+up-masks, and report nothing, with no sum unpacked, no nesting test and
+no decomposition.  The primes of a sum are the minimal primes of the sum
 ideal, and as the variety of g + I is the union of those of the g + q_i,
 for q_i the minimal primes of I, the primes of g + I lie among those of
 the g + q_i.  join_closure hands in the minimal primes of the graph, an
@@ -133,23 +133,28 @@ closure's decompositions share one dict from that pair to the packed
 relation, and each piece is packed once however many sums it comes
 from.  Every piece joins the pool, so the dict holds at most one entry
 per element.  Nor does a walk label its primes in full: their kill masks
-are base_kill | T for distinct T inside the walked vertices, which
-base_kill misses, so the label order never reaches their blocks, and
-sorting by height and then by the killed vertices gives it.  A node of
-the finished poset keeps its packed relation as its ideal, with dim and
-height read off the killed vertices and the blocks of the relation's
-rows.  Eight rows of n + 1 bits fill n + 1 whole bytes, so a relation is
-packed eight rows at a time, and unpacked by shifting its rows off one
-int per group of eight rows or more, up to 4096 bits: one int for a
-graph under 64 vertices, and O(n^2) bits in all for a wide one.  The
-label order, which fixes the element ids, reads the kill mask and the
-block masks as sorted vertex tuples.
+are the vertices off the diagonal of its rows together with distinct
+sets T of walked vertices, which lie on the diagonal, so the label order
+never reaches their blocks, and sorting by height and then by the killed
+vertices gives it.
+
+Each relation is read once.  A turn unpacks its prime into the kill
+mask, which gives the killed rows and columns, and the blocks, checks
+that they partition the unkilled vertices, and keeps the dim and height
+they give; a node of the finished poset keeps the packed relation as
+its ideal, with the dim and height of its turn.  A decomposition splits
+its sum into rows, and the walk reads the killed vertices off their
+diagonal.  Eight rows of n + 1 bits fill n + 1 whole bytes, so a
+relation is packed eight rows at a time, and read by shifting its rows
+off one int per group of eight rows or more, up to 4096 bits
+(_group_rows): one int for a graph under 64 vertices, and O(n^2) bits
+in all for a wide one.  The label order, which fixes the element ids,
+reads the kill mask and the block masks as sorted vertex tuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import partial
 from itertools import compress, filterfalse
 from operator import itemgetter
 from struct import iter_unpack
@@ -235,29 +240,30 @@ _SWAP = str.maketrans("01", "10")
 
 def _admissible_primes(
     n: int,
-    base_kill: int,
-    adj: Sequence[int],
-    present: int,
+    rows: Sequence[int],
     walk: int,
     max_elements: int | None = None,
     packed: dict | None = None,
 ) -> list[bytes]:
-    """All primes from cut sets T of the graph (adj, present), over base_kill.
+    """All primes from cut sets T of the graph whose adjacency is rows.
 
-    A prime comes as its packed relation.  T qualifies when putting back
-    any single vertex of T leaves strictly fewer components than removing
-    all of T; the empty set always qualifies.  Putting back t joins the
-    components of present minus T that t is next to, and t alone, into
-    one, so c(T - t) = c(T) + 1 - (the components t is next to), and T
-    qualifies exactly when every vertex of T is next to two or more of
-    them.  That is read off T's own components: each ORs in the rows it
-    reads as it grows, the vertices next to it, and a vertex next to two
-    lies in two of these ORs.  Only the vertices of walk, the
-    non-simplicial ones, are walked: a vertex with a clique or empty
-    neighbourhood is next to at most one component.  The primes come
-    sorted by height, then by the label order, which for distinct kill
-    masks is the order of the killed vertices (_SWAP reads it off their
-    digits); a walk that finds one prime has nothing to sort.
+    rows[v] is v's closed neighbourhood among the present vertices, those
+    on the diagonal; a vertex off it has an empty row and is killed in
+    every prime found.  A prime comes as its packed relation.  T
+    qualifies when putting back any single vertex of T leaves strictly
+    fewer components than removing all of T; the empty set always
+    qualifies.  Putting back t joins the components of present minus T
+    that t is next to, and t alone, into one, so c(T - t) = c(T) + 1 -
+    (the components t is next to), and T qualifies exactly when every
+    vertex of T is next to two or more of them.  That is read off T's
+    own components: each ORs in the rows it reads as it grows, the
+    vertices next to it, and a vertex next to two lies in two of these
+    ORs.  Only the vertices of walk, the non-simplicial ones, are
+    walked: a vertex with a clique or empty neighbourhood is next to at
+    most one component.  The primes come sorted by height, then by the
+    label order, which for distinct kill masks is the order of the
+    killed vertices (_SWAP reads it off their digits); a walk that finds
+    one prime has nothing to sort.
 
     Each component is grown from its least vertex a frontier at a time,
     stepping off the lowest bit of an int inline, with no generator per
@@ -273,6 +279,8 @@ def _admissible_primes(
     """
     if packed is None:
         packed = {}
+    present = sum(row & 1 << v for v, row in enumerate(rows))  # the diagonal
+    base_kill = (1 << n) - 1 & ~present
     found = []
     t = 0
     while True:
@@ -288,7 +296,7 @@ def _admissible_primes(
             while frontier:
                 while frontier:
                     low = frontier & -frontier
-                    near |= adj[low.bit_length() - 1]
+                    near |= rows[low.bit_length() - 1]
                     frontier ^= low
                 frontier = near & rest & ~comp
                 comp |= frontier
@@ -327,16 +335,17 @@ def minimal_primes_graph(
     is raised once more than that are found.
     """
     n = graph.n
-    adj = [0] * n
+    # closed neighbourhoods: every vertex is present
+    adj = [1 << v for v in range(n)]
     for u, v in graph.edges:
         adj[u - 1] |= 1 << v - 1
         adj[v - 1] |= 1 << u - 1
     # walk the vertices whose neighbourhood is not a clique
     walk = 0
     for v in range(n):
-        if any(adj[v] & ~(adj[u] | 1 << u) for u in _bits(adj[v])):
+        if any(adj[v] & ~adj[u] for u in _bits(adj[v])):
             walk |= 1 << v
-    return _admissible_primes(n, 0, adj, (1 << n) - 1, walk, max_elements)
+    return _admissible_primes(n, adj, walk, max_elements)
 
 
 def _rep_bytes(n: int) -> int:
@@ -360,17 +369,22 @@ def _join(n: int, rows: Sequence[int]) -> bytes:
     return b"".join(groups)[:_rep_bytes(n)]
 
 
-def _split(n: int, rep: bytes) -> list[int]:
-    """The n rows of a packed relation.
+def _group_rows(w: int) -> int:
+    """The rows of w bits a packed relation's reader shifts off one int.
 
-    The rows are shifted off one int per group of 8k rows, which fill k(n +
-    1) whole bytes: k is the most that keeps the int within 4096 bits, or
-    1.  So a graph on under 64 vertices is read off one int, and a wide
-    relation is not shifted whole once per row, which is O(n^3) bits.
+    8k rows fill kw whole bytes: k is the most that keeps the int within
+    4096 bits, or 1.  So a graph on under 64 vertices is read off one
+    int, and a wide relation is not shifted whole once per row, which is
+    O(n^3) bits.
     """
+    return 8 * max(1, 512 // w)
+
+
+def _split(n: int, rep: bytes) -> list[int]:
+    """The n rows of a packed relation, one int per _group_rows rows."""
     w = n + 1
     full = (1 << n) - 1
-    size = 8 * max(1, 512 // w)
+    size = _group_rows(w)
     rows = []
     for first in range(0, n, size):
         group = int.from_bytes(rep[first * w >> 3:(first + size) * w >> 3], "little")
@@ -392,19 +406,10 @@ def _pack(n: int, blocks: Iterable[int]) -> bytes:
     return _join(n, rows)
 
 
-def _killed(n: int, rep: bytes) -> int:
-    """The kill mask: the vertices missing from the relation's diagonal."""
-    kill = 0
-    for v, at in enumerate(range(0, n * (n + 2), n + 2)):
-        if not rep[at >> 3] >> (at & 7) & 1:
-            kill |= 1 << v
-    return kill
-
-
 def _unpack(n: int, rep: bytes) -> tuple[int, list[int]]:
     """(kill mask, block masks by least vertex) of a packed relation.
 
-    One pass over the rows, shifted off one int per group of 8k rows as
+    One pass over the rows, shifted off one int per _group_rows rows as
     in _split, with no list of rows: a row without its diagonal bit is a
     killed vertex, and a row whose lowest bit is its own vertex starts a
     block.  The blocks are not checked to partition the unkilled
@@ -412,7 +417,7 @@ def _unpack(n: int, rep: bytes) -> tuple[int, list[int]]:
     """
     w = n + 1
     full = (1 << n) - 1
-    size = 8 * max(1, 512 // w)
+    size = _group_rows(w)
     kill, blocks = 0, []
     bit, end = 1, 1 << n
     for first in range(0, n, size):
@@ -445,21 +450,25 @@ _FOLD = 64
 def _clique_sums(
     n: int, generators: Iterable[bytes], max_elements: int | None = None
 ):
-    """join_closure's (sums_with, order) for clique primes on n vertices.
+    """(sums_with, node_builder, order) for clique primes on n vertices.
 
     The slot layout is in the module docstring: each call of sums_with
-    sums its prime with the primes in the slots, reads the order marks
-    into the up-masks, and appends the prime as the next slot.  Each
-    call reports only the sums no call met before, so each non-prime
-    relation is decomposed at most once, walking the rows whose nesting
-    failed; decompositions raise ClosureBudgetExceeded past max_elements
-    pieces.  generators are the minimal primes join_closure is given, an
-    antichain: a prime sum first met on a generator's turn takes a quiet
-    turn, which reads only the order marks and reports nothing (the
-    proof is in the module docstring).  With no generators, every turn
-    reports.  The killed rows and columns of a kill mask are built once
-    per closure, on the first turn whose prime kills exactly those
-    vertices.  order returns the up-masks the turns built.
+    unpacks its prime, raising ValueError unless the blocks partition the
+    unkilled vertices, and keeps the dim and height they give, which
+    node_builder only looks up.  It then sums the prime with the primes
+    in the slots, reads the order marks into the up-masks, and appends
+    the prime as the next slot.  Each call reports only the sums no call
+    met before, so each non-prime relation is decomposed at most once,
+    walking the rows whose nesting failed; decompositions raise
+    ClosureBudgetExceeded past max_elements pieces.  generators are the
+    minimal primes join_closure is given, an antichain: a prime sum first
+    met on a generator's turn takes a quiet turn, which reads only the
+    order marks of its sums and reports nothing (the proof is in the
+    module docstring).  With no generators, every turn reports.  The
+    killed rows and columns of a kill mask are built once per closure,
+    on the first turn whose prime kills exactly those vertices.  order()
+    returns the up-masks the turns built, in the order of the turns,
+    which join_closure runs in label order.
     """
     full = (1 << n) - 1
     w = n + 1  # bits per row
@@ -483,6 +492,7 @@ def _clique_sums(
     quiet: set[bytes] = set()  # the prime sums first met on a generator's turn
     packed: dict = {}  # the decompositions' pieces, packed
     crosses: dict[int, int] = {}  # kill mask: its killed rows and columns
+    shape: dict[bytes, tuple[int, int]] = {}  # each turn's (dim, height)
     up: list[int] = []  # up[i]: the slots at or above slot i, as far as known
     below: list[bytes] = []  # the below digits of the turns not yet folded
 
@@ -503,9 +513,13 @@ def _clique_sums(
 
     def sums_with(rep: bytes) -> list[bytes]:
         nonlocal unit, guards, ones, top, low, rels, kills, slots
+        kill, blocks = _unpack(n, rep)
+        _check_partition(n, kill, blocks)
+        # dim n - k + b and height n + k - b, for k killed vertices and b blocks
+        k = kill.bit_count() - len(blocks)
+        shape[rep] = n - k, n + k
         met.add(rep)
         x = int.from_bytes(rep, "little")
-        kill = _killed(n, rep)
         cross = crosses.get(kill)
         if cross is None:
             # the rows and the columns of the killed vertices
@@ -563,33 +577,20 @@ def _clique_sums(
             walk = 0
             for g in _bits(int.from_bytes(rows[at:at + width], "little")):
                 walk |= 1 << g // w
-            gone = _killed(n, key)
-            pieces += _admissible_primes(
-                n, gone, _split(n, key), full & ~gone, walk, max_elements, packed
-            )
+            pieces += _admissible_primes(n, _split(n, key), walk, max_elements, packed)
         return pieces
 
-    def order(reps: Sequence[bytes]) -> list[int]:
-        # the turns ran on reps, in label order, so up is theirs once the
-        # last digits are folded
+    def node_builder(rep: bytes, node_id: str) -> IdealNode:
+        dim, height = shape[rep]
+        return IdealNode(id=node_id, ideal=rep, dim=dim, height=height)
+
+    def order() -> list[int]:
+        # up is the turns' once the last digits are folded
         if below:
             fold()
         return up
 
-    return sums_with, order
-
-
-def _clique_node(n: int, rep: bytes, node_id: str) -> IdealNode:
-    """The poset element of a packed relation on n vertices.
-
-    The node keeps rep as its ideal, and reads dim = n - k + b and
-    height = n + k - b off its k killed vertices and b blocks.  Blocks that
-    do not partition the unkilled vertices raise ValueError.
-    """
-    kill, blocks = _unpack(n, rep)
-    _check_partition(n, kill, blocks)
-    k, b = kill.bit_count(), len(blocks)
-    return IdealNode(id=node_id, ideal=rep, dim=n - k + b, height=n + k - b)
+    return sums_with, node_builder, order
 
 
 def build_Q_poset(
@@ -605,13 +606,10 @@ def build_Q_poset(
     """
     n = graph.n
     primes = minimal_primes_graph(graph, max_elements=max_elements)
-    sums_with, order = _clique_sums(n, primes, max_elements)
-    return join_closure(
-        primes,
-        sums_with,
-        order=order,
-        node_builder=partial(_clique_node, n),
-        ring=ring_for(graph),
-        provenance="binomial-edge",
-        max_elements=max_elements,
+    sums_with, node_builder, order = _clique_sums(n, primes, max_elements)
+    nodes = join_closure(
+        primes, sums_with, node_builder=node_builder, max_elements=max_elements
+    )
+    return AnalysisPoset(
+        nodes, order(), ring=ring_for(graph), provenance="binomial-edge"
     )

@@ -157,19 +157,20 @@ def build_monomial_poset(
         earlier.append(b)
         return pieces
 
-    def order(reps: Sequence[int]) -> list[int]:
+    def order() -> list[int]:
+        # the turns ran in label order, so earlier holds the primes in it
         n = len(names)
         # column v: the positions whose prime holds variable v, one strided
         # slice of the primes' digits, last prime first
         spec = f"0{n}b"
-        digits = "".join([format(b, spec) for b in reversed(reps)])
+        digits = "".join([format(b, spec) for b in reversed(earlier)])
         columns = [int(digits[n - 1 - v::n], 2) for v in range(n)]
-        everyone, full = (1 << len(reps)) - 1, (1 << n) - 1
-        index = {b: k for k, b in enumerate(reps)}
-        up = [0] * len(reps)
+        everyone, full = (1 << len(earlier)) - 1, (1 << n) - 1
+        index = {b: k for k, b in enumerate(earlier)}
+        up = [0] * len(earlier)
         # largest prime first, so up[b | v] is set before up[b]
-        for k in sorted(range(len(reps)), key=lambda k: -reps[k].bit_count()):
-            b = reps[k]
+        for k in sorted(range(len(earlier)), key=lambda k: -earlier[k].bit_count()):
+            b = earlier[k]
             rest = full & ~b
             while rest:
                 bit = rest & -rest
@@ -183,12 +184,7 @@ def build_monomial_poset(
                 up[k] = everyone & ~reduce(or_, (columns[v] for v in _bits(full & ~b)), 0)
         return up
 
-    return join_closure(
-        primes,
-        sums_with,
-        order=order,
-        node_builder=build_node,
-        ring=ring,
-        provenance="monomial",
-        max_elements=max_elements,
+    nodes = join_closure(
+        primes, sums_with, node_builder=build_node, max_elements=max_elements
     )
+    return AnalysisPoset(nodes, order(), ring=ring, provenance="monomial")

@@ -5,8 +5,9 @@ the minimal primes are the maximal elements of the poset, sitting just below
 a virtual top element that is never stored; all homology happens on the open
 intervals (p, top), which are simply the strict up-sets.
 
-The poset of sums is built by join_closure, which takes the order from
-its builder once the last sum is in: a + b = a says that ideal(a)
+The elements of the poset of sums come from join_closure, which grows
+the pool and names its elements; each builder then hands the constructor
+the order it read off its own turns: a + b = a says that ideal(a)
 contains ideal(b), and each builder reads that off its own form.
 
 The order is given as up[k] only, an int mask of the positions at or
@@ -244,10 +245,10 @@ class AnalysisPoset:
 
     up[k] is the mask of positions at or above position k; the constructor
     adds the reflexive bit and verifies antisymmetry and transitivity, so a
-    builder that derives its order (join_closure) is checked, never
-    silently repaired.  With S(i) the strict up-set of i, the check picks
-    from rest, the members of S(i) that are not maximal, until it is
-    empty, whichever end (highest or lowest position) has the larger
+    builder that derives its order from its closure turns is checked,
+    never silently repaired.  With S(i) the strict up-set of i, the check
+    picks from rest, the members of S(i) that are not maximal, until it
+    is empty, whichever end (highest or lowest position) has the larger
     S(j); a pick ORs S(j) into acc and drops S(j) and j from rest.  i
     fails when acc leaves S(i).
 
@@ -676,13 +677,10 @@ def join_closure(
     generators: Sequence[Hashable],
     sums_with: Callable[[Hashable], Iterable[Hashable]],
     *,
-    order: Callable[[list], Sequence[int]],
-    node_builder: Callable,
-    ring: RingContext | None = None,
-    provenance: str,
+    node_builder: Callable[[Hashable, str], IdealNode],
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> AnalysisPoset:
-    """Close a family of primes under pairwise sums, ordered by order.
+) -> list[IdealNode]:
+    """Close a family of primes under pairwise sums, and name the elements.
 
     generators are canonical prime representations, already sorted, fed
     in one at a time.  Each element takes one turn, in label order:
@@ -696,10 +694,10 @@ def join_closure(
     moves no first appearance, so the labels stay the same.
 
     Unseen pieces join the pool in the order given until nothing new
-    appears.  order(reps) is then called once, with the finished reps in
-    label order, and returns their up-masks, which the constructor
-    checks.  node_builder(rep, id) turns each representation into its
-    IdealNode.
+    appears.  node_builder(rep, id) then turns each element, in label
+    order, into its IdealNode, named p_1, p_2, ...; the nodes come back
+    in that order.  The order is the builder's own: its turns have seen
+    every element, so it hands the constructor their up-masks itself.
     """
     if not generators:
         raise ValueError("closure needs at least one generator")
@@ -722,5 +720,4 @@ def join_closure(
                 insert(piece)
             j += 1
 
-    nodes = [node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps)]
-    return AnalysisPoset(nodes, order(reps), ring=ring, provenance=provenance)
+    return [node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps)]

@@ -13,7 +13,6 @@ from defreg.binomial_edge import (
     Graph,
     _admissible_primes,
     _check_partition,
-    _clique_node,
     _clique_sums,
     _join,
     _pack,
@@ -264,9 +263,11 @@ CORRUPT_RELATIONS = {
     "rows, message", CORRUPT_RELATIONS.values(), ids=CORRUPT_RELATIONS
 )
 def test_corrupted_relations_raise(rows, message):
+    # the turn of a relation unpacks it and checks its blocks
     rep = _join(3, rows)
+    sums_with, _, _ = _clique_sums(3, ())
     with pytest.raises(ValueError, match=message):
-        _clique_node(3, rep, "p_1")
+        sums_with(rep)
     with pytest.raises(ValueError, match=message):
         _check_partition(3, *_unpack(3, rep))
 
@@ -400,8 +401,7 @@ def scalar_sum(n):
         present = full & ~k
         walk = reference_walk(adj, present)
         return tuple(
-            scalar_pack(n, _unpack(n, rep))
-            for rep in _admissible_primes(n, k, adj, present, walk)
+            scalar_pack(n, _unpack(n, rep)) for rep in _admissible_primes(n, adj, walk)
         )
 
     return sum_of, decompose
@@ -428,7 +428,7 @@ def assert_turns_match_pair_sums(graph, generators=False):
     sum_of, decompose = scalar_sum(n)
     handed = minimal_primes_graph(graph) if generators else []
     minimal = {scalar_pack(n, _unpack(n, rep)) for rep in handed}
-    sums_with, order = _clique_sums(n, handed)
+    sums_with, _, order = _clique_sums(n, handed)
     met, quiet = set(), set()
     want_up = [0] * len(reps)
     pool = 0  # reps[:pool] are in the pool
@@ -459,7 +459,7 @@ def assert_turns_match_pair_sums(graph, generators=False):
         new = list(dict.fromkeys(p for p in want if p not in pooled))
         assert scalar[pool:pool + len(new)] == new
         pool += len(new)
-    assert order(reps) == want_up
+    assert order() == want_up
     return hushed
 
 
@@ -504,6 +504,43 @@ def test_path9_takes_mostly_quiet_turns(monkeypatch):
     assert len(walks) == 1 + 263
 
 
+def test_path9_reads_each_relation_once(monkeypatch):
+    # each turn unpacks its own prime, which gives the killed rows and
+    # columns and the node's dim and height, and nothing reads it after
+    # the turns; each decomposition splits its sum into rows, off whose
+    # diagonal the walk reads the killed vertices
+    events = []
+
+    def logging(name):
+        read = getattr(binomial_edge, name)
+
+        def logged(n, rep):
+            events.append((name, rep))
+            return read(n, rep)
+
+        return logged
+
+    closure = binomial_edge.join_closure
+
+    def turns_logged(generators, sums_with, **kwargs):
+        def turn(rep):
+            events.append(("turn", rep))
+            return sums_with(rep)
+
+        return closure(generators, turn, **kwargs)
+
+    for name in ("_unpack", "_split"):
+        monkeypatch.setattr(binomial_edge, name, logging(name))
+    monkeypatch.setattr(binomial_edge, "join_closure", turns_logged)
+    reps = [nd.ideal for nd in build_Q_poset(Graph.path(9)).nodes]
+    assert len(reps) == 577
+    split = [rep for name, rep in events if name == "_split"]
+    assert len(split) == len(set(split)) == 263
+    assert [e for e in events if e[0] != "_split"] == [
+        (name, rep) for rep in reps for name in ("turn", "_unpack")
+    ]
+
+
 WALK_GRAPHS = (
     [Graph.path(n) for n in range(5, 10)]
     + [Graph.from_edges(n, cycle_edges(n)) for n in range(5, 9)]
@@ -520,10 +557,11 @@ def test_walks_are_the_rows_whose_nesting_failed(monkeypatch):
     walk = binomial_edge._admissible_primes
     walks = []
 
-    def checked(n, base_kill, adj, present, mask, *args, **kwargs):
-        assert mask == reference_walk(adj, present), (base_kill, adj)
+    def checked(n, rows, mask, *args, **kwargs):
+        present = sum(row & 1 << v for v, row in enumerate(rows))
+        assert mask == reference_walk(rows, present), rows
         walks.append(mask)
-        return walk(n, base_kill, adj, present, mask, *args, **kwargs)
+        return walk(n, rows, mask, *args, **kwargs)
 
     monkeypatch.setattr(binomial_edge, "_admissible_primes", checked)
     for g in graphs:

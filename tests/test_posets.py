@@ -518,16 +518,15 @@ def join(a, b):
     return (a | b,)
 
 
+def set_poset(generators, sums_with, **kwargs):
+    """A builder of variable sets: the closure's nodes under set_order."""
+    nodes = join_closure(generators, sums_with, node_builder=_mask_node, **kwargs)
+    return AnalysisPoset(nodes, set_order([nd.ideal for nd in nodes]))
+
+
 def _set_closure(generators, **kwargs):
     """Closure of variable sets as int masks: every sum is prime, a | b."""
-    return join_closure(
-        generators,
-        per_turn(join),
-        order=set_order,
-        node_builder=_mask_node,
-        provenance="abstract",
-        **kwargs,
-    )
+    return set_poset(generators, per_turn(join), **kwargs)
 
 
 def test_join_closure_of_sets():
@@ -576,13 +575,7 @@ def split_sum(a, b):
 
 def test_join_closure_with_decomposition():
     # the closure is all singletons and all pairs over {1, 2, 3, 4}
-    p = join_closure(
-        [0b0011, 0b1100],
-        per_turn(split_sum),
-        order=set_order,
-        node_builder=_mask_node,
-        provenance="abstract",
-    )
+    p = set_poset([0b0011, 0b1100], per_turn(split_sum))
     sizes = sorted(nd.ideal.bit_count() for nd in p.nodes)
     assert sizes == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
     assert len(p) == 10
@@ -604,20 +597,14 @@ def test_join_closure_takes_one_turn_per_element_in_label_order():
         turns.append(rep)
         return sums_with(rep)
 
-    p = join_closure(
-        [0b001, 0b010, 0b100],
-        recording,
-        order=set_order,
-        node_builder=_mask_node,
-        provenance="abstract",
-    )
-    reps = [nd.ideal for nd in p.nodes]
-    assert turns == reps
+    nodes = join_closure([0b001, 0b010, 0b100], recording, node_builder=_mask_node)
+    assert turns == [nd.ideal for nd in nodes]
 
 
-def test_join_closure_asks_for_the_order_once_after_the_last_turn():
-    # order gets the finished reps in label order, its masks go to the
-    # constructor as they are, and a closure past its budget never asks
+def test_join_closure_names_the_elements_after_the_last_turn():
+    # node_builder gets each finished rep in label order with its id, the
+    # nodes come back as it built them, and a closure past its budget
+    # builds none
     events = []
     sums_with = per_turn(split_sum)
 
@@ -625,48 +612,32 @@ def test_join_closure_asks_for_the_order_once_after_the_last_turn():
         events.append(("turn", rep))
         return sums_with(rep)
 
-    def ordering(reps):
-        events.append(("order", list(reps)))
-        return set_order(reps)
+    def naming(rep, pid):
+        events.append(("node", rep, pid))
+        return _mask_node(rep, pid)
 
-    p = join_closure(
-        [0b0011, 0b1100],
-        recording,
-        order=ordering,
-        node_builder=_mask_node,
-        provenance="abstract",
-    )
-    reps = [nd.ideal for nd in p.nodes]
-    assert events == [("turn", rep) for rep in reps] + [("order", reps)]
-    assert p.up == tuple(m | 1 << k for k, m in enumerate(set_order(reps)))
+    nodes = join_closure([0b0011, 0b1100], recording, node_builder=naming)
+    reps = [nd.ideal for nd in nodes]
+    ids = [f"p_{k}" for k in range(1, len(reps) + 1)]
+    assert [nd.id for nd in nodes] == ids
+    assert events == [("turn", rep) for rep in reps] + [
+        ("node", rep, pid) for rep, pid in zip(reps, ids)
+    ]
     events.clear()
     sums_with = per_turn(split_sum)
     with pytest.raises(ClosureBudgetExceeded):
-        join_closure(
-            [0b0011, 0b1100],
-            recording,
-            order=ordering,
-            node_builder=_mask_node,
-            provenance="abstract",
-            max_elements=5,
-        )
-    assert [kind for kind, _ in events] == ["turn"] * len(events)
+        join_closure([0b0011, 0b1100], recording, node_builder=naming, max_elements=5)
+    assert [kind for kind, *_ in events] == ["turn"] * len(events)
 
 
 def test_join_closure_order_is_checked():
-    # the constructor checks the masks order hands back, never repairs them
-    def swapped(reps):
-        return [1 << (len(reps) - 1 - k) | 1 << k for k in range(len(reps))]
-
-    for order, error in [(swapped, OrderCycle), (lambda reps: [0], ValueError)]:
+    # the builder hands its masks to the constructor, which checks them
+    # and never repairs them
+    nodes = join_closure([0b01, 0b10], per_turn(join), node_builder=_mask_node)
+    swapped = [1 << (len(nodes) - 1 - k) | 1 << k for k in range(len(nodes))]
+    for up, error in [(swapped, OrderCycle), ([0], ValueError)]:
         with pytest.raises(error):
-            join_closure(
-                [0b01, 0b10],
-                per_turn(join),
-                order=order,
-                node_builder=_mask_node,
-                provenance="abstract",
-            )
+            AnalysisPoset(nodes, up)
 
 
 def leaving_out_reported(sums_with):
@@ -685,14 +656,7 @@ def leaving_out_reported(sums_with):
 def closure_outcome(generators, sums_with, max_elements):
     """(ids, ideals, up-masks) of a closure, or None past the budget."""
     try:
-        p = join_closure(
-            generators,
-            sums_with,
-            order=set_order,
-            node_builder=_mask_node,
-            provenance="abstract",
-            max_elements=max_elements,
-        )
+        p = set_poset(generators, sums_with, max_elements=max_elements)
     except ClosureBudgetExceeded:
         return None
     return p.ids(), [nd.ideal for nd in p.nodes], p.up
@@ -786,11 +750,11 @@ def test_path9_turns_report_each_sum_once(monkeypatch):
     walk = binomial_edge._admissible_primes
 
     def counted(*args, **kwargs):
-        relations.append((args[1], tuple(args[2])))
+        relations.append(tuple(args[1]))
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(binomial_edge, "_admissible_primes", counted)
-    sums_with, _ = binomial_edge._clique_sums(n, ())
+    sums_with, _, _ = binomial_edge._clique_sums(n, ())
     reported = sum(len(sums_with(rep)) for rep in reps)
     assert reported < 2000
     # one cut-set walk per distinct non-prime sum relation, of which

@@ -1,17 +1,22 @@
 """Print, as JSON, in-process times and exact sizes of the poset build layers.
 
 Each input is built by its builder, build_Q_poset or build_monomial_poset,
-with the builder module's join_closure swapped for one that marks the
-layer boundaries and stops after the order.  The layers, in run order:
+with the builder module's join_closure and AnalysisPoset swapped for ones
+that mark the layer boundaries.  The layers, in the order printed:
 
 - primes: the builder up to join_closure, that is the minimal primes;
-- turns: join_closure's turns, up to its first node;
-- order: the builder's order(reps);
-- nodes: the builder's node_builder over every element, as join_closure
-  calls it;
+- turns: join_closure's turns, up to the end of the last;
+- order: the builder's order(), from join_closure's return up to the
+  constructor;
+- nodes: the rest of join_closure, the builder's node_builder over every
+  element;
 - constructor: AnalysisPoset on those nodes and up-masks;
 - sizing: the face-budget pass that homology runs first, at the default
   budget; a FaceBudgetExceeded there is recorded as "sizing_trips".
+
+The nodes run before the order, inside join_closure.  A graph turn reads
+its prime's relation once, for its kill mask and for the dim and height
+of its node, so that read is in turns, not in nodes.
 
 Each layer's time is the best of --repeat runs, in seconds; "build" is
 the best of as many plain builder calls, for comparison with the sum.
@@ -79,10 +84,6 @@ INPUTS = {
 }
 
 
-class _Stop(Exception):
-    """Carries join_closure's state out of the builder after the order."""
-
-
 def _builder(item):
     if isinstance(item, binomial_edge.Graph):
         return binomial_edge, binomial_edge.build_Q_poset
@@ -90,46 +91,41 @@ def _builder(item):
 
 
 def _layer_run(item) -> tuple[dict[str, float], AnalysisPoset]:
-    """One run split into the layers, and the poset it builds."""
+    """One builder call split into the layers, and the poset it builds."""
     module, build = _builder(item)
-    real = module.join_closure
+    real_closure, real_constructor = module.join_closure, module.AnalysisPoset
     marks: dict[str, float] = {}
 
-    def closure(generators, sums_with, *, order, node_builder, **kwargs):
+    def closure(generators, sums_with, **kwargs):
+        def turn(rep):
+            pieces = sums_with(rep)
+            marks["nodes"] = perf_counter()
+            return pieces
+
         marks["turns"] = perf_counter()
+        nodes = real_closure(generators, turn, **kwargs)
+        marks["order"] = perf_counter()
+        return nodes
 
-        def first_node(rep, node_id):
-            marks.setdefault("turns_end", perf_counter())
+    def constructor(*args, **kwargs):
+        marks["constructor"] = perf_counter()
+        poset = real_constructor(*args, **kwargs)
+        marks["end"] = perf_counter()
+        return poset
 
-        def stop(reps):
-            marks["order"] = perf_counter()
-            up = order(reps)
-            marks["order_end"] = perf_counter()
-            raise _Stop(reps, up, node_builder, kwargs)
-
-        real(generators, sums_with, order=stop, node_builder=first_node, **kwargs)
-
-    module.join_closure = closure
+    module.join_closure, module.AnalysisPoset = closure, constructor
     start = perf_counter()
     try:
-        build(item)
-    except _Stop as done:
-        reps, up, node_builder, kwargs = done.args
+        poset = build(item)
     finally:
-        module.join_closure = real
+        module.join_closure, module.AnalysisPoset = real_closure, real_constructor
     times = {
         "primes": marks["turns"] - start,
-        "turns": marks["turns_end"] - marks["turns"],
-        "order": marks["order_end"] - marks["order"],
+        "turns": marks["nodes"] - marks["turns"],
+        "order": marks["constructor"] - marks["order"],
+        "nodes": marks["order"] - marks["nodes"],
+        "constructor": marks["end"] - marks["constructor"],
     }
-    t = perf_counter()
-    nodes = [node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(reps)]
-    times["nodes"] = perf_counter() - t
-    t = perf_counter()
-    poset = AnalysisPoset(
-        nodes, up, ring=kwargs["ring"], provenance=kwargs["provenance"]
-    )
-    times["constructor"] = perf_counter() - t
     return times, poset
 
 
