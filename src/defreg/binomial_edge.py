@@ -36,18 +36,8 @@ the cut set rule applied to the overlay graph, whose adjacency is A | B
 itself, computed once per A | B.
 
 The cut set walk need only visit the non-simplicial vertices, those
-whose neighbourhood is not a clique, and in the overlay these are the
-rows whose nesting failed, the guard bits the test above sets.  Let v
-be unkilled in the sum, with residual blocks A_v and B_v, both holding
-v; its closed neighbourhood in A | B is A_v | B_v.  If A_v lies in B_v,
-that is B_v, a block of B and so a clique, and likewise the other way.
-If neither holds, take u in A_v but not B_v and w in B_v but not A_v:
-both are neighbours of v, and an edge u - w would put them in one block
-of A, so w in A_u = A_v, or of B, so u in B_w = B_v, against the
-choice.  A killed vertex's rows are empty on both sides and set no
-guard bit.  So the walk set of a non-prime sum is read off its guard
-bits; minimal_primes_graph tests neighbourhoods, as the graph itself is
-no overlay.
+whose closed neighbourhood, their row, is not a clique; it reads them
+off its rows, for the graph and for an overlay alike.
 
 A closure turn sums the new prime with every earlier one at once.  The
 earlier primes sit in slots of one big int, slot i at bit 8 * i * s for
@@ -85,8 +75,7 @@ join_closure needs the primes of a sum only once, so a turn reports only
 the sum relations no turn met: the relations are unpacked and filtered
 against the set of met relations (every prime handed in, every sum) in
 C, and Python loops over the new ones alone, decomposing the non-prime
-among them, each over the guard bits of the first slot that gave it.
-Each non-prime relation is thus decomposed at most once.
+among them.  Each non-prime relation is thus decomposed at most once.
 
 Most turns are quiet: they read only the flag bits 1 and 2, into the
 up-masks, and report nothing, with no sum unpacked, no nesting test and
@@ -144,11 +133,11 @@ that they partition the unkilled vertices, and keeps the dim and height
 they give; a node of the finished poset keeps the packed relation as
 its ideal, with the dim and height of its turn.  A decomposition splits
 its sum into rows, and the walk reads the killed vertices off their
-diagonal.  Eight rows of n + 1 bits fill n + 1 whole bytes, so a
-relation is packed eight rows at a time, and read by shifting its rows
-off one int per group of eight rows or more, up to 4096 bits
-(_group_rows): one int for a graph under 64 vertices, and O(n^2) bits
-in all for a wide one.  The label order, which fixes the element ids,
+diagonal and the vertices it walks off the rows themselves.  Eight rows
+of n + 1 bits fill n + 1 whole bytes, so a relation is packed eight
+rows at a time, and read by shifting its rows off one int per group of
+eight rows or more, up to 4096 bits (_group_rows): one int for a graph
+under 64 vertices, and O(n^2) bits in all for a wide one.  The label order, which fixes the element ids,
 reads the kill mask and the block masks as sorted vertex tuples.
 """
 
@@ -238,27 +227,44 @@ def _check_partition(n: int, kill: int, blocks: Iterable[int]) -> None:
 _SWAP = str.maketrans("01", "10")
 
 
+def _non_simplicial(rows: Sequence[int]) -> int:
+    """The vertices whose row, their closed neighbourhood, is not a clique.
+
+    v is one when the row of some u in v's row lacks a vertex of v's:
+    two neighbours of v are then not adjacent.  A killed vertex, whose
+    row is empty, is not one.
+    """
+    walk = 0
+    for v, row in enumerate(rows):
+        rest = row
+        while rest:
+            low = rest & -rest
+            if row & ~rows[low.bit_length() - 1]:
+                walk |= 1 << v
+                break
+            rest ^= low
+    return walk
+
+
 def _admissible_primes(
-    n: int,
     rows: Sequence[int],
-    walk: int,
     max_elements: int | None = None,
     packed: dict | None = None,
 ) -> list[bytes]:
     """All primes from cut sets T of the graph whose adjacency is rows.
 
-    rows[v] is v's closed neighbourhood among the present vertices, those
-    on the diagonal; a vertex off it has an empty row and is killed in
-    every prime found.  A prime comes as its packed relation.  T
-    qualifies when putting back any single vertex of T leaves strictly
-    fewer components than removing all of T; the empty set always
-    qualifies.  Putting back t joins the components of present minus T
+    The graph has n = len(rows) vertices.  rows[v] is v's closed
+    neighbourhood among the present vertices, those on the diagonal; a
+    vertex off it has an empty row and is killed in every prime found.
+    A prime comes as its packed relation.  T qualifies when putting back
+    any single vertex of T leaves strictly fewer components than
+    removing all of T; the empty set always qualifies.  Putting back t joins the components of present minus T
     that t is next to, and t alone, into one, so c(T - t) = c(T) + 1 -
     (the components t is next to), and T qualifies exactly when every
     vertex of T is next to two or more of them.  That is read off T's
     own components: each ORs in the rows it reads as it grows, the
     vertices next to it, and a vertex next to two lies in two of these
-    ORs.  Only the vertices of walk, the non-simplicial ones, are
+    ORs.  Only the non-simplicial vertices (_non_simplicial) are
     walked: a vertex with a clique or empty neighbourhood is next to at
     most one component.  The primes come sorted by height, then by the
     label order, which for distinct kill masks is the order of the
@@ -279,6 +285,8 @@ def _admissible_primes(
     """
     if packed is None:
         packed = {}
+    n = len(rows)
+    walk = _non_simplicial(rows)
     present = sum(row & 1 << v for v, row in enumerate(rows))  # the diagonal
     base_kill = (1 << n) - 1 & ~present
     found = []
@@ -340,12 +348,7 @@ def minimal_primes_graph(
     for u, v in graph.edges:
         adj[u - 1] |= 1 << v - 1
         adj[v - 1] |= 1 << u - 1
-    # walk the vertices whose neighbourhood is not a clique
-    walk = 0
-    for v in range(n):
-        if any(adj[v] & ~adj[u] for u in _bits(adj[v])):
-            walk |= 1 << v
-    return _admissible_primes(n, adj, walk, max_elements)
+    return _admissible_primes(adj, max_elements)
 
 
 def _rep_bytes(n: int) -> int:
@@ -459,7 +462,7 @@ def _clique_sums(
     in the slots, reads the order marks into the up-masks, and appends
     the prime as the next slot.  Each call reports only the sums no call
     met before, so each non-prime relation is decomposed at most once,
-    walking the rows whose nesting failed; decompositions raise
+    by a cut set walk over the rows of its sum; decompositions raise
     ClosureBudgetExceeded past max_elements pieces.  generators are the
     minimal primes join_closure is given, an antichain: a prime sum first
     met on a generator's turn takes a quiet turn, which reads only the
@@ -564,20 +567,12 @@ def _clique_sums(
         nonprime = fresh.keys() & compress(keys, flags.translate(_NONPRIME))
         if rep in generators:
             quiet.update(fresh.keys() - nonprime)
-        if nonprime:
-            rows = bad.to_bytes(len(buf), "little")
         pieces: list[bytes] = []
         for key in fresh:
-            if key not in nonprime:
+            if key in nonprime:
+                pieces += _admissible_primes(_split(n, key), max_elements, packed)
+            else:
                 pieces.append(key)
-                continue
-            # the walk: the unkilled vertices whose nesting failed, the
-            # guard bits of the first slot that gave this sum
-            at = keys.index(key) * step
-            walk = 0
-            for g in _bits(int.from_bytes(rows[at:at + width], "little")):
-                walk |= 1 << g // w
-            pieces += _admissible_primes(n, _split(n, key), walk, max_elements, packed)
         return pieces
 
     def node_builder(rep: bytes, node_id: str) -> IdealNode:

@@ -39,33 +39,24 @@ EXIT_STRICT = 3
 
 # The graph and monomial builders load on their mode's first run, not at
 # start-up, so a poset run never compiles them.  These are the names this
-# module takes from each; _load_mode binds them as module globals, and
-# __getattr__ lets callers outside look them up before that first run.
-_MODE_NAMES = {
-    "binomial_edge": ("Graph", "build_Q_poset"),
-    "monomial": ("SquarefreeIdeal", "build_monomial_poset"),
-}
+# module takes from them, through the package's lazy lookup.
+_BUILDERS = {"Graph", "build_Q_poset", "SquarefreeIdeal", "build_monomial_poset"}
 
 
-def _load_mode(module: str) -> None:
-    """Bind the names taken from a mode module, keeping any bound already.
+def _builder(name: str):
+    """The builder name bound here, found in the package on first use.
 
     A name set from outside first, such as a wrapper around
     build_Q_poset, stays in place, and the mode's run calls through it.
+    As __getattr__, it lets callers outside look the names up before
+    that first run.
     """
-    from importlib import import_module
-
-    found = import_module(f".{module}", __package__)
-    for name in _MODE_NAMES[module]:
-        globals().setdefault(name, getattr(found, name))
+    if name not in _BUILDERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
-def __getattr__(name: str):
-    for module, names in _MODE_NAMES.items():
-        if name in names:
-            _load_mode(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _builder
 
 
 class ParseError(ValueError):
@@ -147,8 +138,7 @@ def parse_graph_file(text: str) -> Graph:
                 f"edge {u} {v} must satisfy 1 <= u < v <= {n}"
             )
         edges.append((u, v))
-    _load_mode("binomial_edge")
-    return Graph.from_edges(n, edges)
+    return _builder("Graph").from_edges(n, edges)
 
 
 def parse_poset_doc(text: str) -> AnalysisPoset:
@@ -242,16 +232,15 @@ def _build_poset(args: argparse.Namespace) -> AnalysisPoset:
         names = parse_var_list(args.variables)
         ring = RingContext(names)
         gens = parse_monomial(names, args.gens)
-        _load_mode("monomial")
-        ideal = SquarefreeIdeal.create(ring, gens)
-        return build_monomial_poset(ideal, max_elements=args.max_poset)
+        ideal = _builder("SquarefreeIdeal").create(ring, gens)
+        return _builder("build_monomial_poset")(ideal, max_elements=args.max_poset)
     if args.mode == "graph":
         if not args.edges_path:
             raise ParseError("graph mode needs --edges FILE")
         with open(args.edges_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        graph = parse_graph_file(text)  # loads the graph mode's names
-        return build_Q_poset(graph, max_elements=args.max_poset)
+        graph = parse_graph_file(text)
+        return _builder("build_Q_poset")(graph, max_elements=args.max_poset)
     if not args.poset_path:
         raise ParseError("poset mode needs --poset FILE")
     with open(args.poset_path, "r", encoding="utf-8") as fh:

@@ -398,11 +398,7 @@ def scalar_sum(n):
     def decompose(raw):
         k, rel = raw
         adj = [rel >> v * (n + 1) & full for v in range(n)]
-        present = full & ~k
-        walk = reference_walk(adj, present)
-        return tuple(
-            scalar_pack(n, _unpack(n, rep)) for rep in _admissible_primes(n, adj, walk)
-        )
+        return tuple(scalar_pack(n, _unpack(n, rep)) for rep in _admissible_primes(adj))
 
     return sum_of, decompose
 
@@ -494,7 +490,7 @@ def test_path9_takes_mostly_quiet_turns(monkeypatch):
     walk = binomial_edge._admissible_primes
 
     def counted(*args, **kwargs):
-        walks.append(args[1])
+        walks.append(args[0])
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(binomial_edge, "_admissible_primes", counted)
@@ -548,22 +544,23 @@ WALK_GRAPHS = (
 )
 
 
-def test_walks_are_the_rows_whose_nesting_failed(monkeypatch):
-    # a decomposition walks the guard bits of its sum's failed nesting
-    # test; they must be exactly the vertices whose neighbourhood in the
-    # overlay is not a clique, and so for the graph's own minimal primes
+def test_walks_are_the_non_simplicial_vertices(monkeypatch):
+    # every cut set walk, the graph's own and each decomposition's over
+    # the rows of its sum, walks exactly the present vertices whose
+    # neighbourhood is not a clique
     rng = random.Random(4141)
     graphs = WALK_GRAPHS + [random_graph(rng, rng.randint(4, 8)) for _ in range(40)]
-    walk = binomial_edge._admissible_primes
+    non_simplicial = binomial_edge._non_simplicial
     walks = []
 
-    def checked(n, rows, mask, *args, **kwargs):
+    def checked(rows):
+        mask = non_simplicial(rows)
         present = sum(row & 1 << v for v, row in enumerate(rows))
         assert mask == reference_walk(rows, present), rows
         walks.append(mask)
-        return walk(n, rows, mask, *args, **kwargs)
+        return mask
 
-    monkeypatch.setattr(binomial_edge, "_admissible_primes", checked)
+    monkeypatch.setattr(binomial_edge, "_non_simplicial", checked)
     for g in graphs:
         build_Q_poset(g)
     # the minimal primes' walks and path9's 263 decompositions among them

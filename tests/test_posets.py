@@ -750,7 +750,7 @@ def test_path9_turns_report_each_sum_once(monkeypatch):
     walk = binomial_edge._admissible_primes
 
     def counted(*args, **kwargs):
-        relations.append(tuple(args[1]))
+        relations.append(tuple(args[0]))
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(binomial_edge, "_admissible_primes", counted)

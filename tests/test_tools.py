@@ -40,3 +40,7 @@ def test_layers_reports_every_layer_and_the_sizes_of_the_build():
     )
     assert sizes["cover_pairs"] == len(poset.hasse())
     assert 0 < sizes["turns_with_pieces"] <= sizes["pieces"]
+    # one walk for the minimal primes, over the 2^7 subsets of the inner
+    # vertices, then one per distinct non-prime sum relation
+    assert sizes["walks"] == 1 + 263
+    assert sizes["subsets_walked"] == 2**7 + 1090

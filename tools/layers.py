@@ -21,8 +21,11 @@ of its node, so that read is in turns, not in nodes.
 Each layer's time is the best of --repeat runs, in seconds; "build" is
 the best of as many plain builder calls, for comparison with the sum.
 The sizes do not vary from run to run: minimal primes, elements, the
-pieces the turns hand join_closure and the turns that hand any,
-comparable pairs and cover pairs.  Only the standard library is used.
+pieces the turns hand join_closure and the turns that hand any, the
+cut-set walks (the graph's own and one per decomposition, none for an
+ideal) and the vertex subsets they walk, 2^k for k non-simplicial
+vertices, comparable pairs and cover pairs.  Only the standard library
+is used.
 
     python3 tools/layers.py [--repeat N] [input ...]
 
@@ -139,10 +142,12 @@ def _sizing(poset: AnalysisPoset) -> tuple[float, bool]:
 
 
 def _sizes(item, poset: AnalysisPoset) -> dict[str, int]:
-    """The exact sizes, from one more run whose turns are counted."""
+    """The exact sizes, from one more run whose turns and walks are counted."""
     module, build = _builder(item)
     real = module.join_closure
-    count = {"pieces": 0, "turns_with_pieces": 0}
+    real_walk = binomial_edge._admissible_primes
+    real_walked = binomial_edge._non_simplicial
+    count = {"pieces": 0, "turns_with_pieces": 0, "walks": 0, "subsets_walked": 0}
 
     def closure(generators, sums_with, **kwargs):
         count["minimal_primes"] = len(generators)
@@ -155,11 +160,24 @@ def _sizes(item, poset: AnalysisPoset) -> dict[str, int]:
 
         return real(generators, counted, **kwargs)
 
+    def walk(*args, **kwargs):
+        count["walks"] += 1
+        return real_walk(*args, **kwargs)
+
+    def walked(rows):
+        vertices = real_walked(rows)
+        count["subsets_walked"] += 1 << vertices.bit_count()
+        return vertices
+
     module.join_closure = closure
+    binomial_edge._admissible_primes = walk
+    binomial_edge._non_simplicial = walked
     try:
         build(item)
     finally:
         module.join_closure = real
+        binomial_edge._admissible_primes = real_walk
+        binomial_edge._non_simplicial = real_walked
     count["elements"] = len(poset)
     count["comparable_pairs"] = sum(m.bit_count() for m in poset.up) - len(poset)
     count["cover_pairs"] = len(poset.hasse())
