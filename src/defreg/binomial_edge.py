@@ -113,6 +113,27 @@ and a cut set walk raises only past max_elements.  On the 9-vertex path,
 493 of the 577 turns are quiet and 263 sum relations are decomposed, as
 many as when every turn reports.
 
+Given a face budget, the closure tests it on label prefixes.  The turns
+run in label order, so the elements of the turns so far are a prefix of
+the labels, and once its last below digits are folded its up-masks are
+final: whether one prime contains another does not depend on what joins
+the pool later.  So every chain of an open interval (k, top) of the
+prefix is a chain of (k, top) in the whole poset, and a prefix with an
+interval over the budget proves that the whole poset has one.  At the
+fold where the prefix reaches _FIRST_PREFIX elements, and then 4 times
+as many each time, the prefix's poset is constructed, which checks its
+order, and its faces are counted as homology counts them.  Once one
+passes the budget, the closure runs on only to learn whether the element
+budget trips first, and the turns left are count-only: a quiet turn,
+which adds no element, only unpacks its prime and appends its slot,
+which later loud turns sum with, and a loud turn takes its sums and
+their nonprime flags, with no order marks, no below digits and no fold.
+The pieces, the elements and the point where ClosureBudgetExceeded is
+raised stay the same, and the face budget's error is raised after the
+last turn.  With each counted prefix 4 times as long as the one before,
+a run that passes the budget pays for counting prefixes no larger than
+its poset, their lengths summing to at most 4/3 of its size.
+
 Every prime the module hands out is in this packed form, the only one
 it has: the cut set walk packs the primes it finds, so the minimal
 primes of the graph and the pieces of a decomposition go into the
@@ -153,6 +174,7 @@ from .posets import (
     DEFAULT_MAX_ELEMENTS,
     AnalysisPoset,
     ClosureBudgetExceeded,
+    FaceBudgetExceeded,
     IdealNode,
     RingContext,
     _bits,
@@ -449,9 +471,17 @@ _DIGIT = bytes(49) + b"\1" + bytes(206)
 # turns whose below digits are kept, then folded into the up-masks at once
 _FOLD = 64
 
+# the first label prefix whose faces are counted; each later one is 4 times
+# as long
+_FIRST_PREFIX = 64
+
 
 def _clique_sums(
-    n: int, generators: Iterable[bytes], max_elements: int | None = None
+    n: int,
+    generators: Iterable[bytes],
+    max_elements: int | None = None,
+    max_faces: int | None = None,
+    ring: RingContext | None = None,
 ):
     """(sums_with, node_builder, order) for clique primes on n vertices.
 
@@ -472,6 +502,12 @@ def _clique_sums(
     on the first turn whose prime kills exactly those vertices.  order()
     returns the up-masks the turns built, in the order of the turns,
     which join_closure runs in label order.
+
+    Given a max_faces, the first fold at or past _FIRST_PREFIX turns,
+    and then past 4 times as many each time, builds the poset of the
+    turns so far over ring and counts its faces.  Once one passes
+    max_faces, the turns left run count-only, as the module docstring
+    says, and order() raises FaceBudgetExceeded.
     """
     full = (1 << n) - 1
     w = n + 1  # bits per row
@@ -498,6 +534,8 @@ def _clique_sums(
     shape: dict[bytes, tuple[int, int]] = {}  # each turn's (dim, height)
     up: list[int] = []  # up[i]: the slots at or above slot i, as far as known
     below: list[bytes] = []  # the below digits of the turns not yet folded
+    prefix = _FIRST_PREFIX  # the next label prefix whose faces are counted
+    tripped = False  # whether some prefix passed max_faces
 
     def fold() -> None:
         # row r is turn x0 + r's digits, one per earlier slot; padded to
@@ -514,8 +552,17 @@ def _clique_sums(
             up[i] |= int(matrix[i::cols][::-1], 2) << x0
         below.clear()
 
+    def over_budget() -> bool:
+        # the turns so far are a label prefix, whose order is final
+        nodes = [node_builder(rep, f"p_{k + 1}") for k, rep in enumerate(shape)]
+        try:
+            AnalysisPoset(nodes, up, ring=ring)._check_faces(range(len(up)), max_faces)
+        except FaceBudgetExceeded:
+            return True
+        return False
+
     def sums_with(rep: bytes) -> list[bytes]:
-        nonlocal unit, guards, ones, top, low, rels, kills, slots
+        nonlocal unit, guards, ones, top, low, rels, kills, slots, prefix, tripped
         kill, blocks = _unpack(n, rep)
         _check_partition(n, kill, blocks)
         # dim n - k + b and height n + k - b, for k killed vertices and b blocks
@@ -529,27 +576,34 @@ def _clique_sums(
             cross = crosses[kill] = kill * starts | sum(
                 full << v * w for v in _bits(kill)
             )
-        # the sums of rep, as relation x killing cross, with every slot
-        xr = x * unit
-        xk = cross * unit
-        a = rels ^ rels & xk  # each relation without the new prime's kills
-        b = xr ^ xr & kills  # the new relation without each slot's kills
-        rel = a | b
-        marks = ((rel ^ rels) + low & top) << 1 | ((rel ^ xr) + low & top) << 2
         loud = rep not in quiet
-        if loud:
-            ab = a & b
-            # a guard bit set on both sides marks a row where neither
-            # residual block contains the other: the sum is not prime
-            bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & guards
-            marks |= rel | (bad + low) & top
-        buf = marks.to_bytes(slots * step, "little")
-        flags = buf[width::step]
-        # the leading 0 reads the first turn's empty flags as no slot
-        up.append(int(b"0" + flags.translate(_ABOVE)[::-1], 2))
-        below.append(flags.translate(_BELOW))
-        if len(below) == _FOLD:
-            fold()
+        if loud or not tripped:
+            # the sums of rep, as relation x killing cross, with every slot
+            xr = x * unit
+            xk = cross * unit
+            a = rels ^ rels & xk  # each relation without the new prime's kills
+            b = xr ^ xr & kills  # the new relation without each slot's kills
+            rel = a | b
+            marks = 0
+            if loud:
+                ab = a & b
+                # a guard bit set on both sides marks a row where neither
+                # residual block contains the other: the sum is not prime
+                bad = ((a ^ ab) + ones) & ((b ^ ab) + ones) & guards
+                marks = rel | (bad + low) & top
+            if not tripped:
+                marks |= ((rel ^ rels) + low & top) << 1 | ((rel ^ xr) + low & top) << 2
+            buf = marks.to_bytes(slots * step, "little")
+            flags = buf[width::step]
+        if not tripped:
+            # the leading 0 reads the first turn's empty flags as no slot
+            up.append(int(b"0" + flags.translate(_ABOVE)[::-1], 2))
+            below.append(flags.translate(_BELOW))
+            if len(below) == _FOLD:
+                fold()
+                if max_faces is not None and len(up) >= prefix:
+                    prefix = 4 * len(up)
+                    tripped = over_budget()
         at = slots * shift  # the prime takes the next slot
         rels |= x << at
         kills |= cross << at
@@ -581,6 +635,8 @@ def _clique_sums(
 
     def order() -> list[int]:
         # up is the turns' once the last digits are folded
+        if tripped:
+            raise FaceBudgetExceeded(max_faces)
         if below:
             fold()
         return up
@@ -589,7 +645,10 @@ def _clique_sums(
 
 
 def build_Q_poset(
-    graph: Graph, *, max_elements: int = DEFAULT_MAX_ELEMENTS
+    graph: Graph,
+    *,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    max_faces: int | None = None,
 ) -> AnalysisPoset:
     """Poset of iterated sums of the minimal primes, under reverse inclusion.
 
@@ -598,13 +657,21 @@ def build_Q_poset(
     closed under the whole sum-then-decompose loop.  A decomposition
     depends only on the relation of the sum, so it is computed at most once
     per such relation.
+
+    ClosureBudgetExceeded is raised once the pool passes max_elements.
+    Given a max_faces, FaceBudgetExceeded is raised, after the last turn,
+    when a label prefix has an interval of more than max_faces faces, as
+    homology would raise on the whole poset; a prefix is counted at
+    _FIRST_PREFIX elements and at 4 times as many each time after, and a
+    closure that passes max_elements still raises ClosureBudgetExceeded.
+    Without one, only homology counts faces.
     """
-    n = graph.n
+    ring = ring_for(graph)
     primes = minimal_primes_graph(graph, max_elements=max_elements)
-    sums_with, node_builder, order = _clique_sums(n, primes, max_elements)
+    sums_with, node_builder, order = _clique_sums(
+        graph.n, primes, max_elements, max_faces, ring
+    )
     nodes = join_closure(
         primes, sums_with, node_builder=node_builder, max_elements=max_elements
     )
-    return AnalysisPoset(
-        nodes, order(), ring=ring_for(graph), provenance="binomial-edge"
-    )
+    return AnalysisPoset(nodes, order(), ring=ring, provenance="binomial-edge")

@@ -240,7 +240,9 @@ def _build_poset(args: argparse.Namespace) -> AnalysisPoset:
         with open(args.edges_path, "r", encoding="utf-8") as fh:
             text = fh.read()
         graph = parse_graph_file(text)
-        return _builder("build_Q_poset")(graph, max_elements=args.max_poset)
+        return _builder("build_Q_poset")(
+            graph, max_elements=args.max_poset, max_faces=args.max_faces
+        )
     if not args.poset_path:
         raise ParseError("poset mode needs --poset FILE")
     with open(args.poset_path, "r", encoding="utf-8") as fh:
@@ -490,8 +492,10 @@ def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
         if budget < 1:
             return EXIT_PARSE, f"error: {flag} must be at least 1, got {budget}\n"
     try:
+        # a graph build raises the face budget's error once a label prefix
+        # passes it, as analyze would on the whole poset
         poset = _build_poset(args)
-    except ClosureBudgetExceeded as e:
+    except (ClosureBudgetExceeded, FaceBudgetExceeded) as e:
         return EXIT_BUDGET, f"error: {e}\n"
     except (ParseError, OSError, ValueError) as e:
         return EXIT_PARSE, f"error: {e}\n"

@@ -18,18 +18,24 @@ LAYERS = ["primes", "turns", "order", "nodes", "constructor", "sizing", "build"]
 
 def test_layers_reports_every_layer_and_the_sizes_of_the_build():
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "layers.py"), "--repeat", "1", "path9"],
+        [sys.executable, str(ROOT / "tools" / "layers.py"), "--repeat", "1", "path9", "k88"],
         capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["repeat"] == 1
-    assert list(report["inputs"]) == ["path9"]
+    assert list(report["inputs"]) == ["path9", "k88"]
     measured = report["inputs"]["path9"]
     assert list(measured["layers_s"]) == LAYERS
     assert all(s >= 0 for s in measured["layers_s"].values())
-    # some interval of path9 has more faces than the default budget
+    # some interval of path9 has more faces than the default budget, and
+    # the budgeted build sees it on the 256-element prefix (the first 170
+    # elements pass it); K_{8,8}'s 6 elements never reach a prefix count
     assert measured["sizing_trips"] is True
+    assert measured["budgeted"] >= 0
+    assert measured["trip_prefix"] == 256
+    assert report["inputs"]["k88"]["trip_prefix"] is None
+    assert report["inputs"]["k88"]["sizing_trips"] is False
     graph = Graph.path(9)
     poset = build_Q_poset(graph)
     sizes = measured["sizes"]

@@ -20,6 +20,10 @@ of its node, so that read is in turns, not in nodes.
 
 Each layer's time is the best of --repeat runs, in seconds; "build" is
 the best of as many plain builder calls, for comparison with the sum.
+A graph input also reports "budgeted", the best of as many calls of
+build_Q_poset with max_faces at the default budget, timed up to its
+FaceBudgetExceeded if one is raised, and "trip_prefix", the length of
+the label prefix whose face count tripped that build, or null.
 The sizes do not vary from run to run: minimal primes, elements, the
 pieces the turns hand join_closure and the turns that hand any, the
 cut-set walks (the graph's own and one per decomposition, none for an
@@ -141,6 +145,34 @@ def _sizing(poset: AnalysisPoset) -> tuple[float, bool]:
     return perf_counter() - t, False
 
 
+def _budgeted(graph: binomial_edge.Graph, repeat: int) -> dict:
+    """The budgeted build's best time, and the prefix whose count tripped it."""
+    best = float("inf")
+    for _ in range(repeat):
+        t = perf_counter()
+        try:
+            binomial_edge.build_Q_poset(graph, max_faces=DEFAULT_MAX_FACES)
+        except FaceBudgetExceeded:
+            pass
+        best = min(best, perf_counter() - t)
+    real = binomial_edge.AnalysisPoset
+    sizes = []
+
+    def constructor(nodes, up, **kwargs):
+        sizes.append(len(nodes))
+        return real(nodes, up, **kwargs)
+
+    binomial_edge.AnalysisPoset = constructor
+    try:
+        binomial_edge.build_Q_poset(graph, max_faces=DEFAULT_MAX_FACES)
+        trip = None
+    except FaceBudgetExceeded:
+        trip = sizes[-1]
+    finally:
+        binomial_edge.AnalysisPoset = real
+    return {"budgeted": round(best, 6), "trip_prefix": trip}
+
+
 def _sizes(item, poset: AnalysisPoset) -> dict[str, int]:
     """The exact sizes, from one more run whose turns and walks are counted."""
     module, build = _builder(item)
@@ -196,11 +228,12 @@ def measure(name: str, repeat: int) -> dict:
         times["build"] = perf_counter() - t
         for layer, s in times.items():
             best[layer] = min(best[layer], s)
-    return {
-        "layers_s": {layer: round(s, 6) for layer, s in best.items()},
-        "sizing_trips": trips,
-        "sizes": _sizes(item, poset),
-    }
+    report = {"layers_s": {layer: round(s, 6) for layer, s in best.items()}}
+    if isinstance(item, binomial_edge.Graph):
+        report.update(_budgeted(item, repeat))
+    report["sizing_trips"] = trips
+    report["sizes"] = _sizes(item, poset)
+    return report
 
 
 def main(argv: list[str]) -> int:
