@@ -123,16 +123,40 @@ interval over the budget proves that the whole poset has one.  At the
 fold where the prefix reaches _FIRST_PREFIX elements, and then 4 times
 as many each time, the prefix's poset is constructed, which checks its
 order, and its faces are counted as homology counts them.  Once one
-passes the budget, the closure runs on only to learn whether the element
-budget trips first, and the turns left are count-only: a quiet turn,
-which adds no element, only unpacks its prime and appends its slot,
-which later loud turns sum with, and a loud turn takes its sums and
-their nonprime flags, with no order marks, no below digits and no fold.
-The pieces, the elements and the point where ClosureBudgetExceeded is
-raised stay the same, and the face budget's error is raised after the
-last turn.  With each counted prefix 4 times as long as the one before,
-a run that passes the budget pays for counting prefixes no larger than
-its poset, their lengths summing to at most 4/3 of its size.
+passes the budget, the face budget's error is certain, and only the
+element budget could still trip first.
+
+Often it cannot.  Every element of the closure contains the graph's
+ideal J_G: the minimal primes do, and so does every prime of a sum of
+two primes that contain it.  A prime that kills K and partitions the
+rest into blocks contains J_G exactly when the minor of each edge left
+in G - K lies in it, that is when both ends share a block, so when each
+component of G - K lies in one block.  There are thus exactly
+
+    U(G) = sum over K of Bell(c(G - K))
+
+such primes, c the number of components.  The closure's elements and the
+primes of any one cut set walk are among them, so neither passes U(G).
+When U(G) <= max_elements, no ClosureBudgetExceeded can be raised, and
+the turn whose prefix trips raises FaceBudgetExceeded at once, with the
+bytes the whole build would give.  _prime_space walks the 2^n kill
+sets, growing the components of each, and stops once its sum passes
+max_elements; it runs only when a prefix trips, and only when 2^n <=
+min(max_elements, DEFAULT_MAX_ELEMENTS), so it visits at most 8,192
+sets however high the element budget is raised.  U(G) is 2,243 for the 9-vertex path and
+4,486 for the 10-cycle, under the default budget of 10,000; the 11- and
+12-vertex paths and the 11-cycle pass it.
+
+Where the walk does not certify, the turns left are count-only: a quiet
+turn, which adds no element, only unpacks its prime and appends its
+slot, which later loud turns sum with, and a loud turn takes its sums
+and their nonprime flags, with no order marks, no below digits and no
+fold.  The pieces, the elements and the point where
+ClosureBudgetExceeded is raised stay the same, and the face budget's
+error is raised after the last turn.  With each counted prefix 4 times
+as long as the one before, a run that passes the budget pays for
+counting prefixes no larger than its poset, their lengths summing to at
+most 4/3 of its size.
 
 Every prime the module hands out is in this packed form, the only one
 it has: the cut set walk packs the primes it finds, so the minimal
@@ -166,6 +190,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import compress, filterfalse
+from math import comb
 from operator import itemgetter
 from struct import iter_unpack
 
@@ -352,6 +377,54 @@ def _admissible_primes(
     return [packed[rep] for rep in found]
 
 
+def _prime_space(rows: Sequence[int], bound: int | None = None) -> int:
+    """U(G), the number of primes that contain the ideal of the graph rows.
+
+    rows[v] is v's closed neighbourhood, every vertex present.  A prime
+    kills a set K and partitions the rest into blocks, and contains the
+    ideal exactly when each edge between unkilled vertices lies in a
+    block, that is when each component of G - K lies in one; so there are
+    Bell(c(G - K)) primes killing K, and U(G) sums them over the 2^n sets
+    K.  The components are grown as in _admissible_primes.  Given a
+    bound, the walk stops once the sum passes it and returns that partial
+    sum, so the result is at most bound exactly when U(G) is.
+    """
+    n = len(rows)
+    bell = [1]  # Bell(0..n): Bell(k + 1) = sum of C(k, i) Bell(i)
+    for k in range(n):
+        bell.append(sum(comb(k, i) * bell[i] for i in range(k + 1)))
+    full = (1 << n) - 1
+    total = 0
+    for kill in range(1 << n):
+        count = 0
+        rest = full ^ kill
+        while rest:
+            comp = frontier = rest & -rest
+            near = 0
+            while frontier:
+                while frontier:
+                    low = frontier & -frontier
+                    near |= rows[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = near & rest & ~comp
+                comp |= frontier
+            rest ^= comp
+            count += 1
+        total += bell[count]
+        if bound is not None and total > bound:
+            break
+    return total
+
+
+def _neighbourhoods(graph: Graph) -> list[int]:
+    """The graph's adjacency: each vertex's closed neighbourhood, as a mask."""
+    adj = [1 << v for v in range(graph.n)]
+    for u, v in graph.edges:
+        adj[u - 1] |= 1 << v - 1
+        adj[v - 1] |= 1 << u - 1
+    return adj
+
+
 def minimal_primes_graph(
     graph: Graph, *, max_elements: int | None = None
 ) -> list[bytes]:
@@ -364,13 +437,7 @@ def minimal_primes_graph(
     is no budget unless max_elements is given; then ClosureBudgetExceeded
     is raised once more than that are found.
     """
-    n = graph.n
-    # closed neighbourhoods: every vertex is present
-    adj = [1 << v for v in range(n)]
-    for u, v in graph.edges:
-        adj[u - 1] |= 1 << v - 1
-        adj[v - 1] |= 1 << u - 1
-    return _admissible_primes(adj, max_elements)
+    return _admissible_primes(_neighbourhoods(graph), max_elements)
 
 
 def _rep_bytes(n: int) -> int:
@@ -482,6 +549,7 @@ def _clique_sums(
     max_elements: int | None = None,
     max_faces: int | None = None,
     ring: RingContext | None = None,
+    rows: Sequence[int] | None = None,
 ):
     """(sums_with, node_builder, order) for clique primes on n vertices.
 
@@ -503,11 +571,14 @@ def _clique_sums(
     returns the up-masks the turns built, in the order of the turns,
     which join_closure runs in label order.
 
-    Given a max_faces, the first fold at or past _FIRST_PREFIX turns,
-    and then past 4 times as many each time, builds the poset of the
-    turns so far over ring and counts its faces.  Once one passes
-    max_faces, the turns left run count-only, as the module docstring
-    says, and order() raises FaceBudgetExceeded.
+    Given a max_faces, with max_elements and the graph's adjacency rows,
+    the first fold at or past _FIRST_PREFIX turns, and then past 4 times
+    as many each time, builds the poset of the turns so far over ring and
+    counts its faces.  Once one passes max_faces, the turn raises
+    FaceBudgetExceeded at once when 2^n <= min(max_elements,
+    DEFAULT_MAX_ELEMENTS) and _prime_space(rows) <= max_elements, which
+    proves that no element budget can trip; otherwise the turns left run
+    count-only, as the module docstring says, and order() raises it.
     """
     full = (1 << n) - 1
     w = n + 1  # bits per row
@@ -561,6 +632,12 @@ def _clique_sums(
             return True
         return False
 
+    def certified() -> bool:
+        # no more than max_elements primes contain the graph's ideal
+        return 1 << n <= min(max_elements, DEFAULT_MAX_ELEMENTS) and (
+            _prime_space(rows, max_elements) <= max_elements
+        )
+
     def sums_with(rep: bytes) -> list[bytes]:
         nonlocal unit, guards, ones, top, low, rels, kills, slots, prefix, tripped
         kill, blocks = _unpack(n, rep)
@@ -604,6 +681,8 @@ def _clique_sums(
                 if max_faces is not None and len(up) >= prefix:
                     prefix = 4 * len(up)
                     tripped = over_budget()
+                    if tripped and certified():
+                        raise FaceBudgetExceeded(max_faces)
         at = slots * shift  # the prime takes the next slot
         rels |= x << at
         kills |= cross << at
@@ -659,17 +738,23 @@ def build_Q_poset(
     per such relation.
 
     ClosureBudgetExceeded is raised once the pool passes max_elements.
-    Given a max_faces, FaceBudgetExceeded is raised, after the last turn,
-    when a label prefix has an interval of more than max_faces faces, as
-    homology would raise on the whole poset; a prefix is counted at
-    _FIRST_PREFIX elements and at 4 times as many each time after, and a
-    closure that passes max_elements still raises ClosureBudgetExceeded.
-    Without one, only homology counts faces.
+    Given a max_faces, FaceBudgetExceeded is raised when a label prefix
+    has an interval of more than max_faces faces, as homology would raise
+    on the whole poset; a prefix is counted at _FIRST_PREFIX elements and
+    at 4 times as many each time after.  Every element contains the
+    graph's ideal, so the closure holds at most U(G) = sum over kill sets
+    K of Bell(c(G - K)) elements (lemma in the module docstring).  When
+    2^n <= min(max_elements, DEFAULT_MAX_ELEMENTS) and a walk over the
+    kill sets finds U(G) <= max_elements, no element budget can trip, and
+    the error is raised on the turn whose prefix trips.  Otherwise it is
+    raised after the last turn, and a closure that passes max_elements
+    still raises ClosureBudgetExceeded first.  Without a max_faces, only
+    homology counts faces.
     """
     ring = ring_for(graph)
     primes = minimal_primes_graph(graph, max_elements=max_elements)
     sums_with, node_builder, order = _clique_sums(
-        graph.n, primes, max_elements, max_faces, ring
+        graph.n, primes, max_elements, max_faces, ring, _neighbourhoods(graph)
     )
     nodes = join_closure(
         primes, sums_with, node_builder=node_builder, max_elements=max_elements

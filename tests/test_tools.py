@@ -35,6 +35,10 @@ def test_layers_reports_every_layer_and_the_sizes_of_the_build():
     assert measured["budgeted"] >= 0
     assert measured["trip_prefix"] == 256
     assert report["inputs"]["k88"]["trip_prefix"] is None
+    # 2,243 primes contain path9's ideal; K_{8,8}'s 2^16 kill sets are
+    # not walked
+    assert measured["prime_space"] == 2_243
+    assert report["inputs"]["k88"]["prime_space"] is None
     assert report["inputs"]["k88"]["sizing_trips"] is False
     graph = Graph.path(9)
     poset = build_Q_poset(graph)

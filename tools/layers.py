@@ -22,8 +22,11 @@ Each layer's time is the best of --repeat runs, in seconds; "build" is
 the best of as many plain builder calls, for comparison with the sum.
 A graph input also reports "budgeted", the best of as many calls of
 build_Q_poset with max_faces at the default budget, timed up to its
-FaceBudgetExceeded if one is raised, and "trip_prefix", the length of
-the label prefix whose face count tripped that build, or null.
+FaceBudgetExceeded if one is raised, "trip_prefix", the length of
+the label prefix whose face count tripped that build, or null, and
+"prime_space", U(G), the count of primes that contain the graph's ideal
+whose walk lets a tripped build raise at once, or null where the build
+would not walk its 2^n kill sets (n = 16 for K_{8,8}).
 The sizes do not vary from run to run: minimal primes, elements, the
 pieces the turns hand join_closure and the turns that hand any, the
 cut-set walks (the graph's own and one per decomposition, none for an
@@ -54,6 +57,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from defreg import binomial_edge, monomial  # noqa: E402
 from defreg.posets import (  # noqa: E402
+    DEFAULT_MAX_ELEMENTS,
     DEFAULT_MAX_FACES,
     AnalysisPoset,
     FaceBudgetExceeded,
@@ -146,7 +150,7 @@ def _sizing(poset: AnalysisPoset) -> tuple[float, bool]:
 
 
 def _budgeted(graph: binomial_edge.Graph, repeat: int) -> dict:
-    """The budgeted build's best time, and the prefix whose count tripped it."""
+    """The budgeted build's best time, the prefix whose count tripped it, and U(G)."""
     best = float("inf")
     for _ in range(repeat):
         t = perf_counter()
@@ -170,7 +174,10 @@ def _budgeted(graph: binomial_edge.Graph, repeat: int) -> dict:
         trip = sizes[-1]
     finally:
         binomial_edge.AnalysisPoset = real
-    return {"budgeted": round(best, 6), "trip_prefix": trip}
+    space = None
+    if 1 << graph.n <= DEFAULT_MAX_ELEMENTS:
+        space = binomial_edge._prime_space(binomial_edge._neighbourhoods(graph))
+    return {"budgeted": round(best, 6), "trip_prefix": trip, "prime_space": space}
 
 
 def _sizes(item, poset: AnalysisPoset) -> dict[str, int]:
