@@ -197,6 +197,7 @@ from struct import iter_unpack
 from ._record import Record
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
+    _FIRST_PREFIX,
     AnalysisPoset,
     ClosureBudgetExceeded,
     FaceBudgetExceeded,
@@ -537,10 +538,6 @@ _DIGIT = bytes(49) + b"\1" + bytes(206)
 
 # turns whose below digits are kept, then folded into the up-masks at once
 _FOLD = 64
-
-# the first label prefix whose faces are counted; each later one is 4 times
-# as long
-_FIRST_PREFIX = 64
 
 
 def _clique_sums(

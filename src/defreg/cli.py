@@ -233,7 +233,9 @@ def _build_poset(args: argparse.Namespace) -> AnalysisPoset:
         ring = RingContext(names)
         gens = parse_monomial(names, args.gens)
         ideal = _builder("SquarefreeIdeal").create(ring, gens)
-        return _builder("build_monomial_poset")(ideal, max_elements=args.max_poset)
+        return _builder("build_monomial_poset")(
+            ideal, max_elements=args.max_poset, max_faces=args.max_faces
+        )
     if args.mode == "graph":
         if not args.edges_path:
             raise ParseError("graph mode needs --edges FILE")
@@ -492,8 +494,8 @@ def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
         if budget < 1:
             return EXIT_PARSE, f"error: {flag} must be at least 1, got {budget}\n"
     try:
-        # a graph build raises the face budget's error once a label prefix
-        # passes it, as analyze would on the whole poset
+        # a graph or monomial build raises the face budget's error once a
+        # label prefix passes it, as analyze would on the whole poset
         poset = _build_poset(args)
     except (ClosureBudgetExceeded, FaceBudgetExceeded) as e:
         return EXIT_BUDGET, f"error: {e}\n"

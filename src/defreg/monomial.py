@@ -40,6 +40,43 @@ leave out every sum this way; only the turn of a prime sum first met on a
 minimal prime's turn reports nothing there, by the proof in the
 binomial_edge docstring.
 
+Given a face budget, the closure tests it on label prefixes, as the
+graph closure does.  The turns run in label order, so the masks of the
+turns so far are a prefix of the labels, and the order among them is
+final: whether one mask contains another does not depend on what joins
+the pool later.  So every chain of an open interval (k, top) of the
+prefix is a chain of (k, top) in the whole poset, and a prefix interval
+over the budget proves one in the whole poset.  order() reads a prefix's
+up-masks as it reads the whole poset's: up[b] = up[b | v] & ~column v
+holds on any set of masks that holds b | v, and the fallback reads the
+prefix's own columns.
+
+Only the element budget could then still trip first, and often it
+cannot.  Join two generators when they share a variable, and let V_i be
+the variables of the i-th component.  A minimal prime is a minimal
+cover, so it holds only variables of the generators and meets every
+V_i; a sum is a union, so every element of the closure meets every V_i
+and is the union of its restrictions to them.  The closure thus has at
+most
+
+    U(I) = product over i of (2^|V_i| - 1)
+
+elements, exactly that many on disjoint edges: 729 for 6 and 6,561 for
+8.  When U(I) <= max_elements, no ClosureBudgetExceeded can be raised,
+and the turn on which the prefix reaches _FIRST_PREFIX elements, then 4
+times as many each time, builds the prefix's nodes and up-masks,
+constructs its poset, which checks its order, and counts its faces as
+homology counts them.  The first prefix that passes the budget raises
+FaceBudgetExceeded on its turn, with the bytes the whole build would
+give.  A prefix longer than U(I) / 2 is more than half of the whole
+poset, which homology sizes anyway, so it is not counted: on 8 disjoint
+edges under a raised face budget, counting the 4,096-element prefix too
+nearly doubles the build.  With each counted prefix 4 times as
+long as the one before, a run that passes the budget pays for prefixes
+whose lengths sum to at most 2/3 of U(I).  Where U(I) > max_elements, as
+when --max-poset is below it, the build counts no prefix and only
+homology counts faces.
+
 A node of the finished poset keeps its mask as its ideal, with height its
 popcount and dim nvars minus that.  Generators and minimal primes keep the
 label order (height, variable names sorted as strings), so "x10" comes
@@ -51,11 +88,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import islice
+from math import prod
 from operator import or_
 
 from ._record import Record
 from .posets import (
     DEFAULT_MAX_ELEMENTS,
+    _FIRST_PREFIX,
     AnalysisPoset,
     IdealNode,
     RingContext,
@@ -134,10 +173,40 @@ def minimal_primes(ideal: SquarefreeIdeal) -> list[int]:
     return covers
 
 
+def _closure_bound(generators: Iterable[int]) -> int:
+    """U(I), the product of 2^|V| - 1 over the generators' components.
+
+    V is the variable mask of a component, two generators lying in one
+    when they share a variable; the closure has at most U(I) elements
+    (lemma in the module docstring).
+    """
+    parts: list[int] = []
+    for g in generators:
+        joined = [p for p in parts if p & g]
+        parts = [p for p in parts if not p & g]
+        parts.append(reduce(or_, joined, g))
+    return prod((1 << p.bit_count()) - 1 for p in parts)
+
+
 def build_monomial_poset(
-    ideal: SquarefreeIdeal, *, max_elements: int = DEFAULT_MAX_ELEMENTS
+    ideal: SquarefreeIdeal,
+    *,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    max_faces: int | None = None,
 ) -> AnalysisPoset:
-    """Poset of all sums of the minimal primes, under reverse inclusion."""
+    """Poset of all sums of the minimal primes, under reverse inclusion.
+
+    ClosureBudgetExceeded is raised once the pool passes max_elements.
+    Given a max_faces, when U(I), the product of 2^|V| - 1 over the
+    variable masks V of the generators' components, is at most
+    max_elements, no element budget can trip (lemma in the module
+    docstring): the label prefix is then counted at _FIRST_PREFIX
+    elements and at 4 times as many each time after, while it is at most
+    U(I) / 2, and FaceBudgetExceeded is raised on the turn whose prefix
+    has an interval of more than max_faces faces, as homology would
+    raise on the whole poset.  Otherwise, or without a max_faces, only
+    homology counts faces.
+    """
     ring = ideal.ring
     names = ring.var_names
 
@@ -148,13 +217,28 @@ def build_monomial_poset(
     primes = minimal_primes(ideal)
     minimal = set(primes)
     earlier: list[int] = []
+    # the next label prefix whose faces are counted, if it is at most
+    # limit: half of U(I) where U(I) certifies the element budget, else 0
+    prefix, limit = _FIRST_PREFIX, 0
+    if max_faces is not None:
+        bound = _closure_bound(ideal.generators)
+        if bound <= max_elements:
+            limit = bound // 2
 
     def sums_with(b: int) -> Iterable[int]:
+        nonlocal prefix
         # only a minimal prime's turn has sums outside the pool; they
         # come lazily, off the masks before b: appends leave those as
         # they are, so this is a snapshot that copies nothing
         pieces = map(b.__or__, islice(earlier, len(earlier))) if b in minimal else ()
         earlier.append(b)
+        if len(earlier) == prefix <= limit:
+            # the turns so far are a label prefix, whose order is final
+            prefix *= 4
+            nodes = [build_node(m, f"p_{k + 1}") for k, m in enumerate(earlier)]
+            AnalysisPoset(nodes, order(), ring=ring)._check_faces(
+                range(len(earlier)), max_faces
+            )
         return pieces
 
     def order() -> list[int]:

@@ -40,6 +40,10 @@ from ._record import Record
 DEFAULT_MAX_ELEMENTS = 10_000
 DEFAULT_MAX_FACES = 200_000
 
+# the first label prefix whose faces a builder counts under a face budget;
+# each later one is 4 times as long
+_FIRST_PREFIX = 64
+
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below MAX_CHARACTERISTIC, the least strong pseudoprime to all of them

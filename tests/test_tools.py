@@ -18,13 +18,14 @@ LAYERS = ["primes", "turns", "order", "nodes", "constructor", "sizing", "build"]
 
 def test_layers_reports_every_layer_and_the_sizes_of_the_build():
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "layers.py"), "--repeat", "1", "path9", "k88"],
+        [sys.executable, str(ROOT / "tools" / "layers.py"), "--repeat", "1", "path9", "k88",
+         "matching12"],
         capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["repeat"] == 1
-    assert list(report["inputs"]) == ["path9", "k88"]
+    assert list(report["inputs"]) == ["path9", "k88", "matching12"]
     measured = report["inputs"]["path9"]
     assert list(measured["layers_s"]) == LAYERS
     assert all(s >= 0 for s in measured["layers_s"].values())
@@ -37,8 +38,15 @@ def test_layers_reports_every_layer_and_the_sizes_of_the_build():
     assert report["inputs"]["k88"]["trip_prefix"] is None
     # 2,243 primes contain path9's ideal; K_{8,8}'s 2^16 kill sets are
     # not walked
-    assert measured["prime_space"] == 2_243
-    assert report["inputs"]["k88"]["prime_space"] is None
+    assert measured["element_bound"] == 2_243
+    assert report["inputs"]["k88"]["element_bound"] is None
+    # 6 disjoint edges: U(I) = 3^6 = 729 elements, no more than the
+    # closure has; its 64- and 256-element prefixes stay within the default
+    # face budget, and only the whole poset passes it
+    matching = report["inputs"]["matching12"]
+    assert matching["element_bound"] == matching["sizes"]["elements"] == 729
+    assert matching["trip_prefix"] is None
+    assert matching["sizing_trips"] is True
     assert report["inputs"]["k88"]["sizing_trips"] is False
     graph = Graph.path(9)
     poset = build_Q_poset(graph)

@@ -20,13 +20,16 @@ of its node, so that read is in turns, not in nodes.
 
 Each layer's time is the best of --repeat runs, in seconds; "build" is
 the best of as many plain builder calls, for comparison with the sum.
-A graph input also reports "budgeted", the best of as many calls of
-build_Q_poset with max_faces at the default budget, timed up to its
-FaceBudgetExceeded if one is raised, "trip_prefix", the length of
-the label prefix whose face count tripped that build, or null, and
-"prime_space", U(G), the count of primes that contain the graph's ideal
-whose walk lets a tripped build raise at once, or null where the build
-would not walk its 2^n kill sets (n = 16 for K_{8,8}).
+Every input also reports "budgeted", the best of as many builder calls
+with max_faces at the default budget, timed up to its FaceBudgetExceeded
+if one is raised, "trip_prefix", the length of the label prefix whose
+face count tripped that build, or null, and "element_bound", the bound
+on the closure's elements that lets a tripped build raise at once when
+it is at most the element budget.  For a graph that is U(G), the count of
+primes that contain the graph's ideal, or null where the build would not
+walk its 2^n kill sets (n = 16 for K_{8,8}); for an ideal it is U(I),
+the product of 2^|V| - 1 over the variable sets V of the generators'
+components.
 The sizes do not vary from run to run: minimal primes, elements, the
 pieces the turns hand join_closure and the turns that hand any, the
 cut-set walks (the graph's own and one per decomposition, none for an
@@ -149,35 +152,39 @@ def _sizing(poset: AnalysisPoset) -> tuple[float, bool]:
     return perf_counter() - t, False
 
 
-def _budgeted(graph: binomial_edge.Graph, repeat: int) -> dict:
-    """The budgeted build's best time, the prefix whose count tripped it, and U(G)."""
+def _budgeted(item, repeat: int) -> dict:
+    """The budgeted build's best time, the prefix whose count tripped it, and its bound."""
+    module, build = _builder(item)
     best = float("inf")
     for _ in range(repeat):
         t = perf_counter()
         try:
-            binomial_edge.build_Q_poset(graph, max_faces=DEFAULT_MAX_FACES)
+            build(item, max_faces=DEFAULT_MAX_FACES)
         except FaceBudgetExceeded:
             pass
         best = min(best, perf_counter() - t)
-    real = binomial_edge.AnalysisPoset
+    real = module.AnalysisPoset
     sizes = []
 
     def constructor(nodes, up, **kwargs):
         sizes.append(len(nodes))
         return real(nodes, up, **kwargs)
 
-    binomial_edge.AnalysisPoset = constructor
+    module.AnalysisPoset = constructor
     try:
-        binomial_edge.build_Q_poset(graph, max_faces=DEFAULT_MAX_FACES)
+        build(item, max_faces=DEFAULT_MAX_FACES)
         trip = None
     except FaceBudgetExceeded:
         trip = sizes[-1]
     finally:
-        binomial_edge.AnalysisPoset = real
-    space = None
-    if 1 << graph.n <= DEFAULT_MAX_ELEMENTS:
-        space = binomial_edge._prime_space(binomial_edge._neighbourhoods(graph))
-    return {"budgeted": round(best, 6), "trip_prefix": trip, "prime_space": space}
+        module.AnalysisPoset = real
+    if module is monomial:
+        bound = monomial._closure_bound(item.generators)
+    elif 1 << item.n <= DEFAULT_MAX_ELEMENTS:
+        bound = binomial_edge._prime_space(binomial_edge._neighbourhoods(item))
+    else:
+        bound = None
+    return {"budgeted": round(best, 6), "trip_prefix": trip, "element_bound": bound}
 
 
 def _sizes(item, poset: AnalysisPoset) -> dict[str, int]:
@@ -236,8 +243,7 @@ def measure(name: str, repeat: int) -> dict:
         for layer, s in times.items():
             best[layer] = min(best[layer], s)
     report = {"layers_s": {layer: round(s, 6) for layer, s in best.items()}}
-    if isinstance(item, binomial_edge.Graph):
-        report.update(_budgeted(item, repeat))
+    report.update(_budgeted(item, repeat))
     report["sizing_trips"] = trips
     report["sizes"] = _sizes(item, poset)
     return report
